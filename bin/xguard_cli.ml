@@ -288,6 +288,38 @@ let emit_metrics ~mopts ~span_cells msum =
     print_string "== end metrics ==\n"
   end
 
+(* ---- validated numeric converters ----
+
+   Cycle counts reach the engine scheduler directly and probabilities the
+   fault/chaos draws, so out-of-range values are refused at parse time with a
+   reason instead of crashing (or silently misbehaving) mid-run.  2^40 cycles
+   is far beyond any run yet keeps [now + n] clear of overflow. *)
+
+let int_in ~min ~max =
+  let parse s =
+    match int_of_string_opt s with
+    | None -> Error (Printf.sprintf "invalid value %S, expected an integer" s)
+    | Some n when n < min || n > max ->
+        Error
+          (if max = max_int then Printf.sprintf "%d out of range (want >= %d)" n min
+           else Printf.sprintf "%d out of range (want %d..%d)" n min max)
+    | Some n -> Ok n
+  in
+  Arg.conv' (parse, Arg.conv_printer Arg.int)
+
+let cycles ~min = int_in ~min ~max:(1 lsl 40)
+let positive_int = int_in ~min:1 ~max:max_int
+
+let prob =
+  let parse s =
+    match float_of_string_opt s with
+    | None -> Error (Printf.sprintf "invalid value %S, expected a number" s)
+    | Some p when not (p >= 0.0 && p <= 1.0) ->
+        Error (Printf.sprintf "%s out of range (want a probability in [0, 1])" s)
+    | Some p -> Ok p
+  in
+  Arg.conv' (parse, Arg.conv_printer Arg.float)
+
 let jobs_arg =
   Arg.(value & opt int 1
        & info [ "j"; "jobs" ] ~docv:"N"
@@ -327,23 +359,23 @@ let check_sim_j ~sim_j cfg =
 (* ---- lossy-link fault injection (stress/fuzz/campaign) ---- *)
 
 let fault_drop_arg =
-  Arg.(value & opt float 0.0
+  Arg.(value & opt prob 0.0
        & info [ "fault-drop" ] ~docv:"P"
            ~doc:"Drop each XG-link message with probability $(docv); any non-zero \
                  fault probability also enables the link reliability layer.")
 
 let fault_dup_arg =
-  Arg.(value & opt float 0.0
+  Arg.(value & opt prob 0.0
        & info [ "fault-dup" ] ~docv:"P"
            ~doc:"Duplicate each XG-link message with probability $(docv).")
 
 let fault_corrupt_arg =
-  Arg.(value & opt float 0.0
+  Arg.(value & opt prob 0.0
        & info [ "fault-corrupt" ] ~docv:"P"
            ~doc:"Corrupt each XG-link message's payload with probability $(docv).")
 
 let fault_delay_arg =
-  Arg.(value & opt float 0.0
+  Arg.(value & opt prob 0.0
        & info [ "fault-delay" ] ~docv:"P"
            ~doc:"Delay each XG-link message by a random 1..32 extra cycles with \
                  probability $(docv).")
@@ -396,20 +428,20 @@ let recover_lives_arg =
                  $(b,--recover).")
 
 let budget_req_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some (cycles ~min:1)) None
        & info [ "budget-req" ] ~docv:"CYCLES"
            ~doc:"Hang budget for the request->decision phase: an accelerator \
                  request the guard has not decided within $(docv) cycles counts \
                  as a link fault.")
 
 let budget_inv_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some (cycles ~min:1)) None
        & info [ "budget-inv" ] ~docv:"CYCLES"
            ~doc:"Hang budget for the invalidate->ack phase.  Trips strictly \
                  before the coarse G2c timeout when set below it.")
 
 let budget_fetch_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some (cycles ~min:1)) None
        & info [ "budget-fetch" ] ~docv:"CYCLES"
            ~doc:"Hang budget for the host fetch->data phase.")
 
@@ -543,7 +575,7 @@ let stress_cmd =
     Arg.(value & opt int 500 & info [ "ops" ] ~docv:"N" ~doc:"Operations per core.")
   in
   let seeds_arg =
-    Arg.(value & opt int 5 & info [ "seeds" ] ~docv:"N" ~doc:"Number of seeds to sweep.")
+    Arg.(value & opt positive_int 5 & info [ "seeds" ] ~docv:"N" ~doc:"Number of seeds to sweep.")
   in
   let action config topology seed ops seeds jobs sim_j trace trace_out coverage spans
       spans_out mopts drop dup corrupt delay scripts reliable recover lives breq binv
@@ -732,26 +764,26 @@ let fuzz_cmd =
     Arg.(value & flag & info [ "mute" ] ~doc:"The accelerator never answers invalidations.")
   in
   let timeout_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (cycles ~min:1)) None
          & info [ "timeout" ] ~docv:"CYCLES"
              ~doc:"Override the guard's invalidation timeout.  A huge value with \
                    $(b,--mute) disables the paper's timeout defense and forces a \
                    deadlock, to exercise the $(b,--trace) forensics path.")
   in
   let seeds_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive_int 1
          & info [ "seeds" ] ~docv:"N"
              ~doc:"Sweep $(docv) consecutive seeds; outcomes are merged \
                    (Fuzz_tester.merge) into one report.")
   in
   let chaos_period_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (cycles ~min:1)) None
          & info [ "chaos-period" ] ~docv:"CYCLES"
              ~doc:"Cycles between chaos-accelerator injections (smaller = denser \
                    bombardment).")
   in
   let chaos_respond_arg =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some prob) None
          & info [ "chaos-respond-prob" ] ~docv:"P"
              ~doc:"Probability the chaos accelerator answers an Invalidate at all \
                    (with a random, possibly wrong, response).  0.0 never answers — \
@@ -764,7 +796,7 @@ let fuzz_cmd =
                    responses.")
   in
   let chaos_tarpit_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (cycles ~min:0)) None
          & info [ "chaos-tarpit" ] ~docv:"CYCLES"
              ~doc:"Slow-but-honest mode: answer every Invalidate with a correct \
                    Inv_ack exactly $(docv) cycles late.  With $(b,--budget-inv) \
@@ -929,7 +961,7 @@ let campaign_cmd =
     Arg.(value & opt string "all" & info [ "c"; "config" ] ~docv:"CONFIG" ~doc)
   in
   let seeds_arg =
-    Arg.(value & opt int 20
+    Arg.(value & opt positive_int 20
          & info [ "seeds" ] ~docv:"N" ~doc:"Runs per configuration per campaign kind.")
   in
   let kind_arg =

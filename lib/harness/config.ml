@@ -116,12 +116,38 @@ let name t =
   | Some topo -> Topology.name topo
   | None -> host_name t.host ^ "/" ^ org_name t.org
 
-let uses_xg t =
-  t.topology <> None
-  || match t.org with Xg_one_level _ | Xg_two_level _ -> true | _ -> false
-
 let of_topology ?(base = default) (topo : Topology.t) =
   { base with host = topo.Topology.host; topology = Some topo }
+
+(* A legacy XG organization is the one-spec topology that reproduces its
+   historical guard exactly: no id suffix, ablation A1's unordered link as
+   jitter [link_latency] (delays in [1, 2 * link_latency]), and no per-link
+   faults, so the config-level model applies. *)
+let guard_specs t =
+  let legacy variant ~two_level =
+    [
+      {
+        Topology.id = "";
+        variant;
+        cached = true;
+        two_level;
+        cores = t.num_accel_cores;
+        link_latency = t.link_latency;
+        link_jitter = (if t.link_ordered then 0 else t.link_latency);
+        faults = None;
+        fault_scripts = [];
+      };
+    ]
+  in
+  match t.topology with
+  | Some topo -> topo.Topology.accels
+  | None -> (
+      match t.org with
+      | Accel_side | Host_side -> []
+      | Xg_one_level v -> legacy v ~two_level:false
+      | Xg_two_level v -> legacy v ~two_level:true)
+
+let uses_xg t = guard_specs t <> []
 
 (* A spec with [faults = None] inherits the config-level model, so only
    explicit per-link settings widen the config-level answer here. *)
@@ -136,18 +162,14 @@ let spec_faults_active (a : Topology.accel_spec) =
 
 let reliable_link t =
   t.link_faults <> None || t.link_fault_scripts <> []
-  || match t.topology with
-     | Some topo -> List.exists spec_faulty topo.Topology.accels
-     | None -> false
+  || List.exists spec_faulty (guard_specs t)
 
 let faults_active t =
   t.link_fault_scripts <> []
   || (match t.link_faults with
      | Some f -> Xguard_network.Network.Fault.active f
      | None -> false)
-  || match t.topology with
-     | Some topo -> List.exists spec_faults_active topo.Topology.accels
-     | None -> false
+  || List.exists spec_faults_active (guard_specs t)
 
 let all_configurations ?base () =
   let orgs =

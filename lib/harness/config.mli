@@ -99,6 +99,14 @@ val org_label : accel_org -> string
 val all_configurations : ?base:t -> unit -> t list
 (** The 12 evaluated configurations, Hammer first. *)
 
+val guard_specs : t -> Topology.accel_spec list
+(** Every Crossing Guard the system builds, in construction order: [[]] for
+    [Accel_side]/[Host_side], the topology's specs under [topology], and for
+    a legacy XG organization one anonymous spec ([id = ""]) that reproduces
+    its historical guard: variant and two-level shape from [org] ([cores =
+    num_accel_cores]), [link_latency], [link_jitter = 0] on an ordered link
+    else [link_latency], and no per-link faults. *)
+
 val uses_xg : t -> bool
 
 val reliable_link : t -> bool

@@ -358,7 +358,6 @@ let e5_storage ?(quick = false) () =
       let measure variant =
         let base = { Config.default with Config.accel_sets = sets; Config.accel_ways = ways } in
         let cfg = Config.make ~base Config.Hammer (Config.Xg_one_level variant) in
-        let r = ref 0 in
         let sys = System.build cfg in
         let seq =
           Sequencer.create ~engine:sys.System.engine ~name:"e5"
@@ -371,10 +370,7 @@ let e5_storage ?(quick = false) () =
             ~on_complete:(fun _ ~latency:_ -> ())
         done;
         ignore (Engine.run sys.System.engine);
-        (match sys.System.xg_core with
-        | Some core -> r := Xg.Xg_core.peak_storage_bits core
-        | None -> ());
-        !r
+        Xg.Xg_core.peak_storage_bits sys.System.guards.(0).System.g_core
       in
       let full = measure Config.Full_state in
       let trans = measure Config.Transactional in
@@ -420,9 +416,10 @@ let e6_timeout ?(quick = false) () =
       let cfg = Config.make Config.Hammer (Config.Xg_one_level Config.Full_state) in
       let cfg = { cfg with Config.xg_timeout = timeout } in
       let sys = System.build ~attach_accel:false cfg in
-      let link = Option.get sys.System.accel_link in
-      let self = Option.get sys.System.accel_node_on_link in
-      let xgn = Option.get sys.System.xg_node_on_link in
+      let g0 = sys.System.guards.(0) in
+      let link = g0.System.g_link in
+      let self = g0.System.g_accel_node in
+      let xgn = g0.System.g_xg_node in
       let send msg = Xg.Xg_iface.Link.send link ~src:self ~dst:xgn ~size:8 msg in
       (* The accelerator acquires M, then goes mute. *)
       Xg.Xg_iface.Link.register link self (fun ~src:_ _ -> ());
@@ -711,9 +708,10 @@ let measure_isolation ?(ops = 250) ?(seed = 1) ?recovery () =
     (* Guard 0 stays bare; a minimal scripted endpoint on its link
        acknowledges invalidations while the wire is up. *)
     let sys = System.build ~attach_accel:false cfg in
-    let link = Option.get sys.System.accel_link in
-    let self = Option.get sys.System.accel_node_on_link in
-    let xg = Option.get sys.System.xg_node_on_link in
+    let g0 = sys.System.guards.(0) in
+    let link = g0.System.g_link in
+    let self = g0.System.g_accel_node in
+    let xg = g0.System.g_xg_node in
     let send msg =
       Xgi.Link.send link ~src:self ~dst:xg ~size:(Xgi.msg_size msg) msg
     in
@@ -921,9 +919,10 @@ let measure_recovery ~topo ~drop ~cuts ~ops ~ticks ~seed () =
     }
   in
   let sys = System.build ~attach_accel:false cfg in
-  let link = Option.get sys.System.accel_link in
-  let self = Option.get sys.System.accel_node_on_link in
-  let xg = Option.get sys.System.xg_node_on_link in
+  let g0 = sys.System.guards.(0) in
+  let link = g0.System.g_link in
+  let self = g0.System.g_accel_node in
+  let xg = g0.System.g_xg_node in
   let send msg =
     Xgi.Link.send link ~src:self ~dst:xg ~size:(Xgi.msg_size msg) msg
   in
@@ -1261,9 +1260,10 @@ let e11_slo ?(quick = false) () =
           (* Guard 0's accelerator stack stays unattached; a scripted tarpit
              endpoint sits on its link instead. *)
           let sys = System.build ~attach_accel:false cfg in
-          let link = Option.get sys.System.accel_link in
-          let self = Option.get sys.System.accel_node_on_link in
-          let xg = Option.get sys.System.xg_node_on_link in
+          let g0 = sys.System.guards.(0) in
+          let link = g0.System.g_link in
+          let self = g0.System.g_accel_node in
+          let xg = g0.System.g_xg_node in
           let send msg =
             Xgi.Link.send link ~src:self ~dst:xg ~size:(Xgi.msg_size msg) msg
           in

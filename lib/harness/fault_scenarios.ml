@@ -84,9 +84,10 @@ type script = {
 
 let attach_script (sys : System.t) =
   let script = { grants = []; inv_policy = (fun _ -> Some Xg_iface.Inv_ack); inv_delay = 0 } in
-  let link = Option.get sys.System.accel_link in
-  let self = Option.get sys.System.accel_node_on_link in
-  let xg = Option.get sys.System.xg_node_on_link in
+  let g0 = sys.System.guards.(0) in
+  let link = g0.System.g_link in
+  let self = g0.System.g_accel_node in
+  let xg = g0.System.g_xg_node in
   let send msg = Xg_iface.Link.send link ~src:self ~dst:xg ~size:(Xg_iface.msg_size msg) msg in
   Xg_iface.Link.register link self (fun ~src:_ msg ->
       match msg with
@@ -214,7 +215,7 @@ let run (cfg : Config.t) scenario =
       get a_victim Xg_iface.Get_m;
       run_engine ();
       assert (script.grants <> []);
-      Xg_iface.Link.cut_wire (Option.get sys.System.accel_link);
+      Xg_iface.Link.cut_wire sys.System.guards.(0).System.g_link;
       ignore (cpu_roundtrip sys 0 a_victim 1234)
   | Recovery_rejoin | Repeated_quarantine_permakill ->
       (* Same dark-wire quarantine as [Link_dead], but the recovery policy
@@ -223,7 +224,7 @@ let run (cfg : Config.t) scenario =
       get a_victim Xg_iface.Get_m;
       run_engine ();
       assert (script.grants <> []);
-      Xg_iface.Link.cut_wire (Option.get sys.System.accel_link);
+      Xg_iface.Link.cut_wire sys.System.guards.(0).System.g_link;
       ignore (cpu_roundtrip sys 0 a_victim 1234);
       run_engine ();
       if scenario = Repeated_quarantine_permakill then begin
@@ -231,7 +232,7 @@ let run (cfg : Config.t) scenario =
            that quarantine exhausts the two recovery lives. *)
         get a_victim Xg_iface.Get_m;
         run_engine ();
-        Xg_iface.Link.cut_wire (Option.get sys.System.accel_link);
+        Xg_iface.Link.cut_wire sys.System.guards.(0).System.g_link;
         ignore (cpu_roundtrip sys 0 a_victim 4321)
       end
   | Tarpit_budget ->

@@ -126,12 +126,11 @@ let run (cfg : Config.t) ?(pool = Shared_rw) ?(cpu_ops = 300) ?(chaos_period = 4
         cpu_addresses
   | Shared_rw -> ());
   let addresses = chaos_addresses in
+  let g0 = sys.System.guards.(0) in
   let chaos =
     Xguard_accel.Chaos_accel.create ~engine:sys.System.engine
       ~rng:(Rng.create ~seed:(cfg.Config.seed * 31 + 7))
-      ~link:(Option.get sys.System.accel_link)
-      ~self:(Option.get sys.System.accel_node_on_link)
-      ~xg:(Option.get sys.System.xg_node_on_link)
+      ~link:g0.System.g_link ~self:g0.System.g_accel_node ~xg:g0.System.g_xg_node
       ~addresses ~period:chaos_period ~respond_probability ~requests_only
       ?tarpit ~duration:chaos_duration ()
   in

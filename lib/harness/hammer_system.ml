@@ -1,6 +1,7 @@
 module Engine = Xguard_sim.Engine
 module Rng = Xguard_sim.Rng
 module H = Xguard_host_hammer
+module Xg_core = Xguard_xg.Xg_core
 
 type t = {
   engine : Engine.t;
@@ -11,6 +12,7 @@ type t = {
   directories : H.Directory.t array;
   cpus : H.L1l2.t array;
   mutable extras : (Node.t * (int -> unit)) list;
+  mutable plain : H.L1l2.t list;  (** plain caches attached with {!add_cache} *)
 }
 
 let engine t = t.engine
@@ -59,7 +61,7 @@ let create ?(num_cpus = 2) ?(variant = H.L1l2.Xg_ready) ?(sets = 2) ?(ways = 2)
         let node = Node.Registry.fresh registry name in
         H.L1l2.create ~engine ~net ~name ~node ~directory:route ~variant ~sets ~ways ())
   in
-  { engine; rng; registry; net; memory; directories; cpus; extras = [] }
+  { engine; rng; registry; net; memory; directories; cpus; extras = []; plain = [] }
 
 let add_cache_node t name ~count_peers =
   let node = Node.Registry.fresh t.registry name in
@@ -77,3 +79,136 @@ let finalize t =
 
 let cpu_ports t = Array.map H.L1l2.cpu_port t.cpus
 let total_caches t = Array.length t.cpus + List.length t.extras
+
+(* ---- Host.S: the system builder's host hooks ---- *)
+
+module Net = H.Net
+module Port = H.Xg_port
+
+type msg = H.Msg.t
+
+let msg_addr (m : msg) = m.H.Msg.addr
+let pp_msg = H.Msg.pp
+
+let of_config (cfg : Config.t) =
+  create ~num_cpus:cfg.Config.num_cpus ~variant:H.L1l2.Xg_ready ~sets:cfg.Config.cpu_sets
+    ~ways:cfg.Config.cpu_ways
+    ~ordering:
+      (Xguard_network.Network.Unordered
+         { min_latency = cfg.Config.host_net_min; max_latency = cfg.Config.host_net_max })
+    ~seed:cfg.Config.seed ~mem_latency:cfg.Config.mem_latency
+    ~dir_occupancy:cfg.Config.dir_occupancy
+    ~dir_shards:
+      (match cfg.Config.topology with Some topo -> topo.Topology.dir_shards | None -> 1)
+    ()
+
+(* A broadcast peer learns the cache census only at {!finalize}. *)
+let add_peer t name ~create ~set_peer_count =
+  let peer = ref None in
+  let node =
+    add_cache_node t name ~count_peers:(fun n -> Option.iter (fun p -> set_peer_count p n) !peer)
+  in
+  let p = create node in
+  peer := Some p;
+  p
+
+let add_port t name =
+  add_peer t name ~set_peer_count:Port.set_peer_count ~create:(fun node ->
+      Port.create ~engine:t.engine ~net:t.net ~name ~node ~directory:(dir_router t) ())
+
+let add_cache t name ~sets ~ways =
+  let c =
+    add_peer t name ~set_peer_count:H.L1l2.set_peer_count ~create:(fun node ->
+        H.L1l2.create ~engine:t.engine ~net:t.net ~name ~node ~directory:(dir_router t)
+          ~variant:H.L1l2.Xg_ready ~sets ~ways ())
+  in
+  t.plain <- t.plain @ [ c ];
+  H.L1l2.cpu_port c
+
+let dir_of t a = t.directories.(Addr.to_int a mod Array.length t.directories)
+let busy t a = H.Directory.busy (dir_of t a) a
+let recorded_owner t a = Option.map Node.id (H.Directory.owner (dir_of t a) a)
+let dir_name = "directory"
+let cache_name = "cache"
+let cached t = Array.fold_right List.cons t.cpus t.plain
+
+let caches t =
+  let entry c = (H.L1l2.name c, Node.id (H.L1l2.node c), H.L1l2.check_lines c) in
+  Array.fold_right (fun c acc -> entry c :: acc) t.cpus (List.map entry t.plain)
+
+let pseudo_lines _ = []
+
+(* Two places a guard cluster hides an architectural owner copy that no
+   cache line shows: the guard's trusted copy while the directory still
+   records the port as owner, and the port's in-flight ownership-
+   relinquishing writeback after a dirty Fwd_s (§3.2.1).  Both surface as
+   owned pseudo-entries so the data-value check compares sharers against
+   them instead of stale memory. *)
+let hidden_owner t port core =
+  let pid = Node.id (Port.node port) in
+  List.filter_map
+    (fun (a, st, copy) ->
+      match (st, copy, H.Directory.owner (dir_of t a) a) with
+      | `S, Some d, Some n when Node.id n = pid -> Some (a, `O, d)
+      | _ -> None)
+    (Xg_core.check_tracked core)
+  @ List.map (fun (a, d) -> (a, `O, d)) (Port.check_owner_puts port)
+
+let open_work t =
+  if Array.exists (fun d -> H.Directory.open_transactions d <> 0) t.directories then
+    Some "drained with an open directory transaction"
+  else if Array.exists (fun d -> H.Directory.check_waiting_tables d <> 0) t.directories then
+    Some "drained with queued directory work"
+  else None
+
+(* Every directory owner record points at a live owner: a cache holding the
+   block E/O/M, or a guard cluster owning it through a tracked E/M line or a
+   retained trusted copy after a GetS downgrade. *)
+let check_reverse t guards =
+  let holds a nid =
+    match List.find_opt (fun (p, _) -> Node.id (Port.node p) = nid) guards with
+    | Some (_, core) ->
+        Xg_core.mode core <> Xg_core.Full_state
+        || List.exists
+             (fun (ta, st, copy) ->
+               Addr.equal ta a && (st = `E || st = `M || (st = `S && copy <> None)))
+             (Xg_core.check_tracked core)
+    | None ->
+        List.exists
+          (fun c ->
+            Node.id (H.L1l2.node c) = nid
+            && List.exists
+                 (fun (ta, st, _) -> Addr.equal ta a && (st = `E || st = `O || st = `M))
+                 (H.L1l2.check_lines c))
+          (cached t)
+  in
+  List.find_map
+    (fun (a, n) ->
+      if holds a (Node.id n) then None
+      else
+        Some
+          (Printf.sprintf "directory records %s as owner of block %d but it holds nothing"
+             (Node.name n) (Addr.to_int a)))
+    (List.concat_map H.Directory.owner_entries (Array.to_list t.directories))
+
+let fingerprint t buf =
+  Array.iter (fun c -> H.L1l2.check_fingerprint c buf) t.cpus;
+  List.iter (fun c -> H.L1l2.check_fingerprint c buf) t.plain;
+  Array.iter (fun d -> H.Directory.check_fingerprint d buf) t.directories
+
+let cpu_ctrls t = Array.map (fun c -> Node.id (H.L1l2.node c)) t.cpus
+let cpu_groups t f = Array.to_list (Array.map (fun c -> (H.L1l2.name c, f c)) t.cpus)
+
+let stats_groups t =
+  cpu_groups t H.L1l2.stats
+  @
+  match t.directories with
+  | [| d |] -> [ ("directory", H.Directory.stats d) ]
+  | ds ->
+      Array.to_list
+        (Array.mapi (fun i d -> (Printf.sprintf "directory%d" i, H.Directory.stats d)) ds)
+
+let coverage_groups t = cpu_groups t H.L1l2.coverage
+
+let coverage_sets t =
+  [ ("hammer.l1l2", H.L1l2.coverage_space, List.map snd (coverage_groups t)) ]

@@ -38,11 +38,16 @@ val create :
     systems are byte-identical; [n > 1] shards are named ["dir0".."dir<n-1>"]
     and all share one memory model (safe: shards serve disjoint blocks). *)
 
-val engine : t -> Xguard_sim.Engine.t
-val rng : t -> Xguard_sim.Rng.t
-val registry : t -> Node.Registry.t
-val net : t -> Xguard_host_hammer.Net.t
-val memory : t -> Memory_model.t
+include
+  Host.S
+    with type t := t
+     and type msg = Xguard_host_hammer.Msg.t
+     and module Net = Xguard_host_hammer.Net
+     and module Port = Xguard_host_hammer.Xg_port
+(** The host hooks of the system builder.  [finalize] sets every cache's
+    peer count and the directory's forward list: call it exactly once, after
+    all caches exist. *)
+
 val directory : t -> Xguard_host_hammer.Directory.t
 (** Shard 0 — the only shard when [dir_shards = 1]. *)
 
@@ -61,9 +66,4 @@ val add_cache_node : t -> string -> count_peers:(int -> unit) -> Node.t
     an unsafe accelerator-side cache).  [count_peers] is called by
     {!finalize} with the number of *other* caches. *)
 
-val finalize : t -> unit
-(** Set every cache's peer count and the directory's forward list.  Must be
-    called exactly once, after all caches exist. *)
-
-val cpu_ports : t -> Access.port array
 val total_caches : t -> int

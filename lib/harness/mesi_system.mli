@@ -19,15 +19,16 @@ val create :
   unit ->
   t
 
-val engine : t -> Xguard_sim.Engine.t
-val rng : t -> Xguard_sim.Rng.t
-val registry : t -> Node.Registry.t
-val net : t -> Xguard_host_mesi.Net.t
-val memory : t -> Memory_model.t
+include
+  Host.S
+    with type t := t
+     and type msg = Xguard_host_mesi.Msg.t
+     and module Net = Xguard_host_mesi.Net
+     and module Port = Xguard_host_mesi.Xg_port
+(** The host hooks of the system builder ([finalize] is a no-op). *)
+
 val l2 : t -> Xguard_host_mesi.L2.t
 val cpus : t -> Xguard_host_mesi.L1.t array
 val add_l1_node : t -> string -> Node.t
 (** Reserve a network node in L1 position (for the XG port or an
     accelerator-side cache). *)
-
-val cpu_ports : t -> Access.port array

@@ -36,7 +36,8 @@ module Metrics = Xguard_obs.Metrics
    net jitter, directory shards) lives in domain 0 and needs no restriction. *)
 let check_config (cfg : Config.t) =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  if not (Config.uses_xg cfg) then
+  let specs = Config.guard_specs cfg in
+  if specs = [] then
     err "%s has no guard link to shard on (sharded runs need a Crossing Guard)"
       (Config.name cfg)
   else if cfg.Config.link_faults <> None || cfg.Config.link_fault_scripts <> []
@@ -48,34 +49,27 @@ let check_config (cfg : Config.t) =
   else if not cfg.Config.link_ordered then
     err "lookahead needs an ordered guard link (drop ordered=false)"
   else
-    match cfg.Config.topology with
+    match
+      List.find_opt
+        (fun (a : Topology.accel_spec) ->
+          a.Topology.link_jitter <> 0
+          || a.Topology.faults <> None
+          || a.Topology.fault_scripts <> [])
+        specs
+    with
     | None -> Ok ()
-    | Some topo ->
-        let bad =
-          List.find_opt
-            (fun (a : Topology.accel_spec) ->
-              a.Topology.link_jitter <> 0
-              || a.Topology.faults <> None
-              || a.Topology.fault_scripts <> [])
-            topo.Topology.accels
-        in
-        (match bad with
-        | None -> Ok ()
-        | Some a ->
-            if a.Topology.link_jitter <> 0 then
-              err "%s: jittered links have no fixed lookahead" a.Topology.id
-            else err "%s: link fault injection is engine-local" a.Topology.id)
+    | Some a ->
+        if a.Topology.link_jitter <> 0 then
+          err "%s: jittered links have no fixed lookahead" a.Topology.id
+        else err "%s: link fault injection is engine-local" a.Topology.id
 
 (* The conservative lookahead: the smallest guard-link latency.  Topology
    validation guarantees every latency >= 1, so windows always make
    progress. *)
 let lookahead (cfg : Config.t) =
-  match cfg.Config.topology with
-  | Some topo ->
-      List.fold_left
-        (fun acc (a : Topology.accel_spec) -> min acc a.Topology.link_latency)
-        max_int topo.Topology.accels
-  | None -> cfg.Config.link_latency
+  List.fold_left
+    (fun acc (a : Topology.accel_spec) -> min acc a.Topology.link_latency)
+    max_int (Config.guard_specs cfg)
 
 (* ---- the coordinator --------------------------------------------------- *)
 

@@ -144,9 +144,9 @@ let run ?trace ?sim_j (cfg : Config.t) (workload : Workload.t) =
           (Histogram.buckets h))
     accel_seqs;
   let xg_stat name =
-    match sys.System.xg_core with
-    | Some core -> Group.get (Xg.Xg_core.stats core) name
-    | None -> 0
+    match sys.System.guards with
+    | [||] -> 0
+    | gs -> Group.get (Xg.Xg_core.stats gs.(0).System.g_core) name
   in
   {
     config_name = Config.name cfg;

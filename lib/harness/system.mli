@@ -1,27 +1,30 @@
 (** Assembles a runnable system for any {!Config.t}: host protocol, CPUs,
-    memory, and one of the four accelerator organizations of Figure 2.
+    memory, and one of the four accelerator organizations of Figure 2 or a
+    multi-accelerator topology.
+
+    One builder serves both host protocols: it carries one {!guard} per
+    {!Config.guard_specs} entry (a legacy XG organization is a one-spec
+    topology), each with its own link, core and accelerator hierarchy, all
+    attached to the same host; the guard-less organizations attach a plain
+    cache instead.  Guard internals are reached through {!t.guards} — there
+    are no single-guard accessors.
 
     The returned record exposes processor-side ports for workloads and
     testers, the Crossing Guard internals for the safety experiments, and
-    bandwidth/statistics accessors for the measurement experiments.
-
-    With [config.topology = Some topo] the system instead carries one
-    {!guard} per accelerator spec — each with its own link, core and
-    accelerator hierarchy, all attached to the same host — and the legacy
-    single-guard accessors ([xg_core], [accel_link], ...) alias guard 0. *)
+    bandwidth/statistics accessors for the measurement experiments. *)
 
 (** One Crossing Guard instance and the accelerator hierarchy behind it.
-    [g_id] is the topology spec id (["" ] for the legacy single-accelerator
-    organizations, whose component names carry no suffix); [g_ports] are the
-    accelerator-side processor ports served through this guard, and [g_l1s] /
-    [g_l2] / [g_internal] describe the modeled accelerator cache hierarchy
-    (all empty for an unattached guard driven by the fuzzer).
+    [g_id] is the spec id ([""] for a legacy XG organization, whose
+    component names carry no suffix); [g_ports] are the accelerator-side
+    processor ports served through this guard, and [g_l1s] / [g_l2] /
+    [g_internal] describe the modeled accelerator cache hierarchy (all empty
+    for an unattached guard driven by the fuzzer).
 
-    [g_perms] is this accelerator's OS permission table.  Guard 0 aliases the
-    system-level {!t.perms} (so the legacy single-accelerator accessors and
-    the fuzzer's pool restrictions keep working); every further guard gets a
-    private table.  The split is what keeps quarantine contained: revoking a
-    misbehaving accelerator's grants must not touch its neighbors'. *)
+    [g_perms] is this accelerator's OS permission table.  Guard 0's is the
+    system-level {!t.perms} (so the fuzzer's pool restrictions keep working);
+    every further guard gets a private table.  The split is what keeps
+    quarantine contained: revoking a misbehaving accelerator's grants must
+    not touch its neighbors'. *)
 type guard = {
   g_id : string;
   g_core : Xguard_xg.Xg_core.t;
@@ -55,13 +58,6 @@ type t = {
           the host engine (= [engine]) and [.(g + 1)] the engine guard [g]'s
           accelerator stack schedules on.  [[||]] for a sequential build —
           everything then shares [engine] as before. *)
-  xg_core : Xguard_xg.Xg_core.t option;
-  accel_link : Xguard_xg.Xg_iface.Link.t option;
-  xg_node_on_link : Node.t option;
-  accel_node_on_link : Node.t option;
-  accel_l1s : Xguard_accel.L1_simple.t array;  (** empty unless org uses them *)
-  accel_l2 : Xguard_accel.L2_shared.t option;
-  accel_internal_link : Xguard_xg.Xg_iface.Link.t option;
   host_net_bytes : unit -> int;
   host_net_messages : unit -> int;
   xg_port_to_host_bytes : unit -> int;
@@ -111,7 +107,8 @@ type t = {
       (** Stronger checks that only hold with no events pending: no open or
           queued transactions anywhere, no transient lines, and full
           directory-(or L2-)/cache/guard ownership agreement in both
-          directions. *)
+          directions.  A guard-less organization's plain cache is checked
+          like a CPU. *)
   check_cpu_ctrls : int array;
       (** Per-[cpu_ports] controller ids for tagging driver-side events
           (sequencer pumps/retries) into the owning cache's conflict

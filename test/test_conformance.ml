@@ -62,7 +62,7 @@ let merged_coverage cfg ~seeds ~ops =
           List.iter
             (fun (key, n) -> if n > 0 then Hashtbl.replace seen key ())
             (Group.to_list (L1.coverage l1)))
-        sys.System.accel_l1s)
+        sys.System.guards.(0).System.g_l1s)
     seeds;
   seen
 

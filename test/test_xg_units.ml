@@ -309,7 +309,7 @@ let test_storage_accounting_modes () =
   let measure variant =
     let cfg = Config.make Config.Hammer (Config.Xg_one_level variant) in
     let sys = System.build cfg in
-    let core = Option.get sys.System.xg_core in
+    let core = sys.System.guards.(0).System.g_core in
     let port = sys.System.accel_ports.(0) in
     for i = 0 to 19 do
       ignore (port.Access.issue (Access.load (Addr.block i)) ~on_done:(fun _ -> ()));
