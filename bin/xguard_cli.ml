@@ -310,6 +310,31 @@ let int_in ~min ~max =
 let cycles ~min = int_in ~min ~max:(1 lsl 40)
 let positive_int = int_in ~min:1 ~max:max_int
 
+(* A decision trail: non-negative choice indices separated by ';' or ','. *)
+let trail =
+  let parse spec =
+    let items =
+      String.split_on_char ';' spec
+      |> List.concat_map (String.split_on_char ',')
+      |> List.map String.trim
+      |> List.filter (fun s -> s <> "")
+    in
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | item :: rest -> (
+          match int_of_string_opt item with
+          | Some n when n >= 0 -> go (n :: acc) rest
+          | _ ->
+              Error
+                (Printf.sprintf
+                   "invalid decision %S in trail %S, expected a non-negative integer" item
+                   spec))
+    in
+    go [] items
+  in
+  let print fmt l = Format.pp_print_string fmt (String.concat ";" (List.map string_of_int l)) in
+  Arg.conv' (parse, print)
+
 let prob =
   let parse s =
     match float_of_string_opt s with
@@ -1324,11 +1349,11 @@ let check_cmd =
                    ^ String.concat ", " plan_names ^ "."))
   in
   let max_depth_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive_int) None
          & info [ "max-depth" ] ~docv:"N" ~doc:"Decision budget per path.")
   in
   let max_states_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive_int) None
          & info [ "max-states" ] ~docv:"N" ~doc:"Distinct-fingerprint budget.")
   in
   let no_por_flag =
@@ -1356,7 +1381,7 @@ let check_cmd =
              ~doc:"Write the summaries to $(docv) in baseline format.")
   in
   let replay_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some trail) None
          & info [ "replay" ] ~docv:"TRAIL"
              ~doc:"Re-execute one counterexample trail (decision indices \
                    separated by ';' or ',') on the selected configuration \
@@ -1374,25 +1399,38 @@ let check_cmd =
       name s.Checker.states s.Checker.transitions s.Checker.states_digest
       s.Checker.edges_digest
   in
+  (* One entry per line, as [--write-baseline] renders them; [Error] names
+     the file and, for a malformed entry, its line. *)
   let parse_baseline file =
-    let ic = open_in file in
-    let entries = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         let line =
-           if String.length line > 0 && line.[String.length line - 1] = ',' then
-             String.sub line 0 (String.length line - 1)
-           else line
-         in
-         if String.length line > 8 && String.sub line 0 8 = "{ \"name\"" then
-           Scanf.sscanf line
-             "{ %S: %S, %S: %d, %S: %d, %S: %S, %S: %S }"
-             (fun _ name _ states _ transitions _ sd _ ed ->
-               entries := (name, (states, transitions, sd, ed)) :: !entries)
-       done
-     with End_of_file -> close_in ic);
-    List.rev !entries
+    let entry line =
+      let line = String.trim line in
+      let line =
+        if String.ends_with ~suffix:"," line then String.sub line 0 (String.length line - 1)
+        else line
+      in
+      if not (String.starts_with ~prefix:"{ \"name\"" line) then Ok None
+      else
+        match
+          Scanf.sscanf_opt line "{ %S: %S, %S: %d, %S: %d, %S: %S, %S: %S }%!"
+            (fun _ name _ states _ transitions _ sd _ ed ->
+              (name, (states, transitions, sd, ed)))
+        with
+        | Some e -> Ok (Some e)
+        | None -> Error "malformed entry"
+    in
+    match In_channel.with_open_text file In_channel.input_all with
+    | exception Sys_error e -> Error e
+    | text ->
+        let rec go n acc = function
+          | [] when acc = [] -> Error (file ^ ": no configuration entries")
+          | [] -> Ok (List.rev acc)
+          | line :: rest -> (
+              match entry line with
+              | Ok None -> go (n + 1) acc rest
+              | Ok (Some e) -> go (n + 1) (e :: acc) rest
+              | Error m -> Error (Printf.sprintf "%s:%d: %s" file n m))
+        in
+        go 1 [] (String.split_on_char '\n' text)
   in
   let action configs max_depth max_states no_por jobs budget baseline write_baseline
       replay coverage =
@@ -1422,7 +1460,7 @@ let check_cmd =
     in
     let plans = List.map adjust plans in
     match replay with
-    | Some spec -> (
+    | Some trail -> (
         let name, plan =
           match plans with
           | [ np ] -> np
@@ -1430,12 +1468,12 @@ let check_cmd =
               Printf.eprintf "--replay needs exactly one --config\n";
               exit 1
         in
-        let trail =
-          String.split_on_char ';' (String.concat ";" (String.split_on_char ',' spec))
-          |> List.filter (fun s -> String.trim s <> "")
-          |> List.map (fun s -> int_of_string (String.trim s))
+        let outcome, events =
+          try Checker.replay plan trail
+          with Invalid_argument m ->
+            Printf.printf "replay(%s): %s\n" name m;
+            exit 1
         in
-        let outcome, events = Checker.replay plan trail in
         List.iter (fun e -> Format.printf "%a@." Trace.pp_event e) events;
         match outcome with
         | `Violation m ->
@@ -1445,6 +1483,16 @@ let check_cmd =
         | `Incomplete ->
             Printf.printf "replay(%s): trail exhausted before a terminal\n" name)
     | None ->
+        let baseline =
+          Option.map
+            (fun file ->
+              match parse_baseline file with
+              | Ok entries -> entries
+              | Error m ->
+                  Printf.eprintf "baseline: %s\n" m;
+                  exit 1)
+            baseline
+        in
         let t_start = Unix.gettimeofday () in
         let failed = ref false in
         let results = ref [] in
@@ -1509,8 +1557,7 @@ let check_cmd =
             Printf.printf "baseline written to %s\n" file)
           write_baseline;
         Option.iter
-          (fun file ->
-            let base = parse_baseline file in
+          (fun base ->
             List.iter
               (fun (name, (s : Checker.summary)) ->
                 match List.assoc_opt name base with

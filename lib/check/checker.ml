@@ -7,7 +7,9 @@
     execution is a pure function of its choice string.  The checker runs a
     depth-first search over that choice tree by re-execution: each path
     rebuilds the system from {!Xguard_harness.System.build} and replays its
-    recorded prefix — no state copying, no forking.
+    recorded prefix — no state copying, no forking.  The prefix carries the
+    digests its ancestor recorded, so the replay re-verifies nothing the
+    ancestor already checked (see {!run_path}).
 
     States are canonical fingerprints ({!Xguard_harness.System.t.check_fingerprint}
     plus the driver sequencers), hashed at every decision point, at the root
@@ -140,10 +142,16 @@ let fresh_shared () =
 
 exception Stop_path of [ `Violation of string | `Depth | `Pruned | `States ]
 
-(* A decision recorded along one path: which branch was taken out of how
-   many.  Scheduler choices and delay choices share one sequence — execution
-   is a pure function of the flattened [chosen] string. *)
-type decision = { chosen : int; arity : int }
+(* A replayed decision: the branch to take and, when carried from the
+   ancestor path that first took it, the fingerprint digest of the state a
+   scheduler decision was taken in ([None] at a delay decision, and
+   throughout a user trail, which carries no digests). *)
+type step = { chosen : int; digest : string option }
+
+(* A decision recorded along one path: the step taken out of [arity]
+   branches.  Scheduler choices and delay choices share one sequence —
+   execution is a pure function of the flattened [chosen] string. *)
+type decision = { step : step; arity : int }
 
 type path = {
   trail : decision array;  (* in order *)
@@ -151,22 +159,41 @@ type path = {
 }
 
 (* Execute one path: replay [prefix] choices, then take branch 0 at every new
-   decision, recording arities for the caller to backtrack over.  [sh] is
-   consulted for pruning only beyond the prefix. *)
-let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix : int array)
+   decision, recording arities and scheduler-decision digests for the caller
+   to backtrack over.  [sh] is consulted for pruning only beyond the prefix.
+
+   A prefix carrying digests was cut from an ancestor path, which fired and
+   checked the identical events: until its last decision is consumed, the
+   invariants are skipped and the carried digests stand in for
+   fingerprints.  One fingerprint, at the deepest carried scheduler
+   decision, is recomputed as a tripwire against a replay that diverges;
+   every replayed decision must also be of the carried kind (scheduler or
+   delay), so a diverging replay cannot slip past that decision. *)
+let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix : step array)
     ~(sh : shared) () =
   let sys = Sys.build plan.config in
   sys.Sys.check_enable ();
+  let n_prefix = Array.length prefix in
+  let tripwire =
+    let rec deepest i = if i < 0 || prefix.(i).digest <> None then i else deepest (i - 1) in
+    deepest (n_prefix - 1)
+  in
   let trail = ref [] and n_trail = ref 0 in
-  let decide arity =
+  let replaying () = tripwire >= 0 && !n_trail < n_prefix in
+  let diverged what =
+    invalid_arg (Printf.sprintf "Checker: replay diverged at decision %d (%s)" !n_trail what)
+  in
+  let decide ?digest arity =
     if arity < 1 then invalid_arg "Checker: empty decision";
     if !n_trail >= plan.max_depth then raise (Stop_path `Depth);
-    let chosen = if !n_trail < Array.length prefix then prefix.(!n_trail) else 0 in
-    if chosen >= arity then
+    if replaying () && Option.is_some digest <> Option.is_some prefix.(!n_trail).digest then
+      diverged "decision kind differs from the carried one";
+    let chosen = if !n_trail < n_prefix then prefix.(!n_trail).chosen else 0 in
+    if chosen < 0 || chosen >= arity then
       invalid_arg
         (Printf.sprintf "Checker: stale prefix (chose %d of %d at decision %d)" chosen
            arity !n_trail);
-    trail := { chosen; arity } :: !trail;
+    trail := { step = { chosen; digest }; arity } :: !trail;
     incr n_trail;
     sh.n_decisions <- sh.n_decisions + 1;
     chosen
@@ -202,14 +229,28 @@ let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix :
     sys.Sys.check_fingerprint buf;
     Digest.to_hex (Digest.string (Buffer.contents buf))
   in
+  (* The digest of the scheduler decision about to be taken. *)
+  let decision_digest () =
+    let i = !n_trail in
+    match if i < n_prefix then prefix.(i).digest else None with
+    | Some carried when i < tripwire -> carried
+    | carried ->
+        let d = digest () in
+        (match carried with
+        | Some c when c <> d -> diverged (Printf.sprintf "carried state %s, replayed %s" c d)
+        | _ -> ());
+        d
+  in
   let check_invariants () =
-    (match sys.Sys.check_invariant () with
-    | Some msg -> raise (Stop_path (`Violation msg))
-    | None -> ());
-    match extra_invariant with
-    | Some f -> (
-        match f sys with Some msg -> raise (Stop_path (`Violation msg)) | None -> ())
-    | None -> ()
+    if not (replaying ()) then begin
+      (match sys.Sys.check_invariant () with
+      | Some msg -> raise (Stop_path (`Violation msg))
+      | None -> ());
+      match extra_invariant with
+      | Some f -> (
+          match f sys with Some msg -> raise (Stop_path (`Violation msg)) | None -> ())
+      | None -> ()
+    end
   in
   let engine = sys.Sys.engine in
   (* Digest of the previous decision point on this path; [None] before the
@@ -222,7 +263,7 @@ let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix :
        (* Within the prefix a revisit is just the replay passing through its
           own footsteps; beyond it, an equal fingerprint means an identical
           future — prune. *)
-       (if !n_trail >= Array.length prefix then raise (Stop_path `Pruned))
+       (if !n_trail >= n_prefix then raise (Stop_path `Pruned))
      else begin
        if Hashtbl.length sh.visited >= plan.max_states then begin
          sh.trunc_states <- true;
@@ -243,6 +284,7 @@ let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix :
              visited-set lookup — [remaining] is driver progress the
              fingerprint does not cover, so these must fire even on a state
              that would otherwise prune. *)
+          if replaying () then diverged "drained inside the carried prefix";
           if !remaining > 0 then
             raise
               (Stop_path
@@ -286,8 +328,9 @@ let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix :
             | None ->
                 if n = 1 then 0
                 else begin
-                  visit_state (digest ());
-                  decide n
+                  let digest = decision_digest () in
+                  visit_state digest;
+                  decide ~digest n
                 end
           in
           (* Keys are invalidated by any firing; re-read the pool. *)
@@ -307,7 +350,6 @@ let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix :
   collect sys;
   sh.n_paths <- sh.n_paths + 1;
   if !n_trail > sh.n_deepest then sh.n_deepest <- !n_trail;
-  (match ending with `Depth -> sh.n_trunc_depth <- sh.n_trunc_depth + 1 | _ -> ());
   { trail = Array.of_list (List.rev !trail); ending }
 
 (* ---- DFS driver ---- *)
@@ -317,13 +359,14 @@ let compare_violation (a : violation) (b : violation) =
   | 0 -> compare (a.trail, a.message) (b.trail, b.message)
   | c -> c
 
-(* Explore every sibling of every decision below [base], depth-first.  Stops
-   expanding on the first violation (its trail is the counterexample). *)
-let explore_from ?extra_invariant ?collect plan ~sh ~(base : int array) =
+(* Explore every sibling of every decision below [base], depth-first, until
+   the first violation (its trail is the counterexample) or the state
+   budget.  [on_depth] receives the trail of every path the depth budget
+   cut. *)
+let explore_from ?extra_invariant ?collect plan ~sh ~(base : step array) ~on_depth =
   let violations = ref [] in
   let stack = ref [ base ] in
-  let budget_hit () = sh.trunc_states in
-  while !stack <> [] && !violations = [] && not (budget_hit ()) do
+  while !stack <> [] && !violations = [] && not sh.trunc_states do
     match !stack with
     | [] -> ()
     | prefix :: rest ->
@@ -332,22 +375,29 @@ let explore_from ?extra_invariant ?collect plan ~sh ~(base : int array) =
         (match p.ending with
         | `Violation message ->
             violations :=
-              [ { trail = Array.to_list (Array.map (fun d -> d.chosen) p.trail); message } ]
-        | `Terminal | `Depth | `Pruned | `States -> ());
+              [ { trail = Array.to_list (Array.map (fun d -> d.step.chosen) p.trail); message } ]
+        | `Depth -> on_depth p.trail
+        | `Terminal | `Pruned | `States -> ());
         (* Push unexplored siblings of every decision taken beyond the popped
            prefix (positions inside it were already enumerated when its
            ancestors ran), deepest first so the traversal stays
-           depth-first. *)
+           depth-first.  Each sibling carries the digests its ancestors
+           recorded. *)
         if !violations = [] then
           for i = Array.length p.trail - 1 downto Array.length prefix do
             let d = p.trail.(i) in
-            for c = d.arity - 1 downto d.chosen + 1 do
-              let sibling = Array.init (i + 1) (fun j -> if j = i then c else p.trail.(j).chosen) in
+            for c = d.arity - 1 downto d.step.chosen + 1 do
+              let sibling =
+                Array.init (i + 1) (fun j ->
+                    if j = i then { d.step with chosen = c } else p.trail.(j).step)
+              in
               stack := sibling :: !stack
             done
           done
   done;
   !violations
+
+let count_truncated sh _ = sh.n_trunc_depth <- sh.n_trunc_depth + 1
 
 let summarize sh violations =
   let sorted tbl render =
@@ -377,7 +427,9 @@ let diagnostics_of sh =
 let explore_seq ?extra_invariant ?collect plan =
   validate plan;
   let sh = fresh_shared () in
-  let violations = explore_from ?extra_invariant ?collect plan ~sh ~base:[||] in
+  let violations =
+    explore_from ?extra_invariant ?collect plan ~sh ~base:[||] ~on_depth:(count_truncated sh)
+  in
   (summarize sh violations, diagnostics_of sh)
 
 (* Frontier sharding: phase 1 explores sequentially but cuts every path at
@@ -386,7 +438,9 @@ let explore_seq ?extra_invariant ?collect plan =
    may re-execute states another shard also reaches — the visited/edge SETS
    it contributes are the same ones the sequential search finds (an equal
    fingerprint has an identical future), and the merged summary is
-   byte-identical to the sequential one. *)
+   byte-identical to the sequential one.  A phase-1 cut is a truncation only
+   when the plan's own depth budget is no deeper than [split]; otherwise its
+   prefix, digests included, seeds a phase-2 cone. *)
 let explore ?(workers = 1) ?extra_invariant ?collect plan =
   validate plan;
   if workers <= 1 then
@@ -396,45 +450,28 @@ let explore ?(workers = 1) ?extra_invariant ?collect plan =
     let split = 6 in
     let sh1 = fresh_shared () in
     let frontier = ref [] in
-    let phase1 = { plan with max_depth = min plan.max_depth split } in
-    let stack = ref [ [||] ] in
-    let violations = ref [] in
-    while !stack <> [] && !violations = [] do
-      match !stack with
-      | [] -> ()
-      | prefix :: rest ->
-          stack := rest;
-          let p = run_path ?extra_invariant ?collect phase1 ~prefix ~sh:sh1 () in
-          (match p.ending with
-          | `Violation message ->
-              violations :=
-                [
-                  { trail = Array.to_list (Array.map (fun d -> d.chosen) p.trail); message };
-                ]
-          | `Depth ->
-              frontier := Array.map (fun d -> d.chosen) p.trail :: !frontier
-          | `Terminal | `Pruned | `States -> ());
-          if !violations = [] then
-            for i = Array.length p.trail - 1 downto 0 do
-              let d = p.trail.(i) in
-              for c = d.arity - 1 downto d.chosen + 1 do
-                let sibling =
-                  Array.init (i + 1) (fun j -> if j = i then c else p.trail.(j).chosen)
-                in
-                stack := sibling :: !stack
-              done
-            done
-    done;
+    let on_depth =
+      if plan.max_depth <= split then count_truncated sh1
+      else fun trail -> frontier := Array.map (fun d -> d.step) trail :: !frontier
+    in
+    let violations =
+      explore_from ?extra_invariant ?collect
+        { plan with max_depth = min plan.max_depth split }
+        ~sh:sh1 ~base:[||] ~on_depth
+    in
     let frontier = Array.of_list (List.rev !frontier) in
     let outcomes =
       Pool.map ~workers ~jobs:(Array.length frontier) (fun i ->
           let sh = fresh_shared () in
-          let vio = explore_from ?extra_invariant ?collect plan ~sh ~base:frontier.(i) in
+          let vio =
+            explore_from ?extra_invariant ?collect plan ~sh ~base:frontier.(i)
+              ~on_depth:(count_truncated sh)
+          in
           (sh, vio))
     in
     (* Merge: set union; phase-1 structures seed the union. *)
     let merged = sh1 in
-    let all_violations = ref !violations in
+    let all_violations = ref violations in
     Array.iter
       (function
         | Pool.Done (sh, vio) ->
@@ -455,17 +492,18 @@ let explore ?(workers = 1) ?extra_invariant ?collect plan =
 (* ---- counterexample replay ---- *)
 
 (* Re-execute one trail with the trace buffer armed and return the recorded
-   events plus whatever the trail ends in.  Used by [xguard check --replay]
-   and the broken-invariant regression test. *)
+   events plus whatever the trail ends in.  A user trail carries no digests,
+   so every event is checked.  Used by [xguard check --replay] and the
+   broken-invariant regression test; [Invalid_argument] if the trail does
+   not fit the plan (a choice out of range at some decision). *)
 let replay ?extra_invariant ?(trace_capacity = 4096) plan (trail : int list) =
   validate plan;
   let buf = Trace.create ~capacity:trace_capacity () in
   let sh = fresh_shared () in
+  let prefix = Array.of_list (List.map (fun chosen -> { chosen; digest = None }) trail) in
   let outcome =
     Trace.with_armed buf (fun () ->
-        let p =
-          run_path ?extra_invariant plan ~prefix:(Array.of_list trail) ~sh ()
-        in
+        let p = run_path ?extra_invariant plan ~prefix ~sh () in
         match p.ending with
         | `Violation m -> `Violation m
         | `Terminal -> `Terminal

@@ -15,15 +15,43 @@ module Group = struct
   type counter = t
   type id = int
 
-  (* Interned counters live in [slots] from [intern] time but only join
-     [table]/[order] on first touch ([enlisted]), so [to_list] stays
+  (* A vocabulary is built once and never mutated afterwards, so any number
+     of groups (on any number of domains) may read it concurrently.  [names]
+     holds the distinct names in first-occurrence order, [index] inverts it,
+     and [at] maps each position of the list it was built from to its name's
+     index (equal names share one). *)
+  type vocab = { names : string array; index : (string, int) Hashtbl.t; at : int array }
+
+  let vocab given =
+    let index = Hashtbl.create (Array.length given) in
+    let distinct = ref [] in
+    let at =
+      Array.map
+        (fun name ->
+          match Hashtbl.find_opt index name with
+          | Some i -> i
+          | None ->
+              let i = Hashtbl.length index in
+              Hashtbl.add index name i;
+              distinct := name :: !distinct;
+              i)
+        given
+    in
+    { names = Array.of_list (List.rev !distinct); index; at }
+
+  (* Interned counters live in [slots] from [intern]/[adopt] time but only
+     join [table]/[order] on first touch ([enlisted]), so [to_list] stays
      byte-identical to the string-keyed path: same first-touch order, no
-     phantom zero entries for vocabulary that never fired. *)
+     phantom zero entries for vocabulary that never fired.  Names interned
+     one at a time are keyed in [ids]; an adopted vocabulary occupies the
+     id block starting at its base and is looked up through its own shared
+     index. *)
   type t = {
     group_name : string;
     table : (string, counter) Hashtbl.t;
     mutable order : counter list; (* reversed creation order *)
     ids : (string, id) Hashtbl.t;
+    mutable blocks : (vocab * id) list;
     mutable slots : counter array;
     mutable enlisted : bool array;
     mutable n_ids : int;
@@ -35,6 +63,7 @@ module Group = struct
       table = Hashtbl.create 16;
       order = [];
       ids = Hashtbl.create 16;
+      blocks = [];
       slots = [||];
       enlisted = [||];
       n_ids = 0;
@@ -46,11 +75,20 @@ module Group = struct
     Hashtbl.add g.table c.name c;
     g.order <- c :: g.order
 
+  let find_id g counter_name =
+    match Hashtbl.find_opt g.ids counter_name with
+    | Some _ as id -> id
+    | None ->
+        List.find_map
+          (fun (v, base) ->
+            Option.map (fun i -> base + i) (Hashtbl.find_opt v.index counter_name))
+          g.blocks
+
   let counter g counter_name =
     match Hashtbl.find_opt g.table counter_name with
     | Some c -> c
     | None -> (
-        match Hashtbl.find_opt g.ids counter_name with
+        match find_id g counter_name with
         | Some id ->
             let c = g.slots.(id) in
             g.enlisted.(id) <- true;
@@ -61,10 +99,10 @@ module Group = struct
             enlist g c;
             c)
 
-  let grow g =
+  let reserve g n =
     let cap = Array.length g.slots in
-    if g.n_ids = cap then begin
-      let cap' = max 16 (2 * cap) in
+    if n > cap then begin
+      let cap' = max n (max 16 (2 * cap)) in
       let slots' = Array.make cap' (make_counter "") in
       let enlisted' = Array.make cap' false in
       Array.blit g.slots 0 slots' 0 cap;
@@ -74,10 +112,10 @@ module Group = struct
     end
 
   let intern g counter_name =
-    match Hashtbl.find_opt g.ids counter_name with
+    match find_id g counter_name with
     | Some id -> id
     | None ->
-        grow g;
+        reserve g (g.n_ids + 1);
         let id = g.n_ids in
         let already = Hashtbl.find_opt g.table counter_name in
         let c =
@@ -88,6 +126,24 @@ module Group = struct
         g.n_ids <- id + 1;
         Hashtbl.add g.ids counter_name id;
         id
+
+  let adopt g v =
+    (* A group that has never named a counter cannot clash, so only a group
+       already in use pays a lookup per name. *)
+    if g.n_ids > 0 || Hashtbl.length g.table > 0 then
+      Array.iter
+        (fun n ->
+          if Hashtbl.mem g.table n || find_id g n <> None then
+            invalid_arg
+              (Printf.sprintf "Counter.Group.adopt: %S is already a counter of %s" n
+                 g.group_name))
+        v.names;
+    let base = g.n_ids in
+    reserve g (base + Array.length v.names);
+    Array.iteri (fun i n -> g.slots.(base + i) <- make_counter n) v.names;
+    g.n_ids <- base + Array.length v.names;
+    g.blocks <- (v, base) :: g.blocks;
+    Array.map (fun i -> base + i) v.at
 
   let incr_id g id =
     let c = g.slots.(id) in

@@ -42,6 +42,25 @@ module Group : sig
       component interns vocabulary that never fires.  Interning the same
       name twice returns the same id; ids are per-group. *)
 
+  type vocab
+  (** A shared, read-only vocabulary: an array of names hashed once into a
+      name -> index table.  Build one per component kind at module
+      initialisation (eagerly, never [lazy]: groups on several domains read
+      it at once) and let every instance's group {!adopt} it. *)
+
+  val vocab : string array -> vocab
+  (** [vocab names] indexes [names]; equal names share one index. *)
+
+  val adopt : t -> vocab -> id array
+  (** [adopt g v] registers every name of [v] in [g] as one block of fresh
+      ids, without hashing the names again, and returns the id of each
+      position of the array [v] was built from (equal names get one id).
+      The block behaves exactly like names {!intern}ed one at a time:
+      {!counter}, {!intern} and {!get} by name find its ids, and a counter
+      appears in {!to_list} only once touched, in first-touch order.  [g]
+      must not already know any name of [v] ([Invalid_argument] otherwise);
+      a group that has never named a counter trivially satisfies this. *)
+
   val incr_id : t -> id -> unit
   (** Allocation-free equivalent of [incr g name] for an interned name. *)
 

@@ -6,10 +6,12 @@ type space = {
   states : string list;
   events : string list;
   possible : string -> string -> bool;
+  vocab : Group.vocab;
 }
 
 let space ~name ~states ~events ?(possible = fun _ _ -> true) () =
-  { name; states; events; possible }
+  let keys = List.concat_map (fun s -> List.map (fun e -> s ^ "." ^ e) events) states in
+  { name; states; events; possible; vocab = Group.vocab (Array.of_list keys) }
 
 type matrix = {
   group : Group.t;
@@ -19,16 +21,12 @@ type matrix = {
 }
 
 let intern_matrix space group =
-  let states = Array.of_list space.states in
-  let events = Array.of_list space.events in
-  let n_states = Array.length states in
-  let n_events = Array.length events in
-  let ids =
-    Array.init (n_states * n_events) (fun k ->
-        let state = states.(k / n_events) and event = events.(k mod n_events) in
-        Group.intern group (state ^ "." ^ event))
-  in
-  { group; ids; n_states; n_events }
+  {
+    group;
+    ids = Group.adopt group space.vocab;
+    n_states = List.length space.states;
+    n_events = List.length space.events;
+  }
 
 let hit m ~state ~event = Group.incr_id m.group m.ids.((state * m.n_events) + event)
 

@@ -11,7 +11,7 @@
     methodology: the tests assert floors on {!fraction} and print
     {!uncovered} entries so blind spots in the suite stay visible. *)
 
-type space = {
+type space = private {
   name : string;  (** controller kind, e.g. ["xg"], ["hammer.l1l2"] *)
   states : string list;
   events : string list;
@@ -19,6 +19,9 @@ type space = {
       (** [possible state event] — whether the pair is reachable at all.
           Impossible entries are excluded from the coverage denominator and
           rendered as ["."] in the matrix. *)
+  vocab : Xguard_stats.Counter.Group.vocab;
+      (** the row-major ["STATE.Event"] names, hashed once when the space is
+          created; {!intern_matrix} adopts it into each controller's group *)
 }
 
 val space :
@@ -28,7 +31,9 @@ val space :
   ?possible:(string -> string -> bool) ->
   unit ->
   space
-(** [possible] defaults to every pair being reachable. *)
+(** [possible] defaults to every pair being reachable.  Builds the space's
+    vocabulary eagerly, so define each space once, as a module-level value:
+    every controller instance then shares it read-only, on any domain. *)
 
 type matrix = {
   group : Xguard_stats.Counter.Group.t;
@@ -44,9 +49,12 @@ type matrix = {
     [analyze] output is byte-identical to the string-keyed path. *)
 
 val intern_matrix : space -> Xguard_stats.Counter.Group.t -> matrix
-(** Interns every (state, event) pair of [space] — including impossible ones,
-    which keeps indexing trivial; untouched ids never surface. State and
-    event indices follow the list order of [space.states]/[space.events]. *)
+(** Adopts [space.vocab] into [group] ({!Xguard_stats.Counter.Group.adopt}):
+    every (state, event) pair — including impossible ones, which keeps
+    indexing trivial; untouched ids never surface — gets an id without being
+    hashed again.  Pairs whose names collide share one id.  State and event
+    indices follow the list order of [space.states]/[space.events].  [group]
+    must not already know any of the space's names. *)
 
 val hit : matrix -> state:int -> event:int -> unit
 (** Allocation-free equivalent of

@@ -16,7 +16,10 @@ module Xg = Xguard_xg
 module H = Xguard_host_hammer
 module M = Xguard_host_mesi
 
-let explore_counts name ~states ~transitions =
+(* [traversal] pins the sequential search's (paths, decisions,
+   por_collapsed, deepest): how the DFS walks the tree, which cheap prefix
+   replay must leave unchanged. *)
+let explore_counts name ~states ~transitions ~traversal =
   let plan = List.assoc name (C.tiny_plans ()) in
   let r = C.explore plan in
   let s = r.C.summary and d = r.C.diagnostics in
@@ -25,14 +28,23 @@ let explore_counts name ~states ~transitions =
   Alcotest.(check bool) (name ^ ": not truncated") false
     (d.C.truncated_depth > 0 || d.C.truncated_states);
   Alcotest.(check int) (name ^ ": reachable states") states s.C.states;
-  Alcotest.(check int) (name ^ ": transitions") transitions s.C.transitions
+  Alcotest.(check int) (name ^ ": transitions") transitions s.C.transitions;
+  Alcotest.(check (list int)) (name ^ ": paths, decisions, por-collapsed, deepest") traversal
+    [ d.C.paths; d.C.decisions; d.C.por_collapsed; d.C.deepest ]
 
 (* Counts double-pinned here and in MODEL_BASELINE.json: a drift that slips
    past tools/check_model.sh still fails the unit suite (and vice versa). *)
-let test_hammer_full_counts () = explore_counts "hammer/full" ~states:83 ~transitions:160
-let test_mesi_full_counts () = explore_counts "mesi/full" ~states:12 ~transitions:14
-let test_hammer_trans_counts () = explore_counts "hammer/trans" ~states:25 ~transitions:30
-let test_mesi_trans_counts () = explore_counts "mesi/trans" ~states:12 ~transitions:14
+let test_hammer_full_counts () =
+  explore_counts "hammer/full" ~states:83 ~transitions:160 ~traversal:[ 125; 1415; 240; 18 ]
+
+let test_mesi_full_counts () =
+  explore_counts "mesi/full" ~states:12 ~transitions:14 ~traversal:[ 13; 73; 68; 9 ]
+
+let test_hammer_trans_counts () =
+  explore_counts "hammer/trans" ~states:25 ~transitions:30 ~traversal:[ 27; 235; 149; 14 ]
+
+let test_mesi_trans_counts () =
+  explore_counts "mesi/trans" ~states:12 ~transitions:14 ~traversal:[ 13; 73; 68; 9 ]
 
 (* A test-only invariant hook that trips after a fixed number of evaluations:
    the checker must surface it as a violation whose trail, replayed through
@@ -58,6 +70,37 @@ let test_broken_invariant_replayable () =
             (List.length events > 0)
       | `Terminal -> Alcotest.fail "replayed trail drained without tripping"
       | `Incomplete -> Alcotest.fail "replayed trail did not reach the violation")
+
+(* A carried prefix replays without re-verification: its events skip the
+   invariant hooks, and its digests stand in for fingerprints except at the
+   deepest carried scheduler decision, which is recomputed.  Corrupting that
+   digest must stop the replay as diverged. *)
+let test_replay_divergence_caught () =
+  let plan = List.assoc "hammer/full" (C.tiny_plans ()) in
+  let root = C.run_path plan ~prefix:[||] ~sh:(C.fresh_shared ()) () in
+  let prefix = Array.map (fun d -> d.C.step) root.C.trail in
+  let deepest = ref (-1) in
+  Array.iteri (fun i st -> if st.C.digest <> None then deepest := i) prefix;
+  Alcotest.(check bool) "root path took a scheduler decision" true (!deepest >= 0);
+  let evaluations = ref 0 in
+  let count (_ : System.t) =
+    incr evaluations;
+    None
+  in
+  ignore (C.run_path ~extra_invariant:count plan ~prefix ~sh:(C.fresh_shared ()) ());
+  let carried = !evaluations in
+  evaluations := 0;
+  let trail = List.map (fun st -> st.C.chosen) (Array.to_list prefix) in
+  ignore (C.replay ~extra_invariant:count plan trail);
+  Alcotest.(check bool) "a carried prefix skips the checks a user trail runs" true
+    (carried < !evaluations);
+  let corrupt = Array.copy prefix in
+  corrupt.(!deepest) <- { (corrupt.(!deepest)) with C.digest = Some (String.make 32 '0') };
+  match C.run_path plan ~prefix:corrupt ~sh:(C.fresh_shared ()) () with
+  | _ -> Alcotest.fail "corrupted carried digest replayed without complaint"
+  | exception Invalid_argument m ->
+      Alcotest.(check bool) ("divergence reported: " ^ m) true
+        (String.starts_with ~prefix:"Checker: replay diverged" m)
 
 (* Digest-collision sanity: at every event boundary of every explored path,
    record digest -> full canonical fingerprint; two different fingerprints
@@ -87,7 +130,9 @@ let test_no_digest_collisions () =
 (* Frontier sharding must be invisible in the canonical summary: for random
    tiny workloads and random worker counts, sequential and sharded
    exploration render byte-identical summaries (counts, sorted digests and
-   violations; traversal-order diagnostics are excluded by design). *)
+   violations; traversal-order diagnostics are excluded by design), and a
+   complete sharded exploration is not reported as truncated — the phase-1
+   cuts at the split depth are frontier, not budget. *)
 let gen_plan_and_workers =
   QCheck2.Gen.(
     let access =
@@ -116,7 +161,9 @@ let prop_sharded_byte_identical =
       in
       let seq = C.explore plan in
       let shard = C.explore ~workers plan in
-      C.summary_to_string seq.C.summary = C.summary_to_string shard.C.summary)
+      let d = shard.C.diagnostics in
+      C.summary_to_string seq.C.summary = C.summary_to_string shard.C.summary
+      && d.C.truncated_depth = 0 && not d.C.truncated_states)
 
 (* ---- snapshot-symmetry fixes (each with its own unit test) ----
 
@@ -267,6 +314,8 @@ let tests =
           test_mesi_trans_counts;
         Alcotest.test_case "broken invariant caught with a replayable trail" `Quick
           test_broken_invariant_replayable;
+        Alcotest.test_case "carried-prefix replay checks its tripwire digest" `Quick
+          test_replay_divergence_caught;
         Alcotest.test_case "no visited-set digest collisions" `Quick
           test_no_digest_collisions;
         QCheck_alcotest.to_alcotest prop_sharded_byte_identical;

@@ -250,7 +250,11 @@ let test_cells () =
    must be observationally indistinguishable from string-keyed Group.incr:
    same counters, same first-touch order, same analyze/merge output — even
    when the two paths are interleaved on the same group and counts are
-   sharded across groups then merged. *)
+   sharded across groups then merged.  Each group adopts two spaces' shared
+   vocabularies (the second into a group that is no longer fresh); the
+   first space may carry names that collide within it (states A.B/A with
+   events C/B.C both give A.B.C), which must share one counter; string-keyed
+   incr/get of vocabulary names run before, between and after hits. *)
 let prop_interned_byte_identical =
   let module Group = Counter.Group in
   let module Coverage = Xguard_trace.Coverage in
@@ -258,23 +262,65 @@ let prop_interned_byte_identical =
     ~name:"interned counter ids are byte-identical to string keys" ~count:200
     QCheck2.Gen.(
       pair
-        (pair (int_range 1 6) (int_range 1 6))
-        (pair (int_range 1 4) (small_list (triple small_nat small_nat bool))))
-    (fun ((n_states, n_events), (shards, visits)) ->
-      let states = List.init n_states (Printf.sprintf "S%d") in
-      let events = List.init n_events (Printf.sprintf "E%d") in
-      let space = Coverage.space ~name:"prop" ~states ~events () in
-      let st = Array.of_list states and ev = Array.of_list events in
+        (triple (int_range 1 6) (int_range 1 6) bool)
+        (pair (int_range 1 4)
+           (small_list
+              (quad (int_range 0 1) small_nat small_nat (oneofl [ `Hit; `Incr; `Get ])))))
+    (fun ((n_states, n_events, colliding), (shards, visits)) ->
+      let spaces =
+        Array.map
+          (fun (name, st, ev, extra_st, extra_ev) ->
+            let states = List.init n_states (Printf.sprintf "%s%d" st) @ extra_st in
+            let events = List.init n_events (Printf.sprintf "%s%d" ev) @ extra_ev in
+            ( Coverage.space ~name ~states ~events (),
+              Array.of_list states,
+              Array.of_list events ))
+          [|
+            ( "prop",
+              "S",
+              "E",
+              (if colliding then [ "A.B"; "A" ] else []),
+              if colliding then [ "C"; "B.C" ] else [] );
+            ("other", "T", "F", [], []);
+          |]
+      in
       let ref_groups = Array.init shards (fun i -> Group.create (Printf.sprintf "g%d" i)) in
       let int_groups = Array.init shards (fun i -> Group.create (Printf.sprintf "g%d" i)) in
-      let mats = Array.map (Coverage.intern_matrix space) int_groups in
+      let mats =
+        Array.map
+          (fun (space, _, _) -> Array.map (Coverage.intern_matrix space) int_groups)
+          spaces
+      in
+      let keys =
+        Array.to_list spaces
+        |> List.concat_map (fun (_, st, ev) ->
+               Array.to_list st
+               |> List.concat_map (fun s -> List.map (( ^ ) (s ^ ".")) (Array.to_list ev)))
+      in
+      let same_gets () =
+        List.for_all
+          (fun key ->
+            Array.for_all2 (fun r i -> Group.get r key = Group.get i key) ref_groups int_groups)
+          keys
+      in
+      let gets_before = same_gets () in
+      let gets_between = ref true in
       List.iteri
-        (fun k (s, e, via_string) ->
-          let s = s mod n_states and e = e mod n_events in
+        (fun k (sp, s, e, action) ->
+          let _, st, ev = spaces.(sp) in
+          let s = s mod Array.length st and e = e mod Array.length ev in
+          let key = st.(s) ^ "." ^ ev.(e) in
           let shard = k mod shards in
-          Group.incr ref_groups.(shard) (st.(s) ^ "." ^ ev.(e));
-          if via_string then Group.incr int_groups.(shard) (st.(s) ^ "." ^ ev.(e))
-          else Coverage.hit mats.(shard) ~state:s ~event:e)
+          match action with
+          | `Hit ->
+              Group.incr ref_groups.(shard) key;
+              Coverage.hit mats.(sp).(shard) ~state:s ~event:e
+          | `Incr ->
+              Group.incr ref_groups.(shard) key;
+              Group.incr int_groups.(shard) key
+          | `Get ->
+              if Group.get ref_groups.(shard) key <> Group.get int_groups.(shard) key then
+                gets_between := false)
         visits;
       let same_dumps =
         Array.for_all2
@@ -282,19 +328,29 @@ let prop_interned_byte_identical =
           ref_groups int_groups
       in
       let all_ref = Array.to_list ref_groups and all_int = Array.to_list int_groups in
-      let same_analysis =
-        Coverage.to_string (Coverage.analyze space all_ref)
-        = Coverage.to_string (Coverage.analyze space all_int)
+      let same_reports =
+        Array.for_all
+          (fun (space, _, _) ->
+            let reference = Coverage.to_string (Coverage.analyze space all_ref) in
+            let merged =
+              let per_shard = Array.map (fun g -> Coverage.analyze space [ g ]) int_groups in
+              Array.fold_left Coverage.merge per_shard.(0)
+                (Array.sub per_shard 1 (shards - 1))
+            in
+            Coverage.to_string (Coverage.analyze space all_int) = reference
+            && Coverage.to_string merged = reference)
+          spaces
       in
-      let merged =
-        let per_shard = Array.map (fun g -> Coverage.analyze space [ g ]) int_groups in
-        Array.fold_left Coverage.merge per_shard.(0)
-          (Array.sub per_shard 1 (shards - 1))
+      let readopt_rejected =
+        let space, _, _ = spaces.(0) in
+        let g = Group.create "twice" in
+        ignore (Coverage.intern_matrix space g);
+        match Coverage.intern_matrix space g with
+        | _ -> false
+        | exception Invalid_argument _ -> true
       in
-      let merge_matches =
-        Coverage.to_string merged = Coverage.to_string (Coverage.analyze space all_int)
-      in
-      same_dumps && same_analysis && merge_matches)
+      gets_before && !gets_between && same_gets () && same_dumps && same_reports
+      && readopt_rejected)
 
 let tests =
   [
