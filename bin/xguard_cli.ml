@@ -161,9 +161,25 @@ let emit_spans_out ~spans_out recs =
 type metrics_opts = {
   m_out : string option;
   m_prom : string option;
-  m_slo : string option;
+  m_slo : Slo.objective list option;
   m_watchdog : Watchdog.config option;
 }
+
+(* SLO and watchdog specs parse at the command line, so a bad one exits 124
+   with the parser's reason before anything runs. *)
+let slo_spec =
+  let print fmt objs =
+    Format.pp_print_string fmt (String.concat ";" (List.map Slo.objective_text objs))
+  in
+  Arg.conv' (Slo.parse, print)
+
+let watchdog_spec =
+  let print fmt (c : Watchdog.config) =
+    Format.fprintf fmt "retry=%d,stall=%d,starve=%d" c.Watchdog.retry_burst
+      c.Watchdog.stall_ticks c.Watchdog.starve_ticks;
+    List.iter (fun (g, n) -> Format.fprintf fmt ",ceil:%s=%d" g n) c.Watchdog.ceilings
+  in
+  Arg.conv' (Watchdog.parse, print)
 
 let metrics_on m =
   m.m_out <> None || m.m_prom <> None || m.m_slo <> None || m.m_watchdog <> None
@@ -183,7 +199,7 @@ let metrics_term =
              ~doc:"Write an end-of-run Prometheus-style text dump to $(docv).")
   in
   let slo =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some slo_spec) None
          & info [ "slo" ] ~docv:"SPEC"
              ~doc:"Judge service-level objectives after the run, e.g. \
                    $(b,xg.decide:p99<=40;seq.e2e:p99<=400;avail>=0.95). \
@@ -191,7 +207,7 @@ let metrics_term =
                    $(b,--metrics-out)); failures never change the exit code.")
   in
   let wd =
-    Arg.(value & opt ~vopt:(Some "") (some string) None
+    Arg.(value & opt ~vopt:(Some Watchdog.default) (some watchdog_spec) None
          & info [ "watchdog" ] ~docv:"SPEC"
              ~doc:"Arm the anomaly watchdog (retry storms, quiescence stalls, \
                    port starvation, gauge ceilings).  Optional $(docv) \
@@ -201,30 +217,8 @@ let metrics_term =
                    ledger and the obs.watchdog coverage space, never in the \
                    simulation.")
   in
-  let pack m_out m_prom m_slo wd =
-    let m_watchdog =
-      Option.map
-        (fun spec ->
-          match Watchdog.parse spec with
-          | Ok c -> c
-          | Error e ->
-              Printf.eprintf "bad --watchdog %S: %s\n" spec e;
-              exit 1)
-        wd
-    in
-    { m_out; m_prom; m_slo; m_watchdog }
-  in
+  let pack m_out m_prom m_slo m_watchdog = { m_out; m_prom; m_slo; m_watchdog } in
   Term.(const pack $ out $ prom $ slo $ wd)
-
-let parse_slo m =
-  match m.m_slo with
-  | None -> []
-  | Some spec -> (
-      match Slo.parse spec with
-      | Ok objectives -> objectives
-      | Error e ->
-          Printf.eprintf "bad --slo %S: %s\n" spec e;
-          exit 1)
 
 (* Note each guard's availability on the armed recorder; called inside the
    job, as the run's [now] only the outcome knows is handed in. *)
@@ -242,7 +236,7 @@ let note_guard_avail (sys : System.t) ~now =
    and compare against a metrics-off run byte-for-byte. *)
 let emit_metrics ~mopts ~span_cells msum =
   if metrics_on mopts then begin
-    let objectives = parse_slo mopts in
+    let objectives = Option.value ~default:[] mopts.m_slo in
     let verdicts =
       Slo.evaluate objectives ~span_cells
         ~guard_hists:(Metrics.Summary.hists msum)
@@ -1224,7 +1218,7 @@ let write_html_report file ~healthy ~status tables =
   output_string oc "</body></html>\n";
   close_out oc
 
-let health_report ~slo ~html files =
+let health_report ~objectives ~html files =
   let rep =
     List.fold_left
       (fun acc file ->
@@ -1237,16 +1231,6 @@ let health_report ~slo ~html files =
             Printf.eprintf "bad metrics stream %s: %s\n" file e;
             exit 1)
       Metrics.Report.empty files
-  in
-  let objectives =
-    match slo with
-    | None -> []
-    | Some spec -> (
-        match Slo.parse spec with
-        | Ok o -> o
-        | Error e ->
-            Printf.eprintf "bad --slo %S: %s\n" spec e;
-            exit 1)
   in
   let tables, verdicts, trips = health_tables rep ~objectives in
   let failed = List.filter (fun v -> not v.Slo.v_pass) verdicts in
@@ -1290,7 +1274,7 @@ let report_cmd =
                    an experiment.")
   in
   let slo_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some slo_spec) None
          & info [ "slo" ] ~docv:"SPEC"
              ~doc:"Re-judge these objectives against the merged streams \
                    (default: show the verdicts embedded in each stream).")
@@ -1301,7 +1285,8 @@ let report_cmd =
              ~doc:"Also write the health report as a standalone HTML page.")
   in
   let action id quick metrics slo html =
-    if metrics <> [] then health_report ~slo ~html metrics
+    if metrics <> [] then
+      health_report ~objectives:(Option.value ~default:[] slo) ~html metrics
     else
       let print (r : Experiments.report) =
         Printf.printf "== %s ==\n" r.Experiments.title;

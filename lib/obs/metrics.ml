@@ -1,5 +1,6 @@
 module Histogram = Xguard_stats.Histogram
-module Group = Xguard_stats.Counter.Group
+module Counter = Xguard_stats.Counter
+module Group = Counter.Group
 module Engine = Xguard_sim.Engine
 module Shard = Xguard_sim.Shard
 
@@ -28,13 +29,51 @@ type sample = {
       (** (segment, txn, n, p50, p95, p99), canonical cell order *)
 }
 
+(* One counter of a source, resolved once: its live handle, its full
+   ["label.name"], and the recorder's previous-tick value cell for that name
+   (shared by every source that renders the same name). *)
+type tap = { t_counter : Counter.t; t_name : string; t_prev : int ref }
+
+(* A registered stats group and the taps of the counters it had enlisted by
+   the last tick: counters never leave a group, so a tick resolves only the
+   ones enlisted since ([Group.count] beyond the taps it has). *)
+type source = { s_label : string; s_group : Group.t; mutable s_taps : tap array }
+
+type quant = string * string * int * int * int * int
+
+(* The span recorder's per-(segment, txn) quantiles as the last tick saw
+   them.  A cell's histogram changes only through [observe], which always
+   raises its count, so a tick recomputes just the cells whose count moved
+   and reuses its previous output while none did. *)
+type quants = {
+  q_spans : Spans.recorder;
+  q_hists : Histogram.t array;  (** its cells, canonical (segment, txn) order *)
+  q_cells : quant array;  (** last computed; count 0 until the first sample *)
+  mutable q_out : quant array;  (** nonempty cells, as of the last tick *)
+}
+
+(* One latency metric of one guard: open transactions by block address
+   (their start timestamps), and the histogram, made at the first close. *)
+type lane = {
+  l_metric : string;
+  l_open : (int, int) Hashtbl.t;
+  mutable l_hist : Histogram.t option;
+}
+
+(* A guard's lanes, found by its label once per hook. *)
+type series = { sr_guard : string; e2e : lane; inv : lane }
+
 type recorder = {
-  mutable groups : (string * Group.t) list;  (** registration order *)
+  mutable sources : source list;  (** registration order *)
   mutable extra_gauges : (string * (unit -> int)) list;
-  prev : (string, int) Hashtbl.t;  (** previous-tick counter values *)
-  hists : (string * string, Histogram.t) Hashtbl.t;  (** (guard, metric) *)
-  open_e2e : (string * int, int) Hashtbl.t;  (** (guard, addr) -> send ts *)
-  open_inv : (string * int, int) Hashtbl.t;
+  cells : (string, int ref) Hashtbl.t;
+      (** full counter name -> previous-tick value; survives [reset_sources] *)
+  (* [Spans.gauges () @ extra_gauges], rebuilt when either list changes *)
+  mutable g_spans : (string * (unit -> int)) list;
+  mutable g_extra : (string * (unit -> int)) list;
+  mutable g_all : (string * (unit -> int)) list;
+  mutable quants : quants option;  (** for the armed span recorder *)
+  mutable series : series list;  (** one per guard label seen *)
   mutable replaced : int;
   watchdog : Watchdog.t option;
   mutable wd_events : Watchdog.event list;  (** newest first *)
@@ -45,14 +84,18 @@ type recorder = {
   mutable dropped : int;
 }
 
+let no_quant = ("", "", 0, 0, 0, 0)
+
 let create ?watchdog ?(sample_cap = 100_000) () =
   {
-    groups = [];
+    sources = [];
     extra_gauges = [];
-    prev = Hashtbl.create 64;
-    hists = Hashtbl.create 16;
-    open_e2e = Hashtbl.create 64;
-    open_inv = Hashtbl.create 16;
+    cells = Hashtbl.create 128;
+    g_spans = [];
+    g_extra = [];
+    g_all = [];
+    quants = None;
+    series = [];
     replaced = 0;
     watchdog = Option.map Watchdog.create watchdog;
     wd_events = [];
@@ -87,22 +130,20 @@ let with_armed r f =
   Domain.DLS.set key (Some r);
   Fun.protect ~finally:(fun () -> Domain.DLS.set key prev) f
 
-let ctx_defer ~ts run =
-  match Shard.spans_ctx () with
-  | Some c -> Shard.defer c ~ts run
-  | None -> run ()
-
 (* -- sources ---------------------------------------------------------------- *)
 
 let reset_sources () =
   match get () with
   | None -> ()
   | Some r ->
-      r.groups <- [];
+      r.sources <- [];
       r.extra_gauges <- []
 
 let add_group ~name g =
-  match get () with None -> () | Some r -> r.groups <- r.groups @ [ (name, g) ]
+  match get () with
+  | None -> ()
+  | Some r ->
+      r.sources <- r.sources @ [ { s_label = name; s_group = g; s_taps = [||] } ]
 
 let add_gauge ~name f =
   match get () with
@@ -122,50 +163,81 @@ let set_watchdog_reporter f =
 
 (* -- per-guard latency hooks ------------------------------------------------ *)
 
-let hist_for r ~guard ~metric =
-  let k = (guard, metric) in
-  match Hashtbl.find_opt r.hists k with
-  | Some h -> h
-  | None ->
-      let h = Histogram.create (guard ^ "." ^ metric) in
-      Hashtbl.add r.hists k h;
-      h
+let lane metric = { l_metric = metric; l_open = Hashtbl.create 16; l_hist = None }
 
-let open_in tbl r ~guard ~addr ~now =
-  let k = (guard, addr) in
-  if Hashtbl.mem tbl k then begin
-    Hashtbl.remove tbl k;
+let rec series_in r guard = function
+  | s :: rest -> if String.equal s.sr_guard guard then s else series_in r guard rest
+  | [] ->
+      let s = { sr_guard = guard; e2e = lane "xg.e2e"; inv = lane "inv.roundtrip" } in
+      r.series <- s :: r.series;
+      s
+
+let series_for r guard = series_in r guard r.series
+
+let open_in r l ~addr ~now =
+  if Hashtbl.mem l.l_open addr then begin
+    Hashtbl.remove l.l_open addr;
     r.replaced <- r.replaced + 1
   end;
-  Hashtbl.replace tbl k now
+  Hashtbl.replace l.l_open addr now
 
-let close_in tbl r ~metric ~guard ~addr ~now =
-  let k = (guard, addr) in
-  match Hashtbl.find_opt tbl k with
+let close_in s l ~addr ~now =
+  match Hashtbl.find_opt l.l_open addr with
   | None -> ()
   | Some t0 ->
-      Hashtbl.remove tbl k;
-      Histogram.observe (hist_for r ~guard ~metric) (now - t0)
+      Hashtbl.remove l.l_open addr;
+      let h =
+        match l.l_hist with
+        | Some h -> h
+        | None ->
+            let h = Histogram.create (s.sr_guard ^ "." ^ l.l_metric) in
+            l.l_hist <- Some h;
+            h
+      in
+      Histogram.observe h (now - t0)
+
+(* Like the span hooks, each checks for a shard context first and builds
+   its replay closure only inside a window. *)
+
+let e2e_open_direct ~guard ~addr ~now =
+  match get () with None -> () | Some r -> open_in r (series_for r guard).e2e ~addr ~now
 
 let e2e_open ~guard ~addr ~now =
-  ctx_defer ~ts:now (fun () ->
-      match get () with None -> () | Some r -> open_in r.open_e2e r ~guard ~addr ~now)
+  match Shard.spans_ctx () with
+  | Some c -> Shard.defer c ~ts:now (fun () -> e2e_open_direct ~guard ~addr ~now)
+  | None -> e2e_open_direct ~guard ~addr ~now
+
+let e2e_close_direct ~guard ~addr ~now =
+  match get () with
+  | None -> ()
+  | Some r ->
+      let s = series_for r guard in
+      close_in s s.e2e ~addr ~now
 
 let e2e_close ~guard ~addr ~now =
-  ctx_defer ~ts:now (fun () ->
-      match get () with
-      | None -> ()
-      | Some r -> close_in r.open_e2e r ~metric:"xg.e2e" ~guard ~addr ~now)
+  match Shard.spans_ctx () with
+  | Some c -> Shard.defer c ~ts:now (fun () -> e2e_close_direct ~guard ~addr ~now)
+  | None -> e2e_close_direct ~guard ~addr ~now
+
+let inv_open_direct ~guard ~addr ~now =
+  match get () with None -> () | Some r -> open_in r (series_for r guard).inv ~addr ~now
 
 let inv_open ~guard ~addr ~now =
-  ctx_defer ~ts:now (fun () ->
-      match get () with None -> () | Some r -> open_in r.open_inv r ~guard ~addr ~now)
+  match Shard.spans_ctx () with
+  | Some c -> Shard.defer c ~ts:now (fun () -> inv_open_direct ~guard ~addr ~now)
+  | None -> inv_open_direct ~guard ~addr ~now
+
+let inv_close_direct ~guard ~addr ~now =
+  match get () with
+  | None -> ()
+  | Some r ->
+      let s = series_for r guard in
+      close_in s s.inv ~addr ~now
 
 let inv_close ~guard ~addr ~now =
-  ctx_defer ~ts:now (fun () ->
-      match get () with
-      | None -> ()
-      | Some r -> close_in r.open_inv r ~metric:"inv.roundtrip" ~guard ~addr ~now)
+  match Shard.spans_ctx () with
+  | Some c -> Shard.defer c ~ts:now (fun () -> inv_close_direct ~guard ~addr ~now)
+  | None -> inv_close_direct ~guard ~addr ~now
 
 (* -- availability (recorded once post-run, outside any shard window) -------- *)
 
@@ -176,41 +248,117 @@ let note_avail ~guard ~down ~now =
 
 (* -- sampler ----------------------------------------------------------------- *)
 
-let counter_values r =
-  List.concat_map
-    (fun (label, g) -> List.map (fun (n, v) -> (label ^ "." ^ n, v)) (Group.to_list g))
-    r.groups
+let tap r s c =
+  let name = s.s_label ^ "." ^ Counter.name c in
+  let prev =
+    match Hashtbl.find_opt r.cells name with
+    | Some p -> p
+    | None ->
+        let p = ref 0 in
+        Hashtbl.add r.cells name p;
+        p
+  in
+  { t_counter = c; t_name = name; t_prev = prev }
+
+(* Resolve the counters [s]'s group enlisted since the last tick. *)
+let catch_up r s =
+  let seen = Array.length s.s_taps in
+  let n = Group.count s.s_group in
+  if n > seen then
+    s.s_taps <-
+      Array.append s.s_taps
+        (Array.init (n - seen) (fun k -> tap r s (Group.nth s.s_group (seen + k))))
+
+(* Nonzero deltas since the previous tick, source order then creation order.
+   Taps sharing a cell see each other's update in that order, exactly as one
+   name-keyed table would. *)
+let counter_deltas r =
+  let acc = ref [] in
+  List.iter
+    (fun s ->
+      Array.iter
+        (fun tp ->
+          let v = Counter.get tp.t_counter and p = !(tp.t_prev) in
+          tp.t_prev := v;
+          if v <> p then acc := (tp.t_name, v - p) :: !acc)
+        s.s_taps)
+    r.sources;
+  List.rev !acc
+
+let gauge_sources r =
+  let spans = Spans.gauges () in
+  (* Every registration builds a new list, so physical identity tells
+     whether either registry changed since the last tick. *)
+  if spans != r.g_spans || r.extra_gauges != r.g_extra then begin
+    r.g_spans <- spans;
+    r.g_extra <- r.extra_gauges;
+    r.g_all <- spans @ r.extra_gauges
+  end;
+  r.g_all
+
+let quants_of sr =
+  let cells = Spans.seg_count * Spans.txn_count in
+  {
+    q_spans = sr;
+    q_hists =
+      Array.init cells (fun i ->
+          Spans.hist sr ~seg:(i / Spans.txn_count) ~txn:(i mod Spans.txn_count));
+    q_cells = Array.make cells no_quant;
+    q_out = [||];
+  }
+
+(* Per-(segment, txn) quantiles of the armed span recorder in canonical cell
+   order, cells without samples omitted. *)
+let quantiles r =
+  match Spans.armed () with
+  | None -> [||]
+  | Some sr ->
+      let q =
+        match r.quants with
+        | Some q when q.q_spans == sr -> q
+        | _ ->
+            let q = quants_of sr in
+            r.quants <- Some q;
+            q
+      in
+      let moved = ref false and live = ref 0 in
+      for i = 0 to Array.length q.q_hists - 1 do
+        let h = q.q_hists.(i) in
+        let n = Histogram.count h in
+        let _, _, n0, _, _, _ = q.q_cells.(i) in
+        if n <> n0 then begin
+          moved := true;
+          q.q_cells.(i) <-
+            ( Spans.seg_name_of_index (i / Spans.txn_count),
+              Spans.txn_name_of_index (i mod Spans.txn_count),
+              n,
+              Histogram.percentile h 0.5,
+              Histogram.percentile h 0.95,
+              Histogram.percentile h 0.99 )
+        end;
+        if n > 0 then incr live
+      done;
+      if !moved then begin
+        let out = Array.make !live no_quant and k = ref 0 in
+        Array.iter
+          (fun ((_, _, n, _, _, _) as c) ->
+            if n > 0 then begin
+              out.(!k) <- c;
+              incr k
+            end)
+          q.q_cells;
+        q.q_out <- out
+      end;
+      q.q_out
 
 let take_sample r ~now =
-  let vals = counter_values r in
-  let gauges =
-    List.map (fun (n, f) -> (n, f ())) (Spans.gauges () @ r.extra_gauges)
-  in
-  match (vals, gauges) with
-  | [], [] -> ()
-  | _ ->
-      let deltas =
-        List.filter_map
-          (fun (n, v) ->
-            let p = match Hashtbl.find_opt r.prev n with Some p -> p | None -> 0 in
-            Hashtbl.replace r.prev n v;
-            if v <> p then Some (n, v - p) else None)
-          vals
-      in
-      let quants =
-        match Spans.armed () with
-        | None -> [||]
-        | Some sr ->
-            Spans.summary sr |> Spans.Summary.cells
-            |> List.map (fun (seg, txn, h) ->
-                   ( seg,
-                     txn,
-                     Histogram.count h,
-                     Histogram.percentile h 0.5,
-                     Histogram.percentile h 0.95,
-                     Histogram.percentile h 0.99 ))
-            |> Array.of_list
-      in
+  List.iter (catch_up r) r.sources;
+  match (List.exists (fun s -> Array.length s.s_taps > 0) r.sources, gauge_sources r) with
+  | false, [] -> ()
+  | _, sources -> (
+      let deltas = counter_deltas r in
+      let gauges = List.map (fun (n, f) -> (n, f ())) sources in
+      let quants = quantiles r in
       if r.sample_count >= r.sample_cap then r.dropped <- r.dropped + 1
       else begin
         r.samples <-
@@ -223,7 +371,7 @@ let take_sample r ~now =
           :: r.samples;
         r.sample_count <- r.sample_count + 1
       end;
-      (match r.watchdog with
+      match r.watchdog with
       | None -> ()
       | Some w ->
           let evs = Watchdog.observe w ~now ~deltas ~gauges in
@@ -312,7 +460,12 @@ end
 
 let summary ~label r =
   let hists =
-    Hashtbl.fold (fun k h acc -> (k, h) :: acc) r.hists []
+    List.concat_map
+      (fun s ->
+        List.filter_map
+          (fun l -> Option.map (fun h -> ((s.sr_guard, l.l_metric), h)) l.l_hist)
+          [ s.e2e; s.inv ])
+      r.series
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   {

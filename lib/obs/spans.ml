@@ -177,12 +177,11 @@ let on () =
 
 let armed () = get ()
 
-let ctx_defer ~ts run =
-  match Shard.spans_ctx () with
-  | Some c -> Shard.defer c ~ts run
-  | None -> run ()
-
-let deferred ~now f = ctx_defer ~ts:now f
+(* Each hook below checks for a shard context itself and builds its replay
+   closure only inside a window, so outside one a hook allocates no
+   closure. *)
+let deferred ~now f =
+  match Shard.spans_ctx () with Some c -> Shard.defer c ~ts:now f | None -> f ()
 
 let with_armed r f =
   let prev = Domain.DLS.get key in
@@ -238,7 +237,9 @@ let record_direct seg txn ~span ~addr ~ts ~dur =
   match get () with None -> () | Some r -> record_r r seg txn ~span ~addr ~ts ~dur
 
 let record seg txn ~span ~addr ~ts ~dur =
-  ctx_defer ~ts (fun () -> record_direct seg txn ~span ~addr ~ts ~dur)
+  match Shard.spans_ctx () with
+  | Some c -> Shard.defer c ~ts (fun () -> record_direct seg txn ~span ~addr ~ts ~dur)
+  | None -> record_direct seg txn ~span ~addr ~ts ~dur
 
 (* -- crossing lifecycle ---------------------------------------------------- *)
 
@@ -276,7 +277,10 @@ let xreq_open_direct txn ~addr ~now =
           m_resp = -1;
         }
 
-let xreq_open txn ~addr ~now = ctx_defer ~ts:now (fun () -> xreq_open_direct txn ~addr ~now)
+let xreq_open txn ~addr ~now =
+  match Shard.spans_ctx () with
+  | Some c -> Shard.defer c ~ts:now (fun () -> xreq_open_direct txn ~addr ~now)
+  | None -> xreq_open_direct txn ~addr ~now
 
 let xreq_delivered_direct ~addr ~now =
   match get () with
@@ -288,7 +292,10 @@ let xreq_delivered_direct ~addr ~now =
           record_r r Link_req e.e_txn ~span:e.id ~addr ~ts:e.m_req ~dur:(now - e.m_req)
       | _ -> ())
 
-let xreq_delivered ~addr ~now = ctx_defer ~ts:now (fun () -> xreq_delivered_direct ~addr ~now)
+let xreq_delivered ~addr ~now =
+  match Shard.spans_ctx () with
+  | Some c -> Shard.defer c ~ts:now (fun () -> xreq_delivered_direct ~addr ~now)
+  | None -> xreq_delivered_direct ~addr ~now
 
 let xg_decided_direct ~addr ~now =
   match get () with
@@ -300,7 +307,10 @@ let xg_decided_direct ~addr ~now =
           record_r r Xg_decide e.e_txn ~span:e.id ~addr ~ts:e.m_xg ~dur:(now - e.m_xg)
       | _ -> ())
 
-let xg_decided ~addr ~now = ctx_defer ~ts:now (fun () -> xg_decided_direct ~addr ~now)
+let xg_decided ~addr ~now =
+  match Shard.spans_ctx () with
+  | Some c -> Shard.defer c ~ts:now (fun () -> xg_decided_direct ~addr ~now)
+  | None -> xg_decided_direct ~addr ~now
 
 let resp_sent_direct ~addr ~now =
   match get () with
@@ -310,7 +320,10 @@ let resp_sent_direct ~addr ~now =
       | Some e when e.m_resp < 0 -> e.m_resp <- now
       | _ -> ())
 
-let resp_sent ~addr ~now = ctx_defer ~ts:now (fun () -> resp_sent_direct ~addr ~now)
+let resp_sent ~addr ~now =
+  match Shard.spans_ctx () with
+  | Some c -> Shard.defer c ~ts:now (fun () -> resp_sent_direct ~addr ~now)
+  | None -> resp_sent_direct ~addr ~now
 
 let resp_delivered_direct ~addr ~now =
   match get () with
@@ -324,7 +337,10 @@ let resp_delivered_direct ~addr ~now =
           retire_or_park r addr e
       | _ -> ())
 
-let resp_delivered ~addr ~now = ctx_defer ~ts:now (fun () -> resp_delivered_direct ~addr ~now)
+let resp_delivered ~addr ~now =
+  match Shard.spans_ctx () with
+  | Some c -> Shard.defer c ~ts:now (fun () -> resp_delivered_direct ~addr ~now)
+  | None -> resp_delivered_direct ~addr ~now
 
 let host_put_issued_direct ~addr =
   match get () with
@@ -336,7 +352,10 @@ let host_put_issued_direct ~addr =
 
 (* [now] orders the deferred op among same-window span work; the direct body
    never needed it. *)
-let host_put_issued ~addr ~now = ctx_defer ~ts:now (fun () -> host_put_issued_direct ~addr)
+let host_put_issued ~addr ~now =
+  match Shard.spans_ctx () with
+  | Some c -> Shard.defer c ~ts:now (fun () -> host_put_issued_direct ~addr)
+  | None -> host_put_issued_direct ~addr
 
 let put_settled_direct ~addr =
   match get () with
@@ -349,7 +368,10 @@ let put_settled_direct ~addr =
             e.host_open <- false (* settle beat the accel ack; retire there *)
         | None -> ())
 
-let put_settled ~addr ~now = ctx_defer ~ts:now (fun () -> put_settled_direct ~addr)
+let put_settled ~addr ~now =
+  match Shard.spans_ctx () with
+  | Some c -> Shard.defer c ~ts:now (fun () -> put_settled_direct ~addr)
+  | None -> put_settled_direct ~addr
 
 let lookup ~addr =
   match get () with
@@ -383,7 +405,10 @@ let inv_open_direct ~addr ~now =
       end;
       Hashtbl.replace r.invs addr { inv_id = fresh_id_r r; inv_sent = now }
 
-let inv_open ~addr ~now = ctx_defer ~ts:now (fun () -> inv_open_direct ~addr ~now)
+let inv_open ~addr ~now =
+  match Shard.spans_ctx () with
+  | Some c -> Shard.defer c ~ts:now (fun () -> inv_open_direct ~addr ~now)
+  | None -> inv_open_direct ~addr ~now
 
 let inv_closed_direct ~addr ~now =
   match get () with
@@ -395,7 +420,10 @@ let inv_closed_direct ~addr ~now =
           record_r r Inv_roundtrip Inv ~span:e.inv_id ~addr ~ts:e.inv_sent ~dur:(now - e.inv_sent)
       | None -> ())
 
-let inv_closed ~addr ~now = ctx_defer ~ts:now (fun () -> inv_closed_direct ~addr ~now)
+let inv_closed ~addr ~now =
+  match Shard.spans_ctx () with
+  | Some c -> Shard.defer c ~ts:now (fun () -> inv_closed_direct ~addr ~now)
+  | None -> inv_closed_direct ~addr ~now
 
 let inv_instant_direct seg ~addr ~now =
   match get () with
@@ -404,7 +432,11 @@ let inv_instant_direct seg ~addr ~now =
       let span = match Hashtbl.find_opt r.invs addr with Some e -> e.inv_id | None -> 0 in
       record_r r seg Inv ~span ~addr ~ts:now ~dur:0
 
-let inv_instant seg ~addr ~now = ctx_defer ~ts:now (fun () -> inv_instant_direct seg ~addr ~now)
+let inv_instant seg ~addr ~now =
+  match Shard.spans_ctx () with
+  | Some c -> Shard.defer c ~ts:now (fun () -> inv_instant_direct seg ~addr ~now)
+  | None -> inv_instant_direct seg ~addr ~now
+
 let inv_race ~addr ~now = inv_instant Inv_race ~addr ~now
 let inv_timeout ~addr ~now = inv_instant Inv_timeout ~addr ~now
 
@@ -524,6 +556,8 @@ let summary r =
     s_replaced = r.replaced;
     s_dropped = r.tl_dropped + r.sample_dropped;
   }
+
+let hist r ~seg ~txn = r.hists.(seg).(txn)
 
 (* -- timeline access ------------------------------------------------------- *)
 

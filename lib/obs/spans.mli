@@ -214,6 +214,11 @@ end
 
 val summary : recorder -> Summary.t
 
+val hist : recorder -> seg:int -> txn:int -> Xguard_stats.Histogram.t
+(** The live histogram of the (segment index, txn index) cell.  It changes
+    only through {!record}, which always raises its count, so a reader can
+    cache anything derived from it until the count moves. *)
+
 (** {2 Timeline access (Perfetto exporter)} *)
 
 val timeline_events : recorder -> (int * int * int * int * int * int) array

@@ -64,6 +64,31 @@ let parse spec =
 
 type event = { w_ts : int; w_rule : string; w_event : string; w_detail : string }
 
+(* Latch state of one sequencer port, the [base] of a gauge named
+   ["base.outstanding"]: its partner gauge's name, the partner's value at the
+   previous tick, and the starvation streak. *)
+type port = {
+  completed_key : string;  (** ["base.completed"] *)
+  base : string;
+  mutable seen : bool;  (** whether [prev_completed] holds a value yet *)
+  mutable prev_completed : int;
+  mutable streak : int;
+  mutable starved : bool;
+}
+
+(* How a gauge name classifies, worked out once per name and watchdog, with
+   the name's [gauge_ceiling] latch. *)
+type gauge_class = { open_txn : bool; port : port option; mutable over_ceiling : bool }
+
+(* Where the rules find their gauges in one tick's list, valid for as long
+   as the list carries the same names in the same order. *)
+type plan = {
+  names : string array;
+  classes : gauge_class array;
+  partner : int array;  (** first index named [port.completed_key], or -1 *)
+  ceiling_at : int array;  (** per ceiling, first index with its name, or -1 *)
+}
+
 type t = {
   cfg : config;
   mutable reporter : (rule:int -> event:int -> detail:string -> unit) option;
@@ -71,10 +96,9 @@ type t = {
   mutable storm_on : bool;
   mutable stall_streak : int;
   mutable stall_on : bool;
-  starve_streak : (string, int) Hashtbl.t;
-  starve_on : (string, unit) Hashtbl.t;
-  ceiling_on : (string, unit) Hashtbl.t;
-  prev_gauges : (string, int) Hashtbl.t;
+  memo : (string, gauge_class) Hashtbl.t;
+  mutable plan : plan;
+  mutable values : int array;  (** this tick's gauge values, plan order *)
 }
 
 let create cfg =
@@ -84,24 +108,81 @@ let create cfg =
     storm_on = false;
     stall_streak = 0;
     stall_on = false;
-    starve_streak = Hashtbl.create 16;
-    starve_on = Hashtbl.create 16;
-    ceiling_on = Hashtbl.create 8;
-    prev_gauges = Hashtbl.create 32;
+    memo = Hashtbl.create 32;
+    plan =
+      {
+        names = [||];
+        classes = [||];
+        partner = [||];
+        ceiling_at = Array.make (List.length cfg.ceilings) (-1);
+      };
+    values = [||];
   }
 
 let set_reporter t f = t.reporter <- Some f
 
+let classify t name =
+  match Hashtbl.find_opt t.memo name with
+  | Some c -> c
+  | None ->
+      let port =
+        if not (String.ends_with ~suffix:".outstanding" name) then None
+        else
+          let base = String.sub name 0 (String.length name - String.length ".outstanding") in
+          Some
+            {
+              completed_key = base ^ ".completed";
+              base;
+              seen = false;
+              prev_completed = 0;
+              streak = 0;
+              starved = false;
+            }
+      in
+      let c =
+        {
+          open_txn = String.ends_with ~suffix:".open_transactions" name;
+          port;
+          over_ceiling = false;
+        }
+      in
+      Hashtbl.add t.memo name c;
+      c
+
+let make_plan t gauges =
+  let names = Array.of_list (List.map fst gauges) in
+  let first = Hashtbl.create (Array.length names) in
+  Array.iteri (fun i n -> if not (Hashtbl.mem first n) then Hashtbl.add first n i) names;
+  let index n = Option.value ~default:(-1) (Hashtbl.find_opt first n) in
+  let classes = Array.map (classify t) names in
+  {
+    names;
+    classes;
+    partner =
+      Array.map (fun c -> match c.port with Some p -> index p.completed_key | None -> -1) classes;
+    ceiling_at = Array.of_list (List.map (fun (g, _) -> index g) t.cfg.ceilings);
+  }
+
+(* Copy this tick's gauge values into [t.values]; false when the names
+   differ from the plan's. *)
+let rec load t i = function
+  | [] -> i = Array.length t.plan.names
+  | (name, v) :: rest ->
+      if i < Array.length t.plan.names && String.equal name t.plan.names.(i) then begin
+        t.values.(i) <- v;
+        load t (i + 1) rest
+      end
+      else false
+
+let replan t gauges =
+  if not (load t 0 gauges) then begin
+    t.plan <- make_plan t gauges;
+    t.values <- Array.of_list (List.map snd gauges)
+  end
+
 let suffix_sum ~suffix kvs =
   List.fold_left
-    (fun acc (name, v) ->
-      if String.length name >= String.length suffix
-         && String.sub name
-              (String.length name - String.length suffix)
-              (String.length suffix)
-            = suffix
-      then acc + v
-      else acc)
+    (fun acc (name, v) -> if String.ends_with ~suffix name then acc + v else acc)
     0 kvs
 
 let emit t acc ~now ~rule ~event:ev ~detail =
@@ -117,6 +198,8 @@ let emit t acc ~now ~rule ~event:ev ~detail =
    sampler's deterministic source order. *)
 let observe t ~now ~deltas ~gauges =
   let acc = ref [] in
+  replan t gauges;
+  let plan = t.plan and values = t.values in
   let progress = List.fold_left (fun a (_, d) -> a + abs d) 0 deltas in
   (* retry_storm: a burst of link-level retransmissions in a single tick. *)
   let retx = suffix_sum ~suffix:".retransmit_frames" deltas in
@@ -130,7 +213,9 @@ let observe t ~now ~deltas ~gauges =
     emit t acc ~now ~rule:0 ~event:1 ~detail:"retransmissions subsided"
   end;
   (* quiesce_stall: transactions stay open while nothing in the system moves. *)
-  let open_txns = suffix_sum ~suffix:".open_transactions" gauges in
+  let open_txns = ref 0 in
+  Array.iteri (fun i c -> if c.open_txn then open_txns := !open_txns + values.(i)) plan.classes;
+  let open_txns = !open_txns in
   if open_txns > 0 && progress = 0 then begin
     t.stall_streak <- t.stall_streak + 1;
     if t.stall_streak >= t.cfg.stall_ticks && not t.stall_on then begin
@@ -150,58 +235,50 @@ let observe t ~now ~deltas ~gauges =
   end;
   (* port_starved: a sequencer holds work but completes nothing while the
      rest of the system is visibly making progress. *)
-  List.iter
-    (fun (name, v) ->
-      match Filename.check_suffix name ".outstanding" with
-      | false -> ()
-      | true -> (
-          let base = Filename.chop_suffix name ".outstanding" in
-          let ckey = base ^ ".completed" in
-          match List.assoc_opt ckey gauges with
-          | None -> ()
-          | Some completed ->
-              let prev =
-                match Hashtbl.find_opt t.prev_gauges ckey with Some p -> p | None -> completed
-              in
-              Hashtbl.replace t.prev_gauges ckey completed;
-              if v > 0 && completed = prev && progress > 0 then begin
-                let streak =
-                  (match Hashtbl.find_opt t.starve_streak base with Some s -> s | None -> 0) + 1
-                in
-                Hashtbl.replace t.starve_streak base streak;
-                if streak >= t.cfg.starve_ticks && not (Hashtbl.mem t.starve_on base)
-                then begin
-                  Hashtbl.replace t.starve_on base ();
-                  emit t acc ~now ~rule:2 ~event:0
-                    ~detail:
-                      (Printf.sprintf "%s: %d op(s) outstanding, none completed for %d tick(s)"
-                         base v streak)
-                end
-              end
-              else begin
-                if Hashtbl.mem t.starve_on base then begin
-                  Hashtbl.remove t.starve_on base;
-                  emit t acc ~now ~rule:2 ~event:1
-                    ~detail:(Printf.sprintf "%s: completing again" base)
-                end;
-                Hashtbl.remove t.starve_streak base
-              end))
-    gauges;
-  (* gauge_ceiling: a named gauge reached an operator-declared level. *)
-  List.iter
-    (fun (gauge, limit) ->
-      match List.assoc_opt gauge gauges with
-      | None -> ()
-      | Some v ->
-          if v >= limit && not (Hashtbl.mem t.ceiling_on gauge) then begin
-            Hashtbl.replace t.ceiling_on gauge ();
-            emit t acc ~now ~rule:3 ~event:0
-              ~detail:(Printf.sprintf "%s = %d (ceiling %d)" gauge v limit)
+  Array.iteri
+    (fun i c ->
+      match c.port with
+      | Some p when plan.partner.(i) >= 0 ->
+          let v = values.(i) and completed = values.(plan.partner.(i)) in
+          let prev = if p.seen then p.prev_completed else completed in
+          p.seen <- true;
+          p.prev_completed <- completed;
+          if v > 0 && completed = prev && progress > 0 then begin
+            p.streak <- p.streak + 1;
+            if p.streak >= t.cfg.starve_ticks && not p.starved then begin
+              p.starved <- true;
+              emit t acc ~now ~rule:2 ~event:0
+                ~detail:
+                  (Printf.sprintf "%s: %d op(s) outstanding, none completed for %d tick(s)"
+                     p.base v p.streak)
+            end
           end
-          else if v < limit && Hashtbl.mem t.ceiling_on gauge then begin
-            Hashtbl.remove t.ceiling_on gauge;
-            emit t acc ~now ~rule:3 ~event:1
-              ~detail:(Printf.sprintf "%s back under %d" gauge limit)
-          end)
+          else begin
+            if p.starved then begin
+              p.starved <- false;
+              emit t acc ~now ~rule:2 ~event:1
+                ~detail:(Printf.sprintf "%s: completing again" p.base)
+            end;
+            p.streak <- 0
+          end
+      | _ -> ())
+    plan.classes;
+  (* gauge_ceiling: a named gauge reached an operator-declared level. *)
+  List.iteri
+    (fun k (gauge, limit) ->
+      let at = plan.ceiling_at.(k) in
+      if at >= 0 then begin
+        let v = values.(at) and c = plan.classes.(at) in
+        if v >= limit && not c.over_ceiling then begin
+          c.over_ceiling <- true;
+          emit t acc ~now ~rule:3 ~event:0
+            ~detail:(Printf.sprintf "%s = %d (ceiling %d)" gauge v limit)
+        end
+        else if v < limit && c.over_ceiling then begin
+          c.over_ceiling <- false;
+          emit t acc ~now ~rule:3 ~event:1
+            ~detail:(Printf.sprintf "%s back under %d" gauge limit)
+        end
+      end)
     t.cfg.ceilings;
   List.rev !acc

@@ -59,4 +59,7 @@ val set_reporter : t -> (rule:int -> event:int -> detail:string -> unit) -> unit
 val observe :
   t -> now:int -> deltas:(string * int) list -> gauges:(string * int) list -> event list
 (** Judge one sampler tick; returns the Trip/Clear events it produced (also
-    delivered to the reporter), oldest first. *)
+    delivered to the reporter), oldest first.  Where each rule finds its
+    gauges is planned once per layout of gauge names and reused while
+    consecutive ticks carry the same names in the same order, as the
+    metrics sampler's do. *)

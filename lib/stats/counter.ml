@@ -49,7 +49,8 @@ module Group = struct
   type t = {
     group_name : string;
     table : (string, counter) Hashtbl.t;
-    mutable order : counter list; (* reversed creation order *)
+    mutable order : counter array; (* creation order; the first [n_order] are live *)
+    mutable n_order : int;
     ids : (string, id) Hashtbl.t;
     mutable blocks : (vocab * id) list;
     mutable slots : counter array;
@@ -61,7 +62,8 @@ module Group = struct
     {
       group_name;
       table = Hashtbl.create 16;
-      order = [];
+      order = [||];
+      n_order = 0;
       ids = Hashtbl.create 16;
       blocks = [];
       slots = [||];
@@ -73,7 +75,13 @@ module Group = struct
 
   let enlist g c =
     Hashtbl.add g.table c.name c;
-    g.order <- c :: g.order
+    if g.n_order = Array.length g.order then begin
+      let order' = Array.make (max 8 (2 * g.n_order)) c in
+      Array.blit g.order 0 order' 0 g.n_order;
+      g.order <- order'
+    end;
+    g.order.(g.n_order) <- c;
+    g.n_order <- g.n_order + 1
 
   let find_id g counter_name =
     match Hashtbl.find_opt g.ids counter_name with
@@ -170,10 +178,17 @@ module Group = struct
     | Some c -> c.value
     | None -> 0
 
-  let to_list g = List.rev_map (fun c -> (c.name, c.value)) g.order
+  let to_list g = List.init g.n_order (fun i -> (g.order.(i).name, g.order.(i).value))
+  let count g = g.n_order
+
+  let nth g i =
+    if i < 0 || i >= g.n_order then invalid_arg "Counter.Group.nth";
+    g.order.(i)
 
   let reset_all g =
-    List.iter reset g.order;
+    for i = 0 to g.n_order - 1 do
+      reset g.order.(i)
+    done;
     for i = 0 to g.n_ids - 1 do
       reset g.slots.(i)
     done

@@ -75,6 +75,16 @@ module Group : sig
   val to_list : t -> (string * int) list
   (** Counters in creation order. *)
 
+  val count : t -> int
+  (** [List.length (to_list g)], in O(1).  Counters never leave a group
+      ({!reset_all} only zeroes them), so a reader that remembers [count g]
+      can later visit exactly the counters that joined {!to_list} since,
+      with {!nth}. *)
+
+  val nth : t -> int -> counter
+  (** [nth g i] is the [i]-th counter of {!to_list}, for [0 <= i < count g]
+      ([Invalid_argument] otherwise): a live handle, read with {!get}. *)
+
   val reset_all : t -> unit
   val pp : Format.formatter -> t -> unit
 end

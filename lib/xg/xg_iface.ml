@@ -366,9 +366,14 @@ module Link = struct
 
   let visit t ch event = Coverage.hit t.covm ~state:(ch_state_idx t ch) ~event
 
-  let note t text =
+  (* printf-style; the text is formatted only while tracing is on. *)
+  let note t fmt =
     if Trace.on () then
-      Trace.note ~cycle:(Engine.now t.engine) ~controller:(t.lname ^ ".link") ~text ()
+      Printf.ksprintf
+        (fun text ->
+          Trace.note ~cycle:(Engine.now t.engine) ~controller:(t.lname ^ ".link") ~text ())
+        fmt
+    else Printf.ifprintf () fmt
 
 
   (* ---- tx ---- *)
@@ -386,10 +391,9 @@ module Link = struct
         visit t ch lv_retry;
         Counter.Group.incr t.stats "retransmit_rounds";
         Counter.Group.add t.stats "retransmit_frames" (Queue.length ch.outstanding);
-        note t
-          (Printf.sprintf "retransmit (%s) %d frame(s) from #%d" why
-             (Queue.length ch.outstanding)
-             (match Queue.peek_opt ch.outstanding with Some (s, _, _) -> s | None -> 0));
+        note t "retransmit (%s) %d frame(s) from #%d" why
+          (Queue.length ch.outstanding)
+          (match Queue.peek_opt ch.outstanding with Some (s, _, _) -> s | None -> 0);
         if t.crossing && Spans.on () then
           Queue.iter (fun (_, payload, _) -> span_retry payload ~now) ch.outstanding;
         Queue.iter (fun f -> send_frame t ch f) ch.outstanding
@@ -412,7 +416,7 @@ module Link = struct
           visit t ch lv_fault;
           Counter.Group.incr t.stats "faults_escalated";
           ch.reported <- true;
-          note t (Printf.sprintf "link fault: %d silent rounds" ch.retries);
+          note t "link fault: %d silent rounds" ch.retries;
           t.on_fault ()
         end;
         if not (t.killed || ch.dead) then begin
@@ -467,7 +471,7 @@ module Link = struct
     else if check <> checksum payload then begin
       visit t ch lv_corrupt;
       Counter.Group.incr t.stats "corrupt_detected";
-      note t (Printf.sprintf "checksum mismatch on #%d" seq);
+      note t "checksum mismatch on #%d" seq;
       Raw.send t.raw ~src:self ~dst:src (Nack { expect = ch.rx_next })
     end
     else if seq = ch.rx_next then begin
@@ -482,14 +486,14 @@ module Link = struct
          leave the sender retransmitting forever. *)
       visit t ch lv_dup;
       Counter.Group.incr_id t.stats t.s_dups_suppressed;
-      note t (Printf.sprintf "duplicate #%d suppressed (expect #%d)" seq ch.rx_next);
+      note t "duplicate #%d suppressed (expect #%d)" seq ch.rx_next;
       Raw.send t.raw ~src:self ~dst:src (Ack { next = ch.rx_next })
     end
     else begin
       (* Gap: go-back-N keeps no out-of-order buffer; ask for a resend. *)
       visit t ch lv_gap;
       Counter.Group.incr t.stats "gaps_detected";
-      note t (Printf.sprintf "gap: got #%d, expected #%d" seq ch.rx_next);
+      note t "gap: got #%d, expected #%d" seq ch.rx_next;
       Raw.send t.raw ~src:self ~dst:src (Nack { expect = ch.rx_next })
     end
 
@@ -522,7 +526,7 @@ module Link = struct
       if gen > t.reset_seen then begin
         t.reset_seen <- gen;
         Counter.Group.incr t.stats "resets_received";
-        note t (Printf.sprintf "reset #%d received: flushing accelerator state" gen);
+        note t "reset #%d received: flushing accelerator state" gen;
         t.on_reset ()
       end;
       Raw.send t.raw ~src:self ~dst:src (Reset_ack { gen })
@@ -536,7 +540,7 @@ module Link = struct
     | Some (g, ready) when g = gen ->
         t.pending_reset <- None;
         Counter.Group.incr t.stats "resets_completed";
-        note t (Printf.sprintf "reset #%d complete" gen);
+        note t "reset #%d complete" gen;
         ready ()
     | _ -> ()
 
@@ -568,7 +572,7 @@ module Link = struct
     t.reset_gen <- gen;
     t.pending_reset <- Some (gen, on_ready);
     Counter.Group.incr t.stats "resets_initiated";
-    note t (Printf.sprintf "reset #%d initiated" gen);
+    note t "reset #%d initiated" gen;
     let timeout = max 1 timeout and attempts = max 1 attempts in
     let tries = ref 1 in
     Raw.send t.raw ~src ~dst (Reset { gen });
@@ -578,14 +582,14 @@ module Link = struct
             if !tries >= attempts then begin
               t.pending_reset <- None;
               Counter.Group.incr t.stats "resets_failed";
-              note t (Printf.sprintf "reset #%d failed after %d attempt(s)" gen !tries);
+              note t "reset #%d failed after %d attempt(s)" gen !tries;
               on_dead ();
               false
             end
             else begin
               incr tries;
               Counter.Group.incr t.stats "reset_retries";
-              note t (Printf.sprintf "reset #%d retry %d" gen !tries);
+              note t "reset #%d retry %d" gen !tries;
               Raw.send t.raw ~src ~dst (Reset { gen });
               true
             end

@@ -8,7 +8,8 @@
 #       recovers the plain run byte-for-byte.
 #
 #   (b) stream determinism — the xguard-metrics-v1 JSONL stream must be
-#       byte-identical for any campaign -j and any --sim-j, and two
+#       byte-identical for any campaign -j (also on a lossy, recovering
+#       campaign, where the watchdog trips) and any --sim-j, and two
 #       identical --slo runs must print byte-identical verdicts.
 #
 #   (c) JSONL schema — every line parses as one JSON object, the stream
@@ -71,6 +72,24 @@ if ! cmp -s "$out/campaign.1.jsonl" "$out/campaign.2.jsonl"; then
   exit 1
 fi
 echo "  campaign stream byte-identical across -j 1/2"
+
+# The faulted, recovering path: link drops, quarantine -> reset -> rejoin,
+# and watchdog trips all land in the stream, which must not depend on -j.
+for j in 1 2; do
+  "$CLI" campaign -c hammer/xg-trans-1lvl --seeds 3 --fault-drop 0.05 --recover -j "$j" \
+    --metrics-out "$out/recover.$j.jsonl" --watchdog --slo "$SLO" \
+    > "$out/recover.$j.txt"
+done
+if ! cmp -s "$out/recover.1.jsonl" "$out/recover.2.jsonl"; then
+  echo "check_metrics: FAIL: recovering campaign stream differs between -j 1 and -j 2" >&2
+  diff "$out/recover.1.jsonl" "$out/recover.2.jsonl" | head -10 >&2 || true
+  exit 1
+fi
+grep -q '"t":"watchdog"' "$out/recover.1.jsonl" || {
+  echo "check_metrics: FAIL: the recovering campaign raised no watchdog event" >&2
+  exit 1
+}
+echo "  recovering campaign stream byte-identical across -j 1/2"
 
 # --sim-j: the stream must not depend on the engine shard count either.
 # The artifact path is the one legitimate stdout difference, so the echoed
@@ -144,6 +163,7 @@ EOF
 }
 check_stream "$out/on.jsonl"
 check_stream "$out/campaign.1.jsonl"
+check_stream "$out/recover.1.jsonl"
 check_stream "$out/topo.1.jsonl"
 
 echo "== (d) report merges shard streams =="
