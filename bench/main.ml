@@ -27,6 +27,7 @@ module Tester = Xguard_harness.Random_tester
 module Pool = Xguard_parallel.Pool
 module Table = Xguard_stats.Table
 module Spans = Xguard_obs.Spans
+module Campaign = Xguard_harness.Campaign
 
 let print_report (r : Experiments.report) =
   Printf.printf "==============================================================\n";
@@ -388,12 +389,14 @@ let () =
          byte-identical for any -j (wall times in --json excepted). *)
       let results =
         Pool.map ~workers:jobs ~jobs:(Array.length runs) (fun i ->
-            let _, f = runs.(i) in
-            let rec_ = if spans then Some (Spans.create ()) else None in
-            let armed g = match rec_ with None -> g () | Some rc -> Spans.with_armed rc g in
+            let id, f = runs.(i) in
             let ev0 = Engine.events_fired_here () in
             let t0 = Unix.gettimeofday () in
-            let r = with_tracing ~traced (fun () -> armed (fun () -> f ~quick ())) in
+            let r, rec_, _ =
+              with_tracing ~traced (fun () ->
+                  Campaign.observe { Campaign.no_observers with Campaign.spans } ~label:id
+                    (fun () -> f ~quick ()))
+            in
             let wall = Unix.gettimeofday () -. t0 in
             (* With --spans, the attribution table rides along in the report
                so it reaches both stdout and the --json trajectory file. *)

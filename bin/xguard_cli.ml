@@ -7,32 +7,37 @@
      campaign — sharded stress/fuzz sweep over configurations × seeds
      report   — regenerate a reproduced table/figure (same as bench/main.exe)
      list     — enumerate configurations, workloads and experiments
+     check    — exhaustively model-check the guard invariants on tiny configs
 
    run/stress/fuzz accept --trace (arm the protocol event ring buffer and
    dump the per-address trail plus replay seed on failure), --trace-out FILE
    (write that trail to a file) and, for stress/fuzz/campaign, --coverage
    (print the per-controller state x event transition-coverage matrices).
 
-   stress, fuzz and campaign accept -j N to fan their independent runs out
-   over N domains (Xguard_parallel.Pool).  Results are merged in job order,
-   so the output is byte-identical for any -j; only wall-clock changes.
-   --trace requires -j 1 (the trace ring buffer is armed process-wide).
+   stress, fuzz and campaign run every seed through Harness.Campaign: one job
+   runner per kind, one observer-arming wrapper, one job-order fold.  -j N
+   fans the independent runs out over N domains (Xguard_parallel.Pool);
+   results are merged in job order, so the output is byte-identical for any
+   -j; only wall-clock changes.  This file only parses flags and renders.
+
+   Flags shared between subcommands come from the term groups below (target,
+   trace, observers, link).  Every input check, cross-flag ones included,
+   runs at parse time: bad input exits 124 with a reason before anything
+   runs.
 *)
 
 open Cmdliner
 
 module Config = Xguard_harness.Config
-module System = Xguard_harness.System
+module Topology = Xguard_harness.Topology
 module Tester = Xguard_harness.Random_tester
 module Fuzz = Xguard_harness.Fuzz_tester
 module Perf = Xguard_harness.Perf_runner
 module Experiments = Xguard_harness.Experiments
 module W = Xguard_workload.Workload
-module Rng = Xguard_sim.Rng
 module Xg = Xguard_xg
 module Trace = Xguard_trace.Trace
 module Coverage = Xguard_trace.Coverage
-module Pool = Xguard_parallel.Pool
 module Campaign = Xguard_harness.Campaign
 module Pdes = Xguard_harness.Pdes
 module Network = Xguard_network.Network
@@ -42,128 +47,90 @@ module Metrics = Xguard_obs.Metrics
 module Slo = Xguard_obs.Slo
 module Watchdog = Xguard_obs.Watchdog
 
-let find_config name =
-  List.find_opt (fun c -> Config.name c = name) (Config.all_configurations ())
+(* ---- validated converters ----
 
-let config_names = List.map Config.name (Config.all_configurations ())
+   Cycle counts reach the engine scheduler directly and probabilities the
+   fault/chaos draws, so out-of-range values are refused at parse time with a
+   reason instead of crashing (or silently misbehaving) mid-run.  2^40 cycles
+   is far beyond any run yet keeps [now + n] clear of overflow. *)
 
-let find_workload name = List.find_opt (fun w -> w.W.name = name) (W.all ())
-
-let config_arg =
-  let doc =
-    "System configuration, one of: " ^ String.concat ", " config_names ^ "."
+let int_in ~min ~max =
+  let parse s =
+    match int_of_string_opt s with
+    | None -> Error (Printf.sprintf "invalid value %S, expected an integer" s)
+    | Some n when n < min || n > max ->
+        Error
+          (if max = max_int then Printf.sprintf "%d out of range (want >= %d)" n min
+           else Printf.sprintf "%d out of range (want %d..%d)" n min max)
+    | Some n -> Ok n
   in
-  Arg.(value & opt string "hammer/xg-trans-1lvl" & info [ "c"; "config" ] ~docv:"CONFIG" ~doc)
+  Arg.conv' (parse, Arg.conv_printer Arg.int)
 
-let seed_arg =
-  Arg.(value & opt int 42 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Random seed.")
+let cycles ~min = int_in ~min ~max:(1 lsl 40)
+let positive_int = int_in ~min:1 ~max:max_int
 
-let with_config name seed f =
-  match find_config name with
-  | None ->
-      Printf.eprintf "unknown configuration %S\nknown: %s\n" name
-        (String.concat ", " config_names);
-      exit 1
-  | Some cfg -> f { cfg with Config.seed }
+(* Worker domains: OCaml 5.1 caps a process at 128 (Max_domains), and
+   Domain.spawn fails beyond it. *)
+let domains = int_in ~min:1 ~max:128
 
-(* ---- multi-accelerator topologies ---- *)
+let float_where ~ok ~want =
+  let parse s =
+    match float_of_string_opt s with
+    | None -> Error (Printf.sprintf "invalid value %S, expected a number" s)
+    | Some p when not (ok p) -> Error (Printf.sprintf "%s out of range (want %s)" s want)
+    | Some p -> Ok p
+  in
+  Arg.conv' (parse, Arg.conv_printer Arg.float)
 
-module Topology = Xguard_harness.Topology
+let prob = float_where ~ok:(fun p -> p >= 0.0 && p <= 1.0) ~want:"a probability in [0, 1]"
+let positive_float = float_where ~ok:(fun x -> x > 0.0) ~want:"> 0"
 
-let topology_arg =
-  Arg.(value & opt (some string) None
-       & info [ "topology" ] ~docv:"SPEC"
-           ~doc:"Build a multi-accelerator, multi-guard system instead of a \
-                 named configuration: \
-                 $(b,HOST[:shards=N];ID=ATTR,...;ID=ATTR,...) — e.g. \
-                 $(b,hammer:shards=2;gpu0=trans,cached;nic0=full,uncached,lat=12). \
-                 See docs/TOPOLOGY.md.  Overrides $(b,--config).")
+(* A decision trail: non-negative choice indices separated by ';' or ','. *)
+let trail =
+  let parse spec =
+    let items =
+      String.split_on_char ';' spec
+      |> List.concat_map (String.split_on_char ',')
+      |> List.map String.trim
+      |> List.filter (fun s -> s <> "")
+    in
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | item :: rest -> (
+          match int_of_string_opt item with
+          | Some n when n >= 0 -> go (n :: acc) rest
+          | _ ->
+              Error
+                (Printf.sprintf
+                   "invalid decision %S in trail %S, expected a non-negative integer" item
+                   spec))
+    in
+    go [] items
+  in
+  let print fmt l = Format.pp_print_string fmt (String.concat ";" (List.map string_of_int l)) in
+  Arg.conv' (parse, print)
 
-let parse_topology spec =
-  match Topology.of_string spec with
-  | Ok topo -> topo
-  | Error e ->
-      Printf.eprintf "bad --topology %S: %s\n" spec e;
-      exit 1
+(* One of [items], named by [name]; unknown names are refused with the
+   known ones. *)
+let one_of ~what ~name items =
+  let parse s =
+    match List.find_opt (fun x -> name x = s) items with
+    | Some x -> Ok x
+    | None ->
+        Error
+          (Printf.sprintf "unknown %s %S (known: %s)" what s
+             (String.concat ", " (List.map name items)))
+  in
+  Arg.conv' (parse, fun fmt x -> Format.pp_print_string fmt (name x))
 
-(* [--topology] takes precedence over [--config]; both paths deliver one
-   Config.t, so everything downstream is topology-agnostic. *)
-let with_system_config ~topology name seed f =
-  match topology with
-  | Some spec -> f { (Config.of_topology (parse_topology spec)) with Config.seed }
-  | None -> with_config name seed f
+let configs = Config.all_configurations ()
+let config_names = List.map Config.name configs
+let config = one_of ~what:"configuration" ~name:Config.name configs
+let workload = one_of ~what:"workload" ~name:(fun w -> w.W.name) (W.all ())
+let topology = Arg.conv' (Topology.of_string, Fmt.of_to_string Topology.to_string)
 
-(* ---- tracing & coverage plumbing ---- *)
-
-let trace_flag =
-  Arg.(value & flag
-       & info [ "trace" ]
-           ~doc:"Arm the protocol event ring buffer; on failure the event trail \
-                 (and the seed that replays it) is dumped.")
-
-let trace_out_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace-out" ] ~docv:"FILE"
-           ~doc:"Write dumped event trails to $(docv) instead of stdout (implies $(b,--trace)).")
-
-let coverage_flag =
-  Arg.(value & flag
-       & info [ "coverage" ]
-           ~doc:"Print per-controller (state x event) transition-coverage matrices.")
-
-let make_trace ~trace ~trace_out =
-  if trace || trace_out <> None then Some (Trace.create ~capacity:8192 ()) else None
-
-(* ---- transaction spans (run/stress/fuzz) ---- *)
-
-let spans_flag =
-  Arg.(value & flag
-       & info [ "spans" ]
-           ~doc:"Arm the transaction span layer: per-segment latency-attribution \
-                 tables (p50/p95/p99/max per transaction type) are appended to \
-                 the report.")
-
-let spans_out_arg =
-  Arg.(value & opt (some string) None
-       & info [ "spans-out" ] ~docv:"FILE"
-           ~doc:"Write the span timeline and sampler series as Chrome/Perfetto \
-                 trace-event JSON to $(docv) (implies $(b,--spans)).")
-
-(* One recorder per pool job, armed on whichever domain runs it; recorders
-   come back with the results, summaries merge in job order, so span output
-   is byte-identical for any -j. *)
-let make_recorder ~spans ~spans_out =
-  if spans || spans_out <> None then
-    Some (Spans.create ~timeline:(spans_out <> None) ())
-  else None
-
-let with_spans rec_ f = match rec_ with None -> f () | Some r -> Spans.with_armed r f
-
-let print_span_summary sum =
-  match Spans.Summary.attribution_table sum with
-  | None -> ()
-  | Some t ->
-      print_string (Xguard_stats.Table.to_string t);
-      print_newline ();
-      let r = Spans.Summary.replaced sum and d = Spans.Summary.dropped sum in
-      if r > 0 || d > 0 then
-        Printf.printf "spans: %d crossings replaced, %d timeline/sample entries dropped\n" r d
-
-let emit_spans_out ~spans_out recs =
-  match spans_out with
-  | None -> ()
-  | Some file ->
-      Perfetto.write_file file recs;
-      Printf.printf "span timeline written to %s\n" file
-
-(* ---- streaming metrics, SLOs and the watchdog (run/stress/fuzz/campaign) ---- *)
-
-type metrics_opts = {
-  m_out : string option;
-  m_prom : string option;
-  m_slo : Slo.objective list option;
-  m_watchdog : Watchdog.config option;
-}
+let fault_script =
+  Arg.conv' (Network.Fault.script_of_string, Fmt.of_to_string Network.Fault.script_to_string)
 
 (* SLO and watchdog specs parse at the command line, so a bad one exits 124
    with the parser's reason before anything runs. *)
@@ -181,10 +148,137 @@ let watchdog_spec =
   in
   Arg.conv' (Watchdog.parse, print)
 
-let metrics_on m =
-  m.m_out <> None || m.m_prom <> None || m.m_slo <> None || m.m_watchdog <> None
+(* Cross-flag checks: a [Some reason] refuses the command line, exiting 124
+   like any bad flag, before [f] runs. *)
+let refuse_if reason f = match reason with Some r -> `Error (false, r) | None -> `Ok (f ())
 
-let metrics_term =
+(* ---- target: -c, --topology and -s ---- *)
+
+let topology_arg =
+  Arg.(value & opt (some topology) None
+       & info [ "topology" ] ~docv:"SPEC"
+           ~doc:"Build a multi-accelerator, multi-guard system instead of a \
+                 named configuration: \
+                 $(b,HOST[:shards=N];ID=ATTR,...;ID=ATTR,...) — e.g. \
+                 $(b,hammer:shards=2;gpu0=trans,cached;nic0=full,uncached,lat=12). \
+                 See docs/TOPOLOGY.md.  Overrides $(b,--config).")
+
+let seed_arg =
+  Arg.(value & opt int 42 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Random seed.")
+
+(* The configurations [-c] selects, or the one [--topology] describes (it
+   takes precedence); both deliver Config.t values, so everything downstream
+   is topology-agnostic.  Each carries the [-s] seed. *)
+let target config =
+  let pick cfgs topology seed =
+    List.map
+      (fun c -> { c with Config.seed })
+      (match topology with Some t -> [ Config.of_topology t ] | None -> cfgs)
+  in
+  Term.(const pick $ config $ topology_arg $ seed_arg)
+
+(* run, stress and fuzz build one system. *)
+let one_config =
+  let doc = "System configuration, one of: " ^ String.concat ", " config_names ^ "." in
+  let c =
+    let default = List.find (fun c -> Config.name c = "hammer/xg-trans-1lvl") configs in
+    Arg.(value & opt config default & info [ "c"; "config" ] ~docv:"CONFIG" ~doc)
+  in
+  Term.(const List.hd $ target (const (fun c -> [ c ]) $ c))
+
+(* Replay commands name a configuration the way the command line took it. *)
+let target_flag (cfg : Config.t) =
+  match cfg.Config.topology with
+  | Some t -> "--topology " ^ Filename.quote (Topology.to_string t)
+  | None -> "-c " ^ Config.name cfg
+
+(* ---- trace: --trace and --trace-out ---- *)
+
+type trace = { ring : Trace.t option; out : string option }
+
+let trace_term =
+  let flag =
+    Arg.(value & flag
+         & info [ "trace" ]
+             ~doc:"Arm the protocol event ring buffer; on failure the event trail \
+                   (and the seed that replays it) is dumped.")
+  in
+  let out =
+    Arg.(value & opt (some string) None
+         & info [ "trace-out" ] ~docv:"FILE"
+             ~doc:"Write dumped event trails to $(docv) instead of stdout (implies \
+                   $(b,--trace)).")
+  in
+  let make trace out =
+    let ring = if trace || out <> None then Some (Trace.create ~capacity:8192 ()) else None in
+    { ring; out }
+  in
+  Term.(const make $ flag $ out)
+
+let jobs_arg =
+  Arg.(value & opt domains 1
+       & info [ "j"; "jobs" ] ~docv:"N"
+           ~doc:"Fan independent runs out over $(docv) worker domains (1 = serial). \
+                 Results are merged in job order, so output is byte-identical for \
+                 any $(docv).")
+
+(* The trace ring buffer is armed process-wide (Trace.with_armed), so traced
+   sweeps must stay on one domain. *)
+let sweep_term =
+  let check tr jobs =
+    if jobs > 1 && tr.ring <> None then `Error (false, "--trace/--trace-out require -j 1")
+    else `Ok (tr, jobs)
+  in
+  Term.(ret (const check $ trace_term $ jobs_arg))
+
+let tail_events = 60
+
+(* Print a dumped trail, or write it to --trace-out. *)
+let emit_trail tr ~header text =
+  if text <> "" then
+    match tr.out with
+    | None -> Printf.printf "%s\n%s\n" header text
+    | Some file ->
+        let oc = open_out file in
+        Printf.fprintf oc "%s\n%s\n" header text;
+        close_out oc;
+        Printf.printf "event trail written to %s\n" file
+
+let block_part = function Some a -> Printf.sprintf " for block 0x%x" a | None -> ""
+
+let coverage_flag =
+  Arg.(value & flag
+       & info [ "coverage" ]
+           ~doc:"Print per-controller (state x event) transition-coverage matrices.")
+
+(* ---- observers: spans, the span timeline, streaming metrics, SLOs and the
+   watchdog ---- *)
+
+type observers = {
+  arm : Campaign.observers;
+  spans_out : string option;
+  metrics_out : string option;
+  metrics_prom : string option;
+  slo : Slo.objective list option;
+}
+
+(* [timeline] offers --spans-out (campaign has no timeline export). *)
+let observers_term ~timeline =
+  let spans =
+    Arg.(value & flag
+         & info [ "spans" ]
+             ~doc:"Arm the transaction span layer: per-segment latency-attribution \
+                   tables (p50/p95/p99/max per transaction type) are appended to \
+                   the report.")
+  in
+  let spans_out =
+    if not timeline then Term.const None
+    else
+      Arg.(value & opt (some string) None
+           & info [ "spans-out" ] ~docv:"FILE"
+               ~doc:"Write the span timeline and sampler series as Chrome/Perfetto \
+                     trace-event JSON to $(docv) (implies $(b,--spans)).")
+  in
   let out =
     Arg.(value & opt (some string) None
          & info [ "metrics-out" ] ~docv:"FILE"
@@ -217,26 +311,44 @@ let metrics_term =
                    ledger and the obs.watchdog coverage space, never in the \
                    simulation.")
   in
-  let pack m_out m_prom m_slo m_watchdog = { m_out; m_prom; m_slo; m_watchdog } in
-  Term.(const pack $ out $ prom $ slo $ wd)
+  let make spans spans_out metrics_out metrics_prom slo watchdog =
+    let metrics =
+      metrics_out <> None || metrics_prom <> None || slo <> None || watchdog <> None
+    in
+    {
+      arm =
+        { Campaign.spans = spans || spans_out <> None; timeline = spans_out <> None; metrics;
+          watchdog };
+      spans_out;
+      metrics_out;
+      metrics_prom;
+      slo;
+    }
+  in
+  Term.(const make $ spans $ spans_out $ out $ prom $ slo $ wd)
 
-(* Note each guard's availability on the armed recorder; called inside the
-   job, as the run's [now] only the outcome knows is handed in. *)
-let note_guard_avail (sys : System.t) ~now =
-  if Metrics.on () then
-    Array.iter
-      (fun (g : System.guard) ->
-        let guard = if g.System.g_id = "" then "xg" else "xg." ^ g.System.g_id in
-        Metrics.note_avail ~guard
-          ~down:(Xg.Xg_core.down_cycles g.System.g_core ~now)
-          ~now)
-      sys.System.guards
+let print_span_summary sum =
+  match Spans.Summary.attribution_table sum with
+  | None -> ()
+  | Some t ->
+      print_string (Xguard_stats.Table.to_string t);
+      print_newline ();
+      let r = Spans.Summary.replaced sum and d = Spans.Summary.dropped sum in
+      if r > 0 || d > 0 then
+        Printf.printf "spans: %d crossings replaced, %d timeline/sample entries dropped\n" r d
+
+let emit_spans_out obs recs =
+  Option.iter
+    (fun file ->
+      Perfetto.write_file file recs;
+      Printf.printf "span timeline written to %s\n" file)
+    obs.spans_out
 
 (* The stdout metrics block, delimited so tools/check_metrics.sh can strip it
    and compare against a metrics-off run byte-for-byte. *)
-let emit_metrics ~mopts ~span_cells msum =
-  if metrics_on mopts then begin
-    let objectives = Option.value ~default:[] mopts.m_slo in
+let emit_metrics obs ~span_cells msum =
+  if obs.arm.Campaign.metrics then begin
+    let objectives = Option.value ~default:[] obs.slo in
     let verdicts =
       Slo.evaluate objectives ~span_cells
         ~guard_hists:(Metrics.Summary.hists msum)
@@ -249,7 +361,7 @@ let emit_metrics ~mopts ~span_cells msum =
     let r = Metrics.Summary.replaced msum and d = Metrics.Summary.dropped msum in
     if r > 0 || d > 0 then
       Printf.printf "metrics: %d open entries replaced, %d samples dropped\n" r d;
-    if mopts.m_watchdog <> None then begin
+    if obs.arm.Campaign.watchdog <> None then begin
       match Metrics.Summary.trip_counts msum with
       | [] -> print_string "watchdog: no anomalies\n"
       | trips ->
@@ -264,92 +376,147 @@ let emit_metrics ~mopts ~span_cells msum =
         (if Slo.passed verdicts then "PASS" else "FAIL")
         met (List.length verdicts)
     end;
+    let write file what f =
+      let oc = open_out file in
+      f oc;
+      close_out oc;
+      Printf.printf "%s written to %s\n" what file
+    in
     Option.iter
       (fun file ->
-        let oc = open_out file in
-        Metrics.write_jsonl oc ~period:System.sampler_period ~span_cells ~verdicts
-          msum;
-        close_out oc;
-        Printf.printf "metrics stream written to %s\n" file)
-      mopts.m_out;
+        write file "metrics stream" (fun oc ->
+            Metrics.write_jsonl oc ~period:Xguard_harness.System.sampler_period ~span_cells
+              ~verdicts msum))
+      obs.metrics_out;
     Option.iter
       (fun file ->
-        let oc = open_out file in
-        Metrics.write_prom oc ~span_cells msum;
-        close_out oc;
-        Printf.printf "prometheus dump written to %s\n" file)
-      mopts.m_prom;
+        write file "prometheus dump" (fun oc -> Metrics.write_prom oc ~span_cells msum))
+      obs.metrics_prom;
     print_string "== end metrics ==\n"
   end
 
-(* ---- validated numeric converters ----
+(* What every seed sweep prints after its own results: span tables, the span
+   timeline and the metrics block. *)
+let emit_observers obs (r : Campaign.t) =
+  if obs.arm.Campaign.spans then print_span_summary r.Campaign.span_total;
+  emit_spans_out obs
+    (List.filter_map
+       (fun (o : Campaign.outcome) ->
+         Option.map (fun rc -> (o.Campaign.label, rc)) o.Campaign.timeline)
+       (Array.to_list r.Campaign.outcomes));
+  emit_metrics obs ~span_cells:(Spans.Summary.cells r.Campaign.span_total) r.Campaign.metrics
 
-   Cycle counts reach the engine scheduler directly and probabilities the
-   fault/chaos draws, so out-of-range values are refused at parse time with a
-   reason instead of crashing (or silently misbehaving) mid-run.  2^40 cycles
-   is far beyond any run yet keeps [now + n] clear of overflow. *)
+(* ---- link: lossy-link fault injection, recovery policy and hang budgets ---- *)
 
-let int_in ~min ~max =
-  let parse s =
-    match int_of_string_opt s with
-    | None -> Error (Printf.sprintf "invalid value %S, expected an integer" s)
-    | Some n when n < min || n > max ->
-        Error
-          (if max = max_int then Printf.sprintf "%d out of range (want >= %d)" n min
-           else Printf.sprintf "%d out of range (want %d..%d)" n min max)
-    | Some n -> Ok n
+type link = {
+  apply : Config.t -> Config.t;
+  flags : string;  (** the same flags as command-line text, for replay commands *)
+}
+
+(* The shortest decimal that reads back as [p]. *)
+let float_text p =
+  let s = Printf.sprintf "%.15g" p in
+  if float_of_string s = p then s else Printf.sprintf "%.17g" p
+
+let link_term =
+  let prob_arg name doc = Arg.(value & opt prob 0.0 & info [ name ] ~docv:"P" ~doc) in
+  let budget_arg name doc =
+    Arg.(value & opt (some (cycles ~min:1)) None & info [ name ] ~docv:"CYCLES" ~doc)
   in
-  Arg.conv' (parse, Arg.conv_printer Arg.int)
-
-let cycles ~min = int_in ~min ~max:(1 lsl 40)
-let positive_int = int_in ~min:1 ~max:max_int
-
-(* A decision trail: non-negative choice indices separated by ';' or ','. *)
-let trail =
-  let parse spec =
-    let items =
-      String.split_on_char ';' spec
-      |> List.concat_map (String.split_on_char ',')
-      |> List.map String.trim
-      |> List.filter (fun s -> s <> "")
+  let drop =
+    prob_arg "fault-drop"
+      "Drop each XG-link message with probability $(docv); any non-zero fault \
+       probability also enables the link reliability layer."
+  in
+  let dup = prob_arg "fault-dup" "Duplicate each XG-link message with probability $(docv)." in
+  let corrupt =
+    prob_arg "fault-corrupt" "Corrupt each XG-link message's payload with probability $(docv)."
+  in
+  let delay =
+    prob_arg "fault-delay"
+      "Delay each XG-link message by a random 1..32 extra cycles with probability $(docv)."
+  in
+  let scripts =
+    Arg.(value & opt_all fault_script []
+         & info [ "fault-script" ] ~docv:"SPEC"
+             ~doc:"Deterministic fault $(b,KIND:N[:NEEDLE]) — hit the Nth link message \
+                   whose trace text contains NEEDLE with KIND \
+                   (drop|dup|corrupt|kill|delay@CYCLES).  Repeatable; implies the \
+                   reliability layer.")
+  in
+  let reliable =
+    Arg.(value & flag
+         & info [ "reliable-link" ]
+             ~doc:"Run the link's seq+checksum reliability layer even with no \
+                   injected faults (for overhead measurements).")
+  in
+  let recover =
+    Arg.(value & flag
+         & info [ "recover" ]
+             ~doc:"After a quarantine, reset the link and re-admit the accelerator \
+                   on probation instead of killing it for good (default recovery \
+                   policy; see DESIGN.md section 12).")
+  in
+  let lives =
+    Arg.(value & opt (some positive_int) None
+         & info [ "recover-lives" ] ~docv:"K"
+             ~doc:"Permanently kill the link after $(docv) quarantines.  Implies \
+                   $(b,--recover).")
+  in
+  let breq =
+    budget_arg "budget-req"
+      "Hang budget for the request->decision phase: an accelerator request the guard \
+       has not decided within $(docv) cycles counts as a link fault."
+  in
+  let binv =
+    budget_arg "budget-inv"
+      "Hang budget for the invalidate->ack phase.  Trips strictly before the coarse \
+       G2c timeout when set below it."
+  in
+  let bfetch = budget_arg "budget-fetch" "Hang budget for the host fetch->data phase." in
+  let make drop dup corrupt delay scripts reliable recover lives breq binv bfetch =
+    let fault = { Network.Fault.drop; duplicate = dup; corrupt; delay; max_delay = 32 } in
+    (* Every knob defaults to the historical behaviour: no flag, no config
+       change, byte-identical runs. *)
+    let apply cfg =
+      let cfg =
+        if reliable || scripts <> [] || Network.Fault.active fault then
+          { cfg with Config.link_faults = Some fault; link_fault_scripts = scripts }
+        else cfg
+      in
+      let cfg =
+        if recover || lives <> None then
+          { cfg with
+            Config.recovery = Some (Xg.Xg_core.make_recovery ?permakill_after:lives ()) }
+        else cfg
+      in
+      if breq <> None || binv <> None || bfetch <> None then
+        let budgets = { Xg.Xg_core.req_decide = breq; inv_ack = binv; fetch_data = bfetch } in
+        { cfg with Config.budgets }
+      else cfg
     in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | item :: rest -> (
-          match int_of_string_opt item with
-          | Some n when n >= 0 -> go (n :: acc) rest
-          | _ ->
-              Error
-                (Printf.sprintf
-                   "invalid decision %S in trail %S, expected a non-negative integer" item
-                   spec))
+    let p name v = if v = 0.0 then [] else [ Printf.sprintf "--%s %s" name (float_text v) ] in
+    let n name = Option.fold ~none:[] ~some:(fun v -> [ Printf.sprintf "--%s %d" name v ]) in
+    let b name v = if v then [ "--" ^ name ] else [] in
+    let flags =
+      List.concat
+        [ p "fault-drop" drop; p "fault-dup" dup; p "fault-corrupt" corrupt;
+          p "fault-delay" delay;
+          List.map
+            (fun s -> "--fault-script " ^ Filename.quote (Network.Fault.script_to_string s))
+            scripts;
+          b "reliable-link" reliable; b "recover" recover; n "recover-lives" lives;
+          n "budget-req" breq; n "budget-inv" binv; n "budget-fetch" bfetch ]
     in
-    go [] items
+    { apply; flags = String.concat "" (List.map (( ^ ) " ") flags) }
   in
-  let print fmt l = Format.pp_print_string fmt (String.concat ";" (List.map string_of_int l)) in
-  Arg.conv' (parse, print)
+  Term.(const make $ drop $ dup $ corrupt $ delay $ scripts $ reliable $ recover $ lives
+        $ breq $ binv $ bfetch)
 
-let prob =
-  let parse s =
-    match float_of_string_opt s with
-    | None -> Error (Printf.sprintf "invalid value %S, expected a number" s)
-    | Some p when not (p >= 0.0 && p <= 1.0) ->
-        Error (Printf.sprintf "%s out of range (want a probability in [0, 1])" s)
-    | Some p -> Ok p
-  in
-  Arg.conv' (parse, Arg.conv_printer Arg.float)
-
-let jobs_arg =
-  Arg.(value & opt int 1
-       & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Fan independent runs out over $(docv) worker domains (1 = serial). \
-                 Results are merged in job order, so output is byte-identical for \
-                 any $(docv).")
-
-(* ---- intra-run parallel simulation (run/stress/bench) ---- *)
+(* ---- intra-run parallel simulation (run/stress) ---- *)
 
 let sim_j_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some domains) None
        & info [ "sim-j" ] ~docv:"N"
            ~doc:"Shard $(i,one) run across $(docv) worker domains: conservative \
                  parallel discrete-event simulation along the guard links. \
@@ -359,429 +526,138 @@ let sim_j_arg =
                  with ordered, fault-free links (no $(b,--drop)/$(b,--recover)/\
                  jitter).")
 
-(* Validate --sim-j against the final config (fault/recovery flags applied),
-   so ineligible combinations fail with a reason instead of mid-run. *)
-let check_sim_j ~sim_j cfg =
+(* --sim-j is judged against the final config (fault/recovery flags applied). *)
+let sim_j_refusal sim_j cfg =
   match sim_j with
   | None -> None
-  | Some j ->
-      if j < 1 then begin
-        Printf.eprintf "--sim-j must be >= 1\n";
-        exit 1
-      end;
-      (match Pdes.check_config cfg with
-      | Ok () -> Some j
-      | Error e ->
-          Printf.eprintf "--sim-j: %s\n" e;
-          exit 1)
-
-(* ---- lossy-link fault injection (stress/fuzz/campaign) ---- *)
-
-let fault_drop_arg =
-  Arg.(value & opt prob 0.0
-       & info [ "fault-drop" ] ~docv:"P"
-           ~doc:"Drop each XG-link message with probability $(docv); any non-zero \
-                 fault probability also enables the link reliability layer.")
-
-let fault_dup_arg =
-  Arg.(value & opt prob 0.0
-       & info [ "fault-dup" ] ~docv:"P"
-           ~doc:"Duplicate each XG-link message with probability $(docv).")
-
-let fault_corrupt_arg =
-  Arg.(value & opt prob 0.0
-       & info [ "fault-corrupt" ] ~docv:"P"
-           ~doc:"Corrupt each XG-link message's payload with probability $(docv).")
-
-let fault_delay_arg =
-  Arg.(value & opt prob 0.0
-       & info [ "fault-delay" ] ~docv:"P"
-           ~doc:"Delay each XG-link message by a random 1..32 extra cycles with \
-                 probability $(docv).")
-
-let fault_script_arg =
-  Arg.(value & opt_all string []
-       & info [ "fault-script" ] ~docv:"SPEC"
-           ~doc:"Deterministic fault $(b,KIND:N[:NEEDLE]) — hit the Nth link message \
-                 whose trace text contains NEEDLE with KIND \
-                 (drop|dup|corrupt|kill|delay@CYCLES).  Repeatable; implies the \
-                 reliability layer.")
-
-let reliable_link_flag =
-  Arg.(value & flag
-       & info [ "reliable-link" ]
-           ~doc:"Run the link's seq+checksum reliability layer even with no \
-                 injected faults (for overhead measurements).")
-
-let apply_link_faults ~drop ~dup ~corrupt ~delay ~scripts ~reliable cfg =
-  let scripts =
-    List.map
-      (fun s ->
-        match Network.Fault.script_of_string s with
-        | Ok sc -> sc
-        | Error e ->
-            Printf.eprintf "bad --fault-script %S: %s\n" s e;
-            exit 1)
-      scripts
-  in
-  let f =
-    { Network.Fault.drop; duplicate = dup; corrupt; delay; max_delay = 32 }
-  in
-  if reliable || scripts <> [] || Network.Fault.active f then
-    { cfg with Config.link_faults = Some f; Config.link_fault_scripts = scripts }
-  else cfg
-
-(* ---- recovery policy and hang budgets (stress/fuzz/campaign) ---- *)
-
-let recover_flag =
-  Arg.(value & flag
-       & info [ "recover" ]
-           ~doc:"After a quarantine, reset the link and re-admit the accelerator \
-                 on probation instead of killing it for good (default recovery \
-                 policy; see DESIGN.md section 12).")
-
-let recover_lives_arg =
-  Arg.(value & opt (some int) None
-       & info [ "recover-lives" ] ~docv:"K"
-           ~doc:"Permanently kill the link after $(docv) quarantines.  Implies \
-                 $(b,--recover).")
-
-let budget_req_arg =
-  Arg.(value & opt (some (cycles ~min:1)) None
-       & info [ "budget-req" ] ~docv:"CYCLES"
-           ~doc:"Hang budget for the request->decision phase: an accelerator \
-                 request the guard has not decided within $(docv) cycles counts \
-                 as a link fault.")
-
-let budget_inv_arg =
-  Arg.(value & opt (some (cycles ~min:1)) None
-       & info [ "budget-inv" ] ~docv:"CYCLES"
-           ~doc:"Hang budget for the invalidate->ack phase.  Trips strictly \
-                 before the coarse G2c timeout when set below it.")
-
-let budget_fetch_arg =
-  Arg.(value & opt (some (cycles ~min:1)) None
-       & info [ "budget-fetch" ] ~docv:"CYCLES"
-           ~doc:"Hang budget for the host fetch->data phase.")
-
-let apply_recovery ~recover ~lives ~breq ~binv ~bfetch cfg =
-  (* Both knobs default to the historical behaviour: no flag, no config
-     change, byte-identical runs. *)
-  let cfg =
-    if recover || lives <> None then
-      { cfg with
-        Config.recovery = Some (Xg.Xg_core.make_recovery ?permakill_after:lives ()) }
-    else cfg
-  in
-  if breq <> None || binv <> None || bfetch <> None then
-    { cfg with
-      Config.budgets = { Xg.Xg_core.req_decide = breq; inv_ack = binv; fetch_data = bfetch } }
-  else cfg
-
-let injected_total counts =
-  List.fold_left
-    (fun n (k, v) ->
-      if String.length k > 9 && String.sub k 0 9 = "injected." then n + v else n)
-    0 counts
-
-let count_of counts label = Option.value ~default:0 (List.assoc_opt label counts)
-
-(* The trace ring buffer is armed process-wide (Trace.with_armed), so traced
-   sweeps must stay on one domain. *)
-let check_trace_jobs ~jobs tr =
-  if jobs > 1 && tr <> None then begin
-    Printf.eprintf "--trace/--trace-out require -j 1\n";
-    exit 1
-  end
-
-let maybe_armed tr f = match tr with None -> f () | Some tr -> Trace.with_armed tr f
-
-let tail_events = 60
-
-(* Print a dumped trail, or write it to --trace-out. *)
-let emit_trail ~trace_out ~header text =
-  if text <> "" then
-    match trace_out with
-    | None -> Printf.printf "%s\n%s\n" header text
-    | Some file ->
-        let oc = open_out file in
-        Printf.fprintf oc "%s\n%s\n" header text;
-        close_out oc;
-        Printf.printf "event trail written to %s\n" file
-
-let print_coverage_sets sets =
-  List.iter
-    (fun (_, space, groups) ->
-      print_string (Coverage.to_string (Coverage.analyze space groups));
-      print_newline ())
-    sets
+  | Some _ -> (
+      match Pdes.check_config cfg with Ok () -> None | Error e -> Some ("--sim-j: " ^ e))
 
 (* ---- run ---- *)
 
 let run_cmd =
   let workload_arg =
     let doc = "Workload: streaming, blocked, graph, write-coalesce, producer-consumer." in
-    Arg.(value & opt string "blocked" & info [ "w"; "workload" ] ~docv:"WORKLOAD" ~doc)
+    Arg.(value & opt workload (List.find (fun w -> w.W.name = "blocked") (W.all ()))
+         & info [ "w"; "workload" ] ~docv:"WORKLOAD" ~doc)
   in
-  let action config topology workload seed sim_j trace trace_out spans spans_out mopts =
-    with_system_config ~topology config seed (fun cfg ->
-        match find_workload workload with
-        | None ->
-            Printf.eprintf "unknown workload %S\n" workload;
-            exit 1
-        | Some w ->
-            let sim_j = check_sim_j ~sim_j cfg in
-            let tr = make_trace ~trace ~trace_out in
-            (* Metrics always ride an armed span recorder (quantile sampling
-               reads it); the span tables stay opt-in via --spans. *)
-            let rec_ =
-              if metrics_on mopts then
-                Some (Spans.create ~timeline:(spans_out <> None) ())
-              else make_recorder ~spans ~spans_out
-            in
-            let mrec =
-              if metrics_on mopts then Some (Metrics.create ?watchdog:mopts.m_watchdog ())
-              else None
-            in
-            let with_obs f =
-              with_spans rec_ (fun () ->
-                  match mrec with None -> f () | Some m -> Metrics.with_armed m f)
-            in
-            (try
-               let r = with_obs (fun () -> Perf.run ?trace:tr ?sim_j cfg w) in
-               Printf.printf "configuration      %s\n" r.Perf.config_name;
-               Printf.printf "workload           %s (%s)\n" w.W.name w.W.description;
-               Printf.printf "cycles             %d\n" r.Perf.cycles;
-               Printf.printf "accel accesses     %d\n" r.Perf.accel_accesses;
-               Printf.printf "mean latency       %.1f cycles\n" r.Perf.mean_accel_latency;
-               Printf.printf "p99 latency        %d cycles\n" r.Perf.p99_accel_latency;
-               Printf.printf "host bytes         %d\n" r.Perf.host_bytes;
-               Printf.printf "link bytes         %d\n" r.Perf.link_bytes;
-               Printf.printf "guard violations   %d\n" r.Perf.violations;
-               Option.iter
-                 (fun rc ->
-                   let sum = Spans.summary rc in
-                   if spans || spans_out <> None then print_span_summary sum;
-                   emit_spans_out ~spans_out [ (w.W.name, rc) ];
-                   Option.iter
-                     (fun m ->
-                       emit_metrics ~mopts
-                         ~span_cells:(Spans.Summary.cells sum)
-                         (Metrics.summary ~label:"run" m))
-                     mrec)
-                 rec_
-             with e ->
-               Option.iter
-                 (fun tr ->
-                   emit_trail ~trace_out
-                     ~header:
-                       (Printf.sprintf "-- event trail, last %d events (replay with --seed %d) --"
-                          tail_events cfg.Config.seed)
-                     (Trace.dump ~last:tail_events tr))
-                 tr;
-               Printf.eprintf "run failed: %s\n" (Printexc.to_string e);
-               exit 1))
+  let action cfg w sim_j tr obs =
+    refuse_if (sim_j_refusal sim_j cfg) @@ fun () ->
+    try
+      let r, rec_, msum =
+        Campaign.observe obs.arm ~label:"run" (fun () -> Perf.run ?trace:tr.ring ?sim_j cfg w)
+      in
+      Printf.printf "configuration      %s\n" r.Perf.config_name;
+      Printf.printf "workload           %s (%s)\n" w.W.name w.W.description;
+      Printf.printf "cycles             %d\n" r.Perf.cycles;
+      Printf.printf "accel accesses     %d\n" r.Perf.accel_accesses;
+      Printf.printf "mean latency       %.1f cycles\n" r.Perf.mean_accel_latency;
+      Printf.printf "p99 latency        %d cycles\n" r.Perf.p99_accel_latency;
+      Printf.printf "host bytes         %d\n" r.Perf.host_bytes;
+      Printf.printf "link bytes         %d\n" r.Perf.link_bytes;
+      Printf.printf "guard violations   %d\n" r.Perf.violations;
+      Option.iter
+        (fun rc ->
+          let sum = Spans.summary rc in
+          if obs.arm.Campaign.spans then print_span_summary sum;
+          emit_spans_out obs [ (w.W.name, rc) ];
+          emit_metrics obs ~span_cells:(Spans.Summary.cells sum) msum)
+        rec_
+    with e ->
+      Option.iter
+        (fun ring ->
+          emit_trail tr
+            ~header:
+              (Printf.sprintf "-- event trail, last %d events (replay with --seed %d) --"
+                 tail_events cfg.Config.seed)
+            (Trace.dump ~last:tail_events ring))
+        tr.ring;
+      Printf.eprintf "run failed: %s\n" (Printexc.to_string e);
+      exit 1
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a workload on one configuration")
-    Term.(const action $ config_arg $ topology_arg $ workload_arg $ seed_arg $ sim_j_arg
-          $ trace_flag $ trace_out_arg $ spans_flag $ spans_out_arg $ metrics_term)
+    Term.(ret (const action $ one_config $ workload_arg $ sim_j_arg $ trace_term
+               $ observers_term ~timeline:true))
 
 (* ---- stress ---- *)
 
+(* One seed's report line; the link and recovery parts print only when the
+   link can fault or a policy or budget is configured, so default runs stay
+   byte-identical to the historical report. *)
+let stress_line (cfg : Config.t) seed (s : Campaign.stress_run) =
+  let o = s.Campaign.tester in
+  let link_part =
+    if s.Campaign.link_faults = [] then ""
+    else
+      let injected, retx = Campaign.link_totals s.Campaign.link_faults in
+      Printf.sprintf " link[inj=%d retx=%d q=%b]" injected retx s.Campaign.quarantined
+  in
+  let rec_parts =
+    (if cfg.Config.recovery <> None then
+       [ Printf.sprintf "rejoins=%d kill=%b" s.Campaign.rejoins s.Campaign.permakilled ]
+     else [])
+    @
+    if cfg.Config.budgets <> Xg.Xg_core.no_budgets then
+      [ Printf.sprintf "trips=%d" s.Campaign.budget_trips ]
+    else []
+  in
+  Printf.sprintf "seed %-6d ops=%-6d data_errors=%-3d deadlock=%-5b violations=%-3d %s%s%s"
+    seed o.Tester.ops_completed o.Tester.data_errors o.Tester.deadlocked s.Campaign.violations
+    (if Campaign.failed (Campaign.Stressed s) then "FAIL" else "ok")
+    link_part
+    (if rec_parts = [] then "" else Printf.sprintf " rec[%s]" (String.concat " " rec_parts))
+
 let stress_cmd =
   let ops_arg =
-    Arg.(value & opt int 500 & info [ "ops" ] ~docv:"N" ~doc:"Operations per core.")
+    Arg.(value & opt positive_int 500 & info [ "ops" ] ~docv:"N" ~doc:"Operations per core.")
   in
   let seeds_arg =
     Arg.(value & opt positive_int 5 & info [ "seeds" ] ~docv:"N" ~doc:"Number of seeds to sweep.")
   in
-  let action config topology seed ops seeds jobs sim_j trace trace_out coverage spans
-      spans_out mopts drop dup corrupt delay scripts reliable recover lives breq binv
-      bfetch =
-    with_system_config ~topology config seed (fun base ->
-        let base =
-          apply_link_faults ~drop ~dup ~corrupt ~delay ~scripts ~reliable base
-        in
-        let base = apply_recovery ~recover ~lives ~breq ~binv ~bfetch base in
-        let sim_j = check_sim_j ~sim_j base in
-        let tr = make_trace ~trace ~trace_out in
-        check_trace_jobs ~jobs tr;
-        (* Each seed is one pool job producing its report line, optional
-           failure trail and coverage groups; printing happens afterwards in
-           seed order, so -j N output is byte-identical to -j 1. *)
-        let results =
-          Pool.map ~workers:jobs ~jobs:seeds (fun i ->
-              let s = seed + i in
-              let cfg = Config.stress_sized { base with Config.seed = s } in
-              let rec_ =
-                if metrics_on mopts then
-                  Some (Spans.create ~timeline:(spans_out <> None) ())
-                else make_recorder ~spans ~spans_out
-              in
-              let mrec =
-                if metrics_on mopts then
-                  Some (Metrics.create ?watchdog:mopts.m_watchdog ())
-                else None
-              in
-              let run_body () =
-                match sim_j with
-                | Some j ->
-                    (* One tester per domain over disjoint address slices —
-                       comparable across any --sim-j value, not with the
-                       shared-address sequential tester above. *)
-                    Option.iter Trace.clear tr;
-                    maybe_armed tr (fun () ->
-                        Pdes.run_stress ~workers:j ~seed:s ~ops_per_core:ops cfg)
-                | None ->
-                    let sys = System.build cfg in
-                    let ports = Array.append sys.System.cpu_ports sys.System.accel_ports in
-                    Option.iter Trace.clear tr;
-                    let o =
-                      maybe_armed tr (fun () ->
-                          Tester.run ~engine:sys.System.engine ~rng:(Rng.create ~seed:(s * 7 + 1))
-                            ~ports ~addresses:(Array.init 6 Addr.block) ~ops_per_core:ops ())
-                    in
-                    (sys, o)
-              in
-              let sys, o =
-                with_spans rec_ (fun () ->
-                    match mrec with
-                    | None -> run_body ()
-                    | Some m ->
-                        Metrics.with_armed m (fun () ->
-                            let sys, o = run_body () in
-                            note_guard_avail sys ~now:o.Tester.cycles;
-                            (sys, o)))
-              in
-              let viol = Xg.Os_model.error_count sys.System.os in
-              let bad = o.Tester.data_errors > 0 || o.Tester.deadlocked || viol > 0 in
-              let link = sys.System.link_stats () in
-              let link_part =
-                (* Empty when the link cannot fault, so fault-free output is
-                   byte-identical to the historical report. *)
-                if link = [] then ""
-                else
-                  Printf.sprintf " link[inj=%d retx=%d q=%b]" (injected_total link)
-                    (count_of link "retransmit_frames")
-                    (sys.System.quarantined ())
-              in
-              let recovery_part =
-                (* Printed only when a recovery policy or a budget is
-                   configured, so default runs stay byte-identical. *)
-                let sum f =
-                  Array.fold_left (fun n g -> n + f g.System.g_core) 0 sys.System.guards
-                in
-                let parts = [] in
-                let parts =
-                  if cfg.Config.budgets <> Xg.Xg_core.no_budgets then
-                    Printf.sprintf "trips=%d" (sum Xg.Xg_core.budget_trips) :: parts
-                  else parts
-                in
-                let parts =
-                  if cfg.Config.recovery <> None then
-                    Printf.sprintf "rejoins=%d kill=%b" (sum Xg.Xg_core.rejoins)
-                      (Array.exists
-                         (fun g -> Xg.Xg_core.permakilled g.System.g_core)
-                         sys.System.guards)
-                    :: parts
-                  else parts
-                in
-                if parts = [] then ""
-                else Printf.sprintf " rec[%s]" (String.concat " " parts)
-              in
-              let line =
-                Printf.sprintf
-                  "seed %-6d ops=%-6d data_errors=%-3d deadlock=%-5b violations=%-3d %s%s%s"
-                  s o.Tester.ops_completed o.Tester.data_errors o.Tester.deadlocked viol
-                  (if bad then "FAIL" else "ok")
-                  link_part recovery_part
-              in
-              let trail =
-                if bad then
-                  Option.map
-                    (fun tr ->
-                      let addr = o.Tester.first_error_addr in
-                      ( Printf.sprintf
-                          "-- seed %d event trail%s (replay with --seed %d --seeds 1) --" s
-                          (match addr with
-                          | Some a -> Printf.sprintf " for block 0x%x" a
-                          | None -> "")
-                          s,
-                        Trace.dump ?addr ~last:tail_events tr ))
-                    tr
-                else None
-              in
-              let cov = if coverage then Some (sys.System.coverage_sets ()) else None in
-              (line, bad, trail, cov, rec_, mrec))
-        in
-        let failures = ref 0 in
-        let cov_runs = ref [] in
-        let span_sum = ref Spans.Summary.empty in
-        let span_recs = ref [] in
-        let metrics_sum = ref Metrics.Summary.empty in
-        Array.iteri
-          (fun i result ->
-            match result with
-            | Pool.Failed e ->
-                (* Crash isolation: the wedged seed reports as a failure
-                   instead of killing the sweep. *)
-                incr failures;
-                Printf.printf "seed %-6d CRASH %s FAIL\n" (seed + i) e
-            | Pool.Done (line, bad, trail, cov, rec_, mrec) ->
-                if bad then incr failures;
-                Option.iter (fun c -> cov_runs := c :: !cov_runs) cov;
-                Option.iter
-                  (fun rc ->
-                    span_sum := Spans.Summary.merge !span_sum (Spans.summary rc);
-                    span_recs := (Printf.sprintf "seed %d" (seed + i), rc) :: !span_recs)
-                  rec_;
-                Option.iter
-                  (fun m ->
-                    metrics_sum :=
-                      Metrics.Summary.merge !metrics_sum
-                        (Metrics.summary ~label:(Printf.sprintf "seed %d" (seed + i)) m))
-                  mrec;
-                Printf.printf "%s\n" line;
-                Option.iter (fun (header, text) -> emit_trail ~trace_out ~header text) trail)
-          results;
-        if coverage then begin
-          match List.rev !cov_runs with
-          | [] -> ()
-          | first :: _ as runs ->
-              List.iter
-                (fun (name, space, _) ->
-                  let groups =
-                    List.concat_map
-                      (fun run ->
-                        List.concat_map (fun (n, _, gs) -> if n = name then gs else []) run)
-                      runs
-                  in
-                  print_string (Coverage.to_string (Coverage.analyze space groups));
-                  print_newline ())
-                first
-        end;
-        if spans || spans_out <> None then print_span_summary !span_sum;
-        emit_spans_out ~spans_out (List.rev !span_recs);
-        emit_metrics ~mopts ~span_cells:(Spans.Summary.cells !span_sum) !metrics_sum;
-        Printf.printf "%s\n" (if !failures = 0 then "PASS" else "FAIL");
-        if !failures > 0 then exit 1)
+  let action cfg link ops seeds (tr, jobs) sim_j coverage obs =
+    let cfg = link.apply cfg in
+    refuse_if (sim_j_refusal sim_j cfg) @@ fun () ->
+    let r =
+      Campaign.run ~workers:jobs ~collect_coverage:coverage ~stress_ops:ops
+        ~seeding:(Campaign.Consecutive cfg.Config.seed) ~observers:obs.arm ?sim_j
+        ?trace:tr.ring Campaign.Stress ~configs:[ cfg ] ~seeds ()
+    in
+    Array.iter
+      (fun (o : Campaign.outcome) ->
+        let seed = o.Campaign.seed in
+        match o.Campaign.run with
+        | Campaign.Stressed s ->
+            Printf.printf "%s\n" (stress_line cfg seed s);
+            Option.iter
+              (fun (addr, text) ->
+                emit_trail tr
+                  ~header:
+                    (Printf.sprintf
+                       "-- seed %d event trail%s (replay with --seed %d --seeds 1) --" seed
+                       (block_part addr) seed)
+                  text)
+              (Campaign.trail o.Campaign.run)
+        | Campaign.Crashed e -> Printf.printf "seed %-6d CRASH %s FAIL\n" seed e
+        | Campaign.Fuzzed _ -> ())
+      r.Campaign.outcomes;
+    List.iter
+      (fun c ->
+        print_string (Coverage.to_string c);
+        print_newline ())
+      r.Campaign.coverage;
+    emit_observers obs r;
+    Printf.printf "%s\n" (if Campaign.passed r then "PASS" else "FAIL");
+    if not (Campaign.passed r) then exit 1
   in
   Cmd.v
     (Cmd.info "stress" ~doc:"Random coherence stress test (paper section 4.1)")
-    Term.(const action $ config_arg $ topology_arg $ seed_arg $ ops_arg $ seeds_arg
-          $ jobs_arg $ sim_j_arg $ trace_flag $ trace_out_arg $ coverage_flag $ spans_flag
-          $ spans_out_arg $ metrics_term $ fault_drop_arg $ fault_dup_arg
-          $ fault_corrupt_arg $ fault_delay_arg $ fault_script_arg $ reliable_link_flag
-          $ recover_flag $ recover_lives_arg $ budget_req_arg $ budget_inv_arg
-          $ budget_fetch_arg)
+    Term.(ret (const action $ one_config $ link_term $ ops_arg $ seeds_arg $ sweep_term
+               $ sim_j_arg $ coverage_flag $ observers_term ~timeline:true))
 
 (* ---- fuzz ---- *)
 
 let fuzz_cmd =
-  let mute_arg =
-    Arg.(value & flag & info [ "mute" ] ~doc:"The accelerator never answers invalidations.")
-  in
   let timeout_arg =
     Arg.(value & opt (some (cycles ~min:1)) None
          & info [ "timeout" ] ~docv:"CYCLES"
@@ -795,116 +671,86 @@ let fuzz_cmd =
              ~doc:"Sweep $(docv) consecutive seeds; outcomes are merged \
                    (Fuzz_tester.merge) into one report.")
   in
-  let chaos_period_arg =
-    Arg.(value & opt (some (cycles ~min:1)) None
-         & info [ "chaos-period" ] ~docv:"CYCLES"
-             ~doc:"Cycles between chaos-accelerator injections (smaller = denser \
-                   bombardment).")
+  let chaos_term =
+    let mute =
+      Arg.(value & flag & info [ "mute" ] ~doc:"The accelerator never answers invalidations.")
+    in
+    let period =
+      Arg.(value & opt (some (cycles ~min:1)) None
+           & info [ "chaos-period" ] ~docv:"CYCLES"
+               ~doc:"Cycles between chaos-accelerator injections (smaller = denser \
+                     bombardment).")
+    in
+    let respond =
+      Arg.(value & opt (some prob) None
+           & info [ "chaos-respond-prob" ] ~docv:"P"
+               ~doc:"Probability the chaos accelerator answers an Invalidate at all \
+                     (with a random, possibly wrong, response).  0.0 never answers — \
+                     the G2c-timeout path.")
+    in
+    let requests_only =
+      Arg.(value & flag
+           & info [ "chaos-requests-only" ]
+               ~doc:"Inject only syntactically valid requests, no spontaneous \
+                     responses.")
+    in
+    let tarpit =
+      Arg.(value & opt (some (cycles ~min:0)) None
+           & info [ "chaos-tarpit" ] ~docv:"CYCLES"
+               ~doc:"Slow-but-honest mode: answer every Invalidate with a correct \
+                     Inv_ack exactly $(docv) cycles late.  With $(b,--budget-inv) \
+                     below $(docv), every invalidation trips the budget; without \
+                     budgets only the coarse G2c timeout can notice.  Overrides \
+                     $(b,--chaos-respond-prob).")
+    in
+    (* --mute is shorthand for the never-answer chaos shape; explicit chaos
+       flags compose with (and refine) it. *)
+    let make mute period respond requests_only tarpit =
+      {
+        Campaign.period;
+        respond = (if mute then Some 0.0 else respond);
+        requests_only = (if mute || requests_only then Some true else None);
+        tarpit;
+      }
+    in
+    Term.(const make $ mute $ period $ respond $ requests_only $ tarpit)
   in
-  let chaos_respond_arg =
-    Arg.(value & opt (some prob) None
-         & info [ "chaos-respond-prob" ] ~docv:"P"
-             ~doc:"Probability the chaos accelerator answers an Invalidate at all \
-                   (with a random, possibly wrong, response).  0.0 never answers — \
-                   the G2c-timeout path.")
-  in
-  let chaos_requests_only_flag =
-    Arg.(value & flag
-         & info [ "chaos-requests-only" ]
-             ~doc:"Inject only syntactically valid requests, no spontaneous \
-                   responses.")
-  in
-  let chaos_tarpit_arg =
-    Arg.(value & opt (some (cycles ~min:0)) None
-         & info [ "chaos-tarpit" ] ~docv:"CYCLES"
-             ~doc:"Slow-but-honest mode: answer every Invalidate with a correct \
-                   Inv_ack exactly $(docv) cycles late.  With $(b,--budget-inv) \
-                   below $(docv), every invalidation trips the budget; without \
-                   budgets only the coarse G2c timeout can notice.  Overrides \
-                   $(b,--chaos-respond-prob).")
-  in
-  let action config topology seed seeds jobs mute timeout trace trace_out coverage spans
-      spans_out mopts drop dup corrupt delay scripts reliable chaos_period chaos_respond
-      chaos_requests_only chaos_tarpit recover lives breq binv bfetch =
-    with_system_config ~topology config seed (fun cfg ->
-        if not (Config.uses_xg cfg) then begin
-          Printf.eprintf "fuzzing needs a Crossing Guard configuration\n";
-          exit 1
-        end;
-        let cfg =
-          apply_link_faults ~drop ~dup ~corrupt ~delay ~scripts ~reliable cfg
-        in
-        let cfg = apply_recovery ~recover ~lives ~breq ~binv ~bfetch cfg in
-        let cfg =
-          match timeout with None -> cfg | Some t -> { cfg with Config.xg_timeout = t }
-        in
-        (* --mute is shorthand for the never-answer chaos shape; explicit
-           chaos flags compose with (and refine) it. *)
-        let respond_probability = if mute then Some 0.0 else chaos_respond in
-        let requests_only = if mute || chaos_requests_only then Some true else None in
-        let tr = make_trace ~trace ~trace_out in
-        check_trace_jobs ~jobs tr;
-        let results =
-          Pool.map ~workers:jobs ~jobs:seeds (fun i ->
-              let cfg = { cfg with Config.seed = seed + i } in
-              let rec_ =
-                if metrics_on mopts then
-                  Some (Spans.create ~timeline:(spans_out <> None) ())
-                else make_recorder ~spans ~spans_out
-              in
-              let mrec =
-                if metrics_on mopts then
-                  Some (Metrics.create ?watchdog:mopts.m_watchdog ())
-                else None
-              in
-              Option.iter Trace.clear tr;
-              let body () =
-                Fuzz.run cfg ?chaos_period ?respond_probability ?requests_only
-                  ?tarpit:chaos_tarpit ?trace:tr ()
-              in
-              let o =
-                with_spans rec_ (fun () ->
-                    match mrec with
-                    | None -> body ()
-                    | Some m -> Metrics.with_armed m body)
-              in
-              (o, rec_, mrec))
-        in
-        let pool_crashes = ref 0 in
-        let merged = ref None in
-        let span_sum = ref Spans.Summary.empty in
-        let span_recs = ref [] in
-        let metrics_sum = ref Metrics.Summary.empty in
-        Array.iteri
-          (fun i result ->
-            match result with
-            | Pool.Failed e ->
-                incr pool_crashes;
-                Printf.printf "seed %-6d CRASH %s FAIL\n" (seed + i) e
-            | Pool.Done (o, rec_, mrec) ->
-                Option.iter
-                  (fun rc ->
-                    span_sum := Spans.Summary.merge !span_sum (Spans.summary rc);
-                    span_recs := (Printf.sprintf "seed %d" (seed + i), rc) :: !span_recs)
-                  rec_;
-                Option.iter
-                  (fun m ->
-                    metrics_sum :=
-                      Metrics.Summary.merge !metrics_sum
-                        (Metrics.summary ~label:(Printf.sprintf "seed %d" (seed + i)) m))
-                  mrec;
-                if seeds > 1 then
-                  Printf.printf
-                    "seed %-6d chaos=%-6d ops=%d/%d crashed=%-3s deadlock=%-5b violations=%-4d %s\n"
-                    o.Fuzz.seed o.Fuzz.chaos_messages o.Fuzz.cpu_ops_completed
-                    o.Fuzz.cpu_ops_expected
-                    (match o.Fuzz.crashed with Some _ -> "yes" | None -> "no")
-                    o.Fuzz.deadlocked o.Fuzz.violations
-                    (if o.Fuzz.crashed <> None || o.Fuzz.deadlocked then "FAIL" else "ok");
-                merged := Some (match !merged with None -> o | Some m -> Fuzz.merge m o))
-          results;
-        (match !merged with None -> Printf.printf "no run completed\n"; exit 1 | Some _ -> ());
-        let o = Option.get !merged in
+  let action cfg link timeout chaos seeds (tr, jobs) coverage obs =
+    refuse_if
+      (if Config.uses_xg cfg then None
+       else Some "fuzzing needs a Crossing Guard configuration")
+    @@ fun () ->
+    let cfg = link.apply cfg in
+    let cfg = match timeout with None -> cfg | Some t -> { cfg with Config.xg_timeout = t } in
+    let r =
+      Campaign.run ~workers:jobs ~seeding:(Campaign.Consecutive cfg.Config.seed)
+        ~observers:obs.arm ~chaos ?trace:tr.ring Campaign.Fuzz ~configs:[ cfg ] ~seeds ()
+    in
+    let merged =
+      Array.fold_left
+        (fun merged (o : Campaign.outcome) ->
+          match o.Campaign.run with
+          | Campaign.Fuzzed f ->
+              if seeds > 1 then
+                Printf.printf
+                  "seed %-6d chaos=%-6d ops=%d/%d crashed=%-3s deadlock=%-5b violations=%-4d %s\n"
+                  f.Fuzz.seed f.Fuzz.chaos_messages f.Fuzz.cpu_ops_completed
+                  f.Fuzz.cpu_ops_expected
+                  (match f.Fuzz.crashed with Some _ -> "yes" | None -> "no")
+                  f.Fuzz.deadlocked f.Fuzz.violations
+                  (if Campaign.failed o.Campaign.run then "FAIL" else "ok");
+              Some (match merged with None -> f | Some m -> Fuzz.merge m f)
+          | Campaign.Crashed e ->
+              Printf.printf "seed %-6d CRASH %s FAIL\n" o.Campaign.seed e;
+              merged
+          | Campaign.Stressed _ -> merged)
+        None r.Campaign.outcomes
+    in
+    match merged with
+    | None ->
+        Printf.printf "no run completed\n";
+        exit 1
+    | Some o ->
         Printf.printf "chaos msgs sent    %d\n" o.Fuzz.chaos_messages;
         Printf.printf "invals ignored     %d\n" o.Fuzz.invalidations_ignored;
         Printf.printf "cpu ops            %d/%d\n" o.Fuzz.cpu_ops_completed o.Fuzz.cpu_ops_expected;
@@ -917,9 +763,7 @@ let fuzz_cmd =
           o.Fuzz.violations_by_kind;
         if o.Fuzz.link_faults <> [] then begin
           Printf.printf "link quarantined   %b\n" o.Fuzz.quarantined;
-          List.iter
-            (fun (k, n) -> Printf.printf "  link.%-32s %d\n" k n)
-            o.Fuzz.link_faults
+          List.iter (fun (k, n) -> Printf.printf "  link.%-32s %d\n" k n) o.Fuzz.link_faults
         end;
         (* Gated on the flags, like the link block above, so default output
            stays byte-identical. *)
@@ -929,55 +773,42 @@ let fuzz_cmd =
         end;
         if cfg.Config.budgets <> Xg.Xg_core.no_budgets then
           Printf.printf "budget trips       %d\n" o.Fuzz.budget_trips;
-        if coverage then print_coverage_sets o.Fuzz.coverage_sets;
-        if spans || spans_out <> None then print_span_summary !span_sum;
-        emit_spans_out ~spans_out (List.rev !span_recs);
-        emit_metrics ~mopts ~span_cells:(Spans.Summary.cells !span_sum) !metrics_sum;
-        let tail =
-          match o.Fuzz.crashed with
-          | Some c -> c.Fuzz.trace_tail
-          | None -> o.Fuzz.trace_tail
-        in
-        if tail <> [] then begin
-          let dropped_line =
-            (* Forensics readers must know when the ring wrapped and the trail
-               is incomplete. *)
-            let d = o.Fuzz.trace_dropped in
-            if d = 0 then []
-            else
-              [ Printf.sprintf "(%d event%s dropped — ring wrapped)" d
-                  (if d = 1 then "" else "s") ]
-          in
-          emit_trail ~trace_out
-            ~header:
-              (Printf.sprintf "-- failure event trail%s (replay with --seed %d) --"
-                 (match o.Fuzz.first_error_addr with
-                 | Some a -> Printf.sprintf " for block 0x%x" a
-                 | None -> "")
-                 o.Fuzz.seed)
-            (String.concat "\n" (dropped_line @ List.map Trace.format_event tail))
-        end;
-        if o.Fuzz.crashed <> None || o.Fuzz.deadlocked || !pool_crashes > 0 then exit 1)
+        if coverage then
+          List.iter
+            (fun (_, space, groups) ->
+              print_string (Coverage.to_string (Coverage.analyze space groups));
+              print_newline ())
+            o.Fuzz.coverage_sets;
+        emit_observers obs r;
+        Option.iter
+          (fun (addr, text) ->
+            emit_trail tr
+              ~header:
+                (Printf.sprintf "-- failure event trail%s (replay with --seed %d) --"
+                   (block_part addr) o.Fuzz.seed)
+              text)
+          (Campaign.trail (Campaign.Fuzzed o));
+        if Campaign.failed (Campaign.Fuzzed o) || r.Campaign.crashes > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "fuzz" ~doc:"Bombard the guard with a pathological accelerator")
-    Term.(const action $ config_arg $ topology_arg $ seed_arg $ seeds_arg $ jobs_arg
-          $ mute_arg $ timeout_arg $ trace_flag $ trace_out_arg $ coverage_flag
-          $ spans_flag $ spans_out_arg $ metrics_term $ fault_drop_arg $ fault_dup_arg
-          $ fault_corrupt_arg $ fault_delay_arg $ fault_script_arg $ reliable_link_flag
-          $ chaos_period_arg $ chaos_respond_arg $ chaos_requests_only_flag
-          $ chaos_tarpit_arg $ recover_flag $ recover_lives_arg $ budget_req_arg
-          $ budget_inv_arg $ budget_fetch_arg)
+    Term.(ret (const action $ one_config $ link_term $ timeout_arg $ chaos_term $ seeds_arg
+               $ sweep_term $ coverage_flag $ observers_term ~timeline:true))
 
 (* ---- campaign ---- *)
 
 let campaign_cmd =
-  let config_arg =
+  let target_arg =
     let doc =
       "Configuration to sweep, or $(b,all) for the full 12-configuration matrix. \
        Known: " ^ String.concat ", " config_names ^ "."
     in
-    Arg.(value & opt string "all" & info [ "c"; "config" ] ~docv:"CONFIG" ~doc)
+    let selection =
+      one_of ~what:"configuration"
+        ~name:(function [ c ] -> Config.name c | _ -> "all")
+        (configs :: List.map (fun c -> [ c ]) configs)
+    in
+    target Arg.(value & opt selection configs & info [ "c"; "config" ] ~docv:"CONFIG" ~doc)
   in
   let seeds_arg =
     Arg.(value & opt positive_int 20
@@ -991,51 +822,56 @@ let campaign_cmd =
                    $(b,fuzz) (chaos accelerator, XG configurations) or $(b,both).")
   in
   let ops_arg =
-    Arg.(value & opt int 500
+    Arg.(value & opt positive_int 500
          & info [ "ops" ] ~docv:"N" ~doc:"Stress operations per core per run.")
   in
+  (* xguard fuzz always runs Fuzz_tester's default CPU ops. *)
+  let fuzz_cpu_ops = 300 in
   let cpu_ops_arg =
-    Arg.(value & opt int 300
+    Arg.(value & opt positive_int fuzz_cpu_ops
          & info [ "cpu-ops" ] ~docv:"N" ~doc:"Checked CPU operations per core per fuzz run.")
   in
-  let action config topology seeds jobs kind ops cpu_ops seed coverage spans mopts trace
-      trace_out drop dup corrupt delay scripts reliable recover lives breq binv bfetch =
-    let configs =
-      match topology with
-      | Some spec -> [ Config.of_topology (parse_topology spec) ]
-      | None ->
-          if config = "all" then Config.all_configurations ()
-          else (
-            match find_config config with
-            | Some c -> [ c ]
-            | None ->
-                Printf.eprintf "unknown configuration %S\nknown: all, %s\n" config
-                  (String.concat ", " config_names);
-                exit 1)
+  (* Every failure trail names the one-seed command that replays its job. *)
+  let header ~link ~ops ~cpu_ops (o : Campaign.outcome) addr =
+    let target = target_flag o.Campaign.config and seed = o.Campaign.seed in
+    let kind, replay =
+      match o.Campaign.run with
+      | Campaign.Stressed _ ->
+          ( "stress",
+            Printf.sprintf "replay with xguard stress %s --seed %d --seeds 1 --ops %d%s" target
+              seed ops link.flags )
+      | _ when cpu_ops <> fuzz_cpu_ops ->
+          ( "fuzz",
+            Printf.sprintf "no exact replay: xguard fuzz runs %d CPU ops per core, this job ran %d"
+              fuzz_cpu_ops cpu_ops )
+      | _ -> ("fuzz", Printf.sprintf "replay with xguard fuzz %s --seed %d%s" target seed link.flags)
     in
-    let configs =
-      List.map (apply_link_faults ~drop ~dup ~corrupt ~delay ~scripts ~reliable) configs
-    in
-    let configs = List.map (apply_recovery ~recover ~lives ~breq ~binv ~bfetch) configs in
-    let tr = make_trace ~trace ~trace_out in
-    check_trace_jobs ~jobs tr;
-    let result =
+    Printf.sprintf "-- %s %s seed %d event trail%s (%s) --" (Config.name o.Campaign.config) kind
+      seed (block_part addr) replay
+  in
+  let action configs link seeds (tr, jobs) kind ops cpu_ops coverage obs =
+    (* -s rides in every selected configuration; it roots the derivation. *)
+    let seed = (List.hd configs).Config.seed in
+    let r =
       Campaign.run ~workers:jobs ~collect_coverage:coverage ~stress_ops:ops
-        ~fuzz_cpu_ops:cpu_ops ~base_seed:seed ~spans ~metrics:(metrics_on mopts)
-        ?watchdog:mopts.m_watchdog ?trace:tr kind ~configs ~seeds ()
+        ~fuzz_cpu_ops:cpu_ops ~seeding:(Campaign.Derived seed) ~observers:obs.arm
+        ?trace:tr.ring kind ~configs:(List.map link.apply configs) ~seeds ()
     in
-    print_string (Campaign.render result);
-    emit_metrics ~mopts
-      ~span_cells:(Spans.Summary.cells result.Campaign.span_total)
-      result.Campaign.metrics;
-    (* All shards' failure trails go out in one emit so --trace-out holds the
+    print_string (Campaign.render r);
+    emit_metrics obs ~span_cells:(Spans.Summary.cells r.Campaign.span_total) r.Campaign.metrics;
+    (* All jobs' failure trails go out in one emit so --trace-out holds the
        full set (emit_trail truncates its file on every call). *)
-    (match result.Campaign.trails with
+    (match
+       List.filter_map
+         (fun (o : Campaign.outcome) ->
+           Option.map
+             (fun (addr, text) -> header ~link ~ops ~cpu_ops o addr ^ "\n" ^ text)
+             (Campaign.trail o.Campaign.run))
+         (Array.to_list r.Campaign.outcomes)
+     with
     | [] -> ()
-    | trails ->
-        emit_trail ~trace_out ~header:"== campaign failure trails =="
-          (String.concat "\n" (List.map (fun (h, t) -> h ^ "\n" ^ t) trails)));
-    if not (Campaign.passed result) then exit 1
+    | trails -> emit_trail tr ~header:"== campaign failure trails ==" (String.concat "\n" trails));
+    if not (Campaign.passed r) then exit 1
   in
   Cmd.v
     (Cmd.info "campaign"
@@ -1050,14 +886,12 @@ let campaign_cmd =
                outcomes are merged in job order with the pure merge functions of \
                the stats/coverage/harness layers, and the rendered report is \
                byte-identical for any $(b,-j).  A crashing job is isolated and \
-               reported as a failed run for its configuration.";
+               reported as a failed run for its configuration.  Every failure \
+               trail names the one-seed $(b,stress) or $(b,fuzz) command that \
+               replays its job.";
          ])
-    Term.(const action $ config_arg $ topology_arg $ seeds_arg $ jobs_arg $ kind_arg
-          $ ops_arg $ cpu_ops_arg $ seed_arg $ coverage_flag $ spans_flag $ metrics_term
-          $ trace_flag $ trace_out_arg $ fault_drop_arg $ fault_dup_arg
-          $ fault_corrupt_arg $ fault_delay_arg $ fault_script_arg $ reliable_link_flag
-          $ recover_flag $ recover_lives_arg $ budget_req_arg $ budget_inv_arg
-          $ budget_fetch_arg)
+    Term.(const action $ target_arg $ link_term $ seeds_arg $ sweep_term $ kind_arg $ ops_arg
+          $ cpu_ops_arg $ coverage_flag $ observers_term ~timeline:false)
 
 (* ---- report ---- *)
 
@@ -1069,19 +903,10 @@ module Table = Xguard_stats.Table
 module Histogram = Xguard_stats.Histogram
 
 let read_lines file =
-  let ic =
-    try open_in file
-    with Sys_error e ->
-      Printf.eprintf "cannot read metrics stream: %s\n" e;
-      exit 1
-  in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  List.rev !lines
+  try In_channel.with_open_text file In_channel.input_lines
+  with Sys_error e ->
+    Printf.eprintf "cannot read metrics stream: %s\n" e;
+    exit 1
 
 let hist_cells h =
   let q p = match Histogram.quantile h p with None -> "-" | Some v -> Table.cell_int v in
@@ -1261,8 +1086,8 @@ let health_report ~objectives ~html files =
 
 let report_cmd =
   let id_arg =
-    Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT"
-           ~doc:"Experiment id (t1 f1 f2 e1-e11 a1 a2) or 'all'.")
+    Arg.(value & pos 0 (one_of ~what:"experiment" ~name:Fun.id ("all" :: Experiments.ids)) "all"
+         & info [] ~docv:"EXPERIMENT" ~doc:"Experiment id (t1 f1 f2 e1-e11 a1 a2) or 'all'.")
   in
   let quick_arg = Arg.(value & flag & info [ "quick" ] ~doc:"Reduced-size run.") in
   let metrics_files_arg =
@@ -1295,12 +1120,9 @@ let report_cmd =
       in
       if id = "all" then List.iter print (Experiments.all ~quick ())
       else
-        match Experiments.by_id id with
-        | Some f -> print (f ~quick ())
-        | None ->
-            Printf.eprintf "unknown experiment %S; known: %s\n" id
-              (String.concat ", " Experiments.ids);
-            exit 1
+        Option.iter
+          (fun (f : ?quick:bool -> unit -> Experiments.report) -> print (f ~quick ()))
+          (Experiments.by_id id)
   in
   Cmd.v
     (Cmd.info "report"
@@ -1326,12 +1148,12 @@ let list_cmd =
 module Checker = Xguard_check.Checker
 
 let check_cmd =
-  let plan_names = List.map fst (Checker.tiny_plans ()) in
+  let plans = Checker.tiny_plans () in
   let configs_arg =
-    Arg.(value & opt_all string []
+    Arg.(value & opt_all (one_of ~what:"check configuration" ~name:fst plans) []
          & info [ "c"; "config" ] ~docv:"NAME"
              ~doc:("Tiny configuration(s) to check, repeatable; default all. One of: "
-                   ^ String.concat ", " plan_names ^ "."))
+                   ^ String.concat ", " (List.map fst plans) ^ "."))
   in
   let max_depth_arg =
     Arg.(value & opt (some positive_int) None
@@ -1349,7 +1171,7 @@ let check_cmd =
                    reduction-free state graph).")
   in
   let budget_arg =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some positive_float) None
          & info [ "budget" ] ~docv:"SECONDS"
              ~doc:"Wall-clock budget: configurations not yet started when it \
                    expires are skipped (exploration in progress is finished).")
@@ -1419,21 +1241,12 @@ let check_cmd =
   in
   let action configs max_depth max_states no_por jobs budget baseline write_baseline
       replay coverage =
-    let plans =
-      let all = Checker.tiny_plans () in
-      match configs with
-      | [] -> all
-      | names ->
-          List.map
-            (fun n ->
-              match List.assoc_opt n all with
-              | Some p -> (n, p)
-              | None ->
-                  Printf.eprintf "unknown check configuration %S\nknown: %s\n" n
-                    (String.concat ", " plan_names);
-                  exit 1)
-            names
-    in
+    let selected = if configs = [] then plans else configs in
+    refuse_if
+      (if replay <> None && List.length selected <> 1 then
+         Some "--replay needs exactly one --config"
+       else None)
+    @@ fun () ->
     let adjust (name, p) =
       ( name,
         {
@@ -1443,16 +1256,9 @@ let check_cmd =
           por = (not no_por) && p.Checker.por;
         } )
     in
-    let plans = List.map adjust plans in
-    match replay with
-    | Some trail -> (
-        let name, plan =
-          match plans with
-          | [ np ] -> np
-          | _ ->
-              Printf.eprintf "--replay needs exactly one --config\n";
-              exit 1
-        in
+    let plans = List.map adjust selected in
+    match (replay, plans) with
+    | Some trail, [ (name, plan) ] -> (
         let outcome, events =
           try Checker.replay plan trail
           with Invalid_argument m ->
@@ -1467,7 +1273,7 @@ let check_cmd =
         | `Terminal -> Printf.printf "replay(%s): terminal, no violation\n" name
         | `Incomplete ->
             Printf.printf "replay(%s): trail exhausted before a terminal\n" name)
-    | None ->
+    | _ ->
         let baseline =
           Option.map
             (fun file ->
@@ -1570,9 +1376,9 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:"Exhaustively model-check the guard invariants on tiny configurations")
-    Term.(const action $ configs_arg $ max_depth_arg $ max_states_arg $ no_por_flag
-          $ jobs_arg $ budget_arg $ baseline_arg $ write_baseline_arg $ replay_arg
-          $ coverage_pairs_flag)
+    Term.(ret (const action $ configs_arg $ max_depth_arg $ max_states_arg $ no_por_flag
+               $ jobs_arg $ budget_arg $ baseline_arg $ write_baseline_arg $ replay_arg
+               $ coverage_pairs_flag))
 
 let () =
   let doc = "Crossing Guard: mediating host-accelerator coherence interactions (reproduction)" in

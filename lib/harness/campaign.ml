@@ -1,4 +1,3 @@
-module Engine = Xguard_sim.Engine
 module Rng = Xguard_sim.Rng
 module Table = Xguard_stats.Table
 module Coverage = Xguard_trace.Coverage
@@ -11,31 +10,171 @@ module Watchdog = Xguard_obs.Watchdog
 
 type kind = Stress | Fuzz | Both
 
-type t = {
-  tables : Table.t list;
-  span_tables : Table.t list;
-  coverage : Coverage.report list;
-  trails : (string * string) list;
-  jobs : int;
-  failures : int;
-  crashes : int;
-  metrics : Metrics.Summary.t;
-  span_total : Spans.Summary.t;
+(* ---- observers ---- *)
+
+type observers = {
+  spans : bool;
+  timeline : bool;
+  metrics : bool;
+  watchdog : Watchdog.config option;
 }
 
-type coverage_sets =
-  (string * Coverage.space * Xguard_stats.Counter.Group.t list) list
+let no_observers = { spans = false; timeline = false; metrics = false; watchdog = None }
 
-(* One job = one self-contained simulator run.  The result carries everything
-   the fold needs so no job ever touches shared state. *)
-(* Reliability-layer counters for the XG link; [faults = []] whenever the
-   link could never fault, so fault-free reports keep their historical shape. *)
-type link_info = { faults : (string * int) list; l_quarantined : bool }
+(* Metrics always ride an armed span recorder: per-tick quantiles read it,
+   even when the span tables themselves were not requested. *)
+let observe obs ~label f =
+  let sr =
+    if obs.spans || obs.timeline || obs.metrics then
+      Some (Spans.create ~timeline:obs.timeline ())
+    else None
+  in
+  let mr = if obs.metrics then Some (Metrics.create ?watchdog:obs.watchdog ()) else None in
+  let armed with_armed r f = match r with None -> f () | Some r -> with_armed r f in
+  let res = armed Spans.with_armed sr (fun () -> armed Metrics.with_armed mr f) in
+  (res, sr, match mr with None -> Metrics.Summary.empty | Some m -> Metrics.summary ~label m)
 
-type job_result =
-  | Stress_r of
-      Random_tester.outcome * int (* guard violations *) * coverage_sets * link_info
-  | Fuzz_r of Fuzz_tester.outcome * coverage_sets
+(* ---- jobs ---- *)
+
+type stress_run = {
+  tester : Random_tester.outcome;
+  violations : int;
+  link_faults : (string * int) list;
+  quarantined : bool;
+  budget_trips : int;
+  rejoins : int;
+  permakilled : bool;
+  coverage : (string * Coverage.space * Xguard_stats.Counter.Group.t list) list;
+  trail : string option;
+}
+
+type run = Stressed of stress_run | Fuzzed of Fuzz_tester.outcome | Crashed of string
+
+type outcome = {
+  config : Config.t;
+  seed : int;
+  label : string;
+  run : run;
+  spans : Spans.Summary.t;
+  timeline : Spans.recorder option;
+  metrics : Metrics.Summary.t;
+}
+
+type chaos = {
+  period : int option;
+  respond : float option;
+  requests_only : bool option;
+  tarpit : int option;
+}
+
+let default_chaos = { period = None; respond = None; requests_only = None; tarpit = None }
+
+type seeding = Derived of int | Consecutive of int
+
+let failed = function
+  | Stressed r ->
+      r.tester.Random_tester.data_errors > 0 || r.tester.Random_tester.deadlocked
+      || r.violations > 0
+  (* Guard violations are the fuzzer's *purpose*, and under the default
+     shared-rw pool the accelerator may legitimately write the checked
+     blocks, so data checks are advisory (paper §2.3.2); only a crash or
+     deadlock fails a fuzz run. *)
+  | Fuzzed o -> o.Fuzz_tester.crashed <> None || o.Fuzz_tester.deadlocked
+  | Crashed _ -> true
+
+let trail_tail = 60
+
+let trail = function
+  | Stressed r -> Option.map (fun t -> (r.tester.Random_tester.first_error_addr, t)) r.trail
+  | Fuzzed o -> (
+      let tail =
+        match o.Fuzz_tester.crashed with
+        | Some c -> c.Fuzz_tester.trace_tail
+        | None -> o.Fuzz_tester.trace_tail
+      in
+      match tail with
+      | [] -> None
+      | _ ->
+          (* Forensics readers must know when the ring wrapped and the trail
+             is incomplete. *)
+          let d = o.Fuzz_tester.trace_dropped in
+          let dropped_line =
+            if d = 0 then []
+            else
+              [ Printf.sprintf "(%d event%s dropped — ring wrapped)" d
+                  (if d = 1 then "" else "s") ]
+          in
+          Some
+            ( o.Fuzz_tester.first_error_addr,
+              String.concat "\n" (dropped_line @ List.map Trace.format_event tail) ))
+  | Crashed _ -> None
+
+let link_totals counts =
+  ( List.fold_left
+      (fun n (k, v) ->
+        if String.length k > 9 && String.sub k 0 9 = "injected." then n + v else n)
+      0 counts,
+    Option.value ~default:0 (List.assoc_opt "retransmit_frames" counts) )
+
+(* Availability is noted where the system is still visible — inside the job,
+   while this job's recorder is armed. *)
+let note_guard_avail (sys : System.t) ~now =
+  if Metrics.on () then
+    Array.iter
+      (fun (g : System.guard) ->
+        let guard = if g.System.g_id = "" then "xg" else "xg." ^ g.System.g_id in
+        Metrics.note_avail ~guard ~down:(Xg.Xg_core.down_cycles g.System.g_core ~now) ~now)
+      sys.System.guards
+
+let stress_job ~ops ~collect_coverage ?sim_j ?trace cfg seed =
+  let cfg = Config.stress_sized { cfg with Config.seed } in
+  let traced f = match trace with None -> f () | Some tr -> Trace.with_armed tr f in
+  let sys, o =
+    match sim_j with
+    | Some workers ->
+        (* One tester per domain over disjoint address slices — comparable
+           across any [sim_j], not with the shared-address tester below. *)
+        Option.iter Trace.clear trace;
+        traced (fun () -> Pdes.run_stress ~workers ~seed ~ops_per_core:ops cfg)
+    | None ->
+        let sys = System.build cfg in
+        let ports = Array.append sys.System.cpu_ports sys.System.accel_ports in
+        Option.iter Trace.clear trace;
+        ( sys,
+          traced (fun () ->
+              Random_tester.run ~engine:sys.System.engine
+                ~rng:(Rng.create ~seed:((seed * 7) + 1))
+                ~ports
+                ~addresses:(Array.init 6 Addr.block)
+                ~ops_per_core:ops ()) )
+  in
+  note_guard_avail sys ~now:o.Random_tester.cycles;
+  let guards f = Array.fold_left (fun n g -> n + f g.System.g_core) 0 sys.System.guards in
+  let violations = Xg.Os_model.error_count sys.System.os in
+  let r =
+    {
+      tester = o;
+      violations;
+      link_faults = sys.System.link_stats ();
+      quarantined = sys.System.quarantined ();
+      budget_trips = guards Xg.Xg_core.budget_trips;
+      rejoins = guards Xg.Xg_core.rejoins;
+      permakilled =
+        Array.exists (fun g -> Xg.Xg_core.permakilled g.System.g_core) sys.System.guards;
+      coverage = (if collect_coverage then sys.System.coverage_sets () else []);
+      trail = None;
+    }
+  in
+  if not (failed (Stressed r)) then r
+  else
+    let addr = o.Random_tester.first_error_addr in
+    { r with trail = Option.map (Trace.dump ?addr ~last:trail_tail) trace }
+
+let fuzz_job ~cpu_ops ~chaos ?trace cfg seed =
+  Option.iter Trace.clear trace;
+  Fuzz_tester.run { cfg with Config.seed } ~cpu_ops ?chaos_period:chaos.period
+    ?respond_probability:chaos.respond ?requests_only:chaos.requests_only
+    ?tarpit:chaos.tarpit ?trace ()
 
 let stress_configs kind configs =
   match kind with Stress | Both -> configs | Fuzz -> []
@@ -48,119 +187,19 @@ let fuzz_configs kind configs =
 let job_count kind ~configs ~seeds =
   seeds * (List.length (stress_configs kind configs) + List.length (fuzz_configs kind configs))
 
-let trail_tail = 60
+(* ---- the campaign ---- *)
 
-let run_stress ~collect_coverage ~ops ?trace cfg seed =
-  let cfg = Config.stress_sized { cfg with Config.seed = seed } in
-  let sys = System.build cfg in
-  let ports = Array.append sys.System.cpu_ports sys.System.accel_ports in
-  (match trace with Some tr -> Trace.clear tr | None -> ());
-  let maybe_armed f =
-    match trace with None -> f () | Some tr -> Trace.with_armed tr f
-  in
-  let o =
-    maybe_armed (fun () ->
-        Random_tester.run ~engine:sys.System.engine
-          ~rng:(Rng.create ~seed:(seed + 1))
-          ~ports
-          ~addresses:(Array.init 6 Addr.block)
-          ~ops_per_core:ops ())
-  in
-  let violations = Xg.Os_model.error_count sys.System.os in
-  let cov = if collect_coverage then sys.System.coverage_sets () else [] in
-  let link =
-    { faults = sys.System.link_stats (); l_quarantined = sys.System.quarantined () }
-  in
-  (* Availability is noted where the system is still visible — inside the job,
-     while this job's recorder is armed. *)
-  if Metrics.on () then begin
-    let now = Engine.now sys.System.engine in
-    Array.iter
-      (fun (g : System.guard) ->
-        let guard =
-          if g.System.g_id = "" then "xg" else "xg." ^ g.System.g_id
-        in
-        Metrics.note_avail ~guard
-          ~down:(Xg.Xg_core.down_cycles g.System.g_core ~now)
-          ~now)
-      sys.System.guards
-  end;
-  let bad = o.Random_tester.data_errors > 0 || o.Random_tester.deadlocked || violations > 0 in
-  let trail =
-    if not bad then None
-    else
-      Option.map
-        (fun tr ->
-          let addr = o.Random_tester.first_error_addr in
-          ( Printf.sprintf "-- %s stress seed %d event trail%s --" (Config.name cfg) seed
-              (match addr with
-              | Some a -> Printf.sprintf " for block 0x%x" a
-              | None -> ""),
-            Trace.dump ?addr ~last:trail_tail tr ))
-        trace
-  in
-  (Stress_r (o, violations, cov, link), trail)
-
-let run_fuzz ~collect_coverage ~cpu_ops ?trace cfg seed =
-  (match trace with Some tr -> Trace.clear tr | None -> ());
-  let o = Fuzz_tester.run { cfg with Config.seed } ~cpu_ops ?trace () in
-  let cov = if collect_coverage then o.Fuzz_tester.coverage_sets else [] in
-  let tail =
-    match o.Fuzz_tester.crashed with
-    | Some c -> c.Fuzz_tester.trace_tail
-    | None -> o.Fuzz_tester.trace_tail
-  in
-  let trail =
-    match tail with
-    | [] -> None
-    | _ ->
-        let d = o.Fuzz_tester.trace_dropped in
-        let dropped_line =
-          if d = 0 then []
-          else
-            [ Printf.sprintf "(%d event%s dropped — ring wrapped)" d
-                (if d = 1 then "" else "s") ]
-        in
-        Some
-          ( Printf.sprintf "-- %s fuzz seed %d event trail%s --" (Config.name cfg) seed
-              (match o.Fuzz_tester.first_error_addr with
-              | Some a -> Printf.sprintf " for block 0x%x" a
-              | None -> ""),
-            String.concat "\n" (dropped_line @ List.map Trace.format_event tail) )
-  in
-  (Fuzz_r (o, cov), trail)
-
-(* Per-configuration accumulator for the summary tables. *)
-type acc = {
-  mutable runs : int;
-  mutable ops : int;
-  mutable chaos : int;
-  mutable ops_expected : int;
-  mutable data_errors : int;
-  mutable deadlocks : int;
-  mutable violations : int;
-  mutable crashes : int;
-  mutable failed_runs : int;
-  mutable link_faults : (string * int) list;
-  mutable quarantines : int;
-  mutable span : Spans.Summary.t;
+type t = {
+  tables : Table.t list;
+  span_tables : Table.t list;
+  coverage : Coverage.report list;
+  outcomes : outcome array;
+  jobs : int;
+  failures : int;
+  crashes : int;
+  metrics : Metrics.Summary.t;
+  span_total : Spans.Summary.t;
 }
-
-let fresh_acc () =
-  {
-    runs = 0;
-    ops = 0;
-    chaos = 0;
-    ops_expected = 0;
-    data_errors = 0;
-    deadlocks = 0;
-    violations = 0;
-    crashes = 0;
-    failed_runs = 0;
-    link_faults = [];
-    quarantines = 0;
-    span = Spans.Summary.empty;
-  }
 
 (* Sum two counter assoc lists, keeping [a]'s label order then [b]-only
    labels, so merged tables are stable for any worker count. *)
@@ -168,259 +207,211 @@ let merge_counts a b =
   List.map (fun (k, n) -> (k, n + Option.value ~default:0 (List.assoc_opt k b))) a
   @ List.filter (fun (k, _) -> not (List.mem_assoc k a)) b
 
-let note_link acc ~faults ~quarantined =
-  if faults <> [] then acc.link_faults <- merge_counts acc.link_faults faults;
-  if quarantined then acc.quarantines <- acc.quarantines + 1
+(* Crashed jobs, and fuzz runs whose harness caught a crash. *)
+let crashes = function
+  | Crashed _ -> 1
+  | Fuzzed o -> Bool.to_int (o.Fuzz_tester.crashed <> None)
+  | Stressed _ -> 0
 
-let injected_total counts =
-  List.fold_left
-    (fun n (k, v) ->
-      if String.length k > 9 && String.sub k 0 9 = "injected." then n + v else n)
-    0 counts
-
-let count_of counts label = Option.value ~default:0 (List.assoc_opt label counts)
+let link = function
+  | Stressed r -> (r.link_faults, r.quarantined)
+  | Fuzzed o -> (o.Fuzz_tester.link_faults, o.Fuzz_tester.quarantined)
+  | Crashed _ -> ([], false)
 
 let run ?(workers = 1) ?(collect_coverage = false) ?(stress_ops = 500)
-    ?(fuzz_cpu_ops = 300) ?(base_seed = 42) ?(spans = false) ?(metrics = false)
-    ?watchdog ?trace kind ~configs ~seeds () =
+    ?(fuzz_cpu_ops = 300) ?(seeding = Derived 42) ?(observers = no_observers)
+    ?(chaos = default_chaos) ?sim_j ?trace kind ~configs ~seeds () =
   if seeds < 0 then invalid_arg "Campaign.run: negative seed count";
   let s_configs = Array.of_list (stress_configs kind configs) in
   let f_configs = Array.of_list (fuzz_configs kind configs) in
   let n_stress = Array.length s_configs * seeds in
   let n_fuzz = Array.length f_configs * seeds in
   let jobs = n_stress + n_fuzz in
-  let job_seeds = Pool.Seed.derive_all ~base:base_seed ~count:jobs in
-  let job i =
-    let seed = job_seeds.(i) in
+  let seed_of =
+    match seeding with
+    | Derived base ->
+        let s = Pool.Seed.derive_all ~base ~count:jobs in
+        fun i -> s.(i)
+    | Consecutive first -> fun i -> first + (i mod seeds)
+  in
+  (* Jobs run stress block then fuzz block, configuration-major, seed-minor. *)
+  let describe i =
+    let stress = i < n_stress in
+    let cfg = if stress then s_configs.(i / seeds) else f_configs.((i - n_stress) / seeds) in
+    let seed = seed_of i in
     let label =
-      if i < n_stress then
-        Printf.sprintf "stress/%s/seed%d" (Config.name s_configs.(i / seeds)) seed
-      else
-        Printf.sprintf "fuzz/%s/seed%d"
-          (Config.name f_configs.((i - n_stress) / seeds))
-          seed
+      match seeding with
+      | Consecutive _ -> Printf.sprintf "seed %d" seed
+      | Derived _ ->
+          Printf.sprintf "%s/%s/seed%d" (if stress then "stress" else "fuzz") (Config.name cfg)
+            seed
     in
-    let body () =
-      if i < n_stress then
-        run_stress ~collect_coverage ~ops:stress_ops ?trace s_configs.(i / seeds) seed
-      else
-        run_fuzz ~collect_coverage ~cpu_ops:fuzz_cpu_ops ?trace
-          f_configs.((i - n_stress) / seeds)
-          seed
+    (stress, cfg, seed, label)
+  in
+  let job i =
+    let stress, cfg, seed, label = describe i in
+    (* One recorder per job, armed on this worker's domain only; summaries
+       travel back as plain data and merge purely in job order. *)
+    let run, sr, metrics =
+      observe observers ~label (fun () ->
+          if stress then
+            Stressed
+              (stress_job ~ops:stress_ops ~collect_coverage ?sim_j ?trace cfg seed)
+          else Fuzzed (fuzz_job ~cpu_ops:fuzz_cpu_ops ~chaos ?trace cfg seed))
     in
-    if spans || metrics then begin
-      (* One recorder per job, armed on this worker's domain only; the
-         summary travels back as plain data and merges purely in job order.
-         Metrics always ride an armed span recorder: per-tick quantiles read
-         it, even when the span tables themselves were not requested. *)
-      let sr = Spans.create () in
-      if metrics then begin
-        let mr = Metrics.create ?watchdog () in
-        let res, trail =
-          Spans.with_armed sr (fun () -> Metrics.with_armed mr body)
-        in
-        (res, trail, Spans.summary sr, Metrics.summary ~label mr)
-      end
-      else
-        let res, trail = Spans.with_armed sr body in
-        (res, trail, Spans.summary sr, Metrics.Summary.empty)
-    end
-    else
-      let res, trail = body () in
-      (res, trail, Spans.Summary.empty, Metrics.Summary.empty)
+    let spans = match sr with None -> Spans.Summary.empty | Some r -> Spans.summary r in
+    (run, spans, (if observers.timeline then sr else None), metrics)
   in
-  let results = Pool.map ~workers ~jobs job in
-  (* Fold per configuration, in job order: byte-identical for any [workers]. *)
-  let cov_order : string list ref = ref [] in
-  let cov_tbl :
-      (string, Coverage.space * Xguard_stats.Counter.Group.t list ref) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let note_coverage sets =
-    List.iter
-      (fun (name, space, groups) ->
-        match Hashtbl.find_opt cov_tbl name with
-        | Some (_, acc) -> acc := !acc @ groups
-        | None ->
-            cov_order := name :: !cov_order;
-            Hashtbl.add cov_tbl name (space, ref groups))
-      sets
-  in
-  let trails = ref [] in
-  (* Whole-campaign totals, merged strictly in job order (the fold below
-     visits stress block then fuzz block, configuration-major, seed-minor —
-     exactly the job enumeration), so any [workers] yields the same value. *)
-  let metrics_total = ref Metrics.Summary.empty in
-  let span_total = ref Spans.Summary.empty in
-  let fold_block configs offset fail_of =
+  let outcomes =
     Array.mapi
-      (fun c cfg ->
-        let acc = fresh_acc () in
-        for s = 0 to seeds - 1 do
-          acc.runs <- acc.runs + 1;
-          match results.(offset + (c * seeds) + s) with
-          | Pool.Failed _ ->
-              acc.crashes <- acc.crashes + 1;
-              acc.failed_runs <- acc.failed_runs + 1
-          | Pool.Done (r, trail, span_sum, metrics_sum) ->
-              acc.span <- Spans.Summary.merge acc.span span_sum;
-              span_total := Spans.Summary.merge !span_total span_sum;
-              metrics_total := Metrics.Summary.merge !metrics_total metrics_sum;
-              (match trail with Some tr -> trails := tr :: !trails | None -> ());
-              let failed = fail_of acc r in
-              if failed then acc.failed_runs <- acc.failed_runs + 1
-        done;
-        (cfg, acc))
-      configs
+      (fun i result ->
+        let _, config, seed, label = describe i in
+        (* Crash isolation: a raising job reports as a failed run instead of
+           killing the sweep. *)
+        let run, spans, timeline, metrics =
+          match result with
+          | Pool.Done r -> r
+          | Pool.Failed e -> (Crashed e, Spans.Summary.empty, None, Metrics.Summary.empty)
+        in
+        { config; seed; label; run; spans; timeline; metrics })
+      (Pool.map ~workers ~jobs job)
   in
-  let stress_rows =
-    fold_block s_configs 0 (fun acc r ->
-        match r with
-        | Stress_r (o, viol, cov, link) ->
-            acc.ops <- acc.ops + o.Random_tester.ops_completed;
-            acc.data_errors <- acc.data_errors + o.Random_tester.data_errors;
-            if o.Random_tester.deadlocked then acc.deadlocks <- acc.deadlocks + 1;
-            acc.violations <- acc.violations + viol;
-            note_link acc ~faults:link.faults ~quarantined:link.l_quarantined;
-            note_coverage cov;
-            o.Random_tester.data_errors > 0 || o.Random_tester.deadlocked || viol > 0
-        | Fuzz_r _ -> assert false)
+  (* Everything below folds the outcomes in job order, so it is
+     byte-identical for any [workers].  A crashed job's summaries are empty,
+     so merging them is a no-op. *)
+  let sum f os = Array.fold_left (fun n o -> n + f o.run) 0 os in
+  let stress f = sum (function Stressed r -> f r | _ -> 0) in
+  let fuzz f = sum (function Fuzzed o -> f o | _ -> 0) in
+  let merge_spans os =
+    Array.fold_left (fun acc o -> Spans.Summary.merge acc o.spans) Spans.Summary.empty os
   in
-  let fuzz_rows =
-    fold_block f_configs n_stress (fun acc r ->
-        match r with
-        | Fuzz_r (o, cov) ->
-            acc.chaos <- acc.chaos + o.Fuzz_tester.chaos_messages;
-            acc.ops <- acc.ops + o.Fuzz_tester.cpu_ops_completed;
-            acc.ops_expected <- acc.ops_expected + o.Fuzz_tester.cpu_ops_expected;
-            acc.data_errors <- acc.data_errors + o.Fuzz_tester.cpu_data_errors;
-            if o.Fuzz_tester.deadlocked then acc.deadlocks <- acc.deadlocks + 1;
-            acc.violations <- acc.violations + o.Fuzz_tester.violations;
-            (match o.Fuzz_tester.crashed with
-            | Some _ -> acc.crashes <- acc.crashes + 1
-            | None -> ());
-            note_link acc ~faults:o.Fuzz_tester.link_faults
-              ~quarantined:o.Fuzz_tester.quarantined;
-            note_coverage cov;
-            (* Guard violations are the fuzzer's *purpose*, and under the
-               default shared-rw pool the accelerator may legitimately write
-               the checked blocks, so data checks are advisory (paper §2.3.2);
-               only a crash or deadlock fails a fuzz run. *)
-            o.Fuzz_tester.crashed <> None || o.Fuzz_tester.deadlocked
-        | Stress_r _ -> assert false)
-  in
-  let status acc = if acc.failed_runs = 0 then "ok" else "FAIL" in
-  let lossy rows = Array.exists (fun (_, acc) -> acc.link_faults <> []) rows in
-  let fault_columns = [ "injected"; "retx"; "quarantines" ] in
-  let fault_cells acc =
-    [
-      Table.cell_int (injected_total acc.link_faults);
-      Table.cell_int (count_of acc.link_faults "retransmit_frames");
-      Table.cell_int acc.quarantines;
-    ]
-  in
-  let tables = ref [] in
-  if Array.length s_configs > 0 then begin
-    let faulty = lossy stress_rows in
-    let table =
-      Table.create
-        ~title:(Printf.sprintf "Campaign: random coherence stress (%d seeds/config)" seeds)
-        ~columns:
-          ([ "Configuration"; "runs"; "ops"; "data errors"; "deadlocks"; "violations";
-             "crashes" ]
-          @ (if faulty then fault_columns else [])
-          @ [ "result" ])
-    in
-    Array.iter
-      (fun (cfg, acc) ->
-        Table.add_row table
-          ([
-             Config.name cfg;
-             Table.cell_int acc.runs;
-             Table.cell_int acc.ops;
-             Table.cell_int acc.data_errors;
-             Table.cell_int acc.deadlocks;
-             Table.cell_int acc.violations;
-             Table.cell_int acc.crashes;
-           ]
-          @ (if faulty then fault_cells acc else [])
-          @ [ status acc ]))
-      stress_rows;
-    tables := [ table ]
-  end;
-  if Array.length f_configs > 0 then begin
-    let faulty = lossy fuzz_rows in
-    let table =
-      Table.create
-        ~title:(Printf.sprintf "Campaign: guard fuzzing (%d seeds/config)" seeds)
-        ~columns:
-          ([ "Configuration"; "runs"; "chaos msgs"; "cpu ops"; "data errors";
-             "deadlocks"; "violations"; "crashes" ]
-          @ (if faulty then fault_columns else [])
-          @ [ "result" ])
-    in
-    Array.iter
-      (fun (cfg, acc) ->
-        Table.add_row table
-          ([
-             Config.name cfg;
-             Table.cell_int acc.runs;
-             Table.cell_int acc.chaos;
-             Printf.sprintf "%d/%d" acc.ops acc.ops_expected;
-             Table.cell_int acc.data_errors;
-             Table.cell_int acc.deadlocks;
-             Table.cell_int acc.violations;
-             Table.cell_int acc.crashes;
-           ]
-          @ (if faulty then fault_cells acc else [])
-          @ [ status acc ]))
-      fuzz_rows;
-    tables := !tables @ [ table ]
-  end;
-  let coverage =
-    List.rev_map
-      (fun name ->
-        let space, groups = Hashtbl.find cov_tbl name in
-        Coverage.analyze space !groups)
-      !cov_order
-    (* [cov_order] is built last-seen-first; rev_map restores first-seen order. *)
-  in
-  let failures =
-    Array.fold_left (fun n (_, a) -> n + a.failed_runs) 0 stress_rows
-    + Array.fold_left (fun n (_, a) -> n + a.failed_runs) 0 fuzz_rows
-  in
-  let crashes =
+  let link_faults os =
     Array.fold_left
-      (fun n -> function Pool.Failed _ -> n + 1 | Pool.Done _ -> n)
-      0 results
+      (fun acc o -> match fst (link o.run) with [] -> acc | f -> merge_counts acc f)
+      [] os
   in
+  (* One row per configuration, over its slice of the outcomes. *)
+  let rows configs offset =
+    Array.to_list
+      (Array.mapi (fun c cfg -> (cfg, Array.sub outcomes (offset + (c * seeds)) seeds)) configs)
+  in
+  let table ~title ~columns rows cells =
+    let faulty = List.exists (fun (_, os) -> link_faults os <> []) rows in
+    let t =
+      Table.create ~title
+        ~columns:
+          (columns @ (if faulty then [ "injected"; "retx"; "quarantines" ] else []) @ [ "result" ])
+    in
+    List.iter
+      (fun (cfg, os) ->
+        let injected, retx = link_totals (link_faults os) in
+        Table.add_row t
+          ((Config.name cfg :: Table.cell_int (Array.length os) :: cells os)
+          @ (if faulty then
+               List.map Table.cell_int
+                 [ injected; retx; sum (fun r -> Bool.to_int (snd (link r))) os ]
+             else [])
+          @ [ (if sum (fun r -> Bool.to_int (failed r)) os = 0 then "ok" else "FAIL") ]))
+      rows;
+    t
+  in
+  let stress_rows = rows s_configs 0 and fuzz_rows = rows f_configs n_stress in
+  let tables =
+    (if Array.length s_configs = 0 then []
+     else
+       [
+         table
+           ~title:(Printf.sprintf "Campaign: random coherence stress (%d seeds/config)" seeds)
+           ~columns:
+             [ "Configuration"; "runs"; "ops"; "data errors"; "deadlocks"; "violations";
+               "crashes" ]
+           stress_rows
+           (fun os ->
+             List.map Table.cell_int
+               [
+                 stress (fun r -> r.tester.Random_tester.ops_completed) os;
+                 stress (fun r -> r.tester.Random_tester.data_errors) os;
+                 stress (fun r -> Bool.to_int r.tester.Random_tester.deadlocked) os;
+                 stress (fun r -> r.violations) os;
+                 sum crashes os;
+               ]);
+       ])
+    @
+    if Array.length f_configs = 0 then []
+    else
+      [
+        table
+          ~title:(Printf.sprintf "Campaign: guard fuzzing (%d seeds/config)" seeds)
+          ~columns:
+            [ "Configuration"; "runs"; "chaos msgs"; "cpu ops"; "data errors"; "deadlocks";
+              "violations"; "crashes" ]
+          fuzz_rows
+          (fun os ->
+            let fuzz f = fuzz f os in
+            Fuzz_tester.(
+              Table.cell_int (fuzz (fun o -> o.chaos_messages))
+              :: Printf.sprintf "%d/%d"
+                   (fuzz (fun o -> o.cpu_ops_completed))
+                   (fuzz (fun o -> o.cpu_ops_expected))
+              :: List.map Table.cell_int
+                   [
+                     fuzz (fun o -> o.cpu_data_errors);
+                     fuzz (fun o -> Bool.to_int o.deadlocked);
+                     fuzz (fun o -> o.violations);
+                     sum crashes os;
+                   ]));
+      ]
+  in
+  (* Coverage merges per controller kind, in first-seen order. *)
+  let cov_order = ref [] and cov_tbl = Hashtbl.create 8 in
+  Array.iter
+    (fun o ->
+      let sets =
+        match o.run with
+        | Stressed r -> r.coverage
+        | Fuzzed f when collect_coverage -> f.Fuzz_tester.coverage_sets
+        | _ -> []
+      in
+      List.iter
+        (fun (name, space, groups) ->
+          match Hashtbl.find_opt cov_tbl name with
+          | Some (_, acc) -> acc := !acc @ groups
+          | None ->
+              cov_order := name :: !cov_order;
+              Hashtbl.add cov_tbl name (space, ref groups))
+        sets)
+    outcomes;
   let span_tables =
     (* Metrics-only runs arm span recorders for quantile sampling, but the
-       attribution tables remain opt-in via [spans] so metrics never change
-       the pre-existing report text. *)
-    if not spans then []
+       attribution tables remain opt-in via [observers.spans] so metrics never
+       change the pre-existing report text. *)
+    if not observers.spans then []
     else
-      let of_rows label rows =
-        List.filter_map
-          (fun (cfg, acc) ->
-            Spans.Summary.attribution_table
-              ~title:
-                (Printf.sprintf "Latency attribution (cycles): %s %s" label (Config.name cfg))
-              acc.span)
-          (Array.to_list rows)
-      in
-      of_rows "stress" stress_rows @ of_rows "fuzz" fuzz_rows
+      List.filter_map
+        (fun (label, (cfg, os)) ->
+          Spans.Summary.attribution_table
+            ~title:(Printf.sprintf "Latency attribution (cycles): %s %s" label (Config.name cfg))
+            (merge_spans os))
+        (List.map (fun r -> ("stress", r)) stress_rows @ List.map (fun r -> ("fuzz", r)) fuzz_rows)
   in
   {
-    tables = !tables;
+    tables;
     span_tables;
-    coverage;
-    trails = List.rev !trails;
+    coverage =
+      List.rev_map
+        (fun name ->
+          let space, groups = Hashtbl.find cov_tbl name in
+          Coverage.analyze space !groups)
+        !cov_order;
+    outcomes;
     jobs;
-    failures;
-    crashes;
-    metrics = !metrics_total;
-    span_total = !span_total;
+    failures = sum (fun r -> Bool.to_int (failed r)) outcomes;
+    crashes = sum (function Crashed _ -> 1 | _ -> 0) outcomes;
+    metrics =
+      Array.fold_left
+        (fun acc (o : outcome) -> Metrics.Summary.merge acc o.metrics)
+        Metrics.Summary.empty outcomes;
+    span_total = merge_spans outcomes;
   }
 
 let passed t = t.failures = 0
@@ -431,12 +422,7 @@ let render t =
     (fun table ->
       Buffer.add_string buf (Table.to_string table);
       Buffer.add_char buf '\n')
-    t.tables;
-  List.iter
-    (fun table ->
-      Buffer.add_string buf (Table.to_string table);
-      Buffer.add_char buf '\n')
-    t.span_tables;
+    (t.tables @ t.span_tables);
   List.iter
     (fun report ->
       Buffer.add_string buf (Coverage.to_string report);

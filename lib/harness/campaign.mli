@@ -19,12 +19,106 @@
     [tools/check_campaign.sh].
 
     {b Crash isolation}: a job whose harness raises is reported as a crashed
-    run for its configuration; the rest of the sweep is unaffected. *)
+    run for its configuration; the rest of the sweep is unaffected.
+
+    [xguard campaign], [stress] and [fuzz] all run their seeds here.  A job
+    depends on its (kind, configuration, seed) triple alone, so any campaign
+    job replays as a one-seed [stress] or [fuzz] run. *)
 
 type kind =
   | Stress  (** random coherence tester on every selected configuration *)
   | Fuzz  (** chaos accelerator on every selected XG configuration *)
   | Both
+
+(** {1 Observers} *)
+
+type observers = {
+  spans : bool;  (** arm a span recorder and report its attribution tables *)
+  timeline : bool;  (** the span recorder also buffers a Perfetto timeline *)
+  metrics : bool;
+      (** arm a {!Xguard_obs.Metrics} recorder, always beside an armed span
+          recorder (per-tick quantiles read it) *)
+  watchdog : Xguard_obs.Watchdog.config option;  (** the metrics recorder's rules *)
+}
+
+val no_observers : observers
+
+val observe :
+  observers ->
+  label:string ->
+  (unit -> 'a) ->
+  'a * Xguard_obs.Spans.recorder option * Xguard_obs.Metrics.Summary.t
+(** [observe obs ~label f] arms the recorders [obs] asks for on the calling
+    domain around [f ()] and returns [f]'s result, the span recorder and the
+    metrics summary under [label] (empty when metrics are off). *)
+
+(** {1 Jobs} *)
+
+type stress_run = {
+  tester : Random_tester.outcome;
+  violations : int;  (** guard violations recorded by the OS model *)
+  link_faults : (string * int) list;
+      (** reliability-layer counters for the XG link ([System.link_stats]);
+          [[]] whenever the link could never fault *)
+  quarantined : bool;
+  budget_trips : int;  (** summed over guards *)
+  rejoins : int;  (** summed over guards *)
+  permakilled : bool;
+  coverage :
+    (string * Xguard_trace.Coverage.space * Xguard_stats.Counter.Group.t list) list;
+      (** [[]] unless coverage was collected *)
+  trail : string option;
+      (** the failing block's event trail; only when a trace buffer was
+          supplied and the run failed *)
+}
+
+type run =
+  | Stressed of stress_run
+  | Fuzzed of Fuzz_tester.outcome
+  | Crashed of string  (** the job's harness raised: [Printexc.to_string] *)
+
+type outcome = {
+  config : Config.t;  (** as selected, before stress sizing *)
+  seed : int;
+  label : string;  (** the job's name in metrics streams and span timelines *)
+  run : run;
+  spans : Xguard_obs.Spans.Summary.t;  (** empty unless spans or metrics were armed *)
+  timeline : Xguard_obs.Spans.recorder option;
+      (** the job's span recorder, kept only when [observers.timeline] *)
+  metrics : Xguard_obs.Metrics.Summary.t;  (** empty unless metrics were armed *)
+}
+
+val failed : run -> bool
+(** A stress run fails on data errors, deadlock or guard violations; a fuzz
+    run only on crash or deadlock (violations are what the fuzzer provokes,
+    and its data checks are advisory — paper §2.3.2). *)
+
+val trail : run -> (int option * string) option
+(** The run's failure event trail and the block it follows, when it was
+    traced and failed (a wrapped ring is noted on the first line). *)
+
+val link_totals : (string * int) list -> int * int
+(** [(injected faults, retransmitted frames)] of a link counter list. *)
+
+(** Knobs of the chaos accelerator, forwarded to {!Fuzz_tester.run}; [None]
+    keeps its default. *)
+type chaos = {
+  period : int option;
+  respond : float option;
+  requests_only : bool option;
+  tarpit : int option;
+}
+
+(** Where each job's seed comes from. *)
+type seeding =
+  | Derived of int
+      (** job [i] runs the [i]th seed of the stream rooted at this base
+          ({!Xguard_parallel.Pool.Seed}) and is labelled [KIND/CONFIG/seedN] *)
+  | Consecutive of int
+      (** the [s]th seed of every configuration is this seed [+ s], and jobs
+          are labelled [seed N] — the sweeps of [xguard stress] and [fuzz] *)
+
+(** {1 Campaigns} *)
 
 type t = {
   tables : Xguard_stats.Table.t list;
@@ -32,19 +126,13 @@ type t = {
   span_tables : Xguard_stats.Table.t list;
       (** per-configuration latency-attribution tables (segment x txn
           percentiles), merged in job order from each job's span summary;
-          empty unless spans were requested *)
+          empty unless [observers.spans] *)
   coverage : Xguard_trace.Coverage.report list;
       (** per-controller-kind transition coverage merged over every run;
           empty unless requested *)
-  trails : (string * string) list;
-      (** [(header, text)] failure event trails in job order; non-empty only
-          when a trace buffer was supplied and some run failed *)
+  outcomes : outcome array;  (** every job's outcome, in job order *)
   jobs : int;
-  failures : int;
-      (** failed jobs.  A stress run fails on data errors, deadlock or guard
-          violations; a fuzz run fails only on crash or deadlock (violations
-          are what the fuzzer exists to provoke, and data checks are advisory
-          under its shared-rw pool — paper §2.3.2) *)
+  failures : int;  (** jobs whose run {!failed} *)
   crashes : int;  (** jobs whose harness raised (isolated by the pool) *)
   metrics : Xguard_obs.Metrics.Summary.t;
       (** whole-campaign metrics summary, blocks in job order; empty unless
@@ -64,10 +152,10 @@ val run :
   ?collect_coverage:bool ->
   ?stress_ops:int ->
   ?fuzz_cpu_ops:int ->
-  ?base_seed:int ->
-  ?spans:bool ->
-  ?metrics:bool ->
-  ?watchdog:Xguard_obs.Watchdog.config ->
+  ?seeding:seeding ->
+  ?observers:observers ->
+  ?chaos:chaos ->
+  ?sim_j:int ->
   ?trace:Xguard_trace.Trace.t ->
   kind ->
   configs:Config.t list ->
@@ -78,19 +166,18 @@ val run :
     configuration.  [workers] defaults to 1 (serial); [stress_ops] is
     operations per core per stress run (default 500, matching the CLI);
     [fuzz_cpu_ops] is checked CPU operations per core per fuzz run (default
-    300); [base_seed] roots the job→seed derivation (default 42).
-    [collect_coverage] (default false) merges every run's transition-coverage
-    groups into {!t.coverage}.  [spans] (default false) arms one span
-    recorder per job ({!Xguard_obs.Spans}) and merges the summaries into
-    {!t.span_tables} — still byte-identical for any [workers], since each
-    worker domain arms its own recorder and summaries merge purely in job
-    order.  [metrics] (default false) additionally arms one
-    {!Xguard_obs.Metrics} recorder per job (with [watchdog] rules when
-    given), always alongside an armed span recorder, and merges every job's
-    telemetry into {!t.metrics} / {!t.span_total} under the same job-order
-    discipline; the rendered report text is unchanged.  [trace] collects
-    per-shard failure event trails into {!t.trails}; the ring buffer is
-    shared, so tracing requires [workers = 1] (the CLI enforces this). *)
+    300, {!Fuzz_tester.run}'s); [seeding] defaults to [Derived 42].  A stress
+    job sizes its configuration with {!Config.stress_sized} and seeds its
+    tester with [seed * 7 + 1]; with [sim_j] it runs {!Pdes.run_stress} on
+    that many workers instead.  A fuzz job forwards [chaos] to
+    {!Fuzz_tester.run}.  [collect_coverage] (default false) merges every
+    run's transition-coverage groups into {!t.coverage}.  [observers]
+    (default {!no_observers}) arms one set of recorders per job through
+    {!observe}, on whichever worker domain runs it; summaries merge purely
+    in job order, so the result is byte-identical for any [workers].
+    [trace] collects failure event trails into each outcome; the ring
+    buffer is shared, so tracing requires [workers = 1] (the CLI enforces
+    this). *)
 
 val render : t -> string
 (** The full merged report: tables, coverage matrices (when collected) and a

@@ -1150,39 +1150,22 @@ module Spans = Xguard_obs.Spans
 module Metrics = Xguard_obs.Metrics
 module Slo = Xguard_obs.Slo
 
-(* Run one stress workload with the telemetry stack armed and judge the
-   given objectives against exactly what the metrics layer recorded. *)
+(* One campaign stress job with the metrics stack armed, judged against the
+   given objectives on exactly what the metrics layer recorded. *)
 let e11_measure ~ops ~seed ~objectives cfg =
-  let sr = Spans.create () in
-  let mr = Metrics.create () in
-  Spans.with_armed sr (fun () ->
-      Metrics.with_armed mr (fun () ->
-          let sys = System.build cfg in
-          let ports =
-            Array.append sys.System.cpu_ports sys.System.accel_ports
-          in
-          let o =
-            Random_tester.run ~engine:sys.System.engine
-              ~rng:(Rng.create ~seed:(seed * 7 + 1))
-              ~ports
-              ~addresses:(Array.init 6 Addr.block)
-              ~ops_per_core:ops ()
-          in
-          let now = Engine.now sys.System.engine in
-          Array.iter
-            (fun (g : System.guard) ->
-              let guard =
-                if g.System.g_id = "" then "xg" else "xg." ^ g.System.g_id
-              in
-              Metrics.note_avail ~guard
-                ~down:(Xg.Xg_core.down_cycles g.System.g_core ~now)
-                ~now)
-            sys.System.guards;
-          ignore o));
-  let msum = Metrics.summary ~label:(Config.name cfg) mr in
+  let r =
+    Campaign.run ~stress_ops:ops ~seeding:(Campaign.Consecutive seed)
+      ~observers:{ Campaign.no_observers with Campaign.metrics = true }
+      Campaign.Stress ~configs:[ cfg ] ~seeds:1 ()
+  in
+  let o = r.Campaign.outcomes.(0) in
+  (match o.Campaign.run with
+  | Campaign.Crashed e -> failwith ("E11 stress job crashed: " ^ e)
+  | _ -> ());
+  let msum = o.Campaign.metrics in
   let verdicts =
     Slo.evaluate objectives
-      ~span_cells:(Spans.Summary.cells (Spans.summary sr))
+      ~span_cells:(Spans.Summary.cells o.Campaign.spans)
       ~guard_hists:(Metrics.Summary.hists msum)
       ~avail:(Metrics.Summary.avails msum)
   in
@@ -1223,7 +1206,6 @@ let e11_slo ?(quick = false) () =
   in
   List.iter
     (fun cfg ->
-      let cfg = Config.stress_sized { cfg with Config.seed = 7 } in
       let samples, verdicts = e11_measure ~ops ~seed:7 ~objectives cfg in
       Table.add_row sweep
         [
@@ -1253,10 +1235,9 @@ let e11_slo ?(quick = false) () =
     | Error e -> invalid_arg e
   in
   let cfg = { (Config.of_topology topo) with Config.seed = 11 } in
-  let sr = Spans.create () in
-  let mr = Metrics.create () in
-  Spans.with_armed sr (fun () ->
-      Metrics.with_armed mr (fun () ->
+  let (), _, msum =
+    Campaign.observe { Campaign.no_observers with Campaign.metrics = true }
+      ~label:"tarpit topology" (fun () ->
           (* Guard 0's accelerator stack stays unattached; a scripted tarpit
              endpoint sits on its link instead. *)
           let sys = System.build ~attach_accel:false cfg in
@@ -1295,8 +1276,8 @@ let e11_slo ?(quick = false) () =
               ~addresses:(Array.init 6 Addr.block)
               ~ops_per_core:t_ops ()
           in
-          ignore o));
-  let msum = Metrics.summary ~label:"tarpit topology" mr in
+          ignore o)
+  in
   let verdicts =
     Slo.evaluate
       (parse (Printf.sprintf "inv.roundtrip:p99<=%d" inv_bound))

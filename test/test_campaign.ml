@@ -10,6 +10,7 @@ module Campaign = Xguard_harness.Campaign
 module Config = Xguard_harness.Config
 module Tester = Xguard_harness.Random_tester
 module Fuzz = Xguard_harness.Fuzz_tester
+module Fault = Xguard_network.Network.Fault
 
 let config_named name =
   List.find (fun c -> Config.name c = name) (Config.all_configurations ())
@@ -195,8 +196,8 @@ let test_campaign_stress_j_invariance () =
     List.filteri (fun i _ -> i < 3) (Config.all_configurations ())
   in
   let run w =
-    Campaign.run ~workers:w ~stress_ops:60 ~base_seed:9 Campaign.Stress ~configs
-      ~seeds:3 ()
+    Campaign.run ~workers:w ~stress_ops:60 ~seeding:(Campaign.Derived 9) Campaign.Stress
+      ~configs ~seeds:3 ()
   in
   let r1 = run 1 and r4 = run 4 in
   Alcotest.(check int)
@@ -209,11 +210,62 @@ let test_campaign_both_j_invariance () =
   let render w =
     Campaign.render
       (Campaign.run ~workers:w ~collect_coverage:true ~stress_ops:60
-         ~fuzz_cpu_ops:60 ~base_seed:7 Campaign.Both ~configs ~seeds:1 ())
+         ~fuzz_cpu_ops:60 ~seeding:(Campaign.Derived 7) Campaign.Both ~configs ~seeds:1
+         ())
   in
   let r1 = render 1 in
   Alcotest.(check string) "-j 2 output equals -j 1" r1 (render 2);
   Alcotest.(check string) "-j 4 output equals -j 1" r1 (render 4)
+
+(* Every campaign job replays alone: a lossy, recovering campaign's derived
+   seeds, each re-run as the one-seed sweep `xguard stress --seed S --seeds 1`
+   performs, reproduce the job exactly — ops, cycles, link counters,
+   recovery lifecycle and coverage. *)
+let test_campaign_jobs_replay () =
+  let cfg =
+    {
+      (config_named "hammer/xg-trans-1lvl") with
+      Config.link_faults = Some { Fault.zero with Fault.drop = 0.05 };
+      recovery = Some (Xguard_xg.Xg_core.make_recovery ());
+    }
+  in
+  let sweep seeding seeds =
+    Campaign.run ~collect_coverage:true ~stress_ops:200 ~seeding Campaign.Stress
+      ~configs:[ cfg ] ~seeds ()
+  in
+  let stressed (o : Campaign.outcome) =
+    match o.Campaign.run with
+    | Campaign.Stressed r -> r
+    | _ -> Alcotest.failf "job seed %d did not complete" o.Campaign.seed
+  in
+  let coverage (r : Campaign.stress_run) =
+    List.map
+      (fun (name, space, groups) ->
+        (name, Coverage.to_string (Coverage.analyze space groups)))
+      r.Campaign.coverage
+  in
+  let campaign = sweep (Campaign.Derived 42) 3 in
+  Array.iter
+    (fun (o : Campaign.outcome) ->
+      let job = stressed o in
+      let replay =
+        stressed (sweep (Campaign.Consecutive o.Campaign.seed) 1).Campaign.outcomes.(0)
+      in
+      let what = Printf.sprintf "seed %d: %s" o.Campaign.seed in
+      let t = job.Campaign.tester and t' = replay.Campaign.tester in
+      Alcotest.(check int) (what "ops") t.Tester.ops_completed t'.Tester.ops_completed;
+      Alcotest.(check int) (what "cycles") t.Tester.cycles t'.Tester.cycles;
+      Alcotest.(check (list (pair string int)))
+        (what "link counters") job.Campaign.link_faults replay.Campaign.link_faults;
+      Alcotest.(check int) (what "rejoins") job.Campaign.rejoins replay.Campaign.rejoins;
+      Alcotest.(check (list (pair string string)))
+        (what "coverage") (coverage job) (coverage replay))
+    campaign.Campaign.outcomes;
+  Alcotest.(check bool)
+    "the link really faulted" true
+    (Array.exists
+       (fun o -> fst (Campaign.link_totals (stressed o).Campaign.link_faults) > 0)
+       campaign.Campaign.outcomes)
 
 let tests =
   [
@@ -233,5 +285,6 @@ let tests =
           test_campaign_stress_j_invariance;
         Alcotest.test_case "campaign both -j invariance" `Slow
           test_campaign_both_j_invariance;
+        Alcotest.test_case "campaign jobs replay alone" `Slow test_campaign_jobs_replay;
       ] );
   ]

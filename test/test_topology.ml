@@ -171,7 +171,8 @@ let test_topology_campaign_j_invariance () =
   let render w =
     Campaign.render
       (Campaign.run ~workers:w ~collect_coverage:true ~stress_ops:60
-         ~fuzz_cpu_ops:60 ~base_seed:13 Campaign.Both ~configs ~seeds:2 ())
+         ~fuzz_cpu_ops:60 ~seeding:(Campaign.Derived 13) Campaign.Both ~configs ~seeds:2
+         ())
   in
   let r1 = render 1 in
   Alcotest.(check string) "-j 2 output equals -j 1" r1 (render 2);

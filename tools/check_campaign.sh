@@ -53,11 +53,17 @@ if ! grep -q '^PASS$' "$out/topo_j1.txt"; then
   exit 1
 fi
 
-echo "== stress CLI determinism: --seeds 4 under -j 1/3 =="
+# A lossy, recovering link, so the per-seed link[...] and rec[...] parts of
+# the shared job-order fold are checked for -j identity too.
+echo "== stress CLI determinism: lossy --seeds 4 under -j 1/3 =="
 dune exec bin/xguard_cli.exe -- stress -c mesi/xg-full-1lvl --seeds 4 -j 1 \
-  > "$out/stress_j1.txt"
+  --fault-drop 0.05 --recover > "$out/stress_j1.txt"
 dune exec bin/xguard_cli.exe -- stress -c mesi/xg-full-1lvl --seeds 4 -j 3 \
-  > "$out/stress_j3.txt"
+  --fault-drop 0.05 --recover > "$out/stress_j3.txt"
+grep -q 'link\[inj=.*rec\[rejoins=' "$out/stress_j1.txt" || {
+  echo "FAIL: lossy stress lines lack their link[...]/rec[...] parts" >&2
+  exit 1
+}
 diff -u "$out/stress_j1.txt" "$out/stress_j3.txt" || {
   echo "FAIL: stress output differs between -j 1 and -j 3" >&2
   exit 1

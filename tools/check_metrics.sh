@@ -156,8 +156,8 @@ EOF
   else
     echo "  warning: python3 not found; grep probes only" >&2
     grep -q '"schema":"xguard-metrics-v1"' "$file"
-    grep -q '"type":"sample"' "$file"
-    grep -q '"type":"slo"' "$file"
+    grep -q '"t":"sample"' "$file"
+    grep -q '"t":"slo"' "$file"
     echo "  $file: grep probes ok (schema not fully validated)"
   fi
 }

@@ -75,9 +75,12 @@ elif ! grep -q 'sim-j' "$out/inelig"; then
 else
   echo "  guard-less config refused with a reason"
 fi
-if "$CLI" stress -c hammer/xg-trans-1lvl --drop 0.01 --sim-j 2 --seeds 1 \
+if "$CLI" stress -c hammer/xg-trans-1lvl --fault-drop 0.01 --sim-j 2 --seeds 1 \
     > "$out/inelig2" 2>&1; then
   echo "check_pdes: FAIL: faulty-link config accepted --sim-j" >&2
+  fail=1
+elif ! grep -q 'sim-j' "$out/inelig2"; then
+  echo "check_pdes: FAIL: rejection message does not mention --sim-j" >&2
   fail=1
 else
   echo "  faulty-link config refused with a reason"
