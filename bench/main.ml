@@ -204,19 +204,17 @@ let run_micro ~sim_j () =
         results [])
     benchmarks
 
-(* With --trace, run [f] with an armed ring buffer and dump its tail if the
-   experiment machinery raises — the forensics path of lib/trace. *)
-let with_tracing ~traced f =
-  if not traced then f ()
-  else begin
-    let module Trace = Xguard_trace.Trace in
-    let tr = Trace.create ~capacity:8192 () in
-    try Trace.with_armed tr f
-    with e ->
-      let tail = Trace.dump ~last:60 tr in
-      if tail <> "" then Printf.eprintf "-- event trail (last 60 events) --\n%s\n" tail;
-      raise e
-  end
+(* Run [f] and, if the experiment machinery raises while a trace ring is
+   armed (--trace), dump the ring's tail — the forensics path of lib/trace. *)
+let dump_trail_on_failure f =
+  try f ()
+  with e ->
+    (match Xguard_obs.Obs.trace () with
+    | Some tr ->
+        let tail = Xguard_trace.Trace.dump ~last:60 tr in
+        if tail <> "" then Printf.eprintf "-- event trail (last 60 events) --\n%s\n" tail
+    | None -> ());
+    raise e
 
 (* ---- hand-rolled JSON (the container carries no yojson) ---- *)
 
@@ -352,11 +350,6 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   let quick = !quick and traced = !traced and jobs = !jobs and spans = !spans in
   let sim_j = !sim_j in
-  if traced && jobs > 1 then begin
-    (* The trace ring's arming state is process-global — see Trace. *)
-    Printf.eprintf "--trace requires -j 1\n";
-    exit 2
-  end;
   (* "micro" may stand alone or ride along with experiment ids (e.g.
      `bench e1 micro --json ...`); a BENCH_*.json baseline generated with
      `bench --quick micro --json OUT` then carries both the experiment wall
@@ -393,9 +386,10 @@ let () =
             let ev0 = Engine.events_fired_here () in
             let t0 = Unix.gettimeofday () in
             let r, rec_, _ =
-              with_tracing ~traced (fun () ->
-                  Campaign.observe { Campaign.no_observers with Campaign.spans } ~label:id
-                    (fun () -> f ~quick ()))
+              Campaign.observe
+                { Campaign.no_observers with Campaign.trace = traced; spans }
+                ~label:id
+                (fun () -> dump_trail_on_failure (fun () -> f ~quick ()))
             in
             let wall = Unix.gettimeofday () -. t0 in
             (* With --spans, the attribution table rides along in the report

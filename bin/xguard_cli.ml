@@ -9,10 +9,11 @@
      list     — enumerate configurations, workloads and experiments
      check    — exhaustively model-check the guard invariants on tiny configs
 
-   run/stress/fuzz accept --trace (arm the protocol event ring buffer and
-   dump the per-address trail plus replay seed on failure), --trace-out FILE
-   (write that trail to a file) and, for stress/fuzz/campaign, --coverage
-   (print the per-controller state x event transition-coverage matrices).
+   run/stress/fuzz/campaign accept --trace (give each run its own protocol
+   event ring buffer and dump the per-address trail plus replay seed on
+   failure), --trace-out FILE (write every trail to a file) and, for
+   stress/fuzz/campaign, --coverage (print the per-controller state x event
+   transition-coverage matrices).
 
    stress, fuzz and campaign run every seed through Harness.Campaign: one job
    runner per kind, one observer-arming wrapper, one job-order fold.  -j N
@@ -20,10 +21,10 @@
    results are merged in job order, so the output is byte-identical for any
    -j; only wall-clock changes.  This file only parses flags and renders.
 
-   Flags shared between subcommands come from the term groups below (target,
-   trace, observers, link).  Every input check, cross-flag ones included,
-   runs at parse time: bad input exits 124 with a reason before anything
-   runs.
+   Flags shared between subcommands come from the term groups below
+   (target, observers — the event trace among them — and link).  Every
+   input check, cross-flag ones included, runs at parse time: bad input
+   exits 124 with a reason before anything runs.
 *)
 
 open Cmdliner
@@ -41,6 +42,7 @@ module Coverage = Xguard_trace.Coverage
 module Campaign = Xguard_harness.Campaign
 module Pdes = Xguard_harness.Pdes
 module Network = Xguard_network.Network
+module Obs = Xguard_obs.Obs
 module Spans = Xguard_obs.Spans
 module Perfetto = Xguard_obs.Perfetto
 module Metrics = Xguard_obs.Metrics
@@ -192,29 +194,6 @@ let target_flag (cfg : Config.t) =
   | Some t -> "--topology " ^ Filename.quote (Topology.to_string t)
   | None -> "-c " ^ Config.name cfg
 
-(* ---- trace: --trace and --trace-out ---- *)
-
-type trace = { ring : Trace.t option; out : string option }
-
-let trace_term =
-  let flag =
-    Arg.(value & flag
-         & info [ "trace" ]
-             ~doc:"Arm the protocol event ring buffer; on failure the event trail \
-                   (and the seed that replays it) is dumped.")
-  in
-  let out =
-    Arg.(value & opt (some string) None
-         & info [ "trace-out" ] ~docv:"FILE"
-             ~doc:"Write dumped event trails to $(docv) instead of stdout (implies \
-                   $(b,--trace)).")
-  in
-  let make trace out =
-    let ring = if trace || out <> None then Some (Trace.create ~capacity:8192 ()) else None in
-    { ring; out }
-  in
-  Term.(const make $ flag $ out)
-
 let jobs_arg =
   Arg.(value & opt domains 1
        & info [ "j"; "jobs" ] ~docv:"N"
@@ -222,27 +201,7 @@ let jobs_arg =
                  Results are merged in job order, so output is byte-identical for \
                  any $(docv).")
 
-(* The trace ring buffer is armed process-wide (Trace.with_armed), so traced
-   sweeps must stay on one domain. *)
-let sweep_term =
-  let check tr jobs =
-    if jobs > 1 && tr.ring <> None then `Error (false, "--trace/--trace-out require -j 1")
-    else `Ok (tr, jobs)
-  in
-  Term.(ret (const check $ trace_term $ jobs_arg))
-
 let tail_events = 60
-
-(* Print a dumped trail, or write it to --trace-out. *)
-let emit_trail tr ~header text =
-  if text <> "" then
-    match tr.out with
-    | None -> Printf.printf "%s\n%s\n" header text
-    | Some file ->
-        let oc = open_out file in
-        Printf.fprintf oc "%s\n%s\n" header text;
-        close_out oc;
-        Printf.printf "event trail written to %s\n" file
 
 let block_part = function Some a -> Printf.sprintf " for block 0x%x" a | None -> ""
 
@@ -251,11 +210,12 @@ let coverage_flag =
        & info [ "coverage" ]
            ~doc:"Print per-controller (state x event) transition-coverage matrices.")
 
-(* ---- observers: spans, the span timeline, streaming metrics, SLOs and the
-   watchdog ---- *)
+(* ---- observers: the event trace, spans, the span timeline, streaming
+   metrics, SLOs and the watchdog ---- *)
 
 type observers = {
   arm : Campaign.observers;
+  trace_out : string option;
   spans_out : string option;
   metrics_out : string option;
   metrics_prom : string option;
@@ -264,6 +224,18 @@ type observers = {
 
 (* [timeline] offers --spans-out (campaign has no timeline export). *)
 let observers_term ~timeline =
+  let trace =
+    Arg.(value & flag
+         & info [ "trace" ]
+             ~doc:"Arm the protocol event ring buffer; on failure the event trail \
+                   (and the seed that replays it) is dumped.")
+  in
+  let trace_out =
+    Arg.(value & opt (some string) None
+         & info [ "trace-out" ] ~docv:"FILE"
+             ~doc:"Write dumped event trails to $(docv) instead of stdout (implies \
+                   $(b,--trace)).")
+  in
   let spans =
     Arg.(value & flag
          & info [ "spans" ]
@@ -311,21 +283,33 @@ let observers_term ~timeline =
                    ledger and the obs.watchdog coverage space, never in the \
                    simulation.")
   in
-  let make spans spans_out metrics_out metrics_prom slo watchdog =
+  let make trace trace_out spans spans_out metrics_out metrics_prom slo watchdog =
     let metrics =
       metrics_out <> None || metrics_prom <> None || slo <> None || watchdog <> None
     in
     {
       arm =
-        { Campaign.spans = spans || spans_out <> None; timeline = spans_out <> None; metrics;
-          watchdog };
+        { Campaign.trace = trace || trace_out <> None; spans = spans || spans_out <> None;
+          timeline = spans_out <> None; metrics; watchdog };
+      trace_out;
       spans_out;
       metrics_out;
       metrics_prom;
       slo;
     }
   in
-  Term.(const make $ spans $ spans_out $ out $ prom $ slo $ wd)
+  Term.(const make $ trace $ trace_out $ spans $ spans_out $ out $ prom $ slo $ wd)
+
+(* Print dumped trails, or write every one of them to --trace-out in one
+   go. *)
+let emit_trails obs trails =
+  match (List.filter (fun (_, text) -> text <> "") trails, obs.trace_out) with
+  | [], _ -> ()
+  | trails, None -> List.iter (fun (header, text) -> Printf.printf "%s\n%s\n" header text) trails
+  | trails, Some file ->
+      Out_channel.with_open_text file (fun oc ->
+          List.iter (fun (header, text) -> Printf.fprintf oc "%s\n%s\n" header text) trails);
+      Printf.printf "event trail written to %s\n" file
 
 let print_span_summary sum =
   match Spans.Summary.attribution_table sum with
@@ -337,15 +321,8 @@ let print_span_summary sum =
       if r > 0 || d > 0 then
         Printf.printf "spans: %d crossings replaced, %d timeline/sample entries dropped\n" r d
 
-let emit_spans_out obs recs =
-  Option.iter
-    (fun file ->
-      Perfetto.write_file file recs;
-      Printf.printf "span timeline written to %s\n" file)
-    obs.spans_out
-
-(* The stdout metrics block, delimited so tools/check_metrics.sh can strip it
-   and compare against a metrics-off run byte-for-byte. *)
+(* The stdout metrics block, delimited so a reader can strip it and compare
+   against a metrics-off run byte-for-byte. *)
 let emit_metrics obs ~span_cells msum =
   if obs.arm.Campaign.metrics then begin
     let objectives = Option.value ~default:[] obs.slo in
@@ -395,16 +372,25 @@ let emit_metrics obs ~span_cells msum =
     print_string "== end metrics ==\n"
   end
 
-(* What every seed sweep prints after its own results: span tables, the span
+(* What every run prints after its own results: span tables, the span
    timeline and the metrics block. *)
-let emit_observers obs (r : Campaign.t) =
-  if obs.arm.Campaign.spans then print_span_summary r.Campaign.span_total;
-  emit_spans_out obs
-    (List.filter_map
-       (fun (o : Campaign.outcome) ->
-         Option.map (fun rc -> (o.Campaign.label, rc)) o.Campaign.timeline)
-       (Array.to_list r.Campaign.outcomes));
-  emit_metrics obs ~span_cells:(Spans.Summary.cells r.Campaign.span_total) r.Campaign.metrics
+let emit_observers obs ~span_total ~timelines msum =
+  if obs.arm.Campaign.spans then print_span_summary span_total;
+  Option.iter
+    (fun file ->
+      Perfetto.write_file file timelines;
+      Printf.printf "span timeline written to %s\n" file)
+    obs.spans_out;
+  emit_metrics obs ~span_cells:(Spans.Summary.cells span_total) msum
+
+let emit_sweep_observers obs (r : Campaign.t) =
+  emit_observers obs ~span_total:r.Campaign.span_total
+    ~timelines:
+      (List.filter_map
+         (fun (o : Campaign.outcome) ->
+           Option.map (fun rc -> (o.Campaign.label, rc)) o.Campaign.timeline)
+         (Array.to_list r.Campaign.outcomes))
+    r.Campaign.metrics
 
 (* ---- link: lossy-link fault injection, recovery policy and hang budgets ---- *)
 
@@ -541,43 +527,47 @@ let run_cmd =
     Arg.(value & opt workload (List.find (fun w -> w.W.name = "blocked") (W.all ()))
          & info [ "w"; "workload" ] ~docv:"WORKLOAD" ~doc)
   in
-  let action cfg w sim_j tr obs =
+  let action cfg w sim_j obs =
     refuse_if (sim_j_refusal sim_j cfg) @@ fun () ->
-    try
-      let r, rec_, msum =
-        Campaign.observe obs.arm ~label:"run" (fun () -> Perf.run ?trace:tr.ring ?sim_j cfg w)
-      in
-      Printf.printf "configuration      %s\n" r.Perf.config_name;
-      Printf.printf "workload           %s (%s)\n" w.W.name w.W.description;
-      Printf.printf "cycles             %d\n" r.Perf.cycles;
-      Printf.printf "accel accesses     %d\n" r.Perf.accel_accesses;
-      Printf.printf "mean latency       %.1f cycles\n" r.Perf.mean_accel_latency;
-      Printf.printf "p99 latency        %d cycles\n" r.Perf.p99_accel_latency;
-      Printf.printf "host bytes         %d\n" r.Perf.host_bytes;
-      Printf.printf "link bytes         %d\n" r.Perf.link_bytes;
-      Printf.printf "guard violations   %d\n" r.Perf.violations;
+    let failed e trail =
       Option.iter
-        (fun rc ->
-          let sum = Spans.summary rc in
-          if obs.arm.Campaign.spans then print_span_summary sum;
-          emit_spans_out obs [ (w.W.name, rc) ];
-          emit_metrics obs ~span_cells:(Spans.Summary.cells sum) msum)
-        rec_
-    with e ->
-      Option.iter
-        (fun ring ->
-          emit_trail tr
-            ~header:
-              (Printf.sprintf "-- event trail, last %d events (replay with --seed %d) --"
-                 tail_events cfg.Config.seed)
-            (Trace.dump ~last:tail_events ring))
-        tr.ring;
+        (fun text ->
+          emit_trails obs
+            [ ( Printf.sprintf "-- event trail, last %d events (replay with --seed %d) --"
+                  tail_events cfg.Config.seed,
+                text ) ])
+        trail;
       Printf.eprintf "run failed: %s\n" (Printexc.to_string e);
       exit 1
+    in
+    match
+      Campaign.observe obs.arm ~label:"run" (fun () ->
+          match Perf.run ?sim_j cfg w with
+          | r -> Ok r
+          | exception e -> Error (e, Option.map (Trace.dump ~last:tail_events) (Obs.trace ())))
+    with
+    | Error (e, trail), _, _ -> failed e trail
+    | Ok r, rec_, msum -> (
+        try
+          Printf.printf "configuration      %s\n" r.Perf.config_name;
+          Printf.printf "workload           %s (%s)\n" w.W.name w.W.description;
+          Printf.printf "cycles             %d\n" r.Perf.cycles;
+          Printf.printf "accel accesses     %d\n" r.Perf.accel_accesses;
+          Printf.printf "mean latency       %.1f cycles\n" r.Perf.mean_accel_latency;
+          Printf.printf "p99 latency        %d cycles\n" r.Perf.p99_accel_latency;
+          Printf.printf "host bytes         %d\n" r.Perf.host_bytes;
+          Printf.printf "link bytes         %d\n" r.Perf.link_bytes;
+          Printf.printf "guard violations   %d\n" r.Perf.violations;
+          Option.iter
+            (fun rc ->
+              emit_observers obs ~span_total:(Spans.summary rc) ~timelines:[ (w.W.name, rc) ]
+                msum)
+            rec_
+        with e -> failed e None)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a workload on one configuration")
-    Term.(ret (const action $ one_config $ workload_arg $ sim_j_arg $ trace_term
+    Term.(ret (const action $ one_config $ workload_arg $ sim_j_arg
                $ observers_term ~timeline:true))
 
 (* ---- stress ---- *)
@@ -615,44 +605,46 @@ let stress_cmd =
   let seeds_arg =
     Arg.(value & opt positive_int 5 & info [ "seeds" ] ~docv:"N" ~doc:"Number of seeds to sweep.")
   in
-  let action cfg link ops seeds (tr, jobs) sim_j coverage obs =
+  let action cfg link ops seeds jobs sim_j coverage obs =
     let cfg = link.apply cfg in
     refuse_if (sim_j_refusal sim_j cfg) @@ fun () ->
     let r =
       Campaign.run ~workers:jobs ~collect_coverage:coverage ~stress_ops:ops
         ~seeding:(Campaign.Consecutive cfg.Config.seed) ~observers:obs.arm ?sim_j
-        ?trace:tr.ring Campaign.Stress ~configs:[ cfg ] ~seeds ()
+        Campaign.Stress ~configs:[ cfg ] ~seeds ()
     in
-    Array.iter
-      (fun (o : Campaign.outcome) ->
-        let seed = o.Campaign.seed in
-        match o.Campaign.run with
-        | Campaign.Stressed s ->
-            Printf.printf "%s\n" (stress_line cfg seed s);
-            Option.iter
-              (fun (addr, text) ->
-                emit_trail tr
-                  ~header:
-                    (Printf.sprintf
-                       "-- seed %d event trail%s (replay with --seed %d --seeds 1) --" seed
-                       (block_part addr) seed)
-                  text)
-              (Campaign.trail o.Campaign.run)
-        | Campaign.Crashed e -> Printf.printf "seed %-6d CRASH %s FAIL\n" seed e
-        | Campaign.Fuzzed _ -> ())
-      r.Campaign.outcomes;
+    let trails =
+      List.concat_map
+        (fun (o : Campaign.outcome) ->
+          let seed = o.Campaign.seed in
+          match o.Campaign.run with
+          | Campaign.Stressed s ->
+              Printf.printf "%s\n" (stress_line cfg seed s);
+              List.map
+                (fun (addr, text) ->
+                  ( Printf.sprintf "-- seed %d event trail%s (replay with --seed %d --seeds 1) --"
+                      seed (block_part addr) seed,
+                    text ))
+                (Option.to_list (Campaign.trail o.Campaign.run))
+          | Campaign.Crashed e ->
+              Printf.printf "seed %-6d CRASH %s FAIL\n" seed e;
+              []
+          | Campaign.Fuzzed _ -> [])
+        (Array.to_list r.Campaign.outcomes)
+    in
+    emit_trails obs trails;
     List.iter
       (fun c ->
         print_string (Coverage.to_string c);
         print_newline ())
       r.Campaign.coverage;
-    emit_observers obs r;
+    emit_sweep_observers obs r;
     Printf.printf "%s\n" (if Campaign.passed r then "PASS" else "FAIL");
     if not (Campaign.passed r) then exit 1
   in
   Cmd.v
     (Cmd.info "stress" ~doc:"Random coherence stress test (paper section 4.1)")
-    Term.(ret (const action $ one_config $ link_term $ ops_arg $ seeds_arg $ sweep_term
+    Term.(ret (const action $ one_config $ link_term $ ops_arg $ seeds_arg $ jobs_arg
                $ sim_j_arg $ coverage_flag $ observers_term ~timeline:true))
 
 (* ---- fuzz ---- *)
@@ -715,7 +707,7 @@ let fuzz_cmd =
     in
     Term.(const make $ mute $ period $ respond $ requests_only $ tarpit)
   in
-  let action cfg link timeout chaos seeds (tr, jobs) coverage obs =
+  let action cfg link timeout chaos seeds jobs coverage obs =
     refuse_if
       (if Config.uses_xg cfg then None
        else Some "fuzzing needs a Crossing Guard configuration")
@@ -724,7 +716,7 @@ let fuzz_cmd =
     let cfg = match timeout with None -> cfg | Some t -> { cfg with Config.xg_timeout = t } in
     let r =
       Campaign.run ~workers:jobs ~seeding:(Campaign.Consecutive cfg.Config.seed)
-        ~observers:obs.arm ~chaos ?trace:tr.ring Campaign.Fuzz ~configs:[ cfg ] ~seeds ()
+        ~observers:obs.arm ~chaos Campaign.Fuzz ~configs:[ cfg ] ~seeds ()
     in
     let merged =
       Array.fold_left
@@ -779,21 +771,20 @@ let fuzz_cmd =
               print_string (Coverage.to_string (Coverage.analyze space groups));
               print_newline ())
             o.Fuzz.coverage_sets;
-        emit_observers obs r;
-        Option.iter
-          (fun (addr, text) ->
-            emit_trail tr
-              ~header:
-                (Printf.sprintf "-- failure event trail%s (replay with --seed %d) --"
-                   (block_part addr) o.Fuzz.seed)
-              text)
-          (Campaign.trail (Campaign.Fuzzed o));
+        emit_sweep_observers obs r;
+        emit_trails obs
+          (List.map
+             (fun (addr, text) ->
+               ( Printf.sprintf "-- failure event trail%s (replay with --seed %d) --"
+                   (block_part addr) o.Fuzz.seed,
+                 text ))
+             (Option.to_list (Campaign.trail (Campaign.Fuzzed o))));
         if Campaign.failed (Campaign.Fuzzed o) || r.Campaign.crashes > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "fuzz" ~doc:"Bombard the guard with a pathological accelerator")
     Term.(ret (const action $ one_config $ link_term $ timeout_arg $ chaos_term $ seeds_arg
-               $ sweep_term $ coverage_flag $ observers_term ~timeline:true))
+               $ jobs_arg $ coverage_flag $ observers_term ~timeline:true))
 
 (* ---- campaign ---- *)
 
@@ -849,18 +840,16 @@ let campaign_cmd =
     Printf.sprintf "-- %s %s seed %d event trail%s (%s) --" (Config.name o.Campaign.config) kind
       seed (block_part addr) replay
   in
-  let action configs link seeds (tr, jobs) kind ops cpu_ops coverage obs =
+  let action configs link seeds jobs kind ops cpu_ops coverage obs =
     (* -s rides in every selected configuration; it roots the derivation. *)
     let seed = (List.hd configs).Config.seed in
     let r =
       Campaign.run ~workers:jobs ~collect_coverage:coverage ~stress_ops:ops
         ~fuzz_cpu_ops:cpu_ops ~seeding:(Campaign.Derived seed) ~observers:obs.arm
-        ?trace:tr.ring kind ~configs:(List.map link.apply configs) ~seeds ()
+        kind ~configs:(List.map link.apply configs) ~seeds ()
     in
     print_string (Campaign.render r);
     emit_metrics obs ~span_cells:(Spans.Summary.cells r.Campaign.span_total) r.Campaign.metrics;
-    (* All jobs' failure trails go out in one emit so --trace-out holds the
-       full set (emit_trail truncates its file on every call). *)
     (match
        List.filter_map
          (fun (o : Campaign.outcome) ->
@@ -870,7 +859,7 @@ let campaign_cmd =
          (Array.to_list r.Campaign.outcomes)
      with
     | [] -> ()
-    | trails -> emit_trail tr ~header:"== campaign failure trails ==" (String.concat "\n" trails));
+    | trails -> emit_trails obs [ ("== campaign failure trails ==", String.concat "\n" trails) ]);
     if not (Campaign.passed r) then exit 1
   in
   Cmd.v
@@ -890,7 +879,7 @@ let campaign_cmd =
                trail names the one-seed $(b,stress) or $(b,fuzz) command that \
                replays its job.";
          ])
-    Term.(const action $ target_arg $ link_term $ seeds_arg $ sweep_term $ kind_arg $ ops_arg
+    Term.(const action $ target_arg $ link_term $ seeds_arg $ jobs_arg $ kind_arg $ ops_arg
           $ cpu_ops_arg $ coverage_flag $ observers_term ~timeline:false)
 
 (* ---- report ---- *)

@@ -2,6 +2,7 @@ module Engine = Xguard_sim.Engine
 module Group = Xguard_stats.Counter.Group
 module Xg_iface = Xguard_xg.Xg_iface
 module Trace = Xguard_trace.Trace
+module Obs = Xguard_obs.Obs
 module Coverage = Xguard_trace.Coverage
 
 type flavor = Mesi | Msi | Vi
@@ -176,9 +177,11 @@ let e_wb_ack = 7
 
 let visit t addr state event =
   Coverage.hit t.covm ~state ~event;
-  if Trace.on () then
-    Trace.transition ~cycle:(Engine.now t.engine) ~controller:t.name
-      ~addr:(Addr.to_int addr) ~state:state_names.(state) ~event:event_names.(event) ()
+  match Obs.trace () with
+  | Some tr ->
+      Trace.transition tr ~cycle:(Engine.now t.engine) ~controller:t.name
+        ~addr:(Addr.to_int addr) ~state:state_names.(state) ~event:event_names.(event) ()
+  | None -> ()
 
 let probe t addr =
   match Cache_array.find t.array addr with

@@ -502,7 +502,7 @@ let replay ?extra_invariant ?(trace_capacity = 4096) plan (trail : int list) =
   let sh = fresh_shared () in
   let prefix = Array.of_list (List.map (fun chosen -> { chosen; digest = None }) trail) in
   let outcome =
-    Trace.with_armed buf (fun () ->
+    Xguard_obs.Obs.with_trace buf (fun () ->
         let p = run_path ?extra_invariant plan ~prefix ~sh () in
         match p.ending with
         | `Violation m -> `Violation m

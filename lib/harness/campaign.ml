@@ -4,6 +4,7 @@ module Coverage = Xguard_trace.Coverage
 module Trace = Xguard_trace.Trace
 module Pool = Xguard_parallel.Pool
 module Xg = Xguard_xg
+module Obs = Xguard_obs.Obs
 module Spans = Xguard_obs.Spans
 module Metrics = Xguard_obs.Metrics
 module Watchdog = Xguard_obs.Watchdog
@@ -13,16 +14,20 @@ type kind = Stress | Fuzz | Both
 (* ---- observers ---- *)
 
 type observers = {
+  trace : bool;
   spans : bool;
   timeline : bool;
   metrics : bool;
   watchdog : Watchdog.config option;
 }
 
-let no_observers = { spans = false; timeline = false; metrics = false; watchdog = None }
+let no_observers =
+  { trace = false; spans = false; timeline = false; metrics = false; watchdog = None }
 
-(* Metrics always ride an armed span recorder: per-tick quantiles read it,
-   even when the span tables themselves were not requested. *)
+(* One observer context per call, holding a fresh recorder for each observer
+   asked for.  Metrics always ride an armed span recorder: per-tick
+   quantiles read it, even when the span tables themselves were not
+   requested. *)
 let observe obs ~label f =
   let sr =
     if obs.spans || obs.timeline || obs.metrics then
@@ -30,8 +35,9 @@ let observe obs ~label f =
     else None
   in
   let mr = if obs.metrics then Some (Metrics.create ?watchdog:obs.watchdog ()) else None in
-  let armed with_armed r f = match r with None -> f () | Some r -> with_armed r f in
-  let res = armed Spans.with_armed sr (fun () -> armed Metrics.with_armed mr f) in
+  let trace = if obs.trace then Some (Trace.create ~capacity:8192 ()) else None in
+  let ctx = { Obs.trace; spans = sr; metrics = mr } in
+  let res = if Obs.armed ctx then Obs.with_ctx ctx f else f () in
   (res, sr, match mr with None -> Metrics.Summary.empty | Some m -> Metrics.summary ~label m)
 
 (* ---- jobs ---- *)
@@ -109,44 +115,47 @@ let trail = function
               String.concat "\n" (dropped_line @ List.map Trace.format_event tail) ))
   | Crashed _ -> None
 
+(* A topology guard's counters carry its id ("a0.injected.drop"); ids hold no
+   dot, so every guard's counters sum under their unprefixed names. *)
 let link_totals counts =
-  ( List.fold_left
-      (fun n (k, v) ->
-        if String.length k > 9 && String.sub k 0 9 = "injected." then n + v else n)
-      0 counts,
-    Option.value ~default:0 (List.assoc_opt "retransmit_frames" counts) )
+  let base k =
+    match String.index_opt k '.' with
+    | Some i when not (String.starts_with ~prefix:"injected." k) ->
+        String.sub k (i + 1) (String.length k - i - 1)
+    | _ -> k
+  in
+  let sum keep = List.fold_left (fun n (k, v) -> if keep (base k) then n + v else n) 0 counts in
+  (sum (String.starts_with ~prefix:"injected."), sum (String.equal "retransmit_frames"))
 
 (* Availability is noted where the system is still visible — inside the job,
    while this job's recorder is armed. *)
 let note_guard_avail (sys : System.t) ~now =
-  if Metrics.on () then
-    Array.iter
-      (fun (g : System.guard) ->
-        let guard = if g.System.g_id = "" then "xg" else "xg." ^ g.System.g_id in
-        Metrics.note_avail ~guard ~down:(Xg.Xg_core.down_cycles g.System.g_core ~now) ~now)
-      sys.System.guards
+  match Obs.metrics () with
+  | Some mr ->
+      Array.iter
+        (fun (g : System.guard) ->
+          let guard = if g.System.g_id = "" then "xg" else "xg." ^ g.System.g_id in
+          Metrics.note_avail mr ~guard ~down:(Xg.Xg_core.down_cycles g.System.g_core ~now) ~now)
+        sys.System.guards
+  | None -> ()
 
-let stress_job ~ops ~collect_coverage ?sim_j ?trace cfg seed =
+let stress_job ~ops ~collect_coverage ?sim_j cfg seed =
   let cfg = Config.stress_sized { cfg with Config.seed } in
-  let traced f = match trace with None -> f () | Some tr -> Trace.with_armed tr f in
   let sys, o =
     match sim_j with
     | Some workers ->
         (* One tester per domain over disjoint address slices — comparable
            across any [sim_j], not with the shared-address tester below. *)
-        Option.iter Trace.clear trace;
-        traced (fun () -> Pdes.run_stress ~workers ~seed ~ops_per_core:ops cfg)
+        Pdes.run_stress ~workers ~seed ~ops_per_core:ops cfg
     | None ->
         let sys = System.build cfg in
         let ports = Array.append sys.System.cpu_ports sys.System.accel_ports in
-        Option.iter Trace.clear trace;
         ( sys,
-          traced (fun () ->
-              Random_tester.run ~engine:sys.System.engine
-                ~rng:(Rng.create ~seed:((seed * 7) + 1))
-                ~ports
-                ~addresses:(Array.init 6 Addr.block)
-                ~ops_per_core:ops ()) )
+          Random_tester.run ~engine:sys.System.engine
+            ~rng:(Rng.create ~seed:((seed * 7) + 1))
+            ~ports
+            ~addresses:(Array.init 6 Addr.block)
+            ~ops_per_core:ops () )
   in
   note_guard_avail sys ~now:o.Random_tester.cycles;
   let guards f = Array.fold_left (fun n g -> n + f g.System.g_core) 0 sys.System.guards in
@@ -168,13 +177,12 @@ let stress_job ~ops ~collect_coverage ?sim_j ?trace cfg seed =
   if not (failed (Stressed r)) then r
   else
     let addr = o.Random_tester.first_error_addr in
-    { r with trail = Option.map (Trace.dump ?addr ~last:trail_tail) trace }
+    { r with trail = Option.map (Trace.dump ?addr ~last:trail_tail) (Obs.trace ()) }
 
-let fuzz_job ~cpu_ops ~chaos ?trace cfg seed =
-  Option.iter Trace.clear trace;
+let fuzz_job ~cpu_ops ~chaos cfg seed =
   Fuzz_tester.run { cfg with Config.seed } ~cpu_ops ?chaos_period:chaos.period
     ?respond_probability:chaos.respond ?requests_only:chaos.requests_only
-    ?tarpit:chaos.tarpit ?trace ()
+    ?tarpit:chaos.tarpit ()
 
 let stress_configs kind configs =
   match kind with Stress | Both -> configs | Fuzz -> []
@@ -220,7 +228,7 @@ let link = function
 
 let run ?(workers = 1) ?(collect_coverage = false) ?(stress_ops = 500)
     ?(fuzz_cpu_ops = 300) ?(seeding = Derived 42) ?(observers = no_observers)
-    ?(chaos = default_chaos) ?sim_j ?trace kind ~configs ~seeds () =
+    ?(chaos = default_chaos) ?sim_j kind ~configs ~seeds () =
   if seeds < 0 then invalid_arg "Campaign.run: negative seed count";
   let s_configs = Array.of_list (stress_configs kind configs) in
   let f_configs = Array.of_list (fuzz_configs kind configs) in
@@ -250,14 +258,14 @@ let run ?(workers = 1) ?(collect_coverage = false) ?(stress_ops = 500)
   in
   let job i =
     let stress, cfg, seed, label = describe i in
-    (* One recorder per job, armed on this worker's domain only; summaries
-       travel back as plain data and merge purely in job order. *)
+    (* One set of recorders per job, armed on this worker's domain only;
+       summaries and trails travel back as plain data and merge purely in
+       job order. *)
     let run, sr, metrics =
       observe observers ~label (fun () ->
           if stress then
-            Stressed
-              (stress_job ~ops:stress_ops ~collect_coverage ?sim_j ?trace cfg seed)
-          else Fuzzed (fuzz_job ~cpu_ops:fuzz_cpu_ops ~chaos ?trace cfg seed))
+            Stressed (stress_job ~ops:stress_ops ~collect_coverage ?sim_j cfg seed)
+          else Fuzzed (fuzz_job ~cpu_ops:fuzz_cpu_ops ~chaos cfg seed))
     in
     let spans = match sr with None -> Spans.Summary.empty | Some r -> Spans.summary r in
     (run, spans, (if observers.timeline then sr else None), metrics)

@@ -33,6 +33,9 @@ type kind =
 (** {1 Observers} *)
 
 type observers = {
+  trace : bool;
+      (** give each job its own protocol event ring (8,192 events), for
+          failure trails *)
   spans : bool;  (** arm a span recorder and report its attribution tables *)
   timeline : bool;  (** the span recorder also buffers a Perfetto timeline *)
   metrics : bool;
@@ -48,9 +51,11 @@ val observe :
   label:string ->
   (unit -> 'a) ->
   'a * Xguard_obs.Spans.recorder option * Xguard_obs.Metrics.Summary.t
-(** [observe obs ~label f] arms the recorders [obs] asks for on the calling
-    domain around [f ()] and returns [f]'s result, the span recorder and the
-    metrics summary under [label] (empty when metrics are off). *)
+(** [observe obs ~label f] runs [f ()] under one fresh observer context
+    ({!Xguard_obs.Obs}) on the calling domain, holding a recorder for each
+    observer [obs] asks for, and returns [f]'s result, the span recorder and
+    the metrics summary under [label] (empty when metrics are off).  [f]
+    reads the trace ring, when there is one, from the context. *)
 
 (** {1 Jobs} *)
 
@@ -68,8 +73,8 @@ type stress_run = {
     (string * Xguard_trace.Coverage.space * Xguard_stats.Counter.Group.t list) list;
       (** [[]] unless coverage was collected *)
   trail : string option;
-      (** the failing block's event trail; only when a trace buffer was
-          supplied and the run failed *)
+      (** the failing block's event trail; only when [observers.trace] and
+          the run failed *)
 }
 
 type run =
@@ -98,7 +103,9 @@ val trail : run -> (int option * string) option
     traced and failed (a wrapped ring is noted on the first line). *)
 
 val link_totals : (string * int) list -> int * int
-(** [(injected faults, retransmitted frames)] of a link counter list. *)
+(** [(injected faults, retransmitted frames)] of a link counter list, summed
+    over every guard (a topology guard's counters carry its id as a
+    prefix). *)
 
 (** Knobs of the chaos accelerator, forwarded to {!Fuzz_tester.run}; [None]
     keeps its default. *)
@@ -156,7 +163,6 @@ val run :
   ?observers:observers ->
   ?chaos:chaos ->
   ?sim_j:int ->
-  ?trace:Xguard_trace.Trace.t ->
   kind ->
   configs:Config.t list ->
   seeds:int ->
@@ -173,11 +179,10 @@ val run :
     {!Fuzz_tester.run}.  [collect_coverage] (default false) merges every
     run's transition-coverage groups into {!t.coverage}.  [observers]
     (default {!no_observers}) arms one set of recorders per job through
-    {!observe}, on whichever worker domain runs it; summaries merge purely
-    in job order, so the result is byte-identical for any [workers].
-    [trace] collects failure event trails into each outcome; the ring
-    buffer is shared, so tracing requires [workers = 1] (the CLI enforces
-    this). *)
+    {!observe}, on whichever worker domain runs it — with [observers.trace],
+    each job's own ring yields its failure trail; summaries and trails merge
+    purely in job order, so the result is byte-identical for any
+    [workers]. *)
 
 val render : t -> string
 (** The full merged report: tables, coverage matrices (when collected) and a

@@ -2,6 +2,7 @@ module Engine = Xguard_sim.Engine
 module Rng = Xguard_sim.Rng
 module Xg = Xguard_xg
 module Trace = Xguard_trace.Trace
+module Obs = Xguard_obs.Obs
 
 type crash_info = { exn_text : string; seed : int; trace_tail : Trace.event list }
 
@@ -102,8 +103,9 @@ let tail_of trace ~addr_hint =
 
 let run (cfg : Config.t) ?(pool = Shared_rw) ?(cpu_ops = 300) ?(chaos_period = 4)
     ?(chaos_duration = 60_000) ?(respond_probability = 0.6) ?(requests_only = false)
-    ?tarpit ?(num_addresses = 6) ?trace () =
+    ?tarpit ?(num_addresses = 6) () =
   assert (Config.uses_xg cfg);
+  let trace = Obs.trace () in
   let sys = System.build ~attach_accel:false cfg in
   let chaos_addresses = Array.init num_addresses Addr.block in
   let cpu_addresses =
@@ -134,9 +136,6 @@ let run (cfg : Config.t) ?(pool = Shared_rw) ?(cpu_ops = 300) ?(chaos_period = 4
       ~addresses ~period:chaos_period ~respond_probability ~requests_only
       ?tarpit ~duration:chaos_duration ()
   in
-  let maybe_armed f =
-    match trace with None -> f () | Some tr -> Trace.with_armed tr f
-  in
   (* Under a topology the chaos accelerator replaces only guard 0's device
      (the [attach_accel:false] build leaves guard 0 bare and attaches the
      rest), so the neighbor guards' ports are live.  Drive them as load-only
@@ -160,10 +159,9 @@ let run (cfg : Config.t) ?(pool = Shared_rw) ?(cpu_ops = 300) ?(chaos_period = 4
   let tester_outcome =
     try
       Some
-        (maybe_armed (fun () ->
-             Random_tester.run ~engine:sys.System.engine
-               ~rng:(Rng.create ~seed:(cfg.Config.seed + 5))
-               ~ports:driven_ports ?roles ~addresses:cpu_addresses ~ops_per_core:cpu_ops ()))
+        (Random_tester.run ~engine:sys.System.engine
+           ~rng:(Rng.create ~seed:(cfg.Config.seed + 5))
+           ~ports:driven_ports ?roles ~addresses:cpu_addresses ~ops_per_core:cpu_ops ())
     with e ->
       crashed :=
         Some

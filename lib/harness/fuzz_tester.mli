@@ -20,7 +20,7 @@ type crash_info = {
   exn_text : string;  (** the exception that escaped the run — a failure *)
   seed : int;  (** [cfg.seed]; rerun with it to replay the interleaving *)
   trace_tail : Xguard_trace.Trace.event list;
-      (** last events of the armed trace buffer, oldest first (empty when the
+      (** last events of the armed trace ring, oldest first (empty when the
           run was not traced) *)
 }
 
@@ -90,11 +90,10 @@ val run :
   ?requests_only:bool ->
   ?tarpit:int ->
   ?num_addresses:int ->
-  ?trace:Xguard_trace.Trace.t ->
   unit ->
   outcome
 (** [Config.t] must be an XG organization.  Default pool is [Shared_rw].
     [tarpit] switches the chaos accelerator to slow-but-honest Invalidate
     replies that many cycles late (see {!Xguard_accel.Chaos_accel.create}).
-    [trace] arms the given ring buffer for the duration of the run (restoring
-    whatever was armed before); on failure the outcome carries its tail. *)
+    When the calling domain's observer context holds a trace ring
+    ([Xguard_obs.Obs.trace]), a failed run's outcome carries its tail. *)

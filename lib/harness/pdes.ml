@@ -23,7 +23,7 @@ module Rng = Xguard_sim.Rng
 module Shard = Xguard_sim.Shard
 module Team = Xguard_parallel.Team
 module Pool = Xguard_parallel.Pool
-module Spans = Xguard_obs.Spans
+module Obs = Xguard_obs.Obs
 module Metrics = Xguard_obs.Metrics
 
 (* ---- eligibility ------------------------------------------------------- *)
@@ -78,21 +78,23 @@ type t = {
   engines : Engine.t array;
   ctxs : Shard.ctx array;
   la : int;
-  mutable sampled_to : int;  (** last barrier time gauge samples covered *)
+  obs : Obs.t;  (** the coordinator's observer context, installed on every worker *)
+  mutable next_sample : int;  (** the next sampler boundary *)
+  mutable last_sample : int;  (** when the last sample was taken *)
 }
 
 let create (sys : System.t) =
   let engines = sys.System.shard_engines in
   if Array.length engines = 0 then
     invalid_arg "Pdes.create: system was not built with ~pdes:true";
-  let spans_on = Spans.on () in
   {
     sys;
     engines;
-    ctxs =
-      Array.init (Array.length engines) (fun d -> Shard.make ~dom:d ~spans_on);
+    ctxs = Array.init (Array.length engines) (fun d -> Shard.make ~dom:d);
     la = lookahead sys.System.config;
-    sampled_to = 0;
+    obs = Obs.get ();
+    next_sample = System.sampler_period;
+    last_sample = -1;
   }
 
 let domains t = Array.length t.engines
@@ -111,28 +113,27 @@ let accel_port_domains (sys : System.t) =
 let events_fired t =
   Array.fold_left (fun n e -> n + Engine.events_fired e) 0 t.engines
 
-(* Take the periodic gauge samples the free-running sampler would have taken
-   up to [bound].  Inside a window no worker may touch the recorder, so the
-   coordinator samples at barriers — every period multiple in
-   (sampled_to, bound], in order, exactly once, independent of the worker
+(* The observer samples the sequential sampler would take at each boundary
+   through [bound].  Inside a window no worker may touch the recorders, so
+   the coordinator samples between windows — every boundary before the next
+   window's horizon, in order, exactly once, independent of the worker
    count. *)
-let sample_barrier t ~bound =
-  let period = System.sampler_period in
-  let p = ref (((t.sampled_to / period) + 1) * period) in
-  while !p <= bound do
-    Spans.sample_now ~now:!p;
-    (* Metrics ticks ride the same barrier schedule, after the span sample —
-       the same order the two free-running samplers fire in sequentially. *)
-    Metrics.sample_now ~now:!p;
-    p := !p + period
-  done;
-  if bound > t.sampled_to then t.sampled_to <- bound
+let sample_through t bound =
+  while t.next_sample <= bound do
+    Metrics.tick t.obs ~now:t.next_sample;
+    t.last_sample <- t.next_sample;
+    t.next_sample <- t.next_sample + System.sampler_period
+  done
 
 type run_result = Drained | Hit_event_limit
 
+(* Cycle count of a sharded run: the furthest domain clock (wall-clock of the
+   simulated machine), not the per-domain sum. *)
+let cycles t = Array.fold_left (fun c e -> max c (Engine.now e)) 0 t.engines
+
 let run_windows ?(max_events = max_int) ~workers t =
   let n = Array.length t.engines in
-  let spans = Spans.on () in
+  let sampled = Obs.sampled t.obs in
   Team.with_team ~workers @@ fun team ->
   let workers = Team.size team in
   let rec window () =
@@ -145,16 +146,21 @@ let run_windows ?(max_events = max_int) ~workers t =
     in
     if m = max_int then Drained
     else begin
+      if sampled then sample_through t (m - 1);
       let bound = m + t.la - 1 in
-      (* Every domain fires its events through [bound].  Static round-robin
-         assignment: slot [s] runs domains s, s+workers, ... — a fixed
-         mapping, so nothing about the round depends on thread timing. *)
+      (* Every domain fires its events through [bound], under the
+         coordinator's observer context.  Static round-robin assignment:
+         slot [s] runs domains s, s+workers, ... — a fixed mapping, so
+         nothing about the round depends on thread timing. *)
       Team.round team (fun slot ->
           let d = ref slot in
           while !d < n do
             let dom = !d in
-            Shard.with_ctx t.ctxs.(dom) (fun () ->
-                ignore (Engine.run ~until:bound t.engines.(dom)));
+            let run () =
+              Shard.with_ctx t.ctxs.(dom) (fun () ->
+                  ignore (Engine.run ~until:bound t.engines.(dom)))
+            in
+            if Obs.armed t.obs then Obs.with_ctx t.obs run else run ();
             d := !d + workers
           done);
       (* Barrier: replay observability effects in canonical order, then
@@ -162,15 +168,18 @@ let run_windows ?(max_events = max_int) ~workers t =
          next window's horizon computation sees them). *)
       Shard.run_all (Shard.drain_ops t.ctxs);
       Shard.run_all (Shard.drain_posts t.ctxs);
-      if spans then sample_barrier t ~bound;
       if events_fired t >= max_events then Hit_event_limit else window ()
     end
   in
-  window ()
-
-(* Cycle count of a sharded run: the furthest domain clock (wall-clock of the
-   simulated machine), not the per-domain sum. *)
-let cycles t = Array.fold_left (fun c e -> max c (Engine.now e)) 0 t.engines
+  let result = window () in
+  (* The run stops: sample the boundaries its clock reached, then the stop
+     cycle itself, as the sequential sampler does. *)
+  if sampled then begin
+    let stop = cycles t in
+    sample_through t stop;
+    if t.last_sample <> stop then Metrics.tick t.obs ~now:stop
+  end;
+  result
 
 (* ---- stress driver ----------------------------------------------------- *)
 

@@ -51,9 +51,12 @@ type run_result = Drained | Hit_event_limit
 val run_windows : ?max_events:int -> workers:int -> t -> run_result
 (** Run the window loop to quiescence (or until [max_events] total events,
     checked at barriers).  [workers] sizes the worker team; any value >= 1
-    produces identical simulation results.  Gauge samples for an armed span
-    recorder are taken at barriers, at exactly the period multiples the
-    sequential sampler would have used. *)
+    produces identical simulation results.  Workers run their windows under
+    the caller's observer context, whose recorder writes defer to the
+    barrier.  When spans or metrics are armed, the observer samples
+    ([Xguard_obs.Metrics.tick]) are taken between windows, at exactly the
+    timestamps the sequential sampler would use: every period multiple the
+    clock reaches, then the stop cycle. *)
 
 val run_stress :
   workers:int ->

@@ -41,11 +41,7 @@ let drive (seq : Sequencer.t) (stream : Workload.stream) ~on_all_done =
     top_up ()
   end
 
-let run ?trace ?sim_j (cfg : Config.t) (workload : Workload.t) =
-  let maybe_armed f =
-    match trace with None -> f () | Some tr -> Xguard_trace.Trace.with_armed tr f
-  in
-  maybe_armed @@ fun () ->
+let run ?sim_j (cfg : Config.t) (workload : Workload.t) =
   let sys = System.build ~pdes:(sim_j <> None) cfg in
   let coord = Option.map (fun _ -> Pdes.create sys) sim_j in
   (* Which engine each accelerator port's sequencer pumps on, and which

@@ -25,15 +25,14 @@ type result = {
 }
 
 val run :
-  ?trace:Xguard_trace.Trace.t ->
   ?sim_j:int ->
   Config.t ->
   Xguard_workload.Workload.t ->
   result
 (** Builds the system, drives the accelerator stream(s) and any CPU-side
-    streams concurrently, and runs to quiescence.  [trace] arms the given
-    ring buffer for the duration of the run, so a failure's event trail can
-    be dumped by the caller.
+    streams concurrently, and runs to quiescence, recording into whatever
+    observers the calling domain has armed ({!Campaign.observe}); they never
+    change [cycles] or any other field.
 
     [sim_j] runs the simulation on the sharded parallel engine ({!Pdes})
     with that many workers: the system is built [~pdes:true], accelerator

@@ -1,6 +1,7 @@
 module Engine = Xguard_sim.Engine
 module Rng = Xguard_sim.Rng
 module Trace = Xguard_trace.Trace
+module Obs = Xguard_obs.Obs
 
 type role = Mixed | Producer | Consumer
 
@@ -109,17 +110,19 @@ let issue_one t core =
         if not (load_ok st ~issue_count v) then begin
           t.errors <- t.errors + 1;
           if t.first_error_addr = None then t.first_error_addr <- Some (Addr.to_int addr);
-          if Trace.on () then
-            Trace.note ~cycle:(Engine.now t.engine)
-              ~controller:(Sequencer.name seq) ~addr:(Addr.to_int addr)
-              ~text:
-                (Printf.sprintf
-                   "DATA ERROR: core=%d got=%d committed_head=%d pending=%s issued@%d" core
-                   v
-                   (match st.committed with x :: _ -> x | [] -> -1)
-                   (match st.pending_store with Some x -> string_of_int x | None -> "-")
-                   issued_at)
-              ();
+          (match Obs.trace () with
+          | Some tr ->
+              Trace.note tr ~cycle:(Engine.now t.engine)
+                ~controller:(Sequencer.name seq) ~addr:(Addr.to_int addr)
+                ~text:
+                  (Printf.sprintf
+                     "DATA ERROR: core=%d got=%d committed_head=%d pending=%s issued@%d" core
+                     v
+                     (match st.committed with x :: _ -> x | [] -> -1)
+                     (match st.pending_store with Some x -> string_of_int x | None -> "-")
+                     issued_at)
+                ()
+          | None -> ());
           if Sys.getenv_opt "XGUARD_DEBUG" <> None then
             Printf.eprintf
               "DATA ERROR: core=%d addr=%d got=%d committed_head=%d pending=%s issue@%d done@%d\n%!"

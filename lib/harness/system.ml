@@ -2,6 +2,7 @@ module Engine = Xguard_sim.Engine
 module Rng = Xguard_sim.Rng
 module Xg = Xguard_xg
 module A = Xguard_accel
+module Obs = Xguard_obs.Obs
 module Spans = Xguard_obs.Spans
 module Metrics = Xguard_obs.Metrics
 module Watchdog = Xguard_obs.Watchdog
@@ -282,13 +283,14 @@ let build_guard (cfg : Config.t) ~engine ~accel_engine ~rng ~registry ~perms ~os
       ~ordering:(spec_ordering spec) ()
   in
   Xg.Xg_iface.Link.set_tracer link link_tracer;
+  let o = Obs.get () in
   (* Only the guard link carries crossing traffic; the accelerator-internal
      network below never hosts span segments. *)
-  if Spans.on () then Xg.Xg_iface.Link.mark_crossing link;
+  if Option.is_some o.Obs.spans then Xg.Xg_iface.Link.mark_crossing link;
   (* Per-tenant metrics series ("xg" legacy, "xg.a0" in a topology): labeling
      the guard link turns on its per-guard latency hooks, so each tenant's
      e2e / invalidate histograms are SLO-judgeable on their own. *)
-  if Metrics.on () then Xg.Xg_iface.Link.set_metrics_label link (sfx id "xg");
+  if Option.is_some o.Obs.metrics then Xg.Xg_iface.Link.set_metrics_label link (sfx id "xg");
   let xg_link_node = Node.Registry.fresh registry (sfx id "xg.link_end") in
   let accel_link_node = Node.Registry.fresh registry (sfx id "accel.link_end") in
   let rate_limiter =
@@ -306,24 +308,25 @@ let build_guard (cfg : Config.t) ~engine ~accel_engine ~rng ~registry ~perms ~os
       ~budgets:cfg.Config.budgets ()
   in
   attach_core core;
-  if Spans.on () then begin
-    let p = sfx id "xg" in
-    Spans.add_gauge ~name:(p ^ ".link.in_flight") (fun () ->
-        Xg.Xg_iface.Link.in_flight link);
-    Spans.add_gauge ~name:(p ^ ".open_transactions") (fun () ->
-        Xg.Xg_core.open_transactions core);
-    Spans.add_gauge ~name:(p ^ ".tracked_blocks") (fun () -> Xg.Xg_core.tracked_blocks core);
-    (* Recovery gauges only when the lifecycle is configured, so span output
-       for legacy configs stays byte-identical. *)
-    if cfg.Config.recovery <> None then begin
-      Spans.add_gauge ~name:(p ^ ".rejoins") (fun () -> Xg.Xg_core.rejoins core);
-      Spans.add_gauge ~name:(p ^ ".quarantines") (fun () -> Xg.Xg_core.quarantine_count core)
-    end;
-    if cfg.Config.budgets <> Xg.Xg_core.no_budgets then
-      Spans.add_gauge ~name:(p ^ ".budget_trips") (fun () -> Xg.Xg_core.budget_trips core);
-    if index = 0 then
-      Spans.add_gauge ~name:"xg.perm_entries" (fun () -> Xg.Perm_table.entries perms)
-  end;
+  (match o.Obs.spans with
+  | Some sr ->
+      let p = sfx id "xg" in
+      Spans.add_gauge sr ~name:(p ^ ".link.in_flight") (fun () ->
+          Xg.Xg_iface.Link.in_flight link);
+      Spans.add_gauge sr ~name:(p ^ ".open_transactions") (fun () ->
+          Xg.Xg_core.open_transactions core);
+      Spans.add_gauge sr ~name:(p ^ ".tracked_blocks") (fun () -> Xg.Xg_core.tracked_blocks core);
+      (* Recovery gauges only when the lifecycle is configured, so span output
+         for legacy configs stays byte-identical. *)
+      if cfg.Config.recovery <> None then begin
+        Spans.add_gauge sr ~name:(p ^ ".rejoins") (fun () -> Xg.Xg_core.rejoins core);
+        Spans.add_gauge sr ~name:(p ^ ".quarantines") (fun () -> Xg.Xg_core.quarantine_count core)
+      end;
+      if cfg.Config.budgets <> Xg.Xg_core.no_budgets then
+        Spans.add_gauge sr ~name:(p ^ ".budget_trips") (fun () -> Xg.Xg_core.budget_trips core);
+      if index = 0 then
+        Spans.add_gauge sr ~name:"xg.perm_entries" (fun () -> Xg.Perm_table.entries perms)
+  | None -> ());
   if faults <> None || fault_scripts <> [] then begin
     Xg.Xg_iface.Link.enable_reliability link ~retry_timeout:cfg.Config.link_retry_timeout
       ~max_retries:cfg.Config.link_max_retries ();
@@ -678,8 +681,8 @@ end
 module Hammer = Build (Hammer_system)
 module Mesi = Build (Mesi_system)
 
-(* Snapshot interval for the span-layer time-series sampler (cycles).  Coarse
-   enough to stay invisible in profiles, fine enough to show queue ramps. *)
+(* The observer sampler's period (cycles).  Coarse enough to stay invisible
+   in profiles, fine enough to show queue ramps. *)
 let sampler_period = 500
 
 (* How many guards a config will instantiate — the sharded builder allocates
@@ -687,8 +690,9 @@ let sampler_period = 500
 let guard_count (cfg : Config.t) = List.length (Config.guard_specs cfg)
 
 let build ?(attach_accel = true) ?(pdes = false) (cfg : Config.t) =
-  if Spans.on () then Spans.reset_gauges ();
-  if Metrics.on () then Metrics.reset_sources ();
+  let o = Obs.get () in
+  Option.iter Spans.reset_gauges o.Obs.spans;
+  Option.iter Metrics.reset_sources o.Obs.metrics;
   let shard =
     if not pdes then None
     else begin
@@ -703,54 +707,42 @@ let build ?(attach_accel = true) ?(pdes = false) (cfg : Config.t) =
     | Config.Hammer -> Hammer.build ~attach_accel ?shard cfg
     | Config.Mesi -> Mesi.build ~attach_accel ?shard cfg
   in
-  (* Metrics counter sources: every stats group the run would report, plus
-     each guard's link-layer group (retransmissions live there — the
-     watchdog's retry-storm rule needs their deltas).  Registration order
-     fixes the stream's series order. *)
-  if Metrics.on () then begin
-    List.iter (fun (name, g) -> Metrics.add_group ~name g) (t.stats_groups ());
-    Array.iter
-      (fun g ->
-        Metrics.add_group ~name:(guard_label g "xg.link")
-          (Xg.Xg_iface.Link.link_stats g.g_link))
-      t.guards
-  end;
   let t =
-    if not (Metrics.on () && Metrics.watchdog_armed ()) then t
-    else begin
-      (* Bridge watchdog verdicts to the OS model's anomaly ledger and an
-         obs.watchdog coverage matrix.  Both are pure observers: anomalies
-         never feed policy, and the coverage set only exists on armed runs,
-         so unarmed output is untouched. *)
-      let grp = Xguard_stats.Counter.Group.create "obs.watchdog.cov" in
-      let mat = Xguard_trace.Coverage.intern_matrix Watchdog.coverage_space grp in
-      Metrics.set_watchdog_reporter (fun ~rule ~event ~detail:_ ->
-          if event = 0 then Xg.Os_model.anomaly t.os Watchdog.rules.(rule);
-          Xguard_trace.Coverage.hit mat ~state:rule ~event);
-      let prev_sets = t.coverage_sets in
-      {
-        t with
-        coverage_sets =
-          (fun () ->
-            prev_sets () @ [ ("obs.watchdog", Watchdog.coverage_space, [ grp ]) ]);
-      }
-    end
+    match o.Obs.metrics with
+    | None -> t
+    | Some mr ->
+        (* Metrics counter sources: every stats group the run would report,
+           plus each guard's link-layer group (retransmissions live there —
+           the watchdog's retry-storm rule needs their deltas).  Registration
+           order fixes the stream's series order. *)
+        List.iter (fun (name, g) -> Metrics.add_group mr ~name g) (t.stats_groups ());
+        Array.iter
+          (fun g ->
+            Metrics.add_group mr ~name:(guard_label g "xg.link")
+              (Xg.Xg_iface.Link.link_stats g.g_link))
+          t.guards;
+        if not (Metrics.watchdog_armed mr) then t
+        else begin
+          (* Bridge watchdog verdicts to the OS model's anomaly ledger and an
+             obs.watchdog coverage matrix.  Both are pure observers: anomalies
+             never feed policy, and the coverage set only exists on armed
+             runs, so unarmed output is untouched. *)
+          let grp = Xguard_stats.Counter.Group.create "obs.watchdog.cov" in
+          let mat = Xguard_trace.Coverage.intern_matrix Watchdog.coverage_space grp in
+          Metrics.set_watchdog_reporter mr (fun ~rule ~event ~detail:_ ->
+              if event = 0 then Xg.Os_model.anomaly t.os Watchdog.rules.(rule);
+              Xguard_trace.Coverage.hit mat ~state:rule ~event);
+          let prev_sets = t.coverage_sets in
+          {
+            t with
+            coverage_sets =
+              (fun () ->
+                prev_sets () @ [ ("obs.watchdog", Watchdog.coverage_space, [ grp ]) ]);
+          }
+        end
   in
-  (* The sharded coordinator samples gauges at window barriers instead — a
-     free-running sampler tick could not fire inside a domain window. *)
-  if not pdes then begin
-    if Metrics.on () then
-      (* One fused tick for both layers: two independent [Engine.every]
-         samplers would each see the other's next tick in [pending] and keep
-         the engine alive forever.  Span sample first, then metrics — the
-         same order the PDES barrier replays. *)
-      Engine.every t.engine ~period:sampler_period ~phase:sampler_period
-        (fun () ->
-          let now = Engine.now t.engine in
-          Spans.sample_now ~now;
-          Metrics.sample_now ~now;
-          Engine.pending t.engine > 0)
-    else if Spans.on () then
-      Spans.start_sampler ~engine:t.engine ~period:sampler_period
-  end;
+  (* The sharded coordinator samples at window barriers instead: a sampler
+     could not run inside a domain window. *)
+  if Obs.sampled o && not pdes then
+    Engine.set_sampler t.engine ~period:sampler_period (fun now -> Metrics.tick o ~now);
   t

@@ -122,9 +122,11 @@ val coverage_reports : t -> Xguard_trace.Coverage.report list
 (** One report per entry of [coverage_sets], in order. *)
 
 val sampler_period : int
-(** Gauge-sampling period (cycles) of the span recorder's free-running
-    sampler; the sharded simulator samples at the same multiples from its
-    window barriers. *)
+(** Period (cycles) of the observer sampler {!build} installs on the engine
+    when the calling domain has spans or metrics armed
+    ([Xguard_sim.Engine.set_sampler] running [Xguard_obs.Metrics.tick]); the
+    sharded simulator samples at the same multiples from its window
+    barriers. *)
 
 val build : ?attach_accel:bool -> ?pdes:bool -> Config.t -> t
 (** [attach_accel:false] (XG organizations only) leaves the accelerator side
@@ -134,8 +136,8 @@ val build : ?attach_accel:bool -> ?pdes:bool -> Config.t -> t
     [pdes:true] (default [false]) builds the system sharded for the parallel
     simulator: each guard's accelerator stack gets its own engine
     ([shard_engines]), every guard link is partitioned across domains, and
-    the free-running span sampler is not started (the window coordinator
-    samples at barriers instead).  Only [Pdes.run_windows] should drive such
+    the observer sampler is not installed (the window coordinator samples
+    at barriers instead).  Only [Pdes.run_windows] should drive such
     a system; callers must validate eligibility with {!Pdes.check_config}
     first.
     @raise Invalid_argument with [pdes:true] on a guard-less organization. *)

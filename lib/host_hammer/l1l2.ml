@@ -1,6 +1,7 @@
 module Engine = Xguard_sim.Engine
 module Group = Xguard_stats.Counter.Group
 module Trace = Xguard_trace.Trace
+module Obs = Xguard_obs.Obs
 module Coverage = Xguard_trace.Coverage
 
 type variant = Baseline | Xg_ready
@@ -102,9 +103,11 @@ let visit t addr event =
   let tbe = Tbe_table.find t.tbes addr in
   let state = state_idx line tbe in
   Coverage.hit t.covm ~state ~event;
-  if Trace.on () then
-    Trace.transition ~cycle:(Engine.now t.engine) ~controller:t.name
-      ~addr:(Addr.to_int addr) ~state:state_names.(state) ~event:event_names.(event) ()
+  match Obs.trace () with
+  | Some tr ->
+      Trace.transition tr ~cycle:(Engine.now t.engine) ~controller:t.name
+        ~addr:(Addr.to_int addr) ~state:state_names.(state) ~event:event_names.(event) ()
+  | None -> ()
 
 let coverage_space =
   let states = [ "I"; "IS"; "IM"; "SM"; "OM"; "S"; "E"; "O"; "M"; "MI"; "II" ] in
@@ -173,9 +176,11 @@ let alloc_get t addr kind ~base (access : Access.t) ~on_done =
   in
   match Tbe_table.alloc t.tbes addr tbe with
   | `Ok ->
-      if Trace.on () then
-        Trace.tbe_alloc ~cycle:(Engine.now t.engine) ~controller:t.name
-          ~addr:(Addr.to_int addr);
+      (match Obs.trace () with
+      | Some tr ->
+          Trace.tbe_alloc tr ~cycle:(Engine.now t.engine) ~controller:t.name
+            ~addr:(Addr.to_int addr)
+      | None -> ());
       send t ~dst:(t.directory addr) (Msg.Get { kind }) addr;
       true
   | `Full | `Busy -> false
@@ -345,9 +350,11 @@ let try_complete t addr (tbe : get_tbe) =
     line.dirty <- (final_state = St_m);
     line.st <- Stable final_state;
     Tbe_table.dealloc t.tbes addr;
-    if Trace.on () then
-      Trace.tbe_free ~cycle:(Engine.now t.engine) ~controller:t.name
-        ~addr:(Addr.to_int addr);
+    (match Obs.trace () with
+    | Some tr ->
+        Trace.tbe_free tr ~cycle:(Engine.now t.engine) ~controller:t.name
+          ~addr:(Addr.to_int addr)
+    | None -> ());
     send t ~dst:(t.directory addr) (Msg.Unblock { exclusive }) addr;
     Group.incr_id t.stats t.sid.(3) (* get_complete *);
     complete t ~on_done:tbe.on_done final_value

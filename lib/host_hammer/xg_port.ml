@@ -1,6 +1,7 @@
 module Engine = Xguard_sim.Engine
 module Group = Xguard_stats.Counter.Group
 module Xg_core = Xguard_xg.Xg_core
+module Obs = Xguard_obs.Obs
 module Spans = Xguard_obs.Spans
 
 type get_tbe = {
@@ -155,17 +156,11 @@ let try_complete t addr (tbe : get_tbe) =
     Tbe_table.dealloc t.tbes addr;
     send t ~dst:(t.directory addr) (Msg.Unblock { exclusive }) addr;
     Group.incr_id t.stats t.sid.(0) (* get_complete *);
-    if Spans.on () then begin
-      let a = Addr.to_int addr and now = Engine.now t.engine in
-      let born = tbe.born and kind = tbe.kind in
-      Spans.deferred ~now (fun () ->
-          let span, txn =
-            match Spans.lookup ~addr:a with
-            | Some (span, txn) -> (span, txn)
-            | None -> (0, span_txn_of_kind kind)
-          in
-          Spans.record Spans.Host_fetch txn ~span ~addr:a ~ts:born ~dur:(now - born))
-    end;
+    (match Obs.spans () with
+    | Some sr ->
+        Spans.host_segment sr Spans.Host_fetch ~addr:(Addr.to_int addr) ~born:tbe.born
+          ~now:(Engine.now t.engine) ~txn:(span_txn_of_kind tbe.kind) ()
+    | None -> ());
     Xg_core.granted (core t) addr grant
   end
 
@@ -230,21 +225,11 @@ let handle_fwd t addr (kind : Msg.get_kind) ~requestor =
 (* ---- writeback responses ---- *)
 
 let span_put_done t addr (p : put_rec) =
-  if Spans.on () then begin
-    let a = Addr.to_int addr and now = Engine.now t.engine in
-    let born = p.born and notify_core = p.notify_core in
-    Spans.deferred ~now (fun () ->
-        (match Spans.lookup_put ~addr:a with
-        | Some (span, txn) ->
-            Spans.record Spans.Host_writeback txn ~span ~addr:a ~ts:born
-              ~dur:(now - born)
-        | None ->
-            (* Port-initiated relinquishment (or a quarantine hand-back): no
-               crossing to attach to, so it gets its own span. *)
-            Spans.record Spans.Host_relinquish Spans.Inv ~span:(Spans.fresh_id ())
-              ~addr:a ~ts:born ~dur:(now - born));
-        if notify_core then Spans.put_settled ~addr:a ~now)
-  end
+  match Obs.spans () with
+  | Some sr ->
+      Spans.host_put_done sr ~addr:(Addr.to_int addr) ~born:p.born ~now:(Engine.now t.engine)
+        ~notify_core:p.notify_core
+  | None -> ()
 
 let finish_put t addr (p : put_rec) =
   Hashtbl.remove t.puts addr;
@@ -254,41 +239,29 @@ let finish_put t addr (p : put_rec) =
   (match Hashtbl.find_opt t.deferred_puts addr with
   | Some d ->
       Hashtbl.remove t.deferred_puts addr;
-      if Spans.on () then begin
-        let a = Addr.to_int addr and now = Engine.now t.engine in
-        let born = d.born and is_owner = d.is_owner in
-        Spans.deferred ~now (fun () ->
-            let span, txn =
-              match Spans.lookup_put ~addr:a with
-              | Some (span, txn) -> (span, txn)
-              | None -> (0, if is_owner then Spans.Put_m else Spans.Put_s)
-            in
-            Spans.record Spans.Host_defer txn ~span ~addr:a ~ts:born ~dur:(now - born))
-      end;
+      (match Obs.spans () with
+      | Some sr ->
+          Spans.host_segment sr Spans.Host_defer ~put:true ~addr:(Addr.to_int addr) ~born:d.born
+            ~now:(Engine.now t.engine) ~txn:(if d.is_owner then Spans.Put_m else Spans.Put_s) ()
+      | None -> ());
       start_put t addr ~data:d.data ~dirty:d.dirty ~notify_core:d.notify_core
         ~is_owner:d.is_owner
   | None -> (
       match Hashtbl.find_opt t.deferred_gets addr with
       | Some kind ->
           Hashtbl.remove t.deferred_gets addr;
-          if Spans.on () then begin
-            match Tbe_table.find t.tbes addr with
-            | Some tbe ->
-                let a = Addr.to_int addr and now = Engine.now t.engine in
-                let born = tbe.born in
-                (* Re-stamp so [host.fetch] measures only the directory
-                   transaction itself, not the wait behind the put. *)
-                tbe.born <- now;
-                Spans.deferred ~now (fun () ->
-                    let span, txn =
-                      match Spans.lookup ~addr:a with
-                      | Some (span, txn) -> (span, txn)
-                      | None -> (0, span_txn_of_kind kind)
-                    in
-                    Spans.record Spans.Host_defer txn ~span ~addr:a ~ts:born
-                      ~dur:(now - born))
-            | None -> ()
-          end;
+          (match Obs.spans () with
+          | Some sr -> (
+              match Tbe_table.find t.tbes addr with
+              | Some tbe ->
+                  let now = Engine.now t.engine and born = tbe.born in
+                  (* Re-stamp so [host.fetch] measures only the directory
+                     transaction itself, not the wait behind the put. *)
+                  tbe.born <- now;
+                  Spans.host_segment sr Spans.Host_defer ~addr:(Addr.to_int addr) ~born ~now
+                    ~txn:(span_txn_of_kind kind) ()
+              | None -> ())
+          | None -> ());
           send t ~dst:(t.directory addr) (Msg.Get { kind }) addr
       | None -> ()));
   if p.notify_core then Xg_core.put_complete (core t) addr
@@ -382,6 +355,7 @@ let create ~engine ~net ~name ~node ~directory ?(use_get_s_only = true) () =
     }
   in
   Net.register net node (fun ~src:_ msg -> deliver t msg);
-  if Spans.on () then
-    Spans.add_gauge ~name:(name ^ ".outstanding") (fun () -> outstanding t);
+  Option.iter
+    (fun sr -> Spans.add_gauge sr ~name:(name ^ ".outstanding") (fun () -> outstanding t))
+    (Obs.spans ());
   t

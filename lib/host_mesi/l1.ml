@@ -1,6 +1,7 @@
 module Engine = Xguard_sim.Engine
 module Group = Xguard_stats.Counter.Group
 module Trace = Xguard_trace.Trace
+module Obs = Xguard_obs.Obs
 module Coverage = Xguard_trace.Coverage
 
 exception Protocol_error of string
@@ -97,9 +98,11 @@ let event_of_fwd = function Msg.Get_s -> 5 | Msg.Get_s_only -> 6 | Msg.Get_m -> 
 let visit t addr event =
   let state = state_idx t addr in
   Coverage.hit t.covm ~state ~event;
-  if Trace.on () then
-    Trace.transition ~cycle:(Engine.now t.engine) ~controller:t.name
-      ~addr:(Addr.to_int addr) ~state:state_names.(state) ~event:event_names.(event) ()
+  match Obs.trace () with
+  | Some tr ->
+      Trace.transition tr ~cycle:(Engine.now t.engine) ~controller:t.name
+        ~addr:(Addr.to_int addr) ~state:state_names.(state) ~event:event_names.(event) ()
+  | None -> ()
 
 let coverage_space =
   let states = [ "I"; "IS"; "IS_I"; "IM"; "SM"; "S"; "E"; "M"; "M_I"; "SINK_WB_ACK" ] in
@@ -155,9 +158,11 @@ let alloc_get t addr kind ~base_valid (access : Access.t) ~on_done =
   in
   match Tbe_table.alloc t.tbes addr tbe with
   | `Ok ->
-      if Trace.on () then
-        Trace.tbe_alloc ~cycle:(Engine.now t.engine) ~controller:t.name
-          ~addr:(Addr.to_int addr);
+      (match Obs.trace () with
+      | Some tr ->
+          Trace.tbe_alloc tr ~cycle:(Engine.now t.engine) ~controller:t.name
+            ~addr:(Addr.to_int addr)
+      | None -> ());
       send t ~dst:t.l2 (Msg.Get { kind }) addr;
       true
   | `Full | `Busy -> false
@@ -233,9 +238,11 @@ let try_complete t addr (tbe : get_tbe) =
         | None -> raise (Protocol_error (t.name ^ ": completing a get with no line"))
       in
       Tbe_table.dealloc t.tbes addr;
-      if Trace.on () then
-        Trace.tbe_free ~cycle:(Engine.now t.engine) ~controller:t.name
-          ~addr:(Addr.to_int addr);
+      (match Obs.trace () with
+      | Some tr ->
+          Trace.tbe_free tr ~cycle:(Engine.now t.engine) ~controller:t.name
+            ~addr:(Addr.to_int addr)
+      | None -> ());
       send t ~dst:t.l2 Msg.Unblock addr;
       Group.incr_id t.stats t.sid.(3) (* get_complete *);
       if tbe.invalidated then begin

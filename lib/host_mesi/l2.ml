@@ -1,6 +1,7 @@
 module Engine = Xguard_sim.Engine
 module Group = Xguard_stats.Counter.Group
 module Trace = Xguard_trace.Trace
+module Obs = Xguard_obs.Obs
 module Coverage = Xguard_trace.Coverage
 
 type variant = Baseline | Xg_ready
@@ -105,9 +106,11 @@ let event_of_grant = function Msg.Get_s -> 0 | Msg.Get_s_only -> 1 | Msg.Get_m -
 let visit t addr event =
   let state = state_idx t addr in
   Coverage.hit t.covm ~state ~event;
-  if Trace.on () then
-    Trace.transition ~cycle:(Engine.now t.engine) ~controller:t.name
-      ~addr:(Addr.to_int addr) ~state:state_names.(state) ~event:event_names.(event) ()
+  match Obs.trace () with
+  | Some tr ->
+      Trace.transition tr ~cycle:(Engine.now t.engine) ~controller:t.name
+        ~addr:(Addr.to_int addr) ~state:state_names.(state) ~event:event_names.(event) ()
+  | None -> ()
 
 let coverage_space =
   let resident = [ "NoL1"; "SS"; "MT" ] in

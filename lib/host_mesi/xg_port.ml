@@ -1,6 +1,7 @@
 module Engine = Xguard_sim.Engine
 module Group = Xguard_stats.Counter.Group
 module Xg_core = Xguard_xg.Xg_core
+module Obs = Xguard_obs.Obs
 module Spans = Xguard_obs.Spans
 
 type get_tbe = {
@@ -103,17 +104,11 @@ let try_complete t addr (tbe : get_tbe) =
       Tbe_table.dealloc t.tbes addr;
       send t ~dst:t.l2 Msg.Unblock addr;
       Group.incr_id t.stats t.sid.(0) (* get_complete *);
-      if Spans.on () then begin
-        let a = Addr.to_int addr and now = Engine.now t.engine in
-        let born = tbe.born and want = tbe.want in
-        Spans.deferred ~now (fun () ->
-            let span, txn =
-              match Spans.lookup ~addr:a with
-              | Some (span, txn) -> (span, txn)
-              | None -> (0, span_txn_of_want want)
-            in
-            Spans.record Spans.Host_fetch txn ~span ~addr:a ~ts:born ~dur:(now - born))
-      end;
+      (match Obs.spans () with
+      | Some sr ->
+          Spans.host_segment sr Spans.Host_fetch ~addr:(Addr.to_int addr) ~born:tbe.born
+            ~now:(Engine.now t.engine) ~txn:(span_txn_of_want tbe.want) ()
+      | None -> ());
       let g =
         match grant with
         | Msg.Grant_s -> `S data
@@ -211,21 +206,11 @@ let handle_fwd t addr (kind : Msg.get_kind) ~requestor =
 (* ---- writeback responses ---- *)
 
 let span_put_done t addr (p : put_rec) =
-  if Spans.on () then begin
-    let a = Addr.to_int addr and now = Engine.now t.engine in
-    let born = p.born and notify_core = p.notify_core in
-    Spans.deferred ~now (fun () ->
-        (match Spans.lookup_put ~addr:a with
-        | Some (span, txn) ->
-            Spans.record Spans.Host_writeback txn ~span ~addr:a ~ts:born
-              ~dur:(now - born)
-        | None ->
-            (* No crossing to attach to, so the relinquishment gets its own
-               span. *)
-            Spans.record Spans.Host_relinquish Spans.Inv ~span:(Spans.fresh_id ())
-              ~addr:a ~ts:born ~dur:(now - born));
-        if notify_core then Spans.put_settled ~addr:a ~now)
-  end
+  match Obs.spans () with
+  | Some sr ->
+      Spans.host_put_done sr ~addr:(Addr.to_int addr) ~born:p.born ~now:(Engine.now t.engine)
+        ~notify_core:p.notify_core
+  | None -> ()
 
 let handle_wb_ack t addr =
   match Hashtbl.find_opt t.puts addr with
@@ -314,6 +299,7 @@ let create ~engine ~net ~name ~node ~l2 () =
     }
   in
   Net.register net node (fun ~src:_ msg -> deliver t msg);
-  if Spans.on () then
-    Spans.add_gauge ~name:(name ^ ".outstanding") (fun () -> outstanding t);
+  Option.iter
+    (fun sr -> Spans.add_gauge sr ~name:(name ^ ".outstanding") (fun () -> outstanding t))
+    (Obs.spans ());
   t

@@ -1,6 +1,7 @@
 module Engine = Xguard_sim.Engine
 module Rng = Xguard_sim.Rng
 module Trace = Xguard_trace.Trace
+module Obs = Xguard_obs.Obs
 
 type ordering =
   | Ordered of { latency : int }
@@ -257,8 +258,19 @@ struct
   let faults_active t = t.fault_path
 
   let fault_note t text =
-    if Trace.on () then
-      Trace.note ~cycle:(Engine.now t.engine) ~controller:t.name ~text ()
+    match Obs.trace () with
+    | Some tr -> Trace.note tr ~cycle:(Engine.now t.engine) ~controller:t.name ~text ()
+    | None -> ()
+
+  (* Record one send or delivery of [msg] in the armed trace ring [tr], when
+     the network has a tracer to render it. *)
+  let trace_msg t tr emit ~cycle ~src ~dst msg =
+    match t.tracer with
+    | Some describe ->
+        let addr, text = describe msg in
+        emit tr ~cycle ~net:t.name ~src:(Xguard_proto.Node.name src)
+          ~dst:(Xguard_proto.Node.name dst) ~addr ~text
+    | None -> ()
 
   (* The Nth-matching-message scripts.  Every script's match counter advances
      on a matching message; the first script whose counter reaches its index
@@ -384,14 +396,9 @@ struct
      tag; otherwise this is exactly the historical schedule. *)
   let schedule_delivery t ~src ~dst ~at msg handler =
     let deliver () =
-      (if Trace.on () then
-         match t.tracer with
-         | Some describe ->
-             let addr, text = describe msg in
-             Trace.recv ~cycle:(Engine.now t.engine) ~net:t.name
-               ~src:(Xguard_proto.Node.name src) ~dst:(Xguard_proto.Node.name dst) ~addr
-               ~text
-         | None -> ());
+      (match Obs.trace () with
+      | Some tr -> trace_msg t tr Trace.recv ~cycle:(Engine.now t.engine) ~src ~dst msg
+      | None -> ());
       handler ~src msg
     in
     let tag =
@@ -467,13 +474,9 @@ struct
     let src_engine = p.engines.(sdom) in
     let now = Engine.now src_engine in
     (match t.monitor with Some f -> f ~src ~dst msg | None -> ());
-    (if Trace.on () then
-       match t.tracer with
-       | Some describe ->
-           let addr, text = describe msg in
-           Trace.send ~cycle:now ~net:t.name ~src:(Xguard_proto.Node.name src)
-             ~dst:(Xguard_proto.Node.name dst) ~addr ~text
-       | None -> ());
+    (match Obs.trace () with
+    | Some tr -> trace_msg t tr Trace.send ~cycle:now ~src ~dst msg
+    | None -> ());
     p.p_messages.(sdom) <- p.p_messages.(sdom) + 1;
     p.p_bytes.(sdom) <- p.p_bytes.(sdom) + size;
     t.bytes_by_src.(src_id) <- t.bytes_by_src.(src_id) + size;
@@ -482,14 +485,9 @@ struct
     p.p_fifo.(key) <- at;
     let dst_engine = p.engines.(ddom) in
     let deliver () =
-      (if Trace.on () then
-         match t.tracer with
-         | Some describe ->
-             let addr, text = describe msg in
-             Trace.recv ~cycle:(Engine.now dst_engine) ~net:t.name
-               ~src:(Xguard_proto.Node.name src) ~dst:(Xguard_proto.Node.name dst)
-               ~addr ~text
-         | None -> ());
+      (match Obs.trace () with
+      | Some tr -> trace_msg t tr Trace.recv ~cycle:(Engine.now dst_engine) ~src ~dst msg
+      | None -> ());
       handler ~src msg
     in
     if sdom = ddom then Engine.schedule_at src_engine at deliver
@@ -515,13 +513,9 @@ struct
     | Some p -> send_partitioned t p ~src ~dst ~size msg handler
     | None ->
     (match t.monitor with Some f -> f ~src ~dst msg | None -> ());
-    (if Trace.on () then
-       match t.tracer with
-       | Some describe ->
-           let addr, text = describe msg in
-           Trace.send ~cycle:(Engine.now t.engine) ~net:t.name
-             ~src:(Xguard_proto.Node.name src) ~dst:(Xguard_proto.Node.name dst) ~addr ~text
-       | None -> ());
+    (match Obs.trace () with
+    | Some tr -> trace_msg t tr Trace.send ~cycle:(Engine.now t.engine) ~src ~dst msg
+    | None -> ());
     (* Offered traffic is counted at send time, injected faults or not. *)
     t.messages <- t.messages + 1;
     t.bytes <- t.bytes + size;

@@ -1,13 +1,12 @@
 module Histogram = Xguard_stats.Histogram
 module Counter = Xguard_stats.Counter
 module Group = Counter.Group
-module Engine = Xguard_sim.Engine
 module Shard = Xguard_sim.Shard
 
-(* Streaming run telemetry, built on the same bones as {!Spans}: a
-   per-domain armed recorder, deferred-effect replay at PDES barriers, and a
-   pure associative summary merge so campaign shards fold byte-identically in
-   job order.
+(* Streaming run telemetry, built on the same bones as {!Spans}: a recorder
+   armed in the domain's observer context, deferred-effect replay at PDES
+   barriers, and a pure associative summary merge so campaign shards fold
+   byte-identically in job order.
 
    Each sampler tick snapshots three things into one sample: the nonzero
    counter deltas since the previous tick (every registered stats group,
@@ -17,11 +16,10 @@ module Shard = Xguard_sim.Shard
    quantiles.  The watchdog judges exactly that snapshot, so anomaly verdicts
    are as deterministic as the stream itself.
 
-   Arming metrics always arms the span layer too (the CLI enforces it): the
-   per-tick quantiles read the armed span recorder, and the sharded engine's
-   span context provides deferral for the per-guard latency hooks below. *)
+   Arming metrics always arms the span layer too ([Campaign.observe] does
+   it): the per-tick quantiles read the context's span recorder. *)
 
-type sample = {
+type sample = Obs.sample = {
   m_ts : int;
   m_counters : (string * int) array;  (** nonzero deltas, source order *)
   m_gauges : (string * int) array;  (** instantaneous values, registration order *)
@@ -29,66 +27,13 @@ type sample = {
       (** (segment, txn, n, p50, p95, p99), canonical cell order *)
 }
 
-(* One counter of a source, resolved once: its live handle, its full
-   ["label.name"], and the recorder's previous-tick value cell for that name
-   (shared by every source that renders the same name). *)
-type tap = { t_counter : Counter.t; t_name : string; t_prev : int ref }
-
-(* A registered stats group and the taps of the counters it had enlisted by
-   the last tick: counters never leave a group, so a tick resolves only the
-   ones enlisted since ([Group.count] beyond the taps it has). *)
-type source = { s_label : string; s_group : Group.t; mutable s_taps : tap array }
-
-type quant = string * string * int * int * int * int
-
-(* The span recorder's per-(segment, txn) quantiles as the last tick saw
-   them.  A cell's histogram changes only through [observe], which always
-   raises its count, so a tick recomputes just the cells whose count moved
-   and reuses its previous output while none did. *)
-type quants = {
-  q_spans : Spans.recorder;
-  q_hists : Histogram.t array;  (** its cells, canonical (segment, txn) order *)
-  q_cells : quant array;  (** last computed; count 0 until the first sample *)
-  mutable q_out : quant array;  (** nonempty cells, as of the last tick *)
-}
-
-(* One latency metric of one guard: open transactions by block address
-   (their start timestamps), and the histogram, made at the first close. *)
-type lane = {
-  l_metric : string;
-  l_open : (int, int) Hashtbl.t;
-  mutable l_hist : Histogram.t option;
-}
-
-(* A guard's lanes, found by its label once per hook. *)
-type series = { sr_guard : string; e2e : lane; inv : lane }
-
-type recorder = {
-  mutable sources : source list;  (** registration order *)
-  mutable extra_gauges : (string * (unit -> int)) list;
-  cells : (string, int ref) Hashtbl.t;
-      (** full counter name -> previous-tick value; survives [reset_sources] *)
-  (* [Spans.gauges () @ extra_gauges], rebuilt when either list changes *)
-  mutable g_spans : (string * (unit -> int)) list;
-  mutable g_extra : (string * (unit -> int)) list;
-  mutable g_all : (string * (unit -> int)) list;
-  mutable quants : quants option;  (** for the armed span recorder *)
-  mutable series : series list;  (** one per guard label seen *)
-  mutable replaced : int;
-  watchdog : Watchdog.t option;
-  mutable wd_events : Watchdog.event list;  (** newest first *)
-  mutable avails : (string * int * int) list;  (** newest first *)
-  sample_cap : int;
-  mutable samples : sample list;  (** newest first *)
-  mutable sample_count : int;
-  mutable dropped : int;
-}
+type recorder = Obs.metrics
 
 let no_quant = ("", "", 0, 0, 0, 0)
 
 let create ?watchdog ?(sample_cap = 100_000) () =
   {
-    sources = [];
+    Obs.sources = [];
     extra_gauges = [];
     cells = Hashtbl.create 128;
     g_spans = [];
@@ -96,92 +41,55 @@ let create ?watchdog ?(sample_cap = 100_000) () =
     g_all = [];
     quants = None;
     series = [];
-    replaced = 0;
+    m_replaced = 0;
     watchdog = Option.map Watchdog.create watchdog;
     wd_events = [];
     avails = [];
-    sample_cap;
-    samples = [];
-    sample_count = 0;
-    dropped = 0;
+    m_sample_cap = sample_cap;
+    m_samples = [];
+    m_sample_count = 0;
+    m_dropped = 0;
   }
 
-(* -- arming (same discipline as Spans) ------------------------------------- *)
-
-let key : recorder option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-let get () = Domain.DLS.get key
-let armed = get
-
-(* PDES worker domains have no DLS recorder; they must still defer the
-   per-guard latency hooks through the shard context when the coordinator has
-   metrics armed.  The shard context only knows "spans are armed" (metrics
-   implies spans), so a process-wide hint distinguishes a metrics run from a
-   spans-only one and keeps the latter free of no-op deferrals. *)
-let hint = Atomic.make false
-
-let on () =
-  match Domain.DLS.get key with
-  | Some _ -> true
-  | None -> Atomic.get hint && Shard.spans_on ()
-
-let with_armed r f =
-  Atomic.set hint true;
-  let prev = Domain.DLS.get key in
-  Domain.DLS.set key (Some r);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set key prev) f
+let with_armed r f = Obs.with_ctx { (Obs.get ()) with Obs.metrics = Some r } f
 
 (* -- sources ---------------------------------------------------------------- *)
 
-let reset_sources () =
-  match get () with
-  | None -> ()
-  | Some r ->
-      r.sources <- [];
-      r.extra_gauges <- []
+let reset_sources (r : recorder) =
+  r.sources <- [];
+  r.extra_gauges <- []
 
-let add_group ~name g =
-  match get () with
-  | None -> ()
-  | Some r ->
-      r.sources <- r.sources @ [ { s_label = name; s_group = g; s_taps = [||] } ]
+let add_group (r : recorder) ~name g =
+  r.sources <- r.sources @ [ { Obs.s_label = name; s_group = g; s_taps = [||] } ]
 
-let add_gauge ~name f =
-  match get () with
-  | None -> ()
-  | Some r -> r.extra_gauges <- r.extra_gauges @ [ (name, f) ]
+let add_gauge (r : recorder) ~name f = r.extra_gauges <- r.extra_gauges @ [ (name, f) ]
 
-let watchdog_armed () =
-  match get () with
-  | None -> false
-  | Some r -> ( match r.watchdog with Some _ -> true | None -> false)
+let watchdog_armed (r : recorder) = match r.watchdog with Some _ -> true | None -> false
 
-let set_watchdog_reporter f =
-  match get () with
-  | None -> ()
-  | Some r -> (
-      match r.watchdog with Some w -> Watchdog.set_reporter w f | None -> ())
+let set_watchdog_reporter (r : recorder) f =
+  match r.watchdog with Some w -> Watchdog.set_reporter w f | None -> ()
 
 (* -- per-guard latency hooks ------------------------------------------------ *)
 
-let lane metric = { l_metric = metric; l_open = Hashtbl.create 16; l_hist = None }
+let lane metric = { Obs.l_metric = metric; l_open = Hashtbl.create 16; l_hist = None }
 
-let rec series_in r guard = function
-  | s :: rest -> if String.equal s.sr_guard guard then s else series_in r guard rest
+let rec series_in (r : recorder) guard = function
+  | (s : Obs.series) :: rest -> if String.equal s.sr_guard guard then s else series_in r guard rest
   | [] ->
-      let s = { sr_guard = guard; e2e = lane "xg.e2e"; inv = lane "inv.roundtrip" } in
+      let s = { Obs.sr_guard = guard; e2e = lane "xg.e2e"; inv = lane "inv.roundtrip" } in
       r.series <- s :: r.series;
       s
 
-let series_for r guard = series_in r guard r.series
+let series_for (r : recorder) guard = series_in r guard r.series
 
-let open_in r l ~addr ~now =
+let open_in (r : recorder) (l : Obs.lane) ~addr ~now =
   if Hashtbl.mem l.l_open addr then begin
     Hashtbl.remove l.l_open addr;
-    r.replaced <- r.replaced + 1
+    r.m_replaced <- r.m_replaced + 1
   end;
   Hashtbl.replace l.l_open addr now
 
-let close_in s l ~addr ~now =
+let close_in (s : Obs.series) (l : Obs.lane) ~addr ~now =
   match Hashtbl.find_opt l.l_open addr with
   | None -> ()
   | Some t0 ->
@@ -196,59 +104,38 @@ let close_in s l ~addr ~now =
       in
       Histogram.observe h (now - t0)
 
-(* Like the span hooks, each checks for a shard context first and builds
-   its replay closure only inside a window. *)
+let e2e_open_r r guard addr now = open_in r (series_for r guard).e2e ~addr ~now
 
-let e2e_open_direct ~guard ~addr ~now =
-  match get () with None -> () | Some r -> open_in r (series_for r guard).e2e ~addr ~now
+let e2e_close_r r guard addr now =
+  let s = series_for r guard in
+  close_in s s.e2e ~addr ~now
 
-let e2e_open ~guard ~addr ~now =
-  match Shard.spans_ctx () with
-  | Some c -> Shard.defer c ~ts:now (fun () -> e2e_open_direct ~guard ~addr ~now)
-  | None -> e2e_open_direct ~guard ~addr ~now
+let inv_open_r r guard addr now = open_in r (series_for r guard).inv ~addr ~now
 
-let e2e_close_direct ~guard ~addr ~now =
-  match get () with
-  | None -> ()
-  | Some r ->
-      let s = series_for r guard in
-      close_in s s.e2e ~addr ~now
+let inv_close_r r guard addr now =
+  let s = series_for r guard in
+  close_in s s.inv ~addr ~now
 
-let e2e_close ~guard ~addr ~now =
-  match Shard.spans_ctx () with
-  | Some c -> Shard.defer c ~ts:now (fun () -> e2e_close_direct ~guard ~addr ~now)
-  | None -> e2e_close_direct ~guard ~addr ~now
+(* Like the span hooks: run [f] now or, inside a sharded-engine window,
+   deferred to the barrier; [f] is closed, so outside a window nothing is
+   allocated. *)
+let on_guard f r ~guard ~addr ~now =
+  match Shard.current () with
+  | Some c -> Shard.defer c ~ts:now (fun () -> f r guard addr now)
+  | None -> f r guard addr now
 
-let inv_open_direct ~guard ~addr ~now =
-  match get () with None -> () | Some r -> open_in r (series_for r guard).inv ~addr ~now
-
-let inv_open ~guard ~addr ~now =
-  match Shard.spans_ctx () with
-  | Some c -> Shard.defer c ~ts:now (fun () -> inv_open_direct ~guard ~addr ~now)
-  | None -> inv_open_direct ~guard ~addr ~now
-
-let inv_close_direct ~guard ~addr ~now =
-  match get () with
-  | None -> ()
-  | Some r ->
-      let s = series_for r guard in
-      close_in s s.inv ~addr ~now
-
-let inv_close ~guard ~addr ~now =
-  match Shard.spans_ctx () with
-  | Some c -> Shard.defer c ~ts:now (fun () -> inv_close_direct ~guard ~addr ~now)
-  | None -> inv_close_direct ~guard ~addr ~now
+let e2e_open r ~guard ~addr ~now = on_guard e2e_open_r r ~guard ~addr ~now
+let e2e_close r ~guard ~addr ~now = on_guard e2e_close_r r ~guard ~addr ~now
+let inv_open r ~guard ~addr ~now = on_guard inv_open_r r ~guard ~addr ~now
+let inv_close r ~guard ~addr ~now = on_guard inv_close_r r ~guard ~addr ~now
 
 (* -- availability (recorded once post-run, outside any shard window) -------- *)
 
-let note_avail ~guard ~down ~now =
-  match get () with
-  | None -> ()
-  | Some r -> r.avails <- (guard, down, now) :: r.avails
+let note_avail (r : recorder) ~guard ~down ~now = r.avails <- (guard, down, now) :: r.avails
 
 (* -- sampler ----------------------------------------------------------------- *)
 
-let tap r s c =
+let tap (r : recorder) (s : Obs.source) c =
   let name = s.s_label ^ "." ^ Counter.name c in
   let prev =
     match Hashtbl.find_opt r.cells name with
@@ -258,10 +145,10 @@ let tap r s c =
         Hashtbl.add r.cells name p;
         p
   in
-  { t_counter = c; t_name = name; t_prev = prev }
+  { Obs.t_counter = c; t_name = name; t_prev = prev }
 
 (* Resolve the counters [s]'s group enlisted since the last tick. *)
-let catch_up r s =
+let catch_up r (s : Obs.source) =
   let seen = Array.length s.s_taps in
   let n = Group.count s.s_group in
   if n > seen then
@@ -272,12 +159,12 @@ let catch_up r s =
 (* Nonzero deltas since the previous tick, source order then creation order.
    Taps sharing a cell see each other's update in that order, exactly as one
    name-keyed table would. *)
-let counter_deltas r =
+let counter_deltas (r : recorder) =
   let acc = ref [] in
   List.iter
-    (fun s ->
+    (fun (s : Obs.source) ->
       Array.iter
-        (fun tp ->
+        (fun (tp : Obs.tap) ->
           let v = Counter.get tp.t_counter and p = !(tp.t_prev) in
           tp.t_prev := v;
           if v <> p then acc := (tp.t_name, v - p) :: !acc)
@@ -285,8 +172,8 @@ let counter_deltas r =
     r.sources;
   List.rev !acc
 
-let gauge_sources r =
-  let spans = Spans.gauges () in
+let gauge_sources (r : recorder) sr =
+  let spans = match sr with Some sr -> Spans.gauges sr | None -> [] in
   (* Every registration builds a new list, so physical identity tells
      whether either registry changed since the last tick. *)
   if spans != r.g_spans || r.extra_gauges != r.g_extra then begin
@@ -299,7 +186,7 @@ let gauge_sources r =
 let quants_of sr =
   let cells = Spans.seg_count * Spans.txn_count in
   {
-    q_spans = sr;
+    Obs.q_spans = sr;
     q_hists =
       Array.init cells (fun i ->
           Spans.hist sr ~seg:(i / Spans.txn_count) ~txn:(i mod Spans.txn_count));
@@ -307,10 +194,9 @@ let quants_of sr =
     q_out = [||];
   }
 
-(* Per-(segment, txn) quantiles of the armed span recorder in canonical cell
-   order, cells without samples omitted. *)
-let quantiles r =
-  match Spans.armed () with
+(* Per-(segment, txn) quantiles of the context's span recorder in canonical
+   cell order, cells without samples omitted. *)
+let quantiles (r : recorder) = function
   | None -> [||]
   | Some sr ->
       let q =
@@ -351,25 +237,27 @@ let quantiles r =
       end;
       q.q_out
 
-let take_sample r ~now =
+let take_sample (r : recorder) sr ~now =
   List.iter (catch_up r) r.sources;
-  match (List.exists (fun s -> Array.length s.s_taps > 0) r.sources, gauge_sources r) with
+  match
+    (List.exists (fun (s : Obs.source) -> Array.length s.s_taps > 0) r.sources, gauge_sources r sr)
+  with
   | false, [] -> ()
   | _, sources -> (
       let deltas = counter_deltas r in
       let gauges = List.map (fun (n, f) -> (n, f ())) sources in
-      let quants = quantiles r in
-      if r.sample_count >= r.sample_cap then r.dropped <- r.dropped + 1
+      let quants = quantiles r sr in
+      if r.m_sample_count >= r.m_sample_cap then r.m_dropped <- r.m_dropped + 1
       else begin
-        r.samples <-
+        r.m_samples <-
           {
             m_ts = now;
             m_counters = Array.of_list deltas;
             m_gauges = Array.of_list gauges;
             m_quants = quants;
           }
-          :: r.samples;
-        r.sample_count <- r.sample_count + 1
+          :: r.m_samples;
+        r.m_sample_count <- r.m_sample_count + 1
       end;
       match r.watchdog with
       | None -> ()
@@ -377,15 +265,11 @@ let take_sample r ~now =
           let evs = Watchdog.observe w ~now ~deltas ~gauges in
           r.wd_events <- List.rev_append evs r.wd_events)
 
-let sample_now ~now = match get () with None -> () | Some r -> take_sample r ~now
-
-let start_sampler ~engine ~period =
-  match get () with
-  | None -> ()
-  | Some r ->
-      Engine.every engine ~period ~phase:period (fun () ->
-          take_sample r ~now:(Engine.now engine);
-          Engine.pending engine > 0)
+(* The one observer sample: the span gauges first, then the metrics sample
+   and its watchdog verdicts. *)
+let tick (o : Obs.t) ~now =
+  (match o.spans with Some sr -> Spans.sample_gauges sr ~now | None -> ());
+  match o.metrics with Some r -> take_sample r o.spans ~now | None -> ()
 
 (* -- summaries ---------------------------------------------------------------- *)
 
@@ -458,12 +342,12 @@ module Summary = struct
     }
 end
 
-let summary ~label r =
+let summary ~label (r : recorder) =
   let hists =
     List.concat_map
-      (fun s ->
+      (fun (s : Obs.series) ->
         List.filter_map
-          (fun l -> Option.map (fun h -> ((s.sr_guard, l.l_metric), h)) l.l_hist)
+          (fun (l : Obs.lane) -> Option.map (fun h -> ((s.sr_guard, l.l_metric), h)) l.l_hist)
           [ s.e2e; s.inv ])
       r.series
     |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -473,14 +357,14 @@ let summary ~label r =
       [
         {
           Summary.b_label = label;
-          b_samples = List.rev r.samples;
+          b_samples = List.rev r.m_samples;
           b_events = List.rev r.wd_events;
           b_avails = List.rev r.avails;
         };
       ];
     hists;
-    s_replaced = r.replaced;
-    s_dropped = r.dropped;
+    s_replaced = r.m_replaced;
+    s_dropped = r.m_dropped;
   }
 
 (* -- JSONL stream ------------------------------------------------------------- *)

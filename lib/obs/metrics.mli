@@ -5,67 +5,62 @@
     sharded (PDES) engine produce byte-identical streams for any [-j] /
     [--sim-j].
 
-    Invisible unless armed: every hook below no-ops when no recorder is armed
-    on the domain (and no shard context forwards to an armed coordinator), so
-    metrics-off runs are byte-identical to builds without this module.
+    Invisible unless armed: a recorder lives in the metrics slot of the
+    domain's observer context ({!Obs}), and hook sites call the functions
+    below only when one is armed, so metrics-off runs are byte-identical to
+    builds without this module.
 
-    Arming metrics requires the span layer to be armed too (the CLI enforces
-    it): per-tick quantiles read the armed span recorder and per-guard
-    latency hooks defer through the shard span context at PDES barriers. *)
+    Arming metrics arms the span layer too ([Campaign.observe] does it):
+    per-tick quantiles read the context's span recorder. *)
 
-type sample = {
+type sample = Obs.sample = {
   m_ts : int;
   m_counters : (string * int) array;  (** nonzero deltas since previous tick *)
   m_gauges : (string * int) array;
   m_quants : (string * string * int * int * int * int) array;
-      (** (segment, txn, n, p50, p95, p99) from the armed span recorder *)
+      (** (segment, txn, n, p50, p95, p99) from the context's span recorder *)
 }
 
-type recorder
+type recorder = Obs.metrics
 
 val create : ?watchdog:Watchdog.config -> ?sample_cap:int -> unit -> recorder
 
-(** {2 Arming} *)
-
-val on : unit -> bool
-(** Whether metrics are armed on this domain — directly, or via a sharded
-    window whose coordinator armed a metrics recorder. *)
-
-val armed : unit -> recorder option
 val with_armed : recorder -> (unit -> 'a) -> 'a
+(** Run a thunk with [recorder] in the metrics slot of this domain's
+    observer context, restoring the previous context afterwards. *)
 
-(** {2 Sources} — registered by [System.build] and the drivers; all no-ops
-    when unarmed. *)
+(** {2 Sources} — registered by [System.build] and the drivers. *)
 
-val reset_sources : unit -> unit
-val add_group : name:string -> Xguard_stats.Counter.Group.t -> unit
+val reset_sources : recorder -> unit
+val add_group : recorder -> name:string -> Xguard_stats.Counter.Group.t -> unit
 (** Register a stats group; its counters stream as ["name.counter"]. *)
 
-val add_gauge : name:string -> (unit -> int) -> unit
+val add_gauge : recorder -> name:string -> (unit -> int) -> unit
 (** Metrics-only gauge (e.g. a sequencer's completion count); the span
     layer's gauge registry is snapshotted automatically. *)
 
-val watchdog_armed : unit -> bool
-val set_watchdog_reporter : (rule:int -> event:int -> detail:string -> unit) -> unit
+val watchdog_armed : recorder -> bool
+val set_watchdog_reporter : recorder -> (rule:int -> event:int -> detail:string -> unit) -> unit
 
 (** {2 Per-guard latency hooks} — fired by the guard link, deferred through
     the shard context inside PDES windows. *)
 
-val e2e_open : guard:string -> addr:int -> now:int -> unit
-val e2e_close : guard:string -> addr:int -> now:int -> unit
-val inv_open : guard:string -> addr:int -> now:int -> unit
-val inv_close : guard:string -> addr:int -> now:int -> unit
+val e2e_open : recorder -> guard:string -> addr:int -> now:int -> unit
+val e2e_close : recorder -> guard:string -> addr:int -> now:int -> unit
+val inv_open : recorder -> guard:string -> addr:int -> now:int -> unit
+val inv_close : recorder -> guard:string -> addr:int -> now:int -> unit
 
-val note_avail : guard:string -> down:int -> now:int -> unit
+val note_avail : recorder -> guard:string -> down:int -> now:int -> unit
 (** Record a guard's downtime for availability SLOs; called once post-run. *)
 
 (** {2 Sampling} *)
 
-val sample_now : now:int -> unit
-(** One sampler tick on the armed recorder (PDES barrier path). *)
-
-val start_sampler : engine:Xguard_sim.Engine.t -> period:int -> unit
-(** Free-running sampler for sequential builds, phase-aligned to [period]. *)
+val tick : Obs.t -> now:int -> unit
+(** The one observer sample, timestamped [now]: the context's span gauges
+    ({!Spans.sample_gauges}), then its metrics sample and the watchdog's
+    verdicts on it.  Driven by the engine's sampler ([Engine.set_sampler],
+    installed by [System.build]) or, under the sharded engine, by the
+    coordinator at window barriers. *)
 
 (** {2 Summaries} *)
 

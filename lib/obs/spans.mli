@@ -10,12 +10,12 @@
 
     {2 Arming}
 
-    Recording is off by default and gated behind {!on}, a single
-    domain-local read, so spans-off runs execute the exact seed
-    instruction stream (byte-identical output; see tools/check_spans.sh).
-    A {!recorder} is armed per domain with {!with_armed}, which makes the
-    span layer safe under the parallel pool: each campaign worker arms its
-    own recorder and the summaries merge purely in job order.
+    A {!recorder} is armed per domain with {!with_armed}, which sets the
+    span slot of the domain's observer context ({!Obs}): each campaign
+    worker arms its own recorder and the summaries merge purely in job
+    order.  Hook sites resolve the context once and call the hooks below
+    with its recorder only when one is armed, so spans-off runs execute the
+    exact seed instruction stream (byte-identical output).
 
     {2 Span id threading}
 
@@ -32,7 +32,7 @@
     [Inv] for host-initiated invalidate round trips, and [Load]/[Store] for
     sequencer-level segments (the sequencer sees memory accesses, not yet
     coherence messages). *)
-type txn = Get_s | Get_m | Put_s | Put_e | Put_m | Inv | Load | Store
+type txn = Obs.txn = Get_s | Get_m | Put_s | Put_e | Put_m | Inv | Load | Store
 
 (** Segment taxonomy — one per attributable phase of a crossing.  See
     DESIGN.md §9 for where each begins and ends. *)
@@ -64,7 +64,7 @@ val seg_name_of_index : int -> string
 
 (** {2 Recorder lifecycle} *)
 
-type recorder
+type recorder = Obs.spans
 
 val create : ?timeline:bool -> ?timeline_cap:int -> ?sample_cap:int -> unit -> recorder
 (** [timeline] (default [false]) additionally buffers every segment sample as
@@ -73,25 +73,20 @@ val create : ?timeline:bool -> ?timeline_cap:int -> ?sample_cap:int -> unit -> r
     histograms keep accumulating.  [sample_cap] bounds the time-series
     sampler the same way. *)
 
-val on : unit -> bool
-(** True when the calling domain has an armed recorder, or is executing a
-    sharded-engine window whose coordinator has spans armed (see
-    {!Xguard_sim.Shard}).  The one check every hook performs first. *)
-
 val with_armed : recorder -> (unit -> 'a) -> 'a
-(** Run a thunk with [recorder] armed on this domain, restoring the previous
-    arming state afterwards (exceptions included). *)
-
-val armed : unit -> recorder option
+(** Run a thunk with [recorder] in the span slot of this domain's observer
+    context, restoring the previous context afterwards (exceptions
+    included). *)
 
 (** {2 Recording}
 
-    Every function below is a no-op when the domain is unarmed. *)
+    Every mutator below defers itself through the {!Xguard_sim.Shard}
+    context when called inside a sharded-engine window. *)
 
-val fresh_id : unit -> int
-(** Next span id from the armed recorder; [0] when unarmed. *)
+val fresh_id : recorder -> int
+(** Next span id (domain-salted inside a sharded-engine window). *)
 
-val record : seg -> txn -> span:int -> addr:int -> ts:int -> dur:int -> unit
+val record : recorder -> seg -> txn -> span:int -> addr:int -> ts:int -> dur:int -> unit
 (** Close one segment: observe [dur] in the (seg, txn) histogram and append a
     timeline event when the recorder buffers timelines. *)
 
@@ -99,87 +94,94 @@ val deferred : now:int -> (unit -> unit) -> unit
 (** Run a read-then-record block (e.g. {!lookup} followed by {!record}) at
     simulated time [now].  Inside a sharded-engine domain window the whole
     block is deferred and replayed at the barrier — its recorder reads then
-    see barrier-ordered state; otherwise it runs immediately.  Callers keep
-    their [if on () then ...] gate so spans-off runs allocate nothing. *)
+    see barrier-ordered state; otherwise it runs immediately.  Callers build
+    the block only when a recorder is armed, so spans-off runs allocate
+    nothing. *)
 
 (** {3 Crossing lifecycle (guard link + XG + host ports)} *)
 
-val xreq_open : txn -> addr:int -> now:int -> unit
+val xreq_open : recorder -> txn -> addr:int -> now:int -> unit
 (** An accelerator request entered the guard link ([To_xg_req] send). *)
 
-val xreq_delivered : addr:int -> now:int -> unit
+val xreq_delivered : recorder -> addr:int -> now:int -> unit
 (** That request arrived at the XG: closes [Link_req]. *)
 
-val xg_decided : addr:int -> now:int -> unit
+val xg_decided : recorder -> addr:int -> now:int -> unit
 (** The XG resolved the request (host issue or direct ack): closes
     [Xg_decide]. *)
 
-val resp_sent : addr:int -> now:int -> unit
+val resp_sent : recorder -> addr:int -> now:int -> unit
 (** The XG sent the accel-bound response ([To_accel_resp]). *)
 
-val resp_delivered : addr:int -> now:int -> unit
+val resp_delivered : recorder -> addr:int -> now:int -> unit
 (** The response arrived at the accelerator: closes [Link_resp] and, for
     GETs, retires the crossing. *)
 
-val host_put_issued : addr:int -> now:int -> unit
+val host_put_issued : recorder -> addr:int -> now:int -> unit
 (** The XG forwarded this writeback to a host port; the crossing then stays
     open until {!put_settled}, even after the accel ack is delivered.  [now]
     only orders the op under the sharded engine. *)
 
-val put_settled : addr:int -> now:int -> unit
+val put_settled : recorder -> addr:int -> now:int -> unit
 (** A host-forwarded writeback finished on the host side; retires the
     crossing once the accel response has also been delivered. *)
 
-val lookup : addr:int -> (int * txn) option
+val lookup : recorder -> addr:int -> (int * txn) option
 (** Span id and transaction type of the open crossing on [addr], for
     host-side hooks that attribute their own segments ([Host_fetch],
     [Host_defer]). *)
 
-val lookup_put : addr:int -> (int * txn) option
+val lookup_put : recorder -> addr:int -> (int * txn) option
 (** Like {!lookup}, but resolves the still-settling writeback on [addr] even
     after the accel ack retired the request/response half of the crossing —
     and even if a follow-up GET has already opened a new crossing on the
     same block.  Host ports use this to attribute [Host_writeback]. *)
 
+(** {3 Host-port segments} *)
+
+val host_segment :
+  recorder -> seg -> ?put:bool -> addr:int -> born:int -> now:int -> txn:txn -> unit -> unit
+(** A host port closes one of its own segments ([Host_fetch], [Host_defer])
+    from [born] to [now], on the crossing open on [addr] ({!lookup}, or
+    {!lookup_put} when [put]) or, when none is, on span 0 with [txn].  The
+    read-then-record block runs through {!deferred}. *)
+
+val host_put_done : recorder -> addr:int -> born:int -> now:int -> notify_core:bool -> unit
+(** A host port's writeback settled: [Host_writeback] on the settling
+    crossing, or a fresh [Host_relinquish] span when the port initiated it;
+    then {!put_settled} when the guard core is notified. *)
+
 (** {3 Invalidate lifecycle} *)
 
-val inv_open : addr:int -> now:int -> unit
+val inv_open : recorder -> addr:int -> now:int -> unit
 (** The XG sent an [Invalidate] to the accelerator. *)
 
-val inv_closed : addr:int -> now:int -> unit
+val inv_closed : recorder -> addr:int -> now:int -> unit
 (** The accelerator's ack came back to the XG: closes [Inv_roundtrip]. *)
 
-val inv_race : addr:int -> now:int -> unit
+val inv_race : recorder -> addr:int -> now:int -> unit
 (** A put crossed the in-flight invalidate (instant event). *)
 
-val inv_timeout : addr:int -> now:int -> unit
+val inv_timeout : recorder -> addr:int -> now:int -> unit
 (** The invalidate watchdog escalated (instant event). *)
 
-(** {2 Time-series sampler} *)
+(** {2 Time-series gauges} *)
 
-val add_gauge : name:string -> (unit -> int) -> unit
-(** Register a gauge with the armed recorder.  Gauges are read together at
-    each sampler tick; registration order fixes the series order. *)
+val add_gauge : recorder -> name:string -> (unit -> int) -> unit
+(** Register a gauge.  Gauges are read together at each sampler tick;
+    registration order fixes the series order. *)
 
-val reset_gauges : unit -> unit
-(** Drop all registered gauges (armed recorder only).  Called at the top of
-    [System.build] so rebuilt systems never sample stale closures. *)
+val reset_gauges : recorder -> unit
+(** Drop all registered gauges.  Called at the top of [System.build] so
+    rebuilt systems never sample stale closures. *)
 
-val gauges : unit -> (string * (unit -> int)) list
-(** The armed recorder's gauge registry (registration order); [[]] when
-    unarmed.  The metrics layer snapshots this at its own ticks instead of
-    duplicating every registration site. *)
+val gauges : recorder -> (string * (unit -> int)) list
+(** The gauge registry (registration order).  The metrics layer snapshots
+    this at its own ticks instead of duplicating every registration site. *)
 
-val sample_now : now:int -> unit
-(** Snapshot every registered gauge once, timestamped [now], on the armed
-    recorder.  The sharded-engine coordinator calls this at window barriers
-    in place of {!start_sampler} (whose tick would have to run inside a
-    domain window). *)
-
-val start_sampler : engine:Xguard_sim.Engine.t -> period:int -> unit
-(** Snapshot every registered gauge every [period] cycles (first sample at
-    [period]) for as long as the engine has other work pending.  The tick
-    re-arms only while other events exist, so the engine still drains. *)
+val sample_gauges : recorder -> now:int -> unit
+(** Snapshot every registered gauge once, timestamped [now] — the span half
+    of the one observer sample, {!Metrics.tick}. *)
 
 (** {2 Summaries} *)
 

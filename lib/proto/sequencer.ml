@@ -1,6 +1,7 @@
 module Engine = Xguard_sim.Engine
 module Histogram = Xguard_stats.Histogram
 module Trace = Xguard_trace.Trace
+module Obs = Xguard_obs.Obs
 module Spans = Xguard_obs.Spans
 module Metrics = Xguard_obs.Metrics
 
@@ -68,13 +69,17 @@ let create ~engine ~name ~port ?(max_outstanding = 16) ?(retry_delay = 3) () =
 
 let create ~engine ~name ~port ?max_outstanding ?retry_delay () =
   let t = create ~engine ~name ~port ?max_outstanding ?retry_delay () in
-  if Spans.on () then Spans.add_gauge ~name:(name ^ ".outstanding") (fun () -> t.in_flight + t.queued);
+  let o = Obs.get () in
+  Option.iter
+    (fun sr -> Spans.add_gauge sr ~name:(name ^ ".outstanding") (fun () -> t.in_flight + t.queued))
+    o.Obs.spans;
   (* The watchdog's starvation rule pairs each port's [.outstanding] gauge
      (shared with the span layer above) with a progress signal: a port that
      holds work while [.completed] freezes — and the rest of the system
      moves — is starving. *)
-  if Metrics.on () then
-    Metrics.add_gauge ~name:(name ^ ".completed") (fun () -> t.completed);
+  Option.iter
+    (fun mr -> Metrics.add_gauge mr ~name:(name ^ ".completed") (fun () -> t.completed))
+    o.Obs.metrics;
   t
 
 let name t = t.name
@@ -148,42 +153,57 @@ let rec pump t =
           t.completed <- t.completed + 1;
           let lat = Engine.now t.engine - p.issued_at in
           Histogram.observe t.latency lat;
-          if Spans.on () then
-            Spans.record Spans.Seq_e2e (span_txn p.access) ~span:p.span
-              ~addr:(Addr.to_int addr) ~ts:p.issued_at ~dur:lat;
-          if Trace.on () then
-            Trace.note ~cycle:(Engine.now t.engine) ~controller:t.name
-              ~addr:(Addr.to_int addr)
-              ~text:(Printf.sprintf "done %s (latency %d)" (access_text p.access) lat)
-              ();
+          let o = Obs.get () in
+          (match o.Obs.spans with
+          | Some sr ->
+              Spans.record sr Spans.Seq_e2e (span_txn p.access) ~span:p.span
+                ~addr:(Addr.to_int addr) ~ts:p.issued_at ~dur:lat
+          | None -> ());
+          (match o.Obs.trace with
+          | Some tr ->
+              Trace.note tr ~cycle:(Engine.now t.engine) ~controller:t.name
+                ~addr:(Addr.to_int addr)
+                ~text:(Printf.sprintf "done %s (latency %d)" (access_text p.access) lat)
+                ()
+          | None -> ());
           p.on_complete value ~latency:lat;
           schedule_pump t)
     in
     if accepted then begin
       t.flight_addrs.(t.in_flight) <- addr;
       t.in_flight <- t.in_flight + 1;
-      if Spans.on () then
-        Spans.record Spans.Seq_queue (span_txn p.access) ~span:p.span
-          ~addr:(Addr.to_int addr) ~ts:p.issued_at
-          ~dur:(Engine.now t.engine - p.issued_at);
-      if Trace.on () then
-        Trace.note ~cycle:(Engine.now t.engine) ~controller:t.name
-          ~addr:(Addr.to_int addr)
-          ~text:(Printf.sprintf "issue %s" (access_text p.access))
-          ();
+      let o = Obs.get () in
+      (match o.Obs.spans with
+      | Some sr ->
+          Spans.record sr Spans.Seq_queue (span_txn p.access) ~span:p.span
+            ~addr:(Addr.to_int addr) ~ts:p.issued_at
+            ~dur:(Engine.now t.engine - p.issued_at)
+      | None -> ());
+      (match o.Obs.trace with
+      | Some tr ->
+          Trace.note tr ~cycle:(Engine.now t.engine) ~controller:t.name
+            ~addr:(Addr.to_int addr)
+            ~text:(Printf.sprintf "issue %s" (access_text p.access))
+            ()
+      | None -> ());
       pump t
     end
     else begin
       (* Cache rejected: requeue at the head and retry after a delay. *)
       t.retries <- t.retries + 1;
-      if Spans.on () then
-        Spans.record Spans.Seq_retry (span_txn p.access) ~span:p.span
-          ~addr:(Addr.to_int addr) ~ts:(Engine.now t.engine) ~dur:t.retry_delay;
-      if Trace.on () then
-        Trace.stall ~cycle:(Engine.now t.engine) ~controller:t.name
-          ~addr:(Addr.to_int addr)
-          ~why:(Printf.sprintf "cache rejected %s; retry in %d" (access_text p.access)
-                  t.retry_delay);
+      let o = Obs.get () in
+      (match o.Obs.spans with
+      | Some sr ->
+          Spans.record sr Spans.Seq_retry (span_txn p.access) ~span:p.span
+            ~addr:(Addr.to_int addr) ~ts:(Engine.now t.engine) ~dur:t.retry_delay
+      | None -> ());
+      (match o.Obs.trace with
+      | Some tr ->
+          Trace.stall tr ~cycle:(Engine.now t.engine) ~controller:t.name
+            ~addr:(Addr.to_int addr)
+            ~why:(Printf.sprintf "cache rejected %s; retry in %d" (access_text p.access)
+                    t.retry_delay)
+      | None -> ());
       push_front t p;
       Engine.schedule t.engine ~delay:t.retry_delay ~tag:t.check_tag (fun () -> pump t)
     end
@@ -198,7 +218,7 @@ and schedule_pump t =
   end
 
 let request t access ~on_complete =
-  let span = if Spans.on () then Spans.fresh_id () else 0 in
+  let span = match Obs.spans () with Some sr -> Spans.fresh_id sr | None -> 0 in
   push_back t { access; issued_at = Engine.now t.engine; span; on_complete };
   schedule_pump t
 

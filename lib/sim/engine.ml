@@ -16,6 +16,13 @@ type t = {
   mutable next_seq : int;
   mutable fired : int;
   mutable stop_requested : bool;
+  (* The observer sampler ([set_sampler]): the next boundary it samples
+     ([max_int] while none is installed), its period and function, and
+     [fired] as of its last sample. *)
+  mutable tick_at : int;
+  mutable tick_period : int;
+  mutable tick : int -> unit;
+  mutable ticked_fired : int;
 }
 
 let create () =
@@ -29,6 +36,10 @@ let create () =
     next_seq = 0;
     fired = 0;
     stop_requested = false;
+    tick_at = max_int;
+    tick_period = 0;
+    tick = ignore;
+    ticked_fired = -1;
   }
 
 let now t = t.now
@@ -129,6 +140,26 @@ let domain_fired : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 
 let events_fired_here () = !(Domain.DLS.get domain_fired)
 
+let set_sampler t ~period f =
+  if period <= 0 then invalid_arg "Engine.set_sampler: period must be positive";
+  t.tick_period <- period;
+  t.tick_at <- ((t.now / period) + 1) * period;
+  t.tick <- f
+
+let sample t at =
+  t.ticked_fired <- t.fired;
+  t.tick at
+
+(* Every boundary up to [bound], in order.  Called before the first event
+   later than a boundary fires, so each sample sees every event at or before
+   its boundary, and idle gaps are sampled like busy ones. *)
+let sample_through t bound =
+  while t.tick_at <= bound do
+    let b = t.tick_at in
+    t.tick_at <- b + t.tick_period;
+    sample t b
+  done
+
 let run ?until ?max_events t =
   t.stop_requested <- false;
   let fired_at_start = t.fired in
@@ -162,7 +193,9 @@ let run ?until ?max_events t =
         continue := false
       end
       else begin
-        let at = t.at_h.(0) and thunk = t.thunk_h.(0) in
+        let at = t.at_h.(0) in
+        if at > t.tick_at then sample_through t (at - 1);
+        let thunk = t.thunk_h.(0) in
         remove_root t;
         t.now <- at;
         t.fired <- t.fired + 1;
@@ -170,6 +203,12 @@ let run ?until ?max_events t =
       end
     end
   done;
+  (* The run stops here: sample the boundaries its clock reached, then the
+     stop cycle itself unless no event fired since the last sample. *)
+  if t.tick_period > 0 then begin
+    sample_through t t.now;
+    if t.ticked_fired <> t.fired then sample t t.now
+  end;
   let c = Domain.DLS.get domain_fired in
   c := !c + (t.fired - fired_at_start);
   !result

@@ -55,6 +55,15 @@ val run : ?until:time -> ?max_events:int -> t -> run_result
 val stop : t -> unit
 (** Request that {!run} return [Stopped] after the current event completes. *)
 
+val set_sampler : t -> period:int -> (time -> unit) -> unit
+(** Install the observer sampler: {!run} calls [f b] for every multiple [b]
+    of [period] its clock passes — before the first event later than [b]
+    fires, so the sample sees every event at or before [b], idle gaps
+    included — and [f now] once when it returns, unless no event fired
+    since the last sample.  The sampler is not an event: it never keeps
+    the engine alive, never moves its clock, and {!pending},
+    {!events_fired} and {!choices} never see it. *)
+
 val every : t -> period:int -> ?phase:int -> (unit -> bool) -> unit
 (** [every t ~period f] calls [f] at [now + phase], then every [period] cycles
     for as long as [f] returns [true].  Used for pollers and watchdogs. *)

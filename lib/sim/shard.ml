@@ -26,7 +26,6 @@
 
 type ctx = {
   dom : int;
-  spans_on : bool;
   span_salt : int;
   mutable next_span : int;
   (* Deferred ops and cross-domain posts, newest first; [seq]s are
@@ -42,10 +41,9 @@ type ctx = {
    domains; 2^30 ids per domain is far beyond any run's span count. *)
 let salt_stride = 1 lsl 30
 
-let make ~dom ~spans_on =
+let make ~dom =
   {
     dom;
-    spans_on;
     span_salt = dom * salt_stride;
     next_span = 0;
     ops = [];
@@ -54,19 +52,9 @@ let make ~dom ~spans_on =
     post_seq = 0;
   }
 
-let dom c = c.dom
-
 let key : ctx option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let current () = Domain.DLS.get key
-
-let spans_ctx () =
-  match Domain.DLS.get key with
-  | Some c when c.spans_on -> Some c
-  | _ -> None
-
-let spans_on () =
-  match Domain.DLS.get key with Some c -> c.spans_on | None -> false
 
 let with_ctx c f =
   let prev = Domain.DLS.get key in

@@ -13,21 +13,12 @@
 
 type ctx
 
-val make : dom:int -> spans_on:bool -> ctx
-(** A context for logical domain [dom].  [spans_on] records whether a span
-    recorder is armed on the coordinator, so domain code knows to defer span
-    work rather than drop it. *)
-
-val dom : ctx -> int
+val make : dom:int -> ctx
+(** A context for logical domain [dom]. *)
 
 val current : unit -> ctx option
-(** The context installed on the calling OS thread, if any. *)
-
-val spans_ctx : unit -> ctx option
-(** [current ()] when it exists {e and} has [spans_on]; the single check
-    span entry points use to decide between deferring and recording. *)
-
-val spans_on : unit -> bool
+(** The context installed on the calling OS thread, if any: the one check
+    every recorder write makes to decide between deferring and recording. *)
 
 val with_ctx : ctx -> (unit -> 'a) -> 'a
 (** Run [f] with [ctx] installed; restores the previous context after.  The

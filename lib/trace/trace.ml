@@ -21,14 +21,9 @@ let create ?(capacity = 1024) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
   { buf = Array.make capacity dummy; total = 0 }
 
-let capacity t = Array.length t.buf
 let recorded t = t.total
 let length t = min t.total (Array.length t.buf)
 let dropped t = max 0 (t.total - Array.length t.buf)
-
-let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) dummy;
-  t.total <- 0
 
 let to_list t =
   let cap = Array.length t.buf in
@@ -39,31 +34,6 @@ let to_list t =
 let matches ~addr ev = ev.addr = addr || (ev.kind = Note && ev.addr = no_addr)
 
 let events_for t ~addr = List.filter (matches ~addr) (to_list t)
-
-(* ---- arming ---- *)
-
-(* The flag duplicates [current <> None] so the disabled-path check is a
-   single load with no option allocation or match. *)
-let enabled = ref false
-let current : t option ref = ref None
-
-let arm t =
-  current := Some t;
-  enabled := true
-
-let disarm () =
-  current := None;
-  enabled := false
-
-let armed () = !current
-let on () = !enabled
-
-let with_armed t f =
-  let previous = !current in
-  arm t;
-  Fun.protect
-    ~finally:(fun () -> match previous with Some p -> arm p | None -> disarm ())
-    f
 
 (* ---- emission ---- *)
 
@@ -76,27 +46,24 @@ let record t ev =
    then deferred (stamped with the event's own cycle) and replayed by the
    coordinator in canonical order, so trace artifacts are identical for any
    worker count.  Without a context this is the historical direct write. *)
-let emit cycle kind controller addr a b c =
-  match !current with
-  | None -> ()
-  | Some t -> (
-      match Xguard_sim.Shard.current () with
-      | Some ctx ->
-          Xguard_sim.Shard.defer ctx ~ts:cycle (fun () ->
-              record t { cycle; kind; controller; addr; a; b; c })
-      | None -> record t { cycle; kind; controller; addr; a; b; c })
+let emit t cycle kind controller addr a b c =
+  match Xguard_sim.Shard.current () with
+  | Some ctx ->
+      Xguard_sim.Shard.defer ctx ~ts:cycle (fun () ->
+          record t { cycle; kind; controller; addr; a; b; c })
+  | None -> record t { cycle; kind; controller; addr; a; b; c }
 
-let send ~cycle ~net ~src ~dst ~addr ~text = emit cycle Msg_send net addr src dst text
-let recv ~cycle ~net ~src ~dst ~addr ~text = emit cycle Msg_recv net addr src dst text
+let send t ~cycle ~net ~src ~dst ~addr ~text = emit t cycle Msg_send net addr src dst text
+let recv t ~cycle ~net ~src ~dst ~addr ~text = emit t cycle Msg_recv net addr src dst text
 
-let transition ~cycle ~controller ~addr ~state ~event ?(next = "") () =
-  emit cycle Transition controller addr state event next
+let transition t ~cycle ~controller ~addr ~state ~event ?(next = "") () =
+  emit t cycle Transition controller addr state event next
 
-let stall ~cycle ~controller ~addr ~why = emit cycle Stall controller addr why "" ""
-let tbe_alloc ~cycle ~controller ~addr = emit cycle Tbe_alloc controller addr "" "" ""
-let tbe_free ~cycle ~controller ~addr = emit cycle Tbe_free controller addr "" "" ""
-let note ~cycle ~controller ?(addr = no_addr) ~text () =
-  emit cycle Note controller addr text "" ""
+let stall t ~cycle ~controller ~addr ~why = emit t cycle Stall controller addr why "" ""
+let tbe_alloc t ~cycle ~controller ~addr = emit t cycle Tbe_alloc controller addr "" "" ""
+let tbe_free t ~cycle ~controller ~addr = emit t cycle Tbe_free controller addr "" "" ""
+let note t ~cycle ~controller ?(addr = no_addr) ~text () =
+  emit t cycle Note controller addr text "" ""
 
 (* ---- rendering ---- *)
 

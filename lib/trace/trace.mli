@@ -1,20 +1,19 @@
 (** Structured protocol tracing (ring buffer).
 
     Controllers emit typed events — message send/receive, state transitions,
-    stalls, TBE alloc/free — into a bounded ring buffer armed for the current
-    run.  When no buffer is armed every emission is a no-op and the hot path
-    pays one mutable-bool load, so simulation results are identical with
-    tracing compiled in; when armed, recording never schedules events, never
-    draws random numbers and never grows memory past the ring's capacity, so
+    stalls, TBE alloc/free — into a bounded ring buffer.  A ring is armed per
+    domain through the observer context ([Xguard_obs.Obs.with_trace]); hook
+    sites resolve the context once and emit only when it holds a ring, so
+    the unarmed hot path pays one load and simulation results are identical
+    with tracing compiled in.  Recording never schedules events, never draws
+    random numbers and never grows memory past the ring's capacity, so
     traced runs are cycle-for-cycle identical to untraced ones.
 
     The intended call-site pattern guards any formatting work:
 
-    {[ if Trace.on () then
-         Trace.transition ~cycle ~controller:t.name ~addr ~state ~event ~next ]}
-
-    Arming is global (one recorder per process), matching the one-engine-per-
-    run structure of the harness; {!with_armed} nests and restores. *)
+    {[ match Obs.trace () with
+       | Some tr -> Trace.transition tr ~cycle ~controller:t.name ~addr ~state ~event ~next ()
+       | None -> () ]} *)
 
 type kind =
   | Msg_send  (** a message entered a network/link *)
@@ -43,21 +42,17 @@ type t
 val create : ?capacity:int -> unit -> t
 (** A fresh ring buffer (default capacity 1024 events). *)
 
-val capacity : t -> int
-
 val recorded : t -> int
 (** Total events ever recorded, including overwritten ones. *)
 
 val length : t -> int
-(** Events currently held: [min (recorded t) (capacity t)]. *)
+(** Events currently held: [recorded t], capped at the ring's capacity. *)
 
 val dropped : t -> int
 (** Events overwritten by ring wrap-around and no longer held:
-    [max 0 (recorded t - capacity t)].  {!dump} prefixes its output with a
+    [recorded t - length t].  {!dump} prefixes its output with a
     ["(N events dropped — ring wrapped)"] line whenever this is non-zero, so
     truncated forensics are never mistaken for complete ones. *)
-
-val clear : t -> unit
 
 val to_list : t -> event list
 (** Held events, oldest first. *)
@@ -66,38 +61,25 @@ val events_for : t -> addr:int -> event list
 (** Held events touching [addr] (plus address-less [Note] events), oldest
     first. *)
 
-(** {2 Arming} *)
-
-val arm : t -> unit
-val disarm : unit -> unit
-val armed : unit -> t option
-
-val on : unit -> bool
-(** [true] iff a buffer is armed.  Guard any event-text formatting with this
-    so disabled tracing allocates nothing. *)
-
-val with_armed : t -> (unit -> 'a) -> 'a
-(** Run with [t] armed, restoring the previously armed buffer (if any) on
-    exit, including on exceptions. *)
-
-(** {2 Emission} — all are no-ops when nothing is armed. *)
+(** {2 Emission} — each records into the given ring (deferred to the
+    window barrier inside a sharded-engine window). *)
 
 val send :
-  cycle:int -> net:string -> src:string -> dst:string -> addr:int -> text:string -> unit
+  t -> cycle:int -> net:string -> src:string -> dst:string -> addr:int -> text:string -> unit
 
 val recv :
-  cycle:int -> net:string -> src:string -> dst:string -> addr:int -> text:string -> unit
+  t -> cycle:int -> net:string -> src:string -> dst:string -> addr:int -> text:string -> unit
 
 val transition :
-  cycle:int -> controller:string -> addr:int -> state:string -> event:string ->
+  t -> cycle:int -> controller:string -> addr:int -> state:string -> event:string ->
   ?next:string -> unit -> unit
 (** [next] may be omitted when the resulting state is not cheaply known at the
     emission point; the dump then shows only [state] and [event]. *)
 
-val stall : cycle:int -> controller:string -> addr:int -> why:string -> unit
-val tbe_alloc : cycle:int -> controller:string -> addr:int -> unit
-val tbe_free : cycle:int -> controller:string -> addr:int -> unit
-val note : cycle:int -> controller:string -> ?addr:int -> text:string -> unit -> unit
+val stall : t -> cycle:int -> controller:string -> addr:int -> why:string -> unit
+val tbe_alloc : t -> cycle:int -> controller:string -> addr:int -> unit
+val tbe_free : t -> cycle:int -> controller:string -> addr:int -> unit
+val note : t -> cycle:int -> controller:string -> ?addr:int -> text:string -> unit -> unit
 
 (** {2 Rendering} *)
 

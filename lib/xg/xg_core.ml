@@ -2,6 +2,7 @@ module Engine = Xguard_sim.Engine
 module Group = Xguard_stats.Counter.Group
 module Trace = Xguard_trace.Trace
 module Coverage = Xguard_trace.Coverage
+module Obs = Xguard_obs.Obs
 module Spans = Xguard_obs.Spans
 
 type mode = Full_state | Transactional
@@ -129,6 +130,7 @@ type t = {
   pending : (Addr.t, per_addr) Hashtbl.t;
   stats : Group.t;
   sid : stat_ids;
+  violation_ids : Group.id array;  (** per {!Os_model.all_error_kinds} position *)
   coverage : Group.t;
   cov : Coverage.matrix;
   mutable peak_bits : int;
@@ -254,12 +256,39 @@ let set_track t addr st =
 
 let clear_track t addr = Hashtbl.remove t.tracks addr
 
+let note t text =
+  match Obs.trace () with
+  | Some tr -> Trace.note tr ~cycle:(Engine.now t.engine) ~controller:t.name ~text ()
+  | None -> ()
+
+(* The guard resolved the request on [addr]: closes its span's [xg.decide]. *)
+let decided t addr =
+  match Obs.spans () with
+  | Some sr -> Spans.xg_decided sr ~addr:(Addr.to_int addr) ~now:(Engine.now t.engine)
+  | None -> ()
+
+(* The ["violation." ^ kind] counters, hashed once per process and adopted by
+   every guard's still-empty stats group, so neither a build nor a report
+   hashes a name; first touch still orders them in the group. *)
+let violation_vocab =
+  Group.vocab
+    (Array.of_list
+       (List.map
+          (fun k -> "violation." ^ Os_model.error_kind_to_string k)
+          Os_model.all_error_kinds))
+
+let kind_position kind =
+  let rec go i = function k :: rest -> if k == kind then i else go (i + 1) rest | [] -> i in
+  go 0 Os_model.all_error_kinds
+
 let report t kind addr =
-  Group.incr t.stats ("violation." ^ Os_model.error_kind_to_string kind);
-  if Trace.on () then
-    Trace.note ~cycle:(Engine.now t.engine) ~controller:t.name ~addr:(Addr.to_int addr)
-      ~text:("violation: " ^ Os_model.error_kind_to_string kind)
-      ();
+  Group.incr_id t.stats t.violation_ids.(kind_position kind);
+  (match Obs.trace () with
+  | Some tr ->
+      Trace.note tr ~cycle:(Engine.now t.engine) ~controller:t.name ~addr:(Addr.to_int addr)
+        ~text:("violation: " ^ Os_model.error_kind_to_string kind)
+        ()
+  | None -> ());
   Os_model.report t.os kind addr
 
 let send_accel t msg =
@@ -329,13 +358,13 @@ let ev_quarantine = 14
 let visit t addr event f =
   let before = state_idx t addr in
   Coverage.hit t.cov ~state:before ~event;
-  if Trace.on () then begin
-    f ();
-    Trace.transition ~cycle:(Engine.now t.engine) ~controller:t.name
-      ~addr:(Addr.to_int addr) ~state:state_names.(before)
-      ~event:event_names.(event) ~next:(state_key t addr) ()
-  end
-  else f ()
+  match Obs.trace () with
+  | Some tr ->
+      f ();
+      Trace.transition tr ~cycle:(Engine.now t.engine) ~controller:t.name
+        ~addr:(Addr.to_int addr) ~state:state_names.(before)
+        ~event:event_names.(event) ~next:(state_key t addr) ()
+  | None -> f ()
 
 let event_of_accel_request = function
   | Xg_iface.Get_s -> 0
@@ -471,9 +500,7 @@ let rec quarantine t =
     fvisit t fev_quarantine;
     t.quarantined <- true;
     Group.incr t.stats "quarantined";
-    if Trace.on () then
-      Trace.note ~cycle:(Engine.now t.engine) ~controller:t.name
-        ~text:"quarantine: draining outstanding transactions" ();
+    note t "quarantine: draining outstanding transactions";
     (* Open host invalidations first: reply from trusted state, exactly the
        G2c substitution.  Deterministic address order keeps runs stable. *)
     List.iter
@@ -546,9 +573,7 @@ and permakill t =
     t.permakilled <- true;
     t.probation <- false;
     Group.incr t.stats "permakilled";
-    if Trace.on () then
-      Trace.note ~cycle:(Engine.now t.engine) ~controller:t.name
-        ~text:"permanent kill: recovery abandoned" ();
+    note t "permanent kill: recovery abandoned";
     Os_model.permakill t.os;
     Xg_iface.Link.kill t.link
   end
@@ -558,9 +583,7 @@ and start_reset t r =
     fvisit t fev_reset;
     Group.incr t.stats "link_resets";
     Os_model.link_reset t.os;
-    if Trace.on () then
-      Trace.note ~cycle:(Engine.now t.engine) ~controller:t.name
-        ~text:"link reset: handshake started" ();
+    note t "link reset: handshake started";
     Xg_iface.Link.reset t.link ~src:t.self ~dst:t.accel ~timeout:r.reset_timeout
       ~attempts:r.reset_attempts
       ~on_ready:(fun () -> rejoin t r)
@@ -593,9 +616,7 @@ and rejoin t r =
     | None -> ());
     Group.incr t.stats "rejoins";
     Os_model.rejoin t.os;
-    if Trace.on () then
-      Trace.note ~cycle:(Engine.now t.engine) ~controller:t.name
-        ~text:"rejoin: accelerator re-admitted on probation" ();
+    note t "rejoin: accelerator re-admitted on probation";
     schedule_promotion t r
   end
 
@@ -605,9 +626,7 @@ and promote t =
     t.probation <- false;
     Group.incr t.stats "promotions";
     Os_model.promote t.os;
-    if Trace.on () then
-      Trace.note ~cycle:(Engine.now t.engine) ~controller:t.name
-        ~text:"promotion: clean probation window, healthy again" ()
+    note t "promotion: clean probation window, healthy again"
   end
 
 (* A clean [probation_window] promotes; any fault during probation restarts
@@ -684,8 +703,9 @@ let start_accel_invalidation t addr (p : per_addr) inv =
       match p.p_inv with
       | Some i when i == inv && not i.replied ->
           visit t addr ev_timeout (fun () ->
-              if Spans.on () then
-                Spans.inv_timeout ~addr:(Addr.to_int addr) ~now:(Engine.now t.engine);
+              (match Obs.spans () with
+              | Some sr -> Spans.inv_timeout sr ~addr:(Addr.to_int addr) ~now:(Engine.now t.engine)
+              | None -> ());
               report t Os_model.Response_timeout addr;
               Group.incr t.stats "timeout_reply_for_accel";
               clear_track t addr;
@@ -866,7 +886,7 @@ let rec process_get t addr (p : per_addr) (req : Xg_iface.accel_request) =
           | _ -> ())
   | None -> ());
   note_storage t;
-  if Spans.on () then Spans.xg_decided ~addr:(Addr.to_int addr) ~now:(Engine.now t.engine);
+  decided t addr;
   Group.incr_id t.stats
     (match want with `M -> t.sid.s_get_m_forwarded | `S -> t.sid.s_get_s_forwarded);
   match want with
@@ -877,7 +897,7 @@ let rec process_get t addr (p : per_addr) (req : Xg_iface.accel_request) =
 
 and accept_put t addr (p : per_addr) (req : Xg_iface.accel_request) =
   (* Ack the accelerator immediately (§3.2), then settle with the host. *)
-  if Spans.on () then Spans.xg_decided ~addr:(Addr.to_int addr) ~now:(Engine.now t.engine);
+  decided t addr;
   respond_accel t addr Xg_iface.Wb_ack;
   let ro_copy =
     match Hashtbl.find_opt t.tracks addr with
@@ -888,8 +908,9 @@ and accept_put t addr (p : per_addr) (req : Xg_iface.accel_request) =
   (* Host-forwarded writebacks keep the crossing's span open until the host
      side settles, so the port can attribute [host.writeback]. *)
   let host_put v =
-    if Spans.on () then
-      Spans.host_put_issued ~addr:(Addr.to_int addr) ~now:(Engine.now t.engine);
+    (match Obs.spans () with
+    | Some sr -> Spans.host_put_issued sr ~addr:(Addr.to_int addr) ~now:(Engine.now t.engine)
+    | None -> ());
     t.host.put addr v
   in
   match req with
@@ -935,22 +956,18 @@ and accept_put t addr (p : per_addr) (req : Xg_iface.accel_request) =
 and pump_stalled t addr (p : per_addr) =
   if p.p_put = None && p.p_get = None && not (Queue.is_empty p.stalled_gets) then begin
     let req = Queue.pop p.stalled_gets in
-    if Spans.on () then begin
-      match Queue.take_opt p.stall_stamps with
-      | Some parked ->
-          let now = Engine.now t.engine in
-          let a = Addr.to_int addr in
-          (* The lookup must read barrier-ordered recorder state under the
-             sharded engine, so the whole read-then-record block defers. *)
-          Spans.deferred ~now (fun () ->
-              let span =
-                match Spans.lookup ~addr:a with Some (s, _) -> s | None -> 0
-              in
-              Spans.record Spans.Xg_stall
-                (Xg_iface.span_txn_of_request req)
-                ~span ~addr:a ~ts:parked ~dur:(now - parked))
-      | None -> ()
-    end;
+    (match (Obs.spans (), Queue.take_opt p.stall_stamps) with
+    | Some sr, Some parked ->
+        let now = Engine.now t.engine in
+        let a = Addr.to_int addr in
+        (* The lookup must read barrier-ordered recorder state under the
+           sharded engine, so the whole read-then-record block defers. *)
+        Spans.deferred ~now (fun () ->
+            let span = match Spans.lookup sr ~addr:a with Some (s, _) -> s | None -> 0 in
+            Spans.record sr Spans.Xg_stall
+              (Xg_iface.span_txn_of_request req)
+              ~span ~addr:a ~ts:parked ~dur:(now - parked))
+    | _ -> ());
     process_get t addr p req
   end
   else prune t addr p
@@ -985,7 +1002,7 @@ and accel_request t addr (req : Xg_iface.accel_request) =
         (* The accelerator's Put was already acknowledged; its re-fetch is
            legitimate and waits for the internal writeback to settle. *)
         Queue.push req p.stalled_gets;
-        if Spans.on () then Queue.push (Engine.now t.engine) p.stall_stamps;
+        if Option.is_some (Obs.spans ()) then Queue.push (Engine.now t.engine) p.stall_stamps;
         Group.incr_id t.stats t.sid.s_get_stalled_behind_put
     | Xg_iface.Put_s | Xg_iface.Put_e _ | Xg_iface.Put_m _ ->
         report t Os_model.Request_while_pending addr;
@@ -998,11 +1015,12 @@ and accel_request t addr (req : Xg_iface.accel_request) =
     match p.p_inv with
     | Some inv ->
         Group.incr t.stats "put_invalidate_race";
-        if Spans.on () then begin
-          let a = Addr.to_int addr and now = Engine.now t.engine in
-          Spans.inv_race ~addr:a ~now;
-          Spans.xg_decided ~addr:a ~now
-        end;
+        (match Obs.spans () with
+        | Some sr ->
+            let a = Addr.to_int addr and now = Engine.now t.engine in
+            Spans.inv_race sr ~addr:a ~now;
+            Spans.xg_decided sr ~addr:a ~now
+        | None -> ());
         respond_accel t addr Xg_iface.Wb_ack;
         clear_track t addr;
         (match req with
@@ -1200,6 +1218,7 @@ let create ~engine ~name ~mode ~link ~self ~accel ~host ~perms ~os ?(timeout = 2
   let stats = Group.create (name ^ ".stats") in
   let coverage = Group.create (name ^ ".coverage") in
   let fault_cov = Group.create (name ^ ".fault_cov") in
+  let violation_ids = Group.adopt stats violation_vocab in
   let sid =
     {
       s_accel_request = Group.intern stats "accel_request";
@@ -1238,6 +1257,7 @@ let create ~engine ~name ~mode ~link ~self ~accel ~host ~perms ~os ?(timeout = 2
       pending = Hashtbl.create 64;
       stats;
       sid;
+      violation_ids;
       coverage;
       cov = Coverage.intern_matrix coverage_space coverage;
       peak_bits = 0;

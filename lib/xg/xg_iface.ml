@@ -125,6 +125,7 @@ module Link = struct
   module Counter = Xguard_stats.Counter
   module Coverage = Xguard_trace.Coverage
   module Network = Xguard_network.Network
+  module Obs = Xguard_obs.Obs
   module Spans = Xguard_obs.Spans
   module Metrics = Xguard_obs.Metrics
 
@@ -285,50 +286,63 @@ module Link = struct
      (retransmits re-enter via [send_frame] only) and [span_deliver] from the
      wrapped {!register} handler (which the reliability layer invokes only on
      the first in-order delivery, so duplicates never double-close). *)
-  let span_send msg ~now =
+  let span_send sr msg ~now =
     match msg with
     | To_xg_req { addr; req } ->
-        Spans.xreq_open (span_txn_of_request req) ~addr:(Addr.to_int addr) ~now
-    | To_accel_resp { addr; _ } -> Spans.resp_sent ~addr:(Addr.to_int addr) ~now
-    | To_accel_req { addr; req = Invalidate } -> Spans.inv_open ~addr:(Addr.to_int addr) ~now
+        Spans.xreq_open sr (span_txn_of_request req) ~addr:(Addr.to_int addr) ~now
+    | To_accel_resp { addr; _ } -> Spans.resp_sent sr ~addr:(Addr.to_int addr) ~now
+    | To_accel_req { addr; req = Invalidate } -> Spans.inv_open sr ~addr:(Addr.to_int addr) ~now
     | To_xg_resp _ -> ()
 
-  let span_deliver msg ~now =
+  let span_deliver sr msg ~now =
     match msg with
-    | To_xg_req { addr; _ } -> Spans.xreq_delivered ~addr:(Addr.to_int addr) ~now
-    | To_xg_resp { addr; _ } -> Spans.inv_closed ~addr:(Addr.to_int addr) ~now
-    | To_accel_resp { addr; _ } -> Spans.resp_delivered ~addr:(Addr.to_int addr) ~now
+    | To_xg_req { addr; _ } -> Spans.xreq_delivered sr ~addr:(Addr.to_int addr) ~now
+    | To_xg_resp { addr; _ } -> Spans.inv_closed sr ~addr:(Addr.to_int addr) ~now
+    | To_accel_resp { addr; _ } -> Spans.resp_delivered sr ~addr:(Addr.to_int addr) ~now
     | To_accel_req _ -> ()
 
   (* Metrics hooks, parallel to the span hooks: per-guard end-to-end request
      latency (accel request sent -> guard response delivered) and invalidate
      roundtrips, attributed to [t.mlabel] so every tenant in a topology gets
      its own SLO-judgeable series. *)
-  let metrics_send t msg ~now =
+  let metrics_send mr t msg ~now =
     match msg with
     | To_xg_req { addr; _ } ->
-        Metrics.e2e_open ~guard:t.mlabel ~addr:(Addr.to_int addr) ~now
+        Metrics.e2e_open mr ~guard:t.mlabel ~addr:(Addr.to_int addr) ~now
     | To_accel_req { addr; req = Invalidate } ->
-        Metrics.inv_open ~guard:t.mlabel ~addr:(Addr.to_int addr) ~now
+        Metrics.inv_open mr ~guard:t.mlabel ~addr:(Addr.to_int addr) ~now
     | To_accel_resp _ | To_xg_resp _ -> ()
 
-  let metrics_deliver t msg ~now =
+  let metrics_deliver mr t msg ~now =
     match msg with
     | To_accel_resp { addr; _ } ->
-        Metrics.e2e_close ~guard:t.mlabel ~addr:(Addr.to_int addr) ~now
+        Metrics.e2e_close mr ~guard:t.mlabel ~addr:(Addr.to_int addr) ~now
     | To_xg_resp { addr; _ } ->
-        Metrics.inv_close ~guard:t.mlabel ~addr:(Addr.to_int addr) ~now
+        Metrics.inv_close mr ~guard:t.mlabel ~addr:(Addr.to_int addr) ~now
     | To_xg_req _ | To_accel_req _ -> ()
 
-  let span_retry payload ~now =
+  (* One payload sent or delivered, seen by each layer this link feeds: a
+     crossing link the span layer, a labelled one the metrics layer.  Both
+     flags are set at build time only when that layer is armed. *)
+  let observe t ~sent msg ~now =
+    let o = Obs.get () in
+    (match o.Obs.spans with
+    | Some sr when t.crossing -> if sent then span_send sr msg ~now else span_deliver sr msg ~now
+    | _ -> ());
+    match o.Obs.metrics with
+    | Some mr when t.mlabel <> "" ->
+        if sent then metrics_send mr t msg ~now else metrics_deliver mr t msg ~now
+    | _ -> ()
+
+  let span_retry sr payload ~now =
     match payload with
     | To_xg_req { addr; _ } | To_accel_resp { addr; _ } -> (
         let addr = Addr.to_int addr in
-        match Spans.lookup ~addr with
-        | Some (span, txn) -> Spans.record Spans.Link_retry txn ~span ~addr ~ts:now ~dur:0
+        match Spans.lookup sr ~addr with
+        | Some (span, txn) -> Spans.record sr Spans.Link_retry txn ~span ~addr ~ts:now ~dur:0
         | None -> ())
     | To_accel_req { addr; _ } | To_xg_resp { addr; _ } ->
-        Spans.record Spans.Link_retry Spans.Inv ~span:0 ~addr:(Addr.to_int addr) ~ts:now
+        Spans.record sr Spans.Link_retry Spans.Inv ~span:0 ~addr:(Addr.to_int addr) ~ts:now
           ~dur:0
 
   let channel t ~src ~dst =
@@ -368,12 +382,13 @@ module Link = struct
 
   (* printf-style; the text is formatted only while tracing is on. *)
   let note t fmt =
-    if Trace.on () then
-      Printf.ksprintf
-        (fun text ->
-          Trace.note ~cycle:(Engine.now t.engine) ~controller:(t.lname ^ ".link") ~text ())
-        fmt
-    else Printf.ifprintf () fmt
+    match Obs.trace () with
+    | Some tr ->
+        Printf.ksprintf
+          (fun text ->
+            Trace.note tr ~cycle:(Engine.now t.engine) ~controller:(t.lname ^ ".link") ~text ())
+          fmt
+    | None -> Printf.ifprintf () fmt
 
 
   (* ---- tx ---- *)
@@ -394,8 +409,10 @@ module Link = struct
         note t "retransmit (%s) %d frame(s) from #%d" why
           (Queue.length ch.outstanding)
           (match Queue.peek_opt ch.outstanding with Some (s, _, _) -> s | None -> 0);
-        if t.crossing && Spans.on () then
-          Queue.iter (fun (_, payload, _) -> span_retry payload ~now) ch.outstanding;
+        (match Obs.spans () with
+        | Some sr when t.crossing ->
+            Queue.iter (fun (_, payload, _) -> span_retry sr payload ~now) ch.outstanding
+        | _ -> ());
         Queue.iter (fun f -> send_frame t ch f) ch.outstanding
       end
     end
@@ -603,8 +620,7 @@ module Link = struct
 
   let register t node handler =
     let handler ~src msg =
-      if t.crossing && Spans.on () then span_deliver msg ~now:(t.part_now node);
-      if t.mlabel <> "" && Metrics.on () then metrics_deliver t msg ~now:(t.part_now node);
+      if t.crossing || t.mlabel <> "" then observe t ~sent:false msg ~now:(t.part_now node);
       handler ~src msg
     in
     Raw.register t.raw node (fun ~src wire ->
@@ -618,8 +634,7 @@ module Link = struct
 
   let send t ~src ~dst ?(size = Network.control_size) msg =
     (match t.monitor with Some f -> f ~src ~dst msg | None -> ());
-    if t.crossing && Spans.on () then span_send msg ~now:(t.part_now src);
-    if t.mlabel <> "" && Metrics.on () then metrics_send t msg ~now:(t.part_now src);
+    if t.crossing || t.mlabel <> "" then observe t ~sent:true msg ~now:(t.part_now src);
     if not t.reliable then Raw.send t.raw ~src ~dst ~size (Plain msg)
     else begin
       let ch = channel t ~src ~dst in

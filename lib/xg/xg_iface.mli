@@ -114,8 +114,9 @@ module Link : sig
   (** Declare this link a host-accelerator crossing (the guard link).  Only
       crossing links feed the span layer: sends open/stamp crossing entries
       and deliveries close the transit segments ([link.req], [link.resp],
-      [inv.roundtrip]) — all behind [Spans.on], so unarmed runs are
-      untouched.  Accel-internal links are never marked. *)
+      [inv.roundtrip]).  Set by [System.build] only when a span recorder is
+      armed, so unarmed runs are untouched.  Accel-internal links are never
+      marked. *)
 
   val set_metrics_label : t -> string -> unit
   (** Attribute this guard link's metrics series ("xg" legacy, "xg.a0" in a

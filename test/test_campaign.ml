@@ -267,6 +267,44 @@ let test_campaign_jobs_replay () =
        (fun o -> fst (Campaign.link_totals (stressed o).Campaign.link_faults) > 0)
        campaign.Campaign.outcomes)
 
+(* A topology prefixes each guard's link counters with its id
+   ("a0.injected.drop"); the totals on the stress line and in the campaign
+   table still sum every guard's. *)
+let test_topology_link_totals () =
+  Alcotest.(check (pair int int))
+    "prefixed counters" (5, 12)
+    (Campaign.link_totals
+       [ ("a0.injected.drop", 3); ("a0.retransmit_frames", 5); ("a1.injected.dup", 2);
+         ("a1.gaps_detected", 9); ("a1.retransmit_frames", 7) ]);
+  Alcotest.(check (pair int int))
+    "unprefixed counters" (2, 4)
+    (Campaign.link_totals [ ("injected.drop", 2); ("gaps_detected", 1); ("retransmit_frames", 4) ]);
+  let topo =
+    match Xguard_harness.Topology.of_string "hammer;a0=trans,cached;a1=full,cached" with
+    | Ok t -> t
+    | Error e -> Alcotest.fail e
+  in
+  let cfg =
+    { (Config.of_topology topo) with
+      Config.link_faults = Some { Fault.zero with Fault.drop = 0.05; max_delay = 32 } }
+  in
+  let r =
+    Campaign.run ~stress_ops:100 ~seeding:(Campaign.Consecutive 42) Campaign.Stress
+      ~configs:[ cfg ] ~seeds:1 ()
+  in
+  match r.Campaign.outcomes.(0).Campaign.run with
+  | Campaign.Stressed s ->
+      let injected, retx = Campaign.link_totals s.Campaign.link_faults in
+      Alcotest.(check bool) "every guard's faults counted" true (injected > 0 && retx > 0);
+      let sum prefix =
+        List.fold_left
+          (fun n (k, v) -> if String.starts_with ~prefix k then n + v else n)
+          0 s.Campaign.link_faults
+      in
+      Alcotest.(check int) "sum of both guards' drops" (sum "a0.injected." + sum "a1.injected.")
+        injected
+  | _ -> Alcotest.fail "stress job expected"
+
 let tests =
   [
     ( "campaign",
@@ -286,5 +324,6 @@ let tests =
         Alcotest.test_case "campaign both -j invariance" `Slow
           test_campaign_both_j_invariance;
         Alcotest.test_case "campaign jobs replay alone" `Slow test_campaign_jobs_replay;
+        Alcotest.test_case "topology link totals" `Quick test_topology_link_totals;
       ] );
   ]

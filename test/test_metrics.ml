@@ -9,6 +9,7 @@ module Slo = Xguard_obs.Slo
 module Watchdog = Xguard_obs.Watchdog
 module Metrics = Xguard_obs.Metrics
 module Spans = Xguard_obs.Spans
+module Obs = Xguard_obs.Obs
 module Histogram = Xguard_stats.Histogram
 module Counter = Xguard_stats.Counter
 
@@ -216,15 +217,13 @@ let test_watchdog_stall_and_ceiling () =
 let run_job ~label ~guard ~lat =
   let sr = Spans.create () in
   let mr = Metrics.create () in
-  Spans.with_armed sr (fun () ->
-      Metrics.with_armed mr (fun () ->
-          let g = Counter.Group.create "seq" in
-          Metrics.add_group ~name:"seq" g;
-          Counter.Group.add g "loads" 3;
-          Metrics.e2e_open ~guard ~addr:64 ~now:10;
-          Metrics.e2e_close ~guard ~addr:64 ~now:(10 + lat);
-          Metrics.sample_now ~now:500;
-          Metrics.note_avail ~guard ~down:25 ~now:1000));
+  let g = Counter.Group.create "seq" in
+  Metrics.add_group mr ~name:"seq" g;
+  Counter.Group.add g "loads" 3;
+  Metrics.e2e_open mr ~guard ~addr:64 ~now:10;
+  Metrics.e2e_close mr ~guard ~addr:64 ~now:(10 + lat);
+  Metrics.tick { Obs.none with Obs.spans = Some sr; metrics = Some mr } ~now:500;
+  Metrics.note_avail mr ~guard ~down:25 ~now:1000;
   Metrics.summary ~label mr
 
 let test_summary_merge () =
@@ -345,7 +344,7 @@ let golden_slo =
 let armed_digests f =
   let sr = Spans.create () in
   let mr = Metrics.create ~watchdog:golden_watchdog () in
-  Spans.with_armed sr (fun () -> Metrics.with_armed mr f);
+  Spans.with_armed sr (fun () -> Metrics.with_armed mr (fun () -> f mr));
   let span_cells = Spans.Summary.cells (Spans.summary sr) in
   let msum = Metrics.summary ~label:"golden" mr in
   let verdicts =
@@ -378,11 +377,11 @@ let test_golden_recovery () =
     }
   in
   check_golden ~what:"measure_recovery"
-    (armed_digests (fun () ->
+    (armed_digests (fun _ ->
          ignore
            (Experiments.measure_recovery ~topo ~drop:0.1 ~cuts:[ 1_500 ] ~ops:60 ~ticks:150
               ~seed:1 ())))
-    ~jsonl_md5:"5290a1a25acd63f16071d42c94b5b72b" ~prom_md5:"9a52c44796ca5550c754dd63084cd5f3"
+    ~jsonl_md5:"28d2c694e12958cd64be2757e365071c" ~prom_md5:"9a52c44796ca5550c754dd63084cd5f3"
 
 (* The random tester on a lossy three-guard topology under a recovery
    policy, with each guard's availability noted as the CLI does. *)
@@ -401,7 +400,7 @@ let test_golden_stress () =
     | Error e -> failwith e
   in
   check_golden ~what:"random tester"
-    (armed_digests (fun () ->
+    (armed_digests (fun mr ->
          let sys = System.build cfg in
          let o =
            Tester.run ~engine:sys.System.engine ~rng:(Rng.create ~seed:2)
@@ -411,11 +410,11 @@ let test_golden_stress () =
          let now = o.Tester.cycles in
          Array.iter
            (fun (g : System.guard) ->
-             Metrics.note_avail ~guard:("xg." ^ g.System.g_id)
+             Metrics.note_avail mr ~guard:("xg." ^ g.System.g_id)
                ~down:(Xg_core.down_cycles g.System.g_core ~now)
                ~now)
            sys.System.guards))
-    ~jsonl_md5:"e7e61c6ee05e334d91f4789a3d188bbf" ~prom_md5:"7af87d45fb719fb7804fbfc2b04fc0c2"
+    ~jsonl_md5:"e9c816012e7ccc503755c0bff8e5c801" ~prom_md5:"7af87d45fb719fb7804fbfc2b04fc0c2"
 
 (* ---- the sampler and the watchdog against reference implementations ---- *)
 
@@ -642,24 +641,24 @@ let test_sampler_matches_reference () =
     let now = ref 0 in
     let register () =
       let g = pick rng groups and label = pick rng labels in
-      Metrics.add_group ~name:label g;
+      Metrics.add_group mr ~name:label g;
       model.groups <- model.groups @ [ (label, g) ]
     in
     let add_gauge () =
       let k = Random.State.int rng (Array.length gauge_names) in
       let f () = values.(k) in
       if Random.State.bool rng then begin
-        Spans.add_gauge ~name:gauge_names.(k) f;
+        Spans.add_gauge sr ~name:gauge_names.(k) f;
         model.span_gauges <- model.span_gauges @ [ (gauge_names.(k), f) ]
       end
       else begin
-        Metrics.add_gauge ~name:gauge_names.(k) f;
+        Metrics.add_gauge mr ~name:gauge_names.(k) f;
         model.extra <- model.extra @ [ (gauge_names.(k), f) ]
       end
     in
     let tick () =
       now := !now + 500;
-      Metrics.sample_now ~now:!now;
+      Metrics.tick { Obs.none with Obs.spans = Some sr; metrics = Some mr } ~now:!now;
       match Ref_sampler.sample model sr ~now:!now with
       | None -> ()
       | Some ((_, deltas, gauges, _) as s) ->
@@ -672,8 +671,8 @@ let test_sampler_matches_reference () =
             (* nothing registered yet: no sample *)
             tick ();
             let g0 = groups.(0) in
-            Metrics.add_group ~name:"a" g0;
-            Metrics.add_group ~name:"a" g0;
+            Metrics.add_group mr ~name:"a" g0;
+            Metrics.add_group mr ~name:"a" g0;
             model.groups <- [ ("a", g0); ("a", g0) ];
             for _ = 1 to 120 + trial do
               match Random.State.int rng 12 with
@@ -686,11 +685,11 @@ let test_sampler_matches_reference () =
                   Counter.Group.add_id groups.(3) (pick rng adopted)
                     (Random.State.int rng 5)
               | 5 ->
-                  Metrics.reset_sources ();
+                  Metrics.reset_sources mr;
                   model.groups <- [];
                   model.extra <- [];
                   if Random.State.bool rng then begin
-                    Spans.reset_gauges ();
+                    Spans.reset_gauges sr;
                     model.span_gauges <- []
                   end;
                   for _ = 0 to Random.State.int rng 3 do
@@ -704,7 +703,7 @@ let test_sampler_matches_reference () =
               | 9 ->
                   let seg = pick rng [| Spans.Link_req; Spans.Xg_decide; Spans.Seq_e2e |] in
                   let txn = pick rng [| Spans.Get_s; Spans.Get_m; Spans.Load |] in
-                  Spans.record seg txn ~span:0 ~addr:0 ~ts:!now ~dur:(Random.State.int rng 300)
+                  Spans.record sr seg txn ~span:0 ~addr:0 ~ts:!now ~dur:(Random.State.int rng 300)
               | _ -> tick ()
             done;
             tick ()));

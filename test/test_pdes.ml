@@ -110,7 +110,7 @@ let stress_artifacts ~workers ~seed ~ops cfg =
   let tr = Trace.create ~capacity:4096 () in
   let rc = Spans.create () in
   let sys, o =
-    Trace.with_armed tr (fun () ->
+    Xguard_obs.Obs.with_trace tr (fun () ->
         Spans.with_armed rc (fun () ->
             Pdes.run_stress ~workers ~seed ~ops_per_core:ops cfg))
   in

@@ -45,7 +45,7 @@ let stress_one cfg seed =
   let ports = Array.append sys.System.cpu_ports sys.System.accel_ports in
   let tr = Trace.create ~capacity:4096 () in
   let o =
-    Trace.with_armed tr (fun () ->
+    Xguard_obs.Obs.with_trace tr (fun () ->
         Tester.run ~engine:sys.System.engine
           ~rng:(Rng.create ~seed:(seed * 7 + 1))
           ~ports ~addresses:(Array.init 6 Addr.block) ~ops_per_core:300 ())
@@ -70,7 +70,8 @@ let fuzz_one cfg seed =
   let label = Config.name cfg in
   let tr = Trace.create ~capacity:4096 () in
   let o =
-    Fuzz.run cfg ~pool:Fuzz.Disjoint ~cpu_ops:150 ~chaos_duration:20_000 ~trace:tr ()
+    Xguard_obs.Obs.with_trace tr (fun () ->
+        Fuzz.run cfg ~pool:Fuzz.Disjoint ~cpu_ops:150 ~chaos_duration:20_000 ())
   in
   (match o.Fuzz.crashed with
   | Some c ->

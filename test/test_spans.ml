@@ -3,6 +3,7 @@
    time-series sampler and the Perfetto exporter. *)
 
 module Spans = Xguard_obs.Spans
+module Obs = Xguard_obs.Obs
 module Perfetto = Xguard_obs.Perfetto
 module Engine = Xguard_sim.Engine
 module Table = Xguard_stats.Table
@@ -16,40 +17,38 @@ let contains needle hay =
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
-(* Hooks must be no-ops when unarmed — the spans-off byte-identity contract
-   starts with "no recorder state is ever touched". *)
+(* Hook sites call a span hook only when the domain's observer context
+   holds a recorder — the spans-off byte-identity contract starts with "no
+   recorder is ever reachable unarmed". *)
+let armed_is r = match Obs.spans () with Some x -> x == r | None -> false
+
 let test_unarmed_noops () =
-  check_bool "off by default" false (Spans.on ());
-  check_int "fresh_id is 0 unarmed" 0 (Spans.fresh_id ());
-  Spans.record Spans.Link_req Spans.Get_s ~span:1 ~addr:0 ~ts:0 ~dur:5;
-  Spans.xreq_open Spans.Get_s ~addr:0 ~now:0;
-  Alcotest.(check (option (pair int reject))) "no crossing" None
-    (Option.map (fun (i, _) -> (i, ())) (Spans.lookup ~addr:0))
+  check_bool "off by default" true (Option.is_none (Obs.spans ()));
+  let (), sr, _ = Xguard_harness.Campaign.(observe no_observers ~label:"none" ignore) in
+  check_bool "no observers arm no recorder" true (Option.is_none sr);
+  check_bool "still off" true (Option.is_none (Obs.spans ()))
 
 let test_arming_restores () =
   let r = Spans.create () in
-  check_bool "armed inside" true (Spans.with_armed r (fun () -> Spans.on ()));
-  check_bool "restored outside" false (Spans.on ());
+  check_bool "armed inside" true (Spans.with_armed r (fun () -> armed_is r));
+  check_bool "restored outside" true (Option.is_none (Obs.spans ()));
   (* nested arming restores the outer recorder, and exceptions restore too *)
   let r2 = Spans.create () in
   Spans.with_armed r (fun () ->
-      let id0 = Spans.fresh_id () in
-      (try Spans.with_armed r2 (fun () -> ignore (Spans.fresh_id ()); failwith "boom")
-       with Failure _ -> ());
-      check_int "outer recorder back after inner raise" (id0 + 1) (Spans.fresh_id ()))
+      (try Spans.with_armed r2 (fun () -> failwith "boom") with Failure _ -> ());
+      check_bool "outer recorder back after inner raise" true (armed_is r))
 
 (* Full GET crossing: open -> delivered -> decided -> resp sent -> resp
    delivered closes link.req, xg.decide and link.resp, then retires. *)
 let test_get_crossing_lifecycle () =
   let r = Spans.create () in
-  Spans.with_armed r (fun () ->
-      Spans.xreq_open Spans.Get_s ~addr:64 ~now:100;
-      check_bool "crossing open" true (Spans.lookup ~addr:64 <> None);
-      Spans.xreq_delivered ~addr:64 ~now:108;
-      Spans.xg_decided ~addr:64 ~now:120;
-      Spans.resp_sent ~addr:64 ~now:150;
-      Spans.resp_delivered ~addr:64 ~now:158;
-      check_bool "retired" true (Spans.lookup ~addr:64 = None));
+  Spans.xreq_open r Spans.Get_s ~addr:64 ~now:100;
+  check_bool "crossing open" true (Spans.lookup r ~addr:64 <> None);
+  Spans.xreq_delivered r ~addr:64 ~now:108;
+  Spans.xg_decided r ~addr:64 ~now:120;
+  Spans.resp_sent r ~addr:64 ~now:150;
+  Spans.resp_delivered r ~addr:64 ~now:158;
+  check_bool "retired" true (Spans.lookup r ~addr:64 = None);
   let cells = Spans.Summary.cells (Spans.summary r) in
   let durs =
     List.map
@@ -65,15 +64,14 @@ let test_get_crossing_lifecycle () =
 (* Duplicate deliveries and replayed decisions must not double-count. *)
 let test_defensive_against_dups () =
   let r = Spans.create () in
-  Spans.with_armed r (fun () ->
-      Spans.xreq_open Spans.Get_m ~addr:0 ~now:0;
-      Spans.xreq_delivered ~addr:0 ~now:5;
-      Spans.xreq_delivered ~addr:0 ~now:9;
-      (* dup frame *)
-      Spans.xg_decided ~addr:0 ~now:12;
-      Spans.xg_decided ~addr:0 ~now:30;
-      (* unknown address: ignored *)
-      Spans.xreq_delivered ~addr:999 ~now:1);
+  Spans.xreq_open r Spans.Get_m ~addr:0 ~now:0;
+  Spans.xreq_delivered r ~addr:0 ~now:5;
+  Spans.xreq_delivered r ~addr:0 ~now:9;
+  (* dup frame *)
+  Spans.xg_decided r ~addr:0 ~now:12;
+  Spans.xg_decided r ~addr:0 ~now:30;
+  (* unknown address: ignored *)
+  Spans.xreq_delivered r ~addr:999 ~now:1;
   let counts =
     List.map (fun (s, _, h) -> (s, Histogram.count h)) (Spans.Summary.cells (Spans.summary r))
   in
@@ -85,40 +83,37 @@ let test_defensive_against_dups () =
    a new crossing on the same block. *)
 let test_put_parks_until_settled () =
   let r = Spans.create () in
-  Spans.with_armed r (fun () ->
-      Spans.xreq_open Spans.Put_m ~addr:4 ~now:0;
-      Spans.xreq_delivered ~addr:4 ~now:8;
-      Spans.host_put_issued ~addr:4 ~now:9;
-      Spans.xg_decided ~addr:4 ~now:10;
-      Spans.resp_sent ~addr:4 ~now:10;
-      Spans.resp_delivered ~addr:4 ~now:18;
-      (* a new GET crossing opens on the same block before the put settles *)
-      Spans.xreq_open Spans.Get_s ~addr:4 ~now:20;
-      (match Spans.lookup_put ~addr:4 with
-      | Some (_, txn) ->
-          Alcotest.(check string) "parked put keeps its txn" "PutM" (Spans.txn_name txn)
-      | None -> Alcotest.fail "put not resolvable after ack");
-      (match Spans.lookup ~addr:4 with
-      | Some (_, txn) ->
-          Alcotest.(check string) "new crossing is the GET" "GetS" (Spans.txn_name txn)
-      | None -> Alcotest.fail "follow-up GET evicted");
-      Spans.put_settled ~addr:4 ~now:40;
-      check_bool "put gone after settle" true (Spans.lookup_put ~addr:4 = None));
+  Spans.xreq_open r Spans.Put_m ~addr:4 ~now:0;
+  Spans.xreq_delivered r ~addr:4 ~now:8;
+  Spans.host_put_issued r ~addr:4 ~now:9;
+  Spans.xg_decided r ~addr:4 ~now:10;
+  Spans.resp_sent r ~addr:4 ~now:10;
+  Spans.resp_delivered r ~addr:4 ~now:18;
+  (* a new GET crossing opens on the same block before the put settles *)
+  Spans.xreq_open r Spans.Get_s ~addr:4 ~now:20;
+  (match Spans.lookup_put r ~addr:4 with
+  | Some (_, txn) ->
+      Alcotest.(check string) "parked put keeps its txn" "PutM" (Spans.txn_name txn)
+  | None -> Alcotest.fail "put not resolvable after ack");
+  (match Spans.lookup r ~addr:4 with
+  | Some (_, txn) ->
+      Alcotest.(check string) "new crossing is the GET" "GetS" (Spans.txn_name txn)
+  | None -> Alcotest.fail "follow-up GET evicted");
+  Spans.put_settled r ~addr:4 ~now:40;
+  check_bool "put gone after settle" true (Spans.lookup_put r ~addr:4 = None);
   check_int "no replacement counted" 0 (Spans.Summary.replaced (Spans.summary r))
 
 let test_reopen_counts_replaced () =
   let r = Spans.create () in
-  Spans.with_armed r (fun () ->
-      Spans.xreq_open Spans.Get_s ~addr:8 ~now:0;
-      Spans.xreq_open Spans.Get_s ~addr:8 ~now:50);
+  Spans.xreq_open r Spans.Get_s ~addr:8 ~now:0;
+  Spans.xreq_open r Spans.Get_s ~addr:8 ~now:50;
   check_int "stale crossing counted" 1 (Spans.Summary.replaced (Spans.summary r))
 
 let test_timeline_drop_counting () =
   let r = Spans.create ~timeline:true ~timeline_cap:4 () in
-  Spans.with_armed r (fun () ->
-      for i = 1 to 6 do
-        Spans.record Spans.Link_req Spans.Get_s ~span:i ~addr:i ~ts:i ~dur:1
-      done);
+  for i = 1 to 6 do
+    Spans.record r Spans.Link_req Spans.Get_s ~span:i ~addr:i ~ts:i ~dur:1
+  done;
   check_int "cap kept" 4 (Array.length (Spans.timeline_events r));
   check_int "overflow counted" 2 (Spans.timeline_dropped r);
   check_int "summary sees the drops" 2 (Spans.Summary.dropped (Spans.summary r));
@@ -133,10 +128,9 @@ let test_summary_merge_matches_sequential () =
   let seq = Spans.create () in
   let shards = Array.init 3 (fun _ -> Spans.create ()) in
   let feed r k =
-    Spans.with_armed r (fun () ->
-        Spans.xreq_open Spans.Get_s ~addr:k ~now:0;
-        Spans.xreq_delivered ~addr:k ~now:(k + 1);
-        Spans.record Spans.Seq_e2e Spans.Load ~span:0 ~addr:k ~ts:0 ~dur:(10 * (k + 1)))
+    Spans.xreq_open r Spans.Get_s ~addr:k ~now:0;
+    Spans.xreq_delivered r ~addr:k ~now:(k + 1);
+    Spans.record r Spans.Seq_e2e Spans.Load ~span:0 ~addr:k ~ts:0 ~dur:(10 * (k + 1))
   in
   for k = 0 to 8 do
     feed seq k;
@@ -159,36 +153,40 @@ let test_summary_merge_matches_sequential () =
     (render (Spans.Summary.merge (Spans.Summary.merge s.(0) s.(1)) s.(2)))
     (render (Spans.Summary.merge s.(0) (Spans.Summary.merge s.(1) s.(2))))
 
+(* The engine's observer sampler samples every boundary the clock reaches —
+   each sample sees every event at or before its boundary — then the stop
+   cycle, and never keeps the engine alive or moves its clock. *)
 let test_sampler_series () =
   let engine = Engine.create () in
   let r = Spans.create () in
-  Spans.with_armed r (fun () ->
-      let v = ref 0 in
-      Spans.add_gauge ~name:"g" (fun () -> !v);
-      (* keep the engine busy well past three sampler periods *)
-      for i = 1 to 40 do
-        Engine.schedule engine ~delay:(i * 10) (fun () -> v := i)
-      done;
-      Spans.start_sampler ~engine ~period:100;
-      ignore (Engine.run engine));
-  let series = Spans.sample_series r in
-  check_bool "sampled at least twice" true (List.length series >= 2);
-  List.iter
-    (fun (ts, vals) ->
-      check_bool "tick on period boundary" true (ts mod 100 = 0);
-      match vals with
-      | [| ("g", v) |] -> check_bool "gauge value plausible" true (v >= 0 && v <= 40)
-      | _ -> Alcotest.fail "expected one gauge")
+  let v = ref 0 in
+  Spans.add_gauge r ~name:"g" (fun () -> !v);
+  for i = 0 to 40 do
+    Engine.schedule engine ~delay:((i * 10) + 5) (fun () -> v := i)
+  done;
+  Engine.set_sampler engine ~period:100 (fun now -> Spans.sample_gauges r ~now);
+  ignore (Engine.run engine);
+  let series =
+    List.map
+      (fun (ts, vals) ->
+        match vals with
+        | [| ("g", v) |] -> (ts, v)
+        | _ -> Alcotest.fail "expected one gauge")
+      (Spans.sample_series r)
+  in
+  Alcotest.(check (list (pair int int)))
+    "boundaries, then the stop cycle"
+    [ (100, 9); (200, 19); (300, 29); (400, 39); (405, 40) ]
     series;
-  (* the sampler must not keep an idle engine alive: the run terminated. *)
+  check_int "the clock stops at the last event" 405 (Engine.now engine);
+  check_int "no sampler event fired" 41 (Engine.events_fired engine);
   check_bool "engine drained" true (Engine.pending engine = 0)
 
 let test_perfetto_export () =
   let r = Spans.create ~timeline:true () in
-  Spans.with_armed r (fun () ->
-      Spans.add_gauge ~name:"depth" (fun () -> 3);
-      Spans.record Spans.Link_req Spans.Get_s ~span:1 ~addr:64 ~ts:10 ~dur:8;
-      Spans.record Spans.Host_fetch Spans.Get_m ~span:2 ~addr:128 ~ts:20 ~dur:100);
+  Spans.add_gauge r ~name:"depth" (fun () -> 3);
+  Spans.record r Spans.Link_req Spans.Get_s ~span:1 ~addr:64 ~ts:10 ~dur:8;
+  Spans.record r Spans.Host_fetch Spans.Get_m ~span:2 ~addr:128 ~ts:20 ~dur:100;
   let file = Filename.temp_file "xguard_spans" ".json" in
   Perfetto.write_file file [ ("job0", r) ];
   let ic = open_in_bin file in
@@ -218,10 +216,9 @@ let test_perfetto_escaping () =
   List.iter
     (fun (case, name) ->
       let r = Spans.create ~timeline:true () in
-      Spans.with_armed r (fun () ->
-          Spans.add_gauge ~name (fun () -> 1);
-          Spans.sample_now ~now:100;
-          Spans.record Spans.Link_req Spans.Get_s ~span:1 ~addr:0 ~ts:0 ~dur:4);
+      Spans.add_gauge r ~name (fun () -> 1);
+      Spans.sample_gauges r ~now:100;
+      Spans.record r Spans.Link_req Spans.Get_s ~span:1 ~addr:0 ~ts:0 ~dur:4;
       let file = Filename.temp_file "xguard_escape" ".json" in
       Perfetto.write_file file [ (name, r) ];
       let ic = open_in_bin file in

@@ -6,6 +6,7 @@
    untraced one. *)
 
 module Trace = Xguard_trace.Trace
+module Obs = Xguard_obs.Obs
 module Coverage = Xguard_trace.Coverage
 module Group = Xguard_stats.Counter.Group
 module Config = Xguard_harness.Config
@@ -21,9 +22,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 
-let note_n tr i =
-  Trace.with_armed tr (fun () ->
-      Trace.note ~cycle:i ~controller:"t" ~text:(string_of_int i) ())
+let note_n tr i = Trace.note tr ~cycle:i ~controller:"t" ~text:(string_of_int i) ()
 
 let test_ring_wraparound () =
   let tr = Trace.create ~capacity:4 () in
@@ -33,10 +32,7 @@ let test_ring_wraparound () =
   check_int "recorded counts every emission" 10 (Trace.recorded tr);
   check_int "length is bounded by capacity" 4 (Trace.length tr);
   let texts = List.map (fun (e : Trace.event) -> e.Trace.a) (Trace.to_list tr) in
-  Alcotest.(check (list string)) "oldest-first, keeps the newest" [ "7"; "8"; "9"; "10" ] texts;
-  Trace.clear tr;
-  check_int "clear empties" 0 (Trace.length tr);
-  check_int "clear resets recorded" 0 (Trace.recorded tr)
+  Alcotest.(check (list string)) "oldest-first, keeps the newest" [ "7"; "8"; "9"; "10" ] texts
 
 let test_ring_before_wrap () =
   let tr = Trace.create ~capacity:8 () in
@@ -47,37 +43,45 @@ let test_ring_before_wrap () =
   let texts = List.map (fun (e : Trace.event) -> e.Trace.a) (Trace.to_list tr) in
   Alcotest.(check (list string)) "insertion order" [ "1"; "2"; "3" ] texts
 
+(* A hook site emits only when the domain's observer context holds a ring —
+   the pattern every site in lib/ follows. *)
+let note_if_armed ~cycle text =
+  match Obs.trace () with
+  | Some tr -> Trace.note tr ~cycle ~controller:"t" ~text ()
+  | None -> ()
+
+let armed_ring () = Obs.trace ()
+
 let test_disabled_is_noop () =
-  check_bool "nothing armed by default" false (Trace.on ());
-  (* These must simply not record anywhere (and not raise). *)
-  Trace.note ~cycle:1 ~controller:"x" ~text:"dropped" ();
-  Trace.transition ~cycle:1 ~controller:"x" ~addr:0 ~state:"I" ~event:"Load" ();
-  Trace.send ~cycle:1 ~net:"n" ~src:"a" ~dst:"b" ~addr:0 ~text:"m";
+  check_bool "nothing armed by default" true (armed_ring () = None);
+  note_if_armed ~cycle:1 "dropped";
   let tr = Trace.create ~capacity:4 () in
-  Trace.with_armed tr (fun () -> check_bool "armed inside" true (Trace.on ()));
-  check_bool "disarmed after with_armed" false (Trace.on ());
+  Obs.with_trace tr (fun () ->
+      check_bool "armed inside" true
+        (match armed_ring () with Some r -> r == tr | None -> false));
+  check_bool "disarmed after with_trace" true (armed_ring () = None);
+  note_if_armed ~cycle:2 "dropped too";
   check_int "unarmed emissions went nowhere" 0 (Trace.recorded tr)
 
 let test_with_armed_nesting_and_exceptions () =
   let outer = Trace.create () and inner = Trace.create () in
-  Trace.with_armed outer (fun () ->
-      Trace.note ~cycle:1 ~controller:"t" ~text:"o1" ();
-      Trace.with_armed inner (fun () -> Trace.note ~cycle:2 ~controller:"t" ~text:"i1" ());
-      Trace.note ~cycle:3 ~controller:"t" ~text:"o2" ());
+  Obs.with_trace outer (fun () ->
+      note_if_armed ~cycle:1 "o1";
+      Obs.with_trace inner (fun () -> note_if_armed ~cycle:2 "i1");
+      note_if_armed ~cycle:3 "o2");
   check_int "outer saw its two events" 2 (Trace.recorded outer);
   check_int "inner saw the nested event" 1 (Trace.recorded inner);
   (try
-     Trace.with_armed inner (fun () -> failwith "boom")
+     Obs.with_trace inner (fun () -> failwith "boom")
    with Failure _ -> ());
-  check_bool "exception path restores disarmed state" false (Trace.on ())
+  check_bool "exception path restores disarmed state" true (armed_ring () = None)
 
 let test_events_for () =
   let tr = Trace.create () in
-  Trace.with_armed tr (fun () ->
-      Trace.transition ~cycle:1 ~controller:"c" ~addr:64 ~state:"I" ~event:"Load" ~next:"IS" ();
-      Trace.transition ~cycle:2 ~controller:"c" ~addr:128 ~state:"I" ~event:"Store" ~next:"IM" ();
-      Trace.note ~cycle:3 ~controller:"tester" ~text:"global note" ();
-      Trace.stall ~cycle:4 ~controller:"c" ~addr:64 ~why:"retry");
+  Trace.transition tr ~cycle:1 ~controller:"c" ~addr:64 ~state:"I" ~event:"Load" ~next:"IS" ();
+  Trace.transition tr ~cycle:2 ~controller:"c" ~addr:128 ~state:"I" ~event:"Store" ~next:"IM" ();
+  Trace.note tr ~cycle:3 ~controller:"tester" ~text:"global note" ();
+  Trace.stall tr ~cycle:4 ~controller:"c" ~addr:64 ~why:"retry";
   let for64 = Trace.events_for tr ~addr:64 in
   check_int "addr filter keeps its events plus global notes" 3 (List.length for64);
   check_bool "other addr excluded" true
@@ -85,18 +89,16 @@ let test_events_for () =
 
 let test_formatting () =
   let tr = Trace.create () in
-  Trace.with_armed tr (fun () ->
-      Trace.transition ~cycle:482 ~controller:"mesi.l1.0" ~addr:3 ~state:"I" ~event:"Load"
-        ~next:"IS" ());
+  Trace.transition tr ~cycle:482 ~controller:"mesi.l1.0" ~addr:3 ~state:"I" ~event:"Load"
+    ~next:"IS" ();
   (match Trace.to_list tr with
   | [ ev ] ->
       check_str "transition line" "@    482 mesi.l1.0        0x3   [I] Load -> [IS]"
         (Trace.format_event ev)
   | _ -> Alcotest.fail "expected exactly one event");
   let tr2 = Trace.create () in
-  Trace.with_armed tr2 (fun () ->
-      Trace.send ~cycle:7 ~net:"xg.link" ~src:"accel" ~dst:"xg" ~addr:64 ~text:"GetS 0x40";
-      Trace.note ~cycle:9 ~controller:"tester" ~text:"hello" ());
+  Trace.send tr2 ~cycle:7 ~net:"xg.link" ~src:"accel" ~dst:"xg" ~addr:64 ~text:"GetS 0x40";
+  Trace.note tr2 ~cycle:9 ~controller:"tester" ~text:"hello" ();
   let dump = Trace.dump tr2 in
   check_bool "dump shows the send" true
     (has_infix "send accel -> xg: GetS 0x40" dump);
@@ -143,7 +145,7 @@ let test_tracing_does_not_change_results () =
   let w = W.blocked ~tiles:2 () in
   let plain = Perf.run cfg w in
   let tr = Trace.create ~capacity:4096 () in
-  let traced = Perf.run ~trace:tr cfg w in
+  let traced = Obs.with_trace tr (fun () -> Perf.run cfg w) in
   check_bool "the traced run actually recorded events" true (Trace.recorded tr > 0);
   check_int "cycles identical" plain.Perf.cycles traced.Perf.cycles;
   check_int "accesses identical" plain.Perf.accel_accesses traced.Perf.accel_accesses;

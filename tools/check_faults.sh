@@ -3,18 +3,15 @@
 #
 # Sweeps the fault-injection campaign over drop probabilities x both hosts
 # and asserts the recovery layer holds the line:
-#   - drop=0    with --reliable-link must be byte-identical to the plain run
-#     (the seq+checksum layer and its reporting are invisible at fault rate 0);
-#   - drop>0    campaigns must still PASS (zero data errors, deadlocks or
+#   - faulted campaigns must still PASS (zero data errors, deadlocks or
 #     guard violations — every lost frame recovered by retransmission);
 #   - a directed kill script must quarantine the accelerator while the fuzz
 #     run completes safely;
-#   - a hang budget that never trips, and a recovery policy that never
-#     engages, must be pure observers: the faulted run's output is
-#     byte-identical apart from their own gated report lines;
 #   - under a recovery policy a kill script's quarantine must reset, rejoin
 #     and keep the host live, and the recovery soak's periodic fault bursts
 #     must produce rejoins without ever wedging.
+# That idle link knobs (--reliable-link at drop 0, a never-tripping budget,
+# an idle recovery policy) move nothing is checked by test/test_observers.ml.
 #
 # Usage: tools/check_faults.sh [drop probabilities...]   (default: 0 0.01 0.05)
 set -eu
@@ -27,20 +24,6 @@ dune build
 
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
-
-echo "== fault-rate 0 byte-identity (hammer + mesi, one config each) =="
-for c in hammer/xg-trans-1lvl mesi/xg-full-1lvl; do
-  tag=$(echo "$c" | tr '/' '_')
-  dune exec bin/xguard_cli.exe -- campaign -c "$c" --seeds 2 -j $jobs \
-    > "$out/plain_$tag.txt"
-  dune exec bin/xguard_cli.exe -- campaign -c "$c" --seeds 2 -j $jobs --reliable-link \
-    > "$out/reliable_$tag.txt"
-  if ! diff -u "$out/plain_$tag.txt" "$out/reliable_$tag.txt"; then
-    echo "FAIL: --reliable-link at fault rate 0 changed the $c report" >&2
-    exit 1
-  fi
-  echo "$c: byte-identical with the reliability layer on"
-done
 
 echo "== fault matrix: drop in {$drops} x both hosts, -j $jobs =="
 for drop in $drops; do
@@ -78,25 +61,6 @@ if ! grep -q '^deadlocked         false$' "$out/kill.txt"; then
   exit 1
 fi
 echo "quarantine fired; host stayed live"
-
-echo "== disabled budget / idle recovery are pure observers =="
-dune exec bin/xguard_cli.exe -- fuzz -c hammer/xg-trans-1lvl --seed 5 --fault-drop 0.02 \
-  > "$out/obs_plain.txt"
-dune exec bin/xguard_cli.exe -- fuzz -c hammer/xg-trans-1lvl --seed 5 --fault-drop 0.02 \
-  --budget-inv 1000000 > "$out/obs_budget.txt"
-grep -v '^budget trips' "$out/obs_budget.txt" > "$out/obs_budget_stripped.txt"
-if ! diff -u "$out/obs_plain.txt" "$out/obs_budget_stripped.txt"; then
-  echo "FAIL: a never-tripping --budget-inv perturbed the faulted run" >&2
-  exit 1
-fi
-dune exec bin/xguard_cli.exe -- fuzz -c hammer/xg-trans-1lvl --seed 5 --fault-drop 0.02 \
-  --recover > "$out/obs_recover.txt"
-grep -v '^link rejoins\|^permakilled' "$out/obs_recover.txt" > "$out/obs_recover_stripped.txt"
-if ! diff -u "$out/obs_plain.txt" "$out/obs_recover_stripped.txt"; then
-  echo "FAIL: an idle --recover policy perturbed the faulted run" >&2
-  exit 1
-fi
-echo "budget-disabled and recovery-idle runs byte-identical apart from gated lines"
 
 echo "== recovery suite: kill script under a recovery policy rejoins =="
 dune exec bin/xguard_cli.exe -- fuzz -c hammer/xg-trans-1lvl --seed 2 \
