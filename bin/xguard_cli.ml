@@ -649,6 +649,12 @@ let stress_cmd =
 
 (* ---- fuzz ---- *)
 
+(* Shared by fuzz and campaign, so a campaign fuzz job's replay command can
+   name its CPU ops. *)
+let cpu_ops_arg =
+  Arg.(value & opt positive_int 300
+       & info [ "cpu-ops" ] ~docv:"N" ~doc:"Checked CPU operations per core per fuzz run.")
+
 let fuzz_cmd =
   let timeout_arg =
     Arg.(value & opt (some (cycles ~min:1)) None
@@ -707,7 +713,7 @@ let fuzz_cmd =
     in
     Term.(const make $ mute $ period $ respond $ requests_only $ tarpit)
   in
-  let action cfg link timeout chaos seeds jobs coverage obs =
+  let action cfg link timeout chaos seeds jobs cpu_ops coverage obs =
     refuse_if
       (if Config.uses_xg cfg then None
        else Some "fuzzing needs a Crossing Guard configuration")
@@ -715,8 +721,9 @@ let fuzz_cmd =
     let cfg = link.apply cfg in
     let cfg = match timeout with None -> cfg | Some t -> { cfg with Config.xg_timeout = t } in
     let r =
-      Campaign.run ~workers:jobs ~seeding:(Campaign.Consecutive cfg.Config.seed)
-        ~observers:obs.arm ~chaos Campaign.Fuzz ~configs:[ cfg ] ~seeds ()
+      Campaign.run ~workers:jobs ~fuzz_cpu_ops:cpu_ops
+        ~seeding:(Campaign.Consecutive cfg.Config.seed) ~observers:obs.arm ~chaos Campaign.Fuzz
+        ~configs:[ cfg ] ~seeds ()
     in
     let merged =
       Array.fold_left
@@ -772,19 +779,23 @@ let fuzz_cmd =
               print_newline ())
             o.Fuzz.coverage_sets;
         emit_sweep_observers obs r;
+        (* Every seed's trail, in seed order, in one write. *)
         emit_trails obs
-          (List.map
-             (fun (addr, text) ->
-               ( Printf.sprintf "-- failure event trail%s (replay with --seed %d) --"
-                   (block_part addr) o.Fuzz.seed,
-                 text ))
-             (Option.to_list (Campaign.trail (Campaign.Fuzzed o))));
+          (List.filter_map
+             (fun (o : Campaign.outcome) ->
+               Option.map
+                 (fun (addr, text) ->
+                   ( Printf.sprintf "-- failure event trail%s (replay with --seed %d) --"
+                       (block_part addr) o.Campaign.seed,
+                     text ))
+                 (Campaign.trail o.Campaign.run))
+             (Array.to_list r.Campaign.outcomes));
         if Campaign.failed (Campaign.Fuzzed o) || r.Campaign.crashes > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "fuzz" ~doc:"Bombard the guard with a pathological accelerator")
     Term.(ret (const action $ one_config $ link_term $ timeout_arg $ chaos_term $ seeds_arg
-               $ jobs_arg $ coverage_flag $ observers_term ~timeline:true))
+               $ jobs_arg $ cpu_ops_arg $ coverage_flag $ observers_term ~timeline:true))
 
 (* ---- campaign ---- *)
 
@@ -816,12 +827,6 @@ let campaign_cmd =
     Arg.(value & opt positive_int 500
          & info [ "ops" ] ~docv:"N" ~doc:"Stress operations per core per run.")
   in
-  (* xguard fuzz always runs Fuzz_tester's default CPU ops. *)
-  let fuzz_cpu_ops = 300 in
-  let cpu_ops_arg =
-    Arg.(value & opt positive_int fuzz_cpu_ops
-         & info [ "cpu-ops" ] ~docv:"N" ~doc:"Checked CPU operations per core per fuzz run.")
-  in
   (* Every failure trail names the one-seed command that replays its job. *)
   let header ~link ~ops ~cpu_ops (o : Campaign.outcome) addr =
     let target = target_flag o.Campaign.config and seed = o.Campaign.seed in
@@ -831,11 +836,10 @@ let campaign_cmd =
           ( "stress",
             Printf.sprintf "replay with xguard stress %s --seed %d --seeds 1 --ops %d%s" target
               seed ops link.flags )
-      | _ when cpu_ops <> fuzz_cpu_ops ->
+      | _ ->
           ( "fuzz",
-            Printf.sprintf "no exact replay: xguard fuzz runs %d CPU ops per core, this job ran %d"
-              fuzz_cpu_ops cpu_ops )
-      | _ -> ("fuzz", Printf.sprintf "replay with xguard fuzz %s --seed %d%s" target seed link.flags)
+            Printf.sprintf "replay with xguard fuzz %s --seed %d --cpu-ops %d%s" target seed
+              cpu_ops link.flags )
     in
     Printf.sprintf "-- %s %s seed %d event trail%s (%s) --" (Config.name o.Campaign.config) kind
       seed (block_part addr) replay
@@ -1169,7 +1173,8 @@ let check_cmd =
     Arg.(value & opt (some string) None
          & info [ "baseline" ] ~docv:"FILE"
              ~doc:"Compare each summary against $(docv) and fail on any drift \
-                   in state/transition counts or set digests.")
+                   in state/transition counts or set digests, or on a pinned \
+                   configuration that $(b,--budget) skipped.")
   in
   let write_baseline_arg =
     Arg.(value & opt (some string) None
@@ -1275,12 +1280,13 @@ let check_cmd =
         in
         let t_start = Unix.gettimeofday () in
         let failed = ref false in
-        let results = ref [] in
+        let results = ref [] and skipped = ref [] in
         List.iter
           (fun (name, plan) ->
             let elapsed = Unix.gettimeofday () -. t_start in
             match budget with
             | Some b when elapsed > b ->
+                skipped := name :: !skipped;
                 Printf.printf "%-20s SKIPPED (budget %.0fs exhausted)\n" name b
             | _ ->
                 let t0 = Unix.gettimeofday () in
@@ -1358,7 +1364,16 @@ let check_cmd =
                          then "match"
                          else "differ")
                     end)
-              results)
+              results;
+            (* A pinned plan the budget skipped was not checked: the gate must
+               not pass on it. *)
+            List.iter
+              (fun name ->
+                if List.mem_assoc name base then begin
+                  failed := true;
+                  Printf.printf "baseline: %s is pinned but was skipped by --budget\n" name
+                end)
+              (List.rev !skipped))
           baseline;
         if !failed then exit 1
   in

@@ -415,13 +415,15 @@ let check_fingerprint t buf =
   Cache_array.to_list t.array
   |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
   |> List.iter (fun (addr, line) ->
-         Buffer.add_string buf (Printf.sprintf "a%d:" (Addr.to_int addr));
+         Fp.key buf 'a' (Addr.to_int addr);
+         Buffer.add_char buf ':';
          (match line.st with
          | Stable St_m -> Buffer.add_char buf 'M'
          | Stable St_e -> Buffer.add_char buf 'E'
          | Stable St_s -> Buffer.add_char buf 'S'
          | Busy (Get { access; _ }) ->
-             Buffer.add_string buf
-               (Format.asprintf "g%a" Access.pp access)
+             Buffer.add_char buf 'g';
+             Access.add_text buf access
          | Busy Put -> Buffer.add_char buf 'p');
-         Buffer.add_string buf (Printf.sprintf ":%d;" (line.data : Data.t)))
+         Fp.field_int buf (line.data : Data.t);
+         Buffer.add_char buf ';')

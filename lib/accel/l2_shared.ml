@@ -27,13 +27,15 @@ type txn = Fetch_below of { requestor : Node.t; want : [ `S | `M ] } | Gather of
 
 type queued = { src : Node.t; req : Xg_iface.accel_request }
 
-(* Hot per-event stat counters, interned once at creation (PR 4). *)
+(* Hot per-event stat counters: a vocabulary hashed once per process, adopted
+   by each instance's fresh stats group (no name is hashed per build). *)
 let hot_stats =
-  [|
-    "stalled_busy"; "stalled_for_space"; "miss_below"; "internal_transfer"; "share_hit";
-    "exclusive_passthrough"; "upgrade_below"; "put_sunk"; "put_s_up"; "put_owner_up";
-    "put_during_gather"; "l2_eviction"; "eviction_complete"; "invalidate_from_below";
-  |]
+  Group.vocab
+    [|
+      "stalled_busy"; "stalled_for_space"; "miss_below"; "internal_transfer"; "share_hit";
+      "exclusive_passthrough"; "upgrade_below"; "put_sunk"; "put_s_up"; "put_owner_up";
+      "put_during_gather"; "l2_eviction"; "eviction_complete"; "invalidate_from_below";
+    |]
 
 type t = {
   engine : Engine.t;
@@ -49,7 +51,7 @@ type t = {
   l2_latency : int;
   mutable flushed : bool;  (* a device reset happened at least once (PR 8) *)
   stats : Group.t;
-  sid : Group.id array; (* interned hot stat counters, indexed like [hot_stats] *)
+  sid : Group.id array; (* adopted hot stat counters, in [hot_stats] order *)
 }
 
 let stats t = t.stats
@@ -467,13 +469,13 @@ let create ~engine ~name ~internal ~node ~lower ~sets ~ways ?(l2_latency = 2) ()
       lower;
       sets;
       array = Cache_array.create ~sets ~ways ();
-      busy_table = Hashtbl.create 64;
-      waiting = Hashtbl.create 64;
+      busy_table = Hashtbl.create 16;
+      waiting = Hashtbl.create 16;
       space_waiters = Hashtbl.create 16;
       l2_latency;
       flushed = false;
       stats;
-      sid = Array.map (Group.intern stats) hot_stats;
+      sid = Group.adopt stats hot_stats;
     }
   in
   Xg_iface.Link.register internal node (fun ~src msg -> on_internal t ~src msg);

@@ -120,6 +120,7 @@ let summary_to_string s =
 type shared = {
   visited : (string, unit) Hashtbl.t;
   edges : (string * string, unit) Hashtbl.t;
+  fp : Buffer.t;  (* scratch: every fingerprint of this search is written here *)
   mutable n_paths : int;
   mutable n_decisions : int;
   mutable n_por : int;
@@ -132,6 +133,7 @@ let fresh_shared () =
   {
     visited = Hashtbl.create 4096;
     edges = Hashtbl.create 4096;
+    fp = Buffer.create 4096;
     n_paths = 0;
     n_decisions = 0;
     n_por = 0;
@@ -225,9 +227,9 @@ let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix :
       issue accesses)
     plan.ops;
   let digest () =
-    let buf = Buffer.create 1024 in
-    sys.Sys.check_fingerprint buf;
-    Digest.to_hex (Digest.string (Buffer.contents buf))
+    Buffer.clear sh.fp;
+    sys.Sys.check_fingerprint sh.fp;
+    Digest.to_hex (Digest.string (Buffer.contents sh.fp))
   in
   (* The digest of the scheduler decision about to be taken. *)
   let decision_digest () =
@@ -277,8 +279,10 @@ let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix :
     try
       check_invariants ();
       let rec loop () =
-        let cands = Engine.choices engine in
-        let n = Array.length cands in
+        (* The pool is read once per fired event: fingerprinting,
+           [visit_state] and [decide] below touch no engine state, so its
+           keys stay valid until [fire_choice]. *)
+        let n = Engine.choices engine in
         if n = 0 then begin
           (* Drained terminal: deadlock and quiescent checks run before the
              visited-set lookup — [remaining] is driver progress the
@@ -301,19 +305,19 @@ let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix :
           (* POR: a candidate whose tag conflicts with no other candidate
              commutes with every one of them; fire it without branching. *)
           let independent =
-            if (not plan.por) || n = 1 then None
+            if (not plan.por) || n = 1 then -1
             else begin
-              let found = ref None in
+              let found = ref (-1) in
               let i = ref 0 in
-              while !found = None && !i < n do
-                let tag_i = fst cands.(!i) in
+              while !found < 0 && !i < n do
+                let tag_i = Engine.choice_tag engine !i in
                 if tag_i <> Engine.no_tag then begin
                   let ok = ref true in
                   for j = 0 to n - 1 do
-                    if j <> !i && Engine.tags_conflict tag_i (fst cands.(j)) then
+                    if j <> !i && Engine.tags_conflict tag_i (Engine.choice_tag engine j) then
                       ok := false
                   done;
-                  if !ok then found := Some !i
+                  if !ok then found := !i
                 end;
                 incr i
               done;
@@ -321,22 +325,18 @@ let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix :
             end
           in
           let idx =
-            match independent with
-            | Some i ->
-                if n > 1 then sh.n_por <- sh.n_por + 1;
-                i
-            | None ->
-                if n = 1 then 0
-                else begin
-                  let digest = decision_digest () in
-                  visit_state digest;
-                  decide ~digest n
-                end
+            if independent >= 0 then begin
+              sh.n_por <- sh.n_por + 1;
+              independent
+            end
+            else if n = 1 then 0
+            else begin
+              let digest = decision_digest () in
+              visit_state digest;
+              decide ~digest n
+            end
           in
-          (* Keys are invalidated by any firing; re-read the pool. *)
-          let cands = Engine.choices engine in
-          if idx >= Array.length cands then invalid_arg "Checker: choice pool changed";
-          Engine.fire_choice engine ~key:(snd cands.(idx));
+          Engine.fire_choice engine ~key:(Engine.choice_key engine idx);
           check_invariants ();
           loop ()
         end

@@ -88,7 +88,7 @@ module Port = H.Xg_port
 type msg = H.Msg.t
 
 let msg_addr (m : msg) = m.H.Msg.addr
-let pp_msg = H.Msg.pp
+let add_msg_text = H.Msg.add_text
 
 let of_config (cfg : Config.t) =
   create ~num_cpus:cfg.Config.num_cpus ~variant:H.L1l2.Xg_ready ~sets:cfg.Config.cpu_sets

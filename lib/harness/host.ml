@@ -43,7 +43,7 @@ module type S = sig
   end
 
   val msg_addr : msg -> Addr.t
-  val pp_msg : Format.formatter -> msg -> unit
+  val add_msg_text : Buffer.t -> msg -> unit
 
   (* Construction: [of_config], then ports and plain caches in order, then
      [finalize] once every peer exists. *)

@@ -61,7 +61,7 @@ module Port = M.Xg_port
 type msg = M.Msg.t
 
 let msg_addr (m : msg) = m.M.Msg.addr
-let pp_msg = M.Msg.pp
+let add_msg_text = M.Msg.add_text
 
 let of_config (cfg : Config.t) =
   create ~num_cpus:cfg.Config.num_cpus ~variant:M.L2.Xg_ready ~l1_sets:cfg.Config.cpu_sets

@@ -72,7 +72,7 @@ let guard_label g base = sfx g.g_id base
 (* Trace adapter for the XG link message vocabulary (both the guard link and
    the accelerator-internal network speak it). *)
 let link_tracer msg =
-  (Addr.to_int (Xg.Xg_iface.msg_addr msg), Format.asprintf "%a" Xg.Xg_iface.pp_msg msg)
+  (Addr.to_int (Xg.Xg_iface.msg_addr msg), Fp.to_string Xg.Xg_iface.add_msg_text msg)
 
 (* Fault-layer reporting, gated on injection actually being possible on each
    guard's link (wire cut, scripts, or a live probability) so fault-free runs
@@ -427,7 +427,7 @@ module Build (H : HOST) = struct
     let rng = H.rng host in
     let registry = H.registry host in
     let net = H.net host in
-    let msg_text msg = Format.asprintf "%a" H.pp_msg msg in
+    let msg_text msg = Fp.to_string H.add_msg_text msg in
     H.Net.set_tracer net (fun msg -> (Addr.to_int (H.msg_addr msg), msg_text msg));
     let perms = Xg.Perm_table.create () in
     let os = Xg.Os_model.create ~policy:cfg.Config.os_policy () in
@@ -601,16 +601,20 @@ module Build (H : HOST) = struct
       Xg.Os_model.check_fingerprint os buf;
       List.iter
         (fun (a, (d : Data.t)) ->
-          if d <> Data.initial a then
-            Buffer.add_string buf (Printf.sprintf "M%d:%d;" (Addr.to_int a) d))
+          if d <> Data.initial a then begin
+            Fp.key buf 'M' (Addr.to_int a);
+            Fp.field_int buf d;
+            Buffer.add_char buf ';'
+          end)
         (Memory_model.touched memory);
       (* The pending-event horizon closes any window a component dump misses
          (e.g. a completion callback whose TBE is already freed).  Extra
          discrimination only ever splits states — it cannot merge two
          architecturally different ones. *)
-      Array.iter
-        (fun (dt, tag) -> Buffer.add_string buf (Printf.sprintf "e%d:%d;" dt tag))
-        (Engine.pending_summary engine)
+      Engine.pending_summary engine (fun dt tag ->
+          Fp.key buf 'e' dt;
+          Fp.field_int buf tag;
+          Buffer.add_char buf ';')
     in
     let check_accel_ctrls =
       match gonly with

@@ -22,18 +22,20 @@ type t = {
   busy_table : (Addr.t, txn) Hashtbl.t;
   waiting : (Addr.t, queued Queue.t) Hashtbl.t;
   stats : Group.t;
-  sid : Group.id array; (* interned hot stat counters, indexed like [hot_stats] *)
+  sid : Group.id array; (* adopted hot stat counters, in [hot_stats] order *)
 }
 
 let node t = t.node
 let stats t = t.stats
 let set_caches t caches = t.caches <- caches
-(* Hot per-message stat counters, interned once at creation (PR 4). *)
+(* Hot per-message stat counters: a vocabulary hashed once per process,
+   adopted by each instance's fresh stats group (no name is hashed per build). *)
 let hot_stats =
-  [|
-    "stalled_at_directory"; "get.GetS"; "get.GetS_only"; "get.GetM"; "put"; "unblock";
-    "writeback"; "server_busy_cycles";
-  |]
+  Group.vocab
+    [|
+      "stalled_at_directory"; "get.GetS"; "get.GetS_only"; "get.GetM"; "put"; "unblock";
+      "writeback"; "server_busy_cycles";
+    |]
 
 let owner t addr = Hashtbl.find_opt t.owner_table addr
 let busy t addr = Hashtbl.mem t.busy_table addr
@@ -143,9 +145,7 @@ let deliver t ~src (msg : Msg.t) =
 
 (* ---- model-checker support ---- *)
 
-let owner_entries t =
-  Hashtbl.fold (fun addr n acc -> (addr, n) :: acc) t.owner_table []
-  |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
+let owner_entries t = Fp.sorted_bindings t.owner_table
 
 let check_waiting_tables t = Hashtbl.length t.waiting
 
@@ -155,31 +155,39 @@ let check_fingerprint t buf =
   Buffer.add_char buf ']';
   List.iter
     (fun (addr, n) ->
-      Buffer.add_string buf (Printf.sprintf "o%d:%d;" (Addr.to_int addr) (Node.id n)))
+      Fp.key buf 'o' (Addr.to_int addr);
+      Fp.field_int buf (Node.id n);
+      Buffer.add_char buf ';')
     (owner_entries t);
-  Hashtbl.fold (fun addr txn acc -> (addr, txn) :: acc) t.busy_table []
-  |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
+  Fp.sorted_bindings t.busy_table
   |> List.iter (fun (addr, txn) ->
+         Buffer.add_char buf 'b';
          match txn with
          | Get_txn { requestor } ->
-             Buffer.add_string buf
-               (Printf.sprintf "bG%d:%d;" (Addr.to_int addr) (Node.id requestor))
+             Fp.key buf 'G' (Addr.to_int addr);
+             Fp.field_int buf (Node.id requestor);
+             Buffer.add_char buf ';'
          | Put_txn { putter; awaiting_data } ->
-             Buffer.add_string buf
-               (Printf.sprintf "bP%d:%d:%b;" (Addr.to_int addr) (Node.id putter)
-                  awaiting_data));
-  Hashtbl.fold (fun addr q acc -> (addr, q) :: acc) t.waiting []
-  |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
+             Fp.key buf 'P' (Addr.to_int addr);
+             Fp.field_int buf (Node.id putter);
+             Fp.field_bool buf awaiting_data;
+             Buffer.add_char buf ';');
+  Fp.sorted_bindings t.waiting
   |> List.iter (fun (addr, q) ->
-         Buffer.add_string buf (Printf.sprintf "w%d:" (Addr.to_int addr));
+         Fp.key buf 'w' (Addr.to_int addr);
+         Buffer.add_char buf ':';
          Queue.iter
            (fun { src; body } ->
-             Buffer.add_string buf
-               (Format.asprintf "%d>%a," (Node.id src) Msg.pp { Msg.addr; body }))
+             Fp.int buf (Node.id src);
+             Buffer.add_char buf '>';
+             Msg.add_text buf { Msg.addr; body };
+             Buffer.add_char buf ',')
            q;
          Buffer.add_char buf ';');
-  if t.occupancy > 0 && t.server_free_at > Engine.now t.engine then
-    Buffer.add_string buf (Printf.sprintf "s%d;" (t.server_free_at - Engine.now t.engine))
+  if t.occupancy > 0 && t.server_free_at > Engine.now t.engine then begin
+    Fp.key buf 's' (t.server_free_at - Engine.now t.engine);
+    Buffer.add_char buf ';'
+  end
 
 let create ~engine ~net ~name ~node ~memory ?(dir_latency = 6) ?(mem_latency = 60)
     ?(occupancy = 0) () =
@@ -196,11 +204,11 @@ let create ~engine ~net ~name ~node ~memory ?(dir_latency = 6) ?(mem_latency = 6
       occupancy;
       server_free_at = 0;
       caches = [];
-      owner_table = Hashtbl.create 256;
-      busy_table = Hashtbl.create 64;
-      waiting = Hashtbl.create 64;
+      owner_table = Hashtbl.create 16;
+      busy_table = Hashtbl.create 16;
+      waiting = Hashtbl.create 16;
       stats;
-      sid = Array.map (Group.intern stats) hot_stats;
+      sid = Group.adopt stats hot_stats;
     }
   in
   Net.register net node (fun ~src msg ->

@@ -47,14 +47,16 @@ type t = {
   mutable peer_count : int;
   mutable pending_puts : int;
   stats : Group.t;
-  sid : Group.id array; (* interned hot stat counters, indexed like [hot_stats] *)
+  sid : Group.id array; (* adopted hot stat counters, in [hot_stats] order *)
   coverage : Group.t;
   covm : Coverage.matrix;
 }
 
-(* Hot per-event stat counters, interned once at creation (PR 4). *)
+(* Hot per-event stat counters: a vocabulary hashed once per process, adopted
+   by each instance's fresh stats group (no name is hashed per build). *)
 let hot_stats =
-  [| "load_hit"; "store_hit"; "miss"; "get_complete"; "writeback_complete"; "silent_s_eviction" |]
+  Group.vocab
+    [| "load_hit"; "store_hit"; "miss"; "get_complete"; "writeback_complete"; "silent_s_eviction" |]
 
 let name t = t.name
 let node t = t.node
@@ -462,25 +464,28 @@ let check_fingerprint t buf =
   Cache_array.to_list t.array
   |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
   |> List.iter (fun (addr, line) ->
-         Buffer.add_string buf (Printf.sprintf "a%d:" (Addr.to_int addr));
+         Fp.key buf 'a' (Addr.to_int addr);
+         Buffer.add_char buf ':';
          (match line.st with
          | Stable s -> Buffer.add_char buf (stable_name s)
          | Get_pending -> Buffer.add_char buf 'g'
          | Put_pending { lost_ownership } ->
              Buffer.add_char buf (if lost_ownership then 'i' else 'p'));
-         Buffer.add_string buf (Printf.sprintf ":%d:%b;" (line.data : Data.t) line.dirty));
+         Fp.field_int buf (line.data : Data.t);
+         Fp.field_bool buf line.dirty;
+         Buffer.add_char buf ';');
   Tbe_table.to_list t.tbes
-  |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
   |> List.iter (fun (addr, g) ->
-         Buffer.add_string buf
-           (Printf.sprintf "t%d:%s:%d:%d:%d:%d:%b:%s;" (Addr.to_int addr)
-              (Msg.get_kind_to_string g.kind)
-              (match g.base with Base_none -> 0 | Base_sharer -> 1 | Base_owner -> 2)
-              g.peers_left
-              (match g.mem_data with None -> -1 | Some d -> (d : Data.t))
-              (match g.peer_data with None -> -1 | Some d -> (d : Data.t))
-              g.shared_seen
-              (Format.asprintf "%a" Access.pp g.access)))
+         Fp.key buf 't' (Addr.to_int addr);
+         Fp.field buf (Msg.get_kind_to_string g.kind);
+         Fp.field_int buf (match g.base with Base_none -> 0 | Base_sharer -> 1 | Base_owner -> 2);
+         Fp.field_int buf g.peers_left;
+         Fp.field_opt buf g.mem_data;
+         Fp.field_opt buf g.peer_data;
+         Fp.field_bool buf g.shared_seen;
+         Buffer.add_char buf ':';
+         Access.add_text buf g.access;
+         Buffer.add_char buf ';')
 
 let create ~engine ~net ~name ~node ~directory ~variant ~sets ~ways ?(hit_latency = 2)
     ?(tbe_capacity = 16) () =
@@ -500,7 +505,7 @@ let create ~engine ~net ~name ~node ~directory ~variant ~sets ~ways ?(hit_latenc
       peer_count = 0;
       pending_puts = 0;
       stats;
-      sid = Array.map (Group.intern stats) hot_stats;
+      sid = Group.adopt stats hot_stats;
       coverage;
       covm = Coverage.intern_matrix coverage_space coverage;
     }

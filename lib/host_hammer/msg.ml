@@ -25,19 +25,26 @@ let get_kind_to_string = function
   | Get_s_only -> "GetS_only"
   | Get_m -> "GetM"
 
-let pp fmt t =
-  let body_str =
-    match t.body with
-    | Get { kind } -> get_kind_to_string kind
-    | Put -> "Put"
-    | Wb_data { dirty; _ } -> if dirty then "WbData(dirty)" else "WbData(clean)"
-    | Unblock { exclusive } -> if exclusive then "Unblock(excl)" else "Unblock"
-    | Fwd { kind; requestor } ->
-        Printf.sprintf "Fwd_%s(for %s)" (get_kind_to_string kind) (Node.name requestor)
-    | Wb_ack -> "WbAck"
-    | Wb_nack -> "WbNack"
-    | Mem_data _ -> "MemData"
-    | Peer_ack { shared } -> if shared then "PeerAck(shared)" else "PeerAck"
-    | Peer_data { dirty; _ } -> if dirty then "PeerData(dirty)" else "PeerData(clean)"
-  in
-  Format.fprintf fmt "%s %a" body_str Addr.pp t.addr
+(* "<body> 0x<addr>", in the protocol's message names. *)
+let add_text buf t =
+  let add = Buffer.add_string buf in
+  (match t.body with
+  | Get { kind } -> add (get_kind_to_string kind)
+  | Put -> add "Put"
+  | Wb_data { dirty; _ } -> add (if dirty then "WbData(dirty)" else "WbData(clean)")
+  | Unblock { exclusive } -> add (if exclusive then "Unblock(excl)" else "Unblock")
+  | Fwd { kind; requestor } ->
+      add "Fwd_";
+      add (get_kind_to_string kind);
+      add "(for ";
+      add (Node.name requestor);
+      Buffer.add_char buf ')'
+  | Wb_ack -> add "WbAck"
+  | Wb_nack -> add "WbNack"
+  | Mem_data _ -> add "MemData"
+  | Peer_ack { shared } -> add (if shared then "PeerAck(shared)" else "PeerAck")
+  | Peer_data { dirty; _ } -> add (if dirty then "PeerData(dirty)" else "PeerData(clean)"));
+  add " 0x";
+  Fp.hex buf (Addr.to_int t.addr)
+
+let pp = Fp.pp_of add_text

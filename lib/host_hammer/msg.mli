@@ -37,3 +37,6 @@ val size : t -> int
 val get_kind_to_string : get_kind -> string
 val pp : Format.formatter -> t -> unit
 
+val add_text : Buffer.t -> t -> unit
+(** Append the text {!pp} prints, without [Format]. *)
+

@@ -44,11 +44,14 @@ type t = {
   deferred_puts : (Addr.t, put_rec) Hashtbl.t;
   deferred_gets : (Addr.t, Msg.get_kind) Hashtbl.t;
   stats : Group.t;
-  sid : Group.id array; (* interned hot stat counters, indexed like [hot_stats] *)
+  sid : Group.id array; (* adopted hot stat counters, in [hot_stats] order *)
 }
 
-(* Hot per-event stat counters, interned once at creation (PR 4). *)
-let hot_stats = [| "get_complete"; "fwd.GetS"; "fwd.GetS_only"; "fwd.GetM"; "writeback_complete" |]
+(* Hot per-event stat counters: a vocabulary hashed once per process, adopted
+   by each instance's fresh stats group (no name is hashed per build). *)
+let hot_stats =
+  Group.vocab
+    [| "get_complete"; "fwd.GetS"; "fwd.GetS_only"; "fwd.GetM"; "writeback_complete" |]
 
 let node t = t.node
 let stats t = t.stats
@@ -300,29 +303,32 @@ let check_fingerprint t buf =
   Buffer.add_string buf t.name;
   Buffer.add_char buf ']';
   Tbe_table.to_list t.tbes
-  |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
   |> List.iter (fun (addr, (g : get_tbe)) ->
-         Buffer.add_string buf
-           (Printf.sprintf "t%d:%s:%d:%d:%d:%b;" (Addr.to_int addr)
-              (Msg.get_kind_to_string g.kind) g.peers_left
-              (match g.mem_data with None -> -1 | Some d -> (d : Data.t))
-              (match g.peer_data with None -> -1 | Some d -> (d : Data.t))
-              g.shared_seen));
+         Fp.key buf 't' (Addr.to_int addr);
+         Fp.field buf (Msg.get_kind_to_string g.kind);
+         Fp.field_int buf g.peers_left;
+         Fp.field_opt buf g.mem_data;
+         Fp.field_opt buf g.peer_data;
+         Fp.field_bool buf g.shared_seen;
+         Buffer.add_char buf ';');
   let dump_puts label table =
-    Hashtbl.fold (fun addr p acc -> (addr, p) :: acc) table []
-    |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
+    Fp.sorted_bindings table
     |> List.iter (fun (addr, (p : put_rec)) ->
-           Buffer.add_string buf
-             (Printf.sprintf "%s%d:%d:%b:%b:%b:%b;" label (Addr.to_int addr)
-                (p.data : Data.t) p.dirty p.lost_ownership p.notify_core p.is_owner))
+           Fp.key buf label (Addr.to_int addr);
+           Fp.field_int buf (p.data : Data.t);
+           Fp.field_bool buf p.dirty;
+           Fp.field_bool buf p.lost_ownership;
+           Fp.field_bool buf p.notify_core;
+           Fp.field_bool buf p.is_owner;
+           Buffer.add_char buf ';')
   in
-  dump_puts "p" t.puts;
-  dump_puts "d" t.deferred_puts;
-  Hashtbl.fold (fun addr k acc -> (addr, k) :: acc) t.deferred_gets []
-  |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
+  dump_puts 'p' t.puts;
+  dump_puts 'd' t.deferred_puts;
+  Fp.sorted_bindings t.deferred_gets
   |> List.iter (fun (addr, kind) ->
-         Buffer.add_string buf
-           (Printf.sprintf "g%d:%s;" (Addr.to_int addr) (Msg.get_kind_to_string kind)))
+         Fp.key buf 'g' (Addr.to_int addr);
+         Fp.field buf (Msg.get_kind_to_string kind);
+         Buffer.add_char buf ';')
 
 let check_owner_puts t =
   let harvest table acc =
@@ -351,7 +357,7 @@ let create ~engine ~net ~name ~node ~directory ?(use_get_s_only = true) () =
       deferred_puts = Hashtbl.create 8;
       deferred_gets = Hashtbl.create 8;
       stats;
-      sid = Array.map (Group.intern stats) hot_stats;
+      sid = Group.adopt stats hot_stats;
     }
   in
   Net.register net node (fun ~src:_ msg -> deliver t msg);

@@ -41,13 +41,16 @@ type t = {
   tbes : get_tbe Tbe_table.t;
   mutable pending_puts : int;
   stats : Group.t;
-  sid : Group.id array; (* interned hot stat counters, indexed like [hot_stats] *)
+  sid : Group.id array; (* adopted hot stat counters, in [hot_stats] order *)
   coverage : Group.t;
   covm : Coverage.matrix;
 }
 
-(* Hot per-event stat counters, interned once at creation (PR 4). *)
-let hot_stats = [| "load_hit"; "store_hit"; "miss"; "get_complete"; "writeback_complete" |]
+(* Hot per-event stat counters: a vocabulary hashed once per process, adopted
+   by each instance's fresh stats group (no name is hashed per build). *)
+let hot_stats =
+  Group.vocab
+    [| "load_hit"; "store_hit"; "miss"; "get_complete"; "writeback_complete" |]
 
 let name t = t.name
 let node t = t.node
@@ -403,7 +406,8 @@ let check_fingerprint t buf =
   Cache_array.to_list t.array
   |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
   |> List.iter (fun (addr, line) ->
-         Buffer.add_string buf (Printf.sprintf "a%d:" (Addr.to_int addr));
+         Fp.key buf 'a' (Addr.to_int addr);
+         Buffer.add_char buf ':';
          (match line.st with
          | Stable St_s -> Buffer.add_char buf 'S'
          | Stable St_e -> Buffer.add_char buf 'E'
@@ -411,23 +415,22 @@ let check_fingerprint t buf =
          | Get_pending -> Buffer.add_char buf 'g'
          | M_i { lost_ownership } -> Buffer.add_char buf (if lost_ownership then 'i' else 'm')
          | Si_wb -> Buffer.add_char buf 's');
-         Buffer.add_string buf (Printf.sprintf ":%d:%b;" (line.data : Data.t) line.dirty));
+         Fp.field_int buf (line.data : Data.t);
+         Fp.field_bool buf line.dirty;
+         Buffer.add_char buf ';');
   Tbe_table.to_list t.tbes
-  |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
   |> List.iter (fun (addr, g) ->
-         Buffer.add_string buf
-           (Printf.sprintf "t%d:%s:%b:%b:%d:%s:%d:%d:%s;" (Addr.to_int addr)
-              (Msg.get_kind_to_string g.kind)
-              g.base_valid g.invalidated
-              (match g.data with None -> -1 | Some d -> (d : Data.t))
-              (match g.grant with
-              | None -> "-"
-              | Some Msg.Grant_s -> "S"
-              | Some Msg.Grant_e -> "E"
-              | Some Msg.Grant_m -> "M")
-              (match g.acks_expected with None -> -1 | Some n -> n)
-              g.acks_got
-              (Format.asprintf "%a" Access.pp g.access)))
+         Fp.key buf 't' (Addr.to_int addr);
+         Fp.field buf (Msg.get_kind_to_string g.kind);
+         Fp.field_bool buf g.base_valid;
+         Fp.field_bool buf g.invalidated;
+         Fp.field_opt buf g.data;
+         Fp.field buf (match g.grant with None -> "-" | Some gr -> Msg.grant_to_string gr);
+         Fp.field_opt buf g.acks_expected;
+         Fp.field_int buf g.acks_got;
+         Buffer.add_char buf ':';
+         Access.add_text buf g.access;
+         Buffer.add_char buf ';')
 
 let create ~engine ~net ~name ~node ~l2 ~sets ~ways ?(hit_latency = 1) ?(tbe_capacity = 16)
     () =
@@ -445,7 +448,7 @@ let create ~engine ~net ~name ~node ~l2 ~sets ~ways ?(hit_latency = 1) ?(tbe_cap
       tbes = Tbe_table.create ~capacity:tbe_capacity ();
       pending_puts = 0;
       stats;
-      sid = Array.map (Group.intern stats) hot_stats;
+      sid = Group.adopt stats hot_stats;
       coverage;
       covm = Coverage.intern_matrix coverage_space coverage;
     }

@@ -41,7 +41,7 @@ type t = {
   space_waiters : (int, queued Queue.t) Hashtbl.t;  (* keyed by set index *)
   space_addr : (int, Addr.t Queue.t) Hashtbl.t;  (* parallel queue of addresses *)
   stats : Group.t;
-  sid : Group.id array; (* interned hot stat counters, indexed like [hot_stats] *)
+  sid : Group.id array; (* adopted hot stat counters, in [hot_stats] order *)
   coverage : Group.t;
   covm : Coverage.matrix;
 }
@@ -66,9 +66,11 @@ let send t ~dst body addr =
   let msg = { Msg.addr; body } in
   Net.send t.net ~src:t.node ~dst ~size:(Msg.size msg) msg
 
-(* Hot per-event stat counters, interned once at creation (PR 4). *)
+(* Hot per-event stat counters: a vocabulary hashed once per process, adopted
+   by each instance's fresh stats group (no name is hashed per build). *)
 let hot_stats =
-  [| "stalled_busy"; "stalled_for_space"; "l2_miss"; "l2_eviction"; "put_s"; "put_m"; "put_sunk" |]
+  Group.vocab
+    [| "stalled_busy"; "stalled_for_space"; "l2_miss"; "l2_eviction"; "put_s"; "put_m"; "put_sunk" |]
 
 (* State/event indices into [coverage_space]'s lists (PR 4). *)
 let state_names =
@@ -438,12 +440,12 @@ let create ~engine ~net ~name ~node ~memctrl ~variant ~sets ~ways ?(l2_latency =
       l2_latency;
       sets;
       array = Cache_array.create ~sets ~ways ();
-      busy_table = Hashtbl.create 64;
-      waiting = Hashtbl.create 64;
+      busy_table = Hashtbl.create 16;
+      waiting = Hashtbl.create 16;
       space_waiters = Hashtbl.create 16;
       space_addr = Hashtbl.create 16;
       stats;
-      sid = Array.map (Group.intern stats) hot_stats;
+      sid = Group.adopt stats hot_stats;
       coverage;
       covm = Coverage.intern_matrix coverage_space coverage;
     }
@@ -481,55 +483,58 @@ let check_fingerprint t buf =
   Cache_array.to_list t.array
   |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
   |> List.iter (fun (addr, (line : line)) ->
-         Buffer.add_string buf (Printf.sprintf "a%d:%d:%b:" (Addr.to_int addr)
-              (line.data : Data.t) line.dirty);
+         Fp.key buf 'a' (Addr.to_int addr);
+         Fp.field_int buf (line.data : Data.t);
+         Fp.field_bool buf line.dirty;
+         Buffer.add_char buf ':';
          (match line.holders with
          | No_l1 -> Buffer.add_char buf 'n'
          | Sharers sh ->
              Buffer.add_char buf 's';
-             List.map Node.id sh |> List.sort compare
-             |> List.iter (fun n -> Buffer.add_string buf (Printf.sprintf ",%d" n))
-         | Owned o -> Buffer.add_string buf (Printf.sprintf "o%d" (Node.id o)));
+             List.map Node.id sh |> List.sort Int.compare
+             |> List.iter (fun n -> Fp.key buf ',' n)
+         | Owned o -> Fp.key buf 'o' (Node.id o));
          Buffer.add_char buf ';');
-  Hashtbl.fold (fun addr txn acc -> (addr, txn) :: acc) t.busy_table []
-  |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
+  Fp.sorted_bindings t.busy_table
   |> List.iter (fun (addr, txn) ->
-         Buffer.add_string buf (Printf.sprintf "b%d:" (Addr.to_int addr));
+         Fp.key buf 'b' (Addr.to_int addr);
+         Buffer.add_char buf ':';
          (match txn with
          | Fetching { kind; requestor } ->
-             Buffer.add_string buf
-               (Printf.sprintf "F%s:%d" (Msg.get_kind_to_string kind) (Node.id requestor))
-         | Direct { requestor } -> Buffer.add_string buf (Printf.sprintf "D%d" (Node.id requestor))
+             Buffer.add_char buf 'F';
+             Buffer.add_string buf (Msg.get_kind_to_string kind);
+             Fp.field_int buf (Node.id requestor)
+         | Direct { requestor } -> Fp.key buf 'D' (Node.id requestor)
          | Via_owner { requestor; kind; got_unblock; need_copyback } ->
-             Buffer.add_string buf
-               (Printf.sprintf "V%s:%d:%b:%b" (Msg.get_kind_to_string kind)
-                  (Node.id requestor) got_unblock need_copyback)
-         | Evicting { acks_left } -> Buffer.add_string buf (Printf.sprintf "E%d" acks_left)
+             Buffer.add_char buf 'V';
+             Buffer.add_string buf (Msg.get_kind_to_string kind);
+             Fp.field_int buf (Node.id requestor);
+             Fp.field_bool buf got_unblock;
+             Fp.field_bool buf need_copyback
+         | Evicting { acks_left } -> Fp.key buf 'E' acks_left
          | Wb_mem -> Buffer.add_char buf 'W');
          Buffer.add_char buf ';');
-  let dump_queue prefix key q render =
-    Buffer.add_string buf (Printf.sprintf "%s%d:" prefix key);
-    Queue.iter (fun x -> Buffer.add_string buf (render x)) q;
-    Buffer.add_char buf ';'
+  (* One parked request: "<src>><message>,". *)
+  let parked addr { src; body } =
+    Fp.int buf (Node.id src);
+    Buffer.add_char buf '>';
+    Msg.add_text buf { Msg.addr; body };
+    Buffer.add_char buf ','
   in
-  Hashtbl.fold (fun addr q acc -> (addr, q) :: acc) t.waiting []
-  |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
+  Fp.sorted_bindings t.waiting
   |> List.iter (fun (addr, q) ->
-         dump_queue "w" (Addr.to_int addr) q (fun { src; body } ->
-             Format.asprintf "%d>%a," (Node.id src) Msg.pp { Msg.addr; body }));
-  Hashtbl.fold (fun idx q acc -> (idx, q) :: acc) t.space_waiters []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+         Fp.key buf 'w' (Addr.to_int addr);
+         Buffer.add_char buf ':';
+         Queue.iter (parked addr) q;
+         Buffer.add_char buf ';');
+  Fp.sorted_bindings t.space_waiters
   |> List.iter (fun (idx, q) ->
-         Buffer.add_string buf (Printf.sprintf "z%d:" idx);
+         Fp.key buf 'z' idx;
+         Buffer.add_char buf ':';
          let addr_q =
            match Hashtbl.find_opt t.space_addr idx with
            | Some aq -> Queue.to_seq aq |> List.of_seq
            | None -> []
          in
-         let bodies = Queue.to_seq q |> List.of_seq in
-         List.iter2
-           (fun addr { src; body } ->
-             Buffer.add_string buf
-               (Format.asprintf "%d>%a," (Node.id src) Msg.pp { Msg.addr; body }))
-           addr_q bodies;
+         List.iter2 parked addr_q (Queue.to_seq q |> List.of_seq);
          Buffer.add_char buf ';')

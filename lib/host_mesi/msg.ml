@@ -40,27 +40,45 @@ let get_kind_to_string = function
 
 let grant_to_string = function Grant_s -> "S" | Grant_e -> "E" | Grant_m -> "M"
 
-let pp fmt t =
-  let body_str =
-    match t.body with
-    | Get { kind } -> get_kind_to_string kind
-    | Put_s -> "PutS"
-    | Put_m { dirty; _ } -> if dirty then "PutM(dirty)" else "PutM(clean)"
-    | Unblock -> "Unblock"
-    | L2_data { grant; acks; _ } -> Printf.sprintf "L2Data(%s,acks=%d)" (grant_to_string grant) acks
-    | Wb_ack -> "WbAck"
-    | Inv { reply_to } -> Printf.sprintf "Inv(->%s)" (Node.name reply_to)
-    | Recall -> "Recall"
-    | Fwd { kind; requestor } ->
-        Printf.sprintf "Fwd_%s(for %s)" (get_kind_to_string kind) (Node.name requestor)
-    | Inv_ack -> "InvAck"
-    | Owner_data { grant; _ } -> Printf.sprintf "OwnerData(%s)" (grant_to_string grant)
-    | Recall_data _ -> "RecallData"
-    | Recall_ack -> "RecallAck"
-    | Copyback _ -> "Copyback"
-    | Fetch -> "Fetch"
-    | Mem_data _ -> "MemData"
-    | Mem_wb _ -> "MemWb"
-    | Mem_wb_ack -> "MemWbAck"
-  in
-  Format.fprintf fmt "%s %a" body_str Addr.pp t.addr
+(* "<body> 0x<addr>", in the protocol's message names. *)
+let add_text buf t =
+  let add = Buffer.add_string buf in
+  (match t.body with
+  | Get { kind } -> add (get_kind_to_string kind)
+  | Put_s -> add "PutS"
+  | Put_m { dirty; _ } -> add (if dirty then "PutM(dirty)" else "PutM(clean)")
+  | Unblock -> add "Unblock"
+  | L2_data { grant; acks; _ } ->
+      add "L2Data(";
+      add (grant_to_string grant);
+      add ",acks=";
+      Fp.int buf acks;
+      Buffer.add_char buf ')'
+  | Wb_ack -> add "WbAck"
+  | Inv { reply_to } ->
+      add "Inv(->";
+      add (Node.name reply_to);
+      Buffer.add_char buf ')'
+  | Recall -> add "Recall"
+  | Fwd { kind; requestor } ->
+      add "Fwd_";
+      add (get_kind_to_string kind);
+      add "(for ";
+      add (Node.name requestor);
+      Buffer.add_char buf ')'
+  | Inv_ack -> add "InvAck"
+  | Owner_data { grant; _ } ->
+      add "OwnerData(";
+      add (grant_to_string grant);
+      Buffer.add_char buf ')'
+  | Recall_data _ -> add "RecallData"
+  | Recall_ack -> add "RecallAck"
+  | Copyback _ -> add "Copyback"
+  | Fetch -> add "Fetch"
+  | Mem_data _ -> add "MemData"
+  | Mem_wb _ -> add "MemWb"
+  | Mem_wb_ack -> add "MemWbAck");
+  add " 0x";
+  Fp.hex buf (Addr.to_int t.addr)
+
+let pp = Fp.pp_of add_text

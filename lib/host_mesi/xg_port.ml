@@ -36,11 +36,17 @@ type t = {
   tbes : get_tbe Tbe_table.t;
   puts : (Addr.t, put_rec) Hashtbl.t;
   stats : Group.t;
-  sid : Group.id array; (* interned hot stat counters, indexed like [hot_stats] *)
+  sid : Group.id array; (* adopted hot stat counters, in [hot_stats] order *)
 }
 
-(* Hot per-event stat counters, interned once at creation (PR 4). *)
-let hot_stats = [| "get_complete"; "fwd.GetS"; "fwd.GetS_only"; "fwd.GetM"; "writeback_complete"; "put_issued"; "inv"; "recall" |]
+(* Hot per-event stat counters: a vocabulary hashed once per process, adopted
+   by each instance's fresh stats group (no name is hashed per build). *)
+let hot_stats =
+  Group.vocab
+    [|
+      "get_complete"; "fwd.GetS"; "fwd.GetS_only"; "fwd.GetM"; "writeback_complete"; "put_issued";
+      "inv"; "recall";
+    |]
 
 let node t = t.node
 let stats t = t.stats
@@ -261,26 +267,22 @@ let check_fingerprint t buf =
   Buffer.add_string buf t.name;
   Buffer.add_char buf ']';
   Tbe_table.to_list t.tbes
-  |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
   |> List.iter (fun (addr, (g : get_tbe)) ->
-         Buffer.add_string buf
-           (Printf.sprintf "t%d:%s:%d:%s:%d:%d;" (Addr.to_int addr)
-              (match g.want with `S -> "S" | `S_only -> "So" | `M -> "M")
-              (match g.data with None -> -1 | Some d -> (d : Data.t))
-              (match g.grant with
-              | None -> "-"
-              | Some Msg.Grant_s -> "S"
-              | Some Msg.Grant_e -> "E"
-              | Some Msg.Grant_m -> "M")
-              (match g.acks_expected with None -> -1 | Some n -> n)
-              g.acks_got);
-         ());
-  Hashtbl.fold (fun addr p acc -> (addr, p) :: acc) t.puts []
-  |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
+         Fp.key buf 't' (Addr.to_int addr);
+         Fp.field buf (match g.want with `S -> "S" | `S_only -> "So" | `M -> "M");
+         Fp.field_opt buf g.data;
+         Fp.field buf (match g.grant with None -> "-" | Some gr -> Msg.grant_to_string gr);
+         Fp.field_opt buf g.acks_expected;
+         Fp.field_int buf g.acks_got;
+         Buffer.add_char buf ';');
+  Fp.sorted_bindings t.puts
   |> List.iter (fun (addr, (p : put_rec)) ->
-         Buffer.add_string buf
-           (Printf.sprintf "p%d:%d:%b:%b:%b;" (Addr.to_int addr) (p.data : Data.t)
-              p.dirty p.notify_core p.is_owner))
+         Fp.key buf 'p' (Addr.to_int addr);
+         Fp.field_int buf (p.data : Data.t);
+         Fp.field_bool buf p.dirty;
+         Fp.field_bool buf p.notify_core;
+         Fp.field_bool buf p.is_owner;
+         Buffer.add_char buf ';')
 
 let create ~engine ~net ~name ~node ~l2 () =
   let stats = Group.create (name ^ ".stats") in
@@ -295,7 +297,7 @@ let create ~engine ~net ~name ~node ~l2 () =
       tbes = Tbe_table.create ~capacity:128 ();
       puts = Hashtbl.create 16;
       stats;
-      sid = Array.map (Group.intern stats) hot_stats;
+      sid = Group.adopt stats hot_stats;
     }
   in
   Net.register net node (fun ~src:_ msg -> deliver t msg);

@@ -2,6 +2,7 @@ module Engine = Xguard_sim.Engine
 module Rng = Xguard_sim.Rng
 module Trace = Xguard_trace.Trace
 module Obs = Xguard_obs.Obs
+module Fp = Xguard_proto.Fp
 
 type ordering =
   | Ordered of { latency : int }
@@ -163,7 +164,10 @@ struct
        which case the send path computes no tags and tracks nothing. *)
     mutable check_addr : (Msg.t -> int) option;
     mutable check_ctrl : int -> int;
-    mutable inflight : (int, int * int * int * string) Hashtbl.t option;
+    (* token -> (delivery time, src id, dst id, message).  Messages are
+       immutable, so the fingerprint renders their text through [tracer]
+       when it is taken instead of on every send. *)
+    mutable inflight : (int, int * int * int * Msg.t) Hashtbl.t option;
     mutable inflight_next : int;
     mutable delay_chooser : (lo:int -> hi:int -> int) option;
     mutable part : partition option;
@@ -176,7 +180,7 @@ struct
       name;
       ordering;
       handlers = Hashtbl.create 16;
-      last_delivery = Hashtbl.create 64;
+      last_delivery = Hashtbl.create 16;
       messages = 0;
       bytes = 0;
       bytes_by_src = [||];
@@ -414,11 +418,8 @@ struct
     | Some table ->
         let token = t.inflight_next in
         t.inflight_next <- token + 1;
-        let text =
-          match t.tracer with Some describe -> snd (describe msg) | None -> ""
-        in
         Hashtbl.replace table token
-          (at, Xguard_proto.Node.id src, Xguard_proto.Node.id dst, text);
+          (at, Xguard_proto.Node.id src, Xguard_proto.Node.id dst, msg);
         Engine.schedule_at t.engine at ~tag (fun () ->
             Hashtbl.remove table token;
             deliver ())
@@ -564,33 +565,44 @@ struct
   let enable_check_mode t ?ctrl_of ~addr_of () =
     t.check_addr <- Some addr_of;
     (match ctrl_of with Some f -> t.check_ctrl <- f | None -> ());
-    if t.inflight = None then t.inflight <- Some (Hashtbl.create 32)
+    if t.inflight = None then t.inflight <- Some (Hashtbl.create 16)
 
   let set_delay_chooser t f = t.delay_chooser <- Some f
+
+  (* In-flight entries order by relative delivery time, source,
+     destination, then text. *)
+  let compare_inflight (d1, s1, t1, x1) (d2, s2, t2, x2) =
+    match Int.compare d1 d2 with
+    | 0 -> (
+        match Int.compare s1 s2 with
+        | 0 -> ( match Int.compare t1 t2 with 0 -> String.compare x1 x2 | c -> c)
+        | c -> c)
+    | c -> c
 
   let check_fingerprint t buf =
     let now = Engine.now t.engine in
     (match t.inflight with
-    | None -> ()
-    | Some table ->
-        let entries =
-          Hashtbl.fold
-            (fun _ (at, src, dst, text) acc -> (at - now, src, dst, text) :: acc)
-            table []
-        in
-        List.iter
-          (fun (dt, src, dst, text) ->
-            Buffer.add_string buf (Printf.sprintf "m%d:%d>%d:%s;" dt src dst text))
-          (List.sort compare entries));
+    | Some table when Hashtbl.length table > 0 ->
+        let text msg = match t.tracer with Some describe -> snd (describe msg) | None -> "" in
+        Hashtbl.fold
+          (fun _ (at, src, dst, msg) acc -> (at - now, src, dst, text msg) :: acc)
+          table []
+        |> List.sort compare_inflight
+        |> List.iter (fun (dt, src, dst, text) ->
+               Fp.key buf 'm' dt;
+               Fp.field_int buf src;
+               Fp.key buf '>' dst;
+               Fp.field buf text;
+               Buffer.add_char buf ';')
+    | _ -> ());
     (* FIFO release times still in the future gate the delivery time of the
        next send on that (src,dst) pair, so they are architecturally visible;
        past entries are inert and must not distinguish states. *)
-    let gates =
-      Hashtbl.fold
-        (fun key at acc -> if at > now then (key, at - now) :: acc else acc)
-        t.last_delivery []
-    in
-    List.iter
-      (fun (key, dt) -> Buffer.add_string buf (Printf.sprintf "f%d:%d;" key dt))
-      (List.sort compare gates)
+    Fp.sorted_bindings t.last_delivery
+    |> List.iter (fun (key, at) ->
+           if at > now then begin
+             Fp.key buf 'f' key;
+             Fp.field_int buf (at - now);
+             Buffer.add_char buf ';'
+           end)
 end

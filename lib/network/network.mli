@@ -183,8 +183,9 @@ end) : sig
       node id to the controller id used in the tag — the harness aliases the
       guard's link endpoint to its host-side port so events that synchronously
       mutate the same state share one conflict cluster.  Tracking costs one
-      hash-table insert/remove per message; networks never armed are
-      byte-identical to historical ones. *)
+      hash-table insert/remove per message and renders nothing: a message's
+      text is produced only when a fingerprint is taken.  Networks never
+      armed are byte-identical to historical ones. *)
 
   val set_delay_chooser : t -> (lo:int -> hi:int -> int) -> unit
   (** Replace the RNG draw of [Unordered] latency with a callback — the
@@ -195,7 +196,9 @@ end) : sig
   (** Append this network's architecturally-visible state to a canonical
       fingerprint: the in-flight message multiset (relative delivery time,
       endpoints, payload rendering — requires {!enable_check_mode} and a
-      tracer) and any FIFO-ordering release times still in the future. *)
+      tracer, which renders each in-flight message now; messages are
+      immutable, so the text equals what it would have been at send time)
+      and any FIFO-ordering release times still in the future. *)
 end
 
 (** Message sizes used throughout: a bare control message and one carrying a

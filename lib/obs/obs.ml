@@ -2,7 +2,7 @@
    it — the trace ring, the span recorder and the metrics recorder (with its
    watchdog) — behind one [Domain.DLS] key.  Hook sites resolve it once
    ([get], or [trace]/[spans]/[metrics] for one slot) and hand the hook the
-   recorder it needs, so an unarmed hook costs the load of [maybe_armed].
+   recorder it needs, so an unarmed hook costs the load of [armed_ctxs].
    Arming sets slots and restores the previous context on exit, so it nests
    and is per-domain.  Worker domains of the sharded engine run their windows
    under the coordinator's context, read-only: every recorder write inside a
@@ -137,18 +137,21 @@ type t = { trace : Trace.t option; spans : spans option; metrics : metrics optio
 
 let none = { trace = None; spans = None; metrics = None }
 
-(* Set, and never cleared, the first time any domain installs a context that
-   holds a recorder, so until something arms an unarmed hook reads this and
-   not the key.  A domain that arms sets it itself before installing, so its
-   own reads always see it. *)
-let maybe_armed = ref false
+(* How many contexts that hold a recorder are installed, over all domains:
+   counted up before an armed [with_ctx] installs and down once it has
+   restored, so whenever nothing is armed an unarmed hook reads this and not
+   the key.  A domain that arms counts itself before installing, so its own
+   reads always see it. *)
+let armed_ctxs = Atomic.make 0
+
+let armed_contexts () = Atomic.get armed_ctxs
 
 let key : t Domain.DLS.key = Domain.DLS.new_key (fun () -> none)
 
-let get () = if !maybe_armed then Domain.DLS.get key else none
-let trace () = if !maybe_armed then (Domain.DLS.get key).trace else None
-let spans () = if !maybe_armed then (Domain.DLS.get key).spans else None
-let metrics () = if !maybe_armed then (Domain.DLS.get key).metrics else None
+let get () = if Atomic.get armed_ctxs > 0 then Domain.DLS.get key else none
+let trace () = if Atomic.get armed_ctxs > 0 then (Domain.DLS.get key).trace else None
+let spans () = if Atomic.get armed_ctxs > 0 then (Domain.DLS.get key).spans else None
+let metrics () = if Atomic.get armed_ctxs > 0 then (Domain.DLS.get key).metrics else None
 
 (* Whether [o] holds any recorder, and whether a sampler has anything to
    sample in it.  (Matched, not compared: a polymorphic comparison could walk
@@ -157,9 +160,14 @@ let armed = function { trace = None; spans = None; metrics = None } -> false | _
 let sampled = function { spans = None; metrics = None; _ } -> false | _ -> true
 
 let with_ctx c f =
-  if armed c then maybe_armed := true;
+  let counted = armed c in
+  if counted then Atomic.incr armed_ctxs;
   let prev = Domain.DLS.get key in
   Domain.DLS.set key c;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set key prev) f
+  Fun.protect
+    ~finally:(fun () ->
+      Domain.DLS.set key prev;
+      if counted then Atomic.decr armed_ctxs)
+    f
 
 let with_trace tr f = with_ctx { (get ()) with trace = Some tr } f

@@ -6,9 +6,16 @@ let load addr = { op = Load; addr }
 let store addr data = { op = Store data; addr }
 let is_store t = match t.op with Store _ -> true | Load -> false
 
-let pp fmt t =
+(* "LD 0x<addr>" or "ST 0x<addr>=#<data>". *)
+let add_text buf t =
+  Buffer.add_string buf (match t.op with Load -> "LD 0x" | Store _ -> "ST 0x");
+  Fp.hex buf (Addr.to_int t.addr);
   match t.op with
-  | Load -> Format.fprintf fmt "LD %a" Addr.pp t.addr
-  | Store d -> Format.fprintf fmt "ST %a=%a" Addr.pp t.addr Data.pp d
+  | Load -> ()
+  | Store d ->
+      Buffer.add_string buf "=#";
+      Fp.int buf d
+
+let pp = Fp.pp_of add_text
 
 type port = { issue : t -> on_done:(Data.t -> unit) -> bool }

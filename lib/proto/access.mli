@@ -10,6 +10,9 @@ val store : Addr.t -> Data.t -> t
 val is_store : t -> bool
 val pp : Format.formatter -> t -> unit
 
+val add_text : Buffer.t -> t -> unit
+(** Append the text {!pp} prints, without [Format]. *)
+
 (** What a private cache exposes upward.  [issue] returns [false] when the
     cache cannot accept the access now (MSHR full, or a transaction for the
     same block is already open) and the caller must retry later.  When accepted,

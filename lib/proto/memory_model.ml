@@ -1,6 +1,8 @@
 type t = { table : (Addr.t, Data.t) Hashtbl.t }
 
-let create () = { table = Hashtbl.create 1024 }
+(* Every iteration ([touched]) is sorted, so the initial size is free to
+   fit the tiny systems the model checker rebuilds once per path. *)
+let create () = { table = Hashtbl.create 16 }
 
 let read t addr =
   match Hashtbl.find_opt t.table addr with
@@ -9,6 +11,4 @@ let read t addr =
 
 let write t addr data = Hashtbl.replace t.table addr data
 
-let touched t =
-  Hashtbl.fold (fun a d acc -> (a, d) :: acc) t.table []
-  |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
+let touched t = Fp.sorted_bindings t.table

@@ -2,7 +2,8 @@ type 'a t = { capacity : int; table : (Addr.t, 'a) Hashtbl.t }
 
 let create ~capacity () =
   if capacity <= 0 then invalid_arg "Tbe_table.create: capacity must be positive";
-  { capacity; table = Hashtbl.create capacity }
+  (* [to_list] sorts, so the table may start small and grow with use. *)
+  { capacity; table = Hashtbl.create 16 }
 
 let capacity t = t.capacity
 let count t = Hashtbl.length t.table
@@ -27,8 +28,4 @@ let dealloc t addr =
   if not (Hashtbl.mem t.table addr) then raise Not_found;
   Hashtbl.remove t.table addr
 
-let iter f t = Hashtbl.iter f t.table
-
-let to_list t =
-  Hashtbl.fold (fun a e acc -> (a, e) :: acc) t.table []
-  |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
+let to_list t = Fp.sorted_bindings t.table

@@ -24,5 +24,5 @@ val update : 'a t -> Addr.t -> 'a -> unit
 val dealloc : 'a t -> Addr.t -> unit
 (** Raises [Not_found] if no entry is open for the address. *)
 
-val iter : (Addr.t -> 'a -> unit) -> 'a t -> unit
 val to_list : 'a t -> (Addr.t * 'a) list
+(** Open entries, ascending by address. *)

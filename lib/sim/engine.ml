@@ -23,6 +23,11 @@ type t = {
   mutable tick_period : int;
   mutable tick : int -> unit;
   mutable ticked_fired : int;
+  (* Checker scratch ([choices], [pending_summary]): heap indices, grown to
+     the heap's capacity on first use.  Two arrays, because a fingerprint
+     (which walks the pending events) is taken while a choice pool is live. *)
+  mutable pool : int array;
+  mutable order : int array;
 }
 
 let create () =
@@ -40,6 +45,8 @@ let create () =
     tick_period = 0;
     tick = ignore;
     ticked_fired = -1;
+    pool = [||];
+    order = [||];
   }
 
 let now t = t.now
@@ -233,18 +240,55 @@ let tag_addr tag = tag land tag_addr_mask
 let tags_conflict a b =
   a = no_tag || b = no_tag || tag_ctrl a = tag_ctrl b || tag_addr a = tag_addr b
 
-let choices t =
-  if t.size = 0 then [||]
-  else begin
-    let min_at = t.at_h.(0) in
-    let acc = ref [] in
-    for i = t.size - 1 downto 0 do
-      if t.at_h.(i) = min_at then acc := (t.seq_h.(i), t.tag_h.(i), i) :: !acc
+let scratch t a = if Array.length a < t.size then Array.make (Array.length t.at_h) 0 else a
+
+(* Sort heap indices [a.(0..n-1)] by (time, scheduling order).  Insertion
+   sort: pools and queues in check configurations hold a few dozen events. *)
+let sort_indices t a n =
+  for i = 1 to n - 1 do
+    let k = a.(i) in
+    let at = t.at_h.(k) and seq = t.seq_h.(k) in
+    let j = ref (i - 1) in
+    while
+      !j >= 0
+      &&
+      let p = a.(!j) in
+      t.at_h.(p) > at || (t.at_h.(p) = at && t.seq_h.(p) > seq)
+    do
+      a.(!j + 1) <- a.(!j);
+      decr j
     done;
-    let arr = Array.of_list !acc in
-    Array.sort (fun (s1, _, _) (s2, _, _) -> compare (s1 : int) s2) arr;
-    Array.map (fun (_, tag, key) -> (tag, key)) arr
+    a.(!j + 1) <- k
+  done
+
+(* The events sharing the root's timestamp form a subtree containing the
+   root (heap order), so a breadth-first walk that stops at later children
+   finds them all; [pool] doubles as the walk's queue. *)
+let choices t =
+  if t.size = 0 then 0
+  else begin
+    t.pool <- scratch t t.pool;
+    let pool = t.pool and min_at = t.at_h.(0) in
+    pool.(0) <- 0;
+    let n = ref 1 and i = ref 0 in
+    while !i < !n do
+      let l = (2 * pool.(!i)) + 1 in
+      if l < t.size && t.at_h.(l) = min_at then begin
+        pool.(!n) <- l;
+        incr n
+      end;
+      if l + 1 < t.size && t.at_h.(l + 1) = min_at then begin
+        pool.(!n) <- l + 1;
+        incr n
+      end;
+      incr i
+    done;
+    sort_indices t pool !n;
+    !n
   end
+
+let choice_key t i = t.pool.(i)
+let choice_tag t i = t.tag_h.(t.pool.(i))
 
 (* Generalized heap deletion, for firing a non-root candidate.  Swap-based
    sifts (rather than the hole-based ones above): this is a checker-only path
@@ -303,11 +347,14 @@ let fire_choice t ~key =
   t.fired <- t.fired + 1;
   thunk ()
 
-let pending_summary t =
-  let acc = ref [] in
-  for i = t.size - 1 downto 0 do
-    acc := (t.at_h.(i), t.seq_h.(i), t.tag_h.(i)) :: !acc
+let pending_summary t f =
+  t.order <- scratch t t.order;
+  let order = t.order in
+  for i = 0 to t.size - 1 do
+    order.(i) <- i
   done;
-  let arr = Array.of_list !acc in
-  Array.sort compare arr;
-  Array.map (fun (at, _, tag) -> (at - t.now, tag)) arr
+  sort_indices t order t.size;
+  for i = 0 to t.size - 1 do
+    let k = order.(i) in
+    f (t.at_h.(k) - t.now) t.tag_h.(k)
+  done

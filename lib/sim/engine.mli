@@ -96,19 +96,27 @@ val tags_conflict : int -> int -> bool
 (** Whether two events may fail to commute: either is {!no_tag}, or same
     controller, or same address. *)
 
-val choices : t -> (int * int) array
-(** [(tag, key)] of every event sharing the minimal pending timestamp, in
-    scheduling (FIFO) order; [[||]] when the queue is empty.  Element [0] is
-    the event {!run} would fire next.  Keys index the internal heap and are
-    invalidated by any schedule or fire — re-enumerate before each
-    {!fire_choice}. *)
+val choices : t -> int
+(** Gather every event sharing the minimal pending timestamp into the
+    engine's choice pool, in scheduling (FIFO) order, and return how many
+    there are ([0] when the queue is empty).  Candidate [0] is the event
+    {!run} would fire next.  Read the pool with {!choice_tag} and
+    {!choice_key}; it allocates nothing once its scratch array has grown.
+    Keys index the internal heap and are invalidated by any schedule or
+    fire — re-gather before each {!fire_choice}. *)
+
+val choice_tag : t -> int -> int
+(** The choice tag of pool candidate [i] (from the last {!choices}). *)
+
+val choice_key : t -> int -> int
+(** The heap key of pool candidate [i], for {!fire_choice}. *)
 
 val fire_choice : t -> key:int -> unit
 (** Fire the single event identified by [key] (from the current {!choices}):
     remove it from the queue, advance [now] to its timestamp and run its
     thunk.  @raise Invalid_argument on a stale or non-minimal key. *)
 
-val pending_summary : t -> (int * int) array
-(** [(at - now, tag)] of every pending event, sorted by (time, scheduling
-    order) — the event queue's contribution to a canonical state
-    fingerprint. *)
+val pending_summary : t -> (int -> int -> unit) -> unit
+(** [pending_summary t f] calls [f (at - now) tag] for every pending event,
+    in (time, scheduling order) — the event queue's contribution to a
+    canonical state fingerprint.  Leaves the {!choices} pool intact. *)

@@ -39,8 +39,9 @@ module Group = struct
     in
     { names = Array.of_list (List.rev !distinct); index; at }
 
-  (* Interned counters live in [slots] from [intern]/[adopt] time but only
-     join [table]/[order] on first touch ([enlisted]), so [to_list] stays
+  (* Interned counters live in [slots] from [intern] time, adopted ones from
+     their first touch (until then their slot holds [unborn]); either joins
+     [table]/[order] only on first touch ([enlisted]), so [to_list] stays
      byte-identical to the string-keyed path: same first-touch order, no
      phantom zero entries for vocabulary that never fired.  Names interned
      one at a time are keyed in [ids]; an adopted vocabulary occupies the
@@ -73,6 +74,23 @@ module Group = struct
 
   let name g = g.group_name
 
+  (* The slot of every id no counter backs yet.  Shared by all groups and
+     never written: it only ever reads as 0. *)
+  let unborn = make_counter ""
+
+  (* The counter of id [id], created on its first touch when adopted. *)
+  let born g id =
+    let c = g.slots.(id) in
+    if c != unborn then c
+    else begin
+      let v, base =
+        List.find (fun (v, base) -> id >= base && id < base + Array.length v.names) g.blocks
+      in
+      let c = make_counter v.names.(id - base) in
+      g.slots.(id) <- c;
+      c
+    end
+
   let enlist g c =
     Hashtbl.add g.table c.name c;
     if g.n_order = Array.length g.order then begin
@@ -98,7 +116,7 @@ module Group = struct
     | None -> (
         match find_id g counter_name with
         | Some id ->
-            let c = g.slots.(id) in
+            let c = born g id in
             g.enlisted.(id) <- true;
             enlist g c;
             c
@@ -111,7 +129,7 @@ module Group = struct
     let cap = Array.length g.slots in
     if n > cap then begin
       let cap' = max n (max 16 (2 * cap)) in
-      let slots' = Array.make cap' (make_counter "") in
+      let slots' = Array.make cap' unborn in
       let enlisted' = Array.make cap' false in
       Array.blit g.slots 0 slots' 0 cap;
       Array.blit g.enlisted 0 enlisted' 0 cap;
@@ -148,26 +166,28 @@ module Group = struct
         v.names;
     let base = g.n_ids in
     reserve g (base + Array.length v.names);
-    Array.iteri (fun i n -> g.slots.(base + i) <- make_counter n) v.names;
     g.n_ids <- base + Array.length v.names;
     g.blocks <- (v, base) :: g.blocks;
-    Array.map (fun i -> base + i) v.at
+    (* A fresh group's block starts at id 0, so its ids are the vocabulary's
+       own positions: share them instead of copying. *)
+    if base = 0 then v.at else Array.map (fun i -> base + i) v.at
+
+  (* First touch: create an adopted counter and join [to_list]. *)
+  let touch g id =
+    if not g.enlisted.(id) then begin
+      g.enlisted.(id) <- true;
+      enlist g (born g id)
+    end
 
   let incr_id g id =
+    touch g id;
     let c = g.slots.(id) in
-    c.value <- c.value + 1;
-    if not g.enlisted.(id) then begin
-      g.enlisted.(id) <- true;
-      enlist g c
-    end
+    c.value <- c.value + 1
 
   let add_id g id n =
+    touch g id;
     let c = g.slots.(id) in
-    c.value <- c.value + n;
-    if not g.enlisted.(id) then begin
-      g.enlisted.(id) <- true;
-      enlist g c
-    end
+    c.value <- c.value + n
 
   let get_id g id = g.slots.(id).value
   let incr g counter_name = incr_counter (counter g counter_name)
@@ -190,7 +210,7 @@ module Group = struct
       reset g.order.(i)
     done;
     for i = 0 to g.n_ids - 1 do
-      reset g.slots.(i)
+      if g.slots.(i) != unborn then reset g.slots.(i)
     done
 
   let pp fmt g =

@@ -59,7 +59,10 @@ module Group : sig
       {!counter}, {!intern} and {!get} by name find its ids, and a counter
       appears in {!to_list} only once touched, in first-touch order.  [g]
       must not already know any name of [v] ([Invalid_argument] otherwise);
-      a group that has never named a counter trivially satisfies this. *)
+      a group that has never named a counter trivially satisfies this.
+      Adopting allocates no counter (each is made on its first touch), and
+      into a fresh group it returns an array shared with [v]: read it, never
+      write it. *)
 
   val incr_id : t -> id -> unit
   (** Allocation-free equivalent of [incr g name] for an interned name. *)

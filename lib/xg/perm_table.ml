@@ -1,6 +1,6 @@
 type t = { mutable default : Perm.t; pages : (int, Perm.t) Hashtbl.t }
 
-let create ?(default = Perm.Read_write) () = { default; pages = Hashtbl.create 64 }
+let create ?(default = Perm.Read_write) () = { default; pages = Hashtbl.create 16 }
 
 let set_page t ~page perm = Hashtbl.replace t.pages page perm
 let set_block t addr perm = set_page t ~page:(Addr.page_of addr) perm
@@ -33,9 +33,12 @@ let check_fingerprint t buf =
   let pc = function Perm.No_access -> 'n' | Perm.Read_only -> 'r' | Perm.Read_write -> 'w' in
   Buffer.add_string buf "perm[";
   Buffer.add_char buf (pc t.default);
-  Hashtbl.fold (fun page p acc -> (page, p) :: acc) t.pages []
-  |> List.sort compare
+  Fp.sorted_bindings t.pages
   |> List.iter (fun (page, p) ->
          (* explicit entries equal to the default are architectural no-ops *)
-         if p <> t.default then Buffer.add_string buf (Printf.sprintf ";%d:%c" page (pc p)));
+         if p <> t.default then begin
+           Fp.key buf ';' page;
+           Buffer.add_char buf ':';
+           Buffer.add_char buf (pc p)
+         end);
   Buffer.add_char buf ']'

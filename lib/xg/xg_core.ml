@@ -133,6 +133,7 @@ type t = {
   violation_ids : Group.id array;  (** per {!Os_model.all_error_kinds} position *)
   coverage : Group.t;
   cov : Coverage.matrix;
+  mutable storage : int;  (* current footprint: see [storage_bits] *)
   mutable peak_bits : int;
   (* Lossy-link degradation (PR 3): consecutive unrecoverable link faults,
      and whether the accelerator has been quarantined. *)
@@ -186,29 +187,42 @@ let state_bits = 2
 let txn_bits = tag_bits + 8
 let data_bits = 512
 
-let storage_bits t =
-  let track_bits =
-    Hashtbl.fold
-      (fun _ tr acc ->
-        acc + tag_bits + state_bits + match tr.xg_copy with Some _ -> data_bits | None -> 0)
-      t.tracks 0
-  in
-  let pend_bits =
-    Hashtbl.fold
-      (fun _ p acc ->
-        let slot = function None -> 0 | Some _ -> txn_bits in
-        acc + slot p.p_get + slot p.p_inv
-        + (match p.p_put with None -> 0 | Some (`E | `M) -> txn_bits + data_bits | Some `S -> txn_bits))
-      t.pending 0
-  in
-  track_bits + pend_bits
+let copy_bits = function Some _ -> data_bits | None -> 0
+let track_bits (tr : track) = tag_bits + state_bits + copy_bits tr.xg_copy
+let slot_bits = function None -> 0 | Some _ -> txn_bits
+let put_bits = function None -> 0 | Some (`E | `M) -> txn_bits + data_bits | Some `S -> txn_bits
 
-let note_storage t =
-  let bits = storage_bits t in
-  if bits > t.peak_bits then t.peak_bits <- bits
+let recount_storage_bits t =
+  Hashtbl.fold (fun _ tr acc -> acc + track_bits tr) t.tracks 0
+  + Hashtbl.fold
+      (fun _ p acc -> acc + slot_bits p.p_get + slot_bits p.p_inv + put_bits p.p_put)
+      t.pending 0
+
+(* [storage] is kept equal to [recount_storage_bits] by routing every change
+   of a track, its trusted copy or a get/put/invalidate slot through the
+   setters below, so sampling the footprint costs nothing. *)
+let storage_bits t = t.storage
+
+let note_storage t = if t.storage > t.peak_bits then t.peak_bits <- t.storage
+
+let set_get t (p : per_addr) g =
+  t.storage <- t.storage - slot_bits p.p_get + slot_bits g;
+  p.p_get <- g
+
+let set_inv t (p : per_addr) inv =
+  t.storage <- t.storage - slot_bits p.p_inv + slot_bits inv;
+  p.p_inv <- inv
+
+let set_put t (p : per_addr) put =
+  t.storage <- t.storage - put_bits p.p_put + put_bits put;
+  p.p_put <- put
+
+let set_copy t (tr : track) copy =
+  t.storage <- t.storage - copy_bits tr.xg_copy + copy_bits copy;
+  tr.xg_copy <- copy
 
 let tracked_blocks t = Hashtbl.length t.tracks
-let peak_storage_bits t = max t.peak_bits (storage_bits t)
+let peak_storage_bits t = max t.peak_bits t.storage
 
 let open_transactions t =
   Hashtbl.fold
@@ -251,10 +265,18 @@ let prune t addr (p : per_addr) =
 let set_track t addr st =
   (match Hashtbl.find_opt t.tracks addr with
   | Some tr -> tr.st <- st
-  | None -> Hashtbl.add t.tracks addr { st; xg_copy = None });
+  | None ->
+      let tr = { st; xg_copy = None } in
+      t.storage <- t.storage + track_bits tr;
+      Hashtbl.add t.tracks addr tr);
   note_storage t
 
-let clear_track t addr = Hashtbl.remove t.tracks addr
+let clear_track t addr =
+  match Hashtbl.find_opt t.tracks addr with
+  | Some tr ->
+      t.storage <- t.storage - track_bits tr;
+      Hashtbl.remove t.tracks addr
+  | None -> ()
 
 let note t text =
   match Obs.trace () with
@@ -473,7 +495,7 @@ let reply_once t (p : per_addr) (inv : inv_pend) reply =
   end
 
 let finish_inv t addr (p : per_addr) =
-  p.p_inv <- None;
+  set_inv t p None;
   prune t addr p
 
 (* Default answer when the accelerator cannot be trusted to respond. *)
@@ -483,10 +505,6 @@ let default_reply t inv =
   | _, _ -> Reply_ack { shared = false }
 
 (* ---- lossy-link degradation (PR 3) and recovery lifecycle (PR 8) ---- *)
-
-let sorted_bindings tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
 
 (* The accelerator's link is gone: answer everything outstanding from trusted
    state (the same answer-on-behalf machinery as G2c), hand tracked blocks
@@ -520,7 +538,7 @@ let rec quarantine t =
             Queue.clear p.stalled_gets;
             Queue.clear p.stall_stamps;
             prune t addr p))
-      (sorted_bindings t.pending);
+      (Fp.sorted_bindings t.pending);
     (* Tracked blocks with no transaction in flight: relinquish them so the
        host directory never records the dead accelerator as a sharer/owner.
        Blocks with an open get settle when [granted] fires; open puts when
@@ -532,22 +550,22 @@ let rec quarantine t =
           visit t addr ev_quarantine (fun () ->
               (match (tr.st, tr.xg_copy) with
               | _, Some copy ->
-                  p.p_put <- Some `E;
+                  set_put t p (Some `E);
                   Group.incr t.stats "ro_copy_relinquished";
                   t.host.put addr (`E copy)
               | (`E | `M), None ->
-                  p.p_put <- Some `M;
+                  set_put t p (Some `M);
                   Group.incr t.stats "quarantine_zeroed_wb";
                   t.host.put addr (`M Data.zero)
               | `S, None ->
                   if t.host.puts_needed then begin
-                    p.p_put <- Some `S;
+                    set_put t p (Some `S);
                     t.host.put addr `S
                   end);
               clear_track t addr;
               prune t addr p)
         else clear_track t addr)
-      (sorted_bindings t.tracks);
+      (Fp.sorted_bindings t.tracks);
     (match t.recovery with
     | Some _ when t.perm_snapshot = None ->
         (* Captured before the revocation so rejoin can re-grant the same
@@ -682,7 +700,7 @@ let budget_trip t phase addr =
   end
 
 let start_accel_invalidation t addr (p : per_addr) inv =
-  p.p_inv <- Some inv;
+  set_inv t p (Some inv);
   note_storage t;
   Group.incr_id t.stats t.sid.s_invalidate_to_accel;
   send_accel t (Xg_iface.To_accel_req { addr; req = Xg_iface.Invalidate });
@@ -874,7 +892,7 @@ let rec process_get t addr (p : per_addr) (req : Xg_iface.accel_request) =
   let perm = Perm_table.perm t.perms addr in
   let ro = perm = Perm.Read_only in
   let g = { want; ro } in
-  p.p_get <- Some g;
+  set_get t p (Some g);
   (* fetch->data hang budget: the host-side fetch phase of this get. *)
   (match t.budgets.fetch_data with
   | Some b ->
@@ -918,13 +936,13 @@ and accept_put t addr (p : per_addr) (req : Xg_iface.accel_request) =
       (* The guard itself owns this read-only block at the host (§2.3.1);
          relinquish that ownership with the trusted copy. *)
       let copy = Option.get ro_copy in
-      p.p_put <- Some `E;
+      set_put t p (Some `E);
       note_storage t;
       Group.incr t.stats "ro_copy_relinquished";
       host_put (`E copy)
   | Xg_iface.Put_s ->
       if t.host.puts_needed then begin
-        p.p_put <- Some `S;
+        set_put t p (Some `S);
         note_storage t;
         Group.incr_id t.stats t.sid.s_put_s_forwarded;
         host_put `S
@@ -936,18 +954,18 @@ and accept_put t addr (p : per_addr) (req : Xg_iface.accel_request) =
       else begin
         (* Unnecessary PutS traffic the paper measures at 1-4% of
            XG-to-host bandwidth when the optimization register is off. *)
-        p.p_put <- Some `S;
+        set_put t p (Some `S);
         note_storage t;
         Group.incr_id t.stats t.sid.s_put_s_unnecessary;
         host_put `S
       end
   | Xg_iface.Put_e data ->
-      p.p_put <- Some `E;
+      set_put t p (Some `E);
       note_storage t;
       Group.incr_id t.stats t.sid.s_put_e_forwarded;
       host_put (`E data)
   | Xg_iface.Put_m data ->
-      p.p_put <- Some `M;
+      set_put t p (Some `M);
       note_storage t;
       Group.incr_id t.stats t.sid.s_put_m_forwarded;
       host_put (`M data)
@@ -1074,23 +1092,23 @@ let granted t addr grant =
       (* The get was open when the link died; the accelerator will never see
          this grant.  Hand the block straight back so the host's directory
          does not record a dead owner. *)
-      p.p_get <- None;
+      set_get t p None;
       Group.incr t.stats "quarantine_grant_returned";
       (match grant with
       | `S _ ->
           if t.host.puts_needed then begin
-            p.p_put <- Some `S;
+            set_put t p (Some `S);
             t.host.put addr `S
           end
           else prune t addr p
       | `E data ->
-          p.p_put <- Some `E;
+          set_put t p (Some `E);
           t.host.put addr (`E data)
       | `M data ->
-          p.p_put <- Some `M;
+          set_put t p (Some `M);
           t.host.put addr (`M data))
   | Some { want; ro } ->
-      p.p_get <- None;
+      set_get t p None;
       let resp =
         match (grant, want, ro) with
         | `S data, _, _ ->
@@ -1102,7 +1120,7 @@ let granted t addr grant =
             assert (t.mode = Full_state);
             set_track t addr `S;
             (match Hashtbl.find_opt t.tracks addr with
-            | Some tr -> tr.xg_copy <- Some data
+            | Some tr -> set_copy t tr (Some data)
             | None -> assert false);
             note_storage t;
             Group.incr t.stats "ro_exclusive_demoted";
@@ -1111,7 +1129,7 @@ let granted t addr grant =
             assert (t.mode = Full_state);
             set_track t addr `S;
             (match Hashtbl.find_opt t.tracks addr with
-            | Some tr -> tr.xg_copy <- Some data
+            | Some tr -> set_copy t tr (Some data)
             | None -> assert false);
             note_storage t;
             Group.incr t.stats "ro_exclusive_demoted";
@@ -1133,7 +1151,7 @@ let put_complete t addr =
   match p.p_put with
   | None -> failwith (t.name ^ ": put completion without an open put")
   | Some _ ->
-      p.p_put <- None;
+      set_put t p None;
       Group.incr_id t.stats t.sid.s_put_complete;
       pump_stalled t addr p
 
@@ -1144,7 +1162,7 @@ let set_check_ctrl t ctrl = t.check_ctrl <- ctrl
 let check_pending_slots t = Hashtbl.length t.pending
 
 let check_tracked t =
-  sorted_bindings t.tracks
+  Fp.sorted_bindings t.tracks
   |> List.map (fun (addr, (tr : track)) -> (addr, tr.st, tr.xg_copy))
 
 let check_violation t =
@@ -1161,7 +1179,7 @@ let check_violation t =
               (Printf.sprintf "%s: G1b violated at block %d (get and put both open)"
                  t.name (Addr.to_int addr))
           else None)
-    None (sorted_bindings t.pending)
+    None (Fp.sorted_bindings t.pending)
 
 let check_fingerprint t buf =
   Buffer.add_string buf "xg[";
@@ -1169,14 +1187,15 @@ let check_fingerprint t buf =
   Buffer.add_char buf ']';
   List.iter
     (fun (addr, (tr : track)) ->
-      Buffer.add_string buf
-        (Printf.sprintf "k%d:%s:%d;" (Addr.to_int addr)
-           (match tr.st with `S -> "S" | `E -> "E" | `M -> "M")
-           (match tr.xg_copy with None -> -1 | Some d -> (d : Data.t))))
-    (sorted_bindings t.tracks);
+      Fp.key buf 'k' (Addr.to_int addr);
+      Fp.field buf (match tr.st with `S -> "S" | `E -> "E" | `M -> "M");
+      Fp.field_opt buf tr.xg_copy;
+      Buffer.add_char buf ';')
+    (Fp.sorted_bindings t.tracks);
   List.iter
     (fun (addr, (p : per_addr)) ->
-      Buffer.add_string buf (Printf.sprintf "p%d:" (Addr.to_int addr));
+      Fp.key buf 'p' (Addr.to_int addr);
+      Buffer.add_char buf ':';
       (match p.p_get with
       | None -> Buffer.add_char buf '-'
       | Some { want; ro } ->
@@ -1190,25 +1209,26 @@ let check_fingerprint t buf =
       (match p.p_inv with
       | None -> Buffer.add_char buf '-'
       | Some inv ->
-          Buffer.add_string buf
-            (Printf.sprintf "i%s%b%b"
-               (match inv.need with Fwd_s -> "S" | Fwd_m -> "M" | Recall -> "R")
-               inv.expect_owner inv.replied));
-      Buffer.add_string buf (Printf.sprintf "a%d:" p.absorb);
+          Buffer.add_char buf 'i';
+          Buffer.add_char buf (match inv.need with Fwd_s -> 'S' | Fwd_m -> 'M' | Recall -> 'R');
+          Fp.bool buf inv.expect_owner;
+          Fp.bool buf inv.replied);
+      Fp.key buf 'a' p.absorb;
+      Buffer.add_char buf ':';
       Queue.iter
         (fun req ->
-          Buffer.add_string buf (Format.asprintf "%a," Xg_iface.pp_accel_request req))
+          Xg_iface.add_accel_request buf req;
+          Buffer.add_char buf ',')
         p.stalled_gets;
       Buffer.add_char buf ';')
-    (sorted_bindings t.pending);
+    (Fp.sorted_bindings t.pending);
   if t.quarantined then Buffer.add_char buf 'Q';
-  if t.link_faults > 0 then Buffer.add_string buf (Printf.sprintf "F%d" t.link_faults);
+  if t.link_faults > 0 then Fp.key buf 'F' t.link_faults;
   (* Recovery state appears only when a recovery policy has driven it, so
      legacy fingerprints (MODEL_BASELINE.json) never change. *)
   if t.probation then Buffer.add_char buf 'P';
   if t.permakilled then Buffer.add_char buf 'X';
-  if t.quarantine_count > 0 && t.recovery <> None then
-    Buffer.add_string buf (Printf.sprintf "R%d" t.quarantine_count)
+  if t.quarantine_count > 0 && t.recovery <> None then Fp.key buf 'R' t.quarantine_count
 
 (* ---- wiring ---- *)
 
@@ -1253,13 +1273,14 @@ let create ~engine ~name ~mode ~link ~self ~accel ~host ~perms ~os ?(timeout = 2
       timeout;
       rate_limiter;
       suppress_put_s = suppress_put_s_register;
-      tracks = Hashtbl.create 256;
-      pending = Hashtbl.create 64;
+      tracks = Hashtbl.create 16;
+      pending = Hashtbl.create 16;
       stats;
       sid;
       violation_ids;
       coverage;
       cov = Coverage.intern_matrix coverage_space coverage;
+      storage = 0;
       peak_bits = 0;
       quarantine_after = max 1 quarantine_after;
       link_faults = 0;

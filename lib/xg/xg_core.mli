@@ -225,7 +225,12 @@ val storage_bits : t -> int
 (** Current storage footprint of the tracking structures, in bits — the
     quantity Experiment E5 compares between the two modes (tags + state for
     Full_state, open-transaction entries for both, stored read-only data
-    blocks if any). *)
+    blocks if any).  A running total, O(1) to read. *)
+
+val recount_storage_bits : t -> int
+(** {!storage_bits} recomputed by folding every track and transaction slot;
+    equal to it at every event boundary (the tests hold the running total
+    to this). *)
 
 val stats : t -> Xguard_stats.Counter.Group.t
 (** Operational counters (grants, writebacks, suppressed PutS, timeouts,

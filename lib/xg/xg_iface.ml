@@ -39,23 +39,35 @@ let msg_size = function
       | Wb_ack -> Xguard_network.Network.control_size)
   | To_accel_req { req = Invalidate; _ } -> Xguard_network.Network.control_size
 
-let pp_accel_request fmt = function
-  | Get_s -> Format.pp_print_string fmt "GetS"
-  | Get_m -> Format.pp_print_string fmt "GetM"
-  | Put_s -> Format.pp_print_string fmt "PutS"
-  | Put_e d -> Format.fprintf fmt "PutE(%a)" Data.pp d
-  | Put_m d -> Format.fprintf fmt "PutM(%a)" Data.pp d
+(* Text writers in the paper's message names ([GetS], [DataE(#7)], …); the
+   [pp_*] printers below print exactly what they write. *)
+let add_data buf name d =
+  Buffer.add_string buf name;
+  Buffer.add_string buf "(#";
+  Fp.int buf d;
+  Buffer.add_char buf ')'
 
-let pp_xg_response fmt = function
-  | Data_s d -> Format.fprintf fmt "DataS(%a)" Data.pp d
-  | Data_e d -> Format.fprintf fmt "DataE(%a)" Data.pp d
-  | Data_m d -> Format.fprintf fmt "DataM(%a)" Data.pp d
-  | Wb_ack -> Format.pp_print_string fmt "WbAck"
+let add_accel_request buf = function
+  | Get_s -> Buffer.add_string buf "GetS"
+  | Get_m -> Buffer.add_string buf "GetM"
+  | Put_s -> Buffer.add_string buf "PutS"
+  | Put_e d -> add_data buf "PutE" d
+  | Put_m d -> add_data buf "PutM" d
 
-let pp_accel_response fmt = function
-  | Clean_wb d -> Format.fprintf fmt "CleanWB(%a)" Data.pp d
-  | Dirty_wb d -> Format.fprintf fmt "DirtyWB(%a)" Data.pp d
-  | Inv_ack -> Format.pp_print_string fmt "InvAck"
+let add_xg_response buf = function
+  | Data_s d -> add_data buf "DataS" d
+  | Data_e d -> add_data buf "DataE" d
+  | Data_m d -> add_data buf "DataM" d
+  | Wb_ack -> Buffer.add_string buf "WbAck"
+
+let add_accel_response buf = function
+  | Clean_wb d -> add_data buf "CleanWB" d
+  | Dirty_wb d -> add_data buf "DirtyWB" d
+  | Inv_ack -> Buffer.add_string buf "InvAck"
+
+let pp_accel_request = Fp.pp_of add_accel_request
+let pp_xg_response = Fp.pp_of add_xg_response
+let pp_accel_response = Fp.pp_of add_accel_response
 
 let msg_addr = function
   | To_xg_req { addr; _ }
@@ -64,13 +76,16 @@ let msg_addr = function
   | To_accel_req { addr; _ } ->
       addr
 
-let pp_msg fmt = function
-  | To_xg_req { addr; req } -> Format.fprintf fmt "%a %a" pp_accel_request req Addr.pp addr
-  | To_xg_resp { addr; resp } ->
-      Format.fprintf fmt "%a %a" pp_accel_response resp Addr.pp addr
-  | To_accel_resp { addr; resp } ->
-      Format.fprintf fmt "%a %a" pp_xg_response resp Addr.pp addr
-  | To_accel_req { addr; req = Invalidate } -> Format.fprintf fmt "Invalidate %a" Addr.pp addr
+let add_msg_text buf msg =
+  (match msg with
+  | To_xg_req { req; _ } -> add_accel_request buf req
+  | To_xg_resp { resp; _ } -> add_accel_response buf resp
+  | To_accel_resp { resp; _ } -> add_xg_response buf resp
+  | To_accel_req { req = Invalidate; _ } -> Buffer.add_string buf "Invalidate");
+  Buffer.add_string buf " 0x";
+  Fp.hex buf (Addr.to_int (msg_addr msg))
+
+let pp_msg = Fp.pp_of add_msg_text
 
 (* A plausible single-event corruption of a link message: flip the message
    into a near-miss of itself (wrong request/response flavor, damaged data

@@ -76,6 +76,12 @@ val pp_xg_response : Format.formatter -> xg_response -> unit
 val pp_accel_response : Format.formatter -> accel_response -> unit
 val pp_msg : Format.formatter -> msg -> unit
 
+val add_accel_request : Buffer.t -> accel_request -> unit
+(** Append the text {!pp_accel_request} prints, without [Format]. *)
+
+val add_msg_text : Buffer.t -> msg -> unit
+(** Append the text {!pp_msg} prints, without [Format]. *)
+
 val corrupt_msg : msg -> msg
 (** What one injected bit-flip does to a message: the nearest plausible
     wrong message (request/response flavor flipped, data token damaged).

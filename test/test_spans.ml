@@ -38,6 +38,22 @@ let test_arming_restores () =
       (try Spans.with_armed r2 (fun () -> failwith "boom") with Failure _ -> ());
       check_bool "outer recorder back after inner raise" true (armed_is r))
 
+(* Unarmed hooks skip the domain-local key while no armed context is
+   installed anywhere: the count must be back to zero once arming returns,
+   raises, or nests. *)
+let test_armed_count_restored () =
+  check_bool "none armed before" true (Obs.armed_contexts () = 0);
+  let r = Spans.create () in
+  Spans.with_armed r (fun () -> check_bool "one armed inside" true (Obs.armed_contexts () = 1));
+  check_bool "zero after return" true (Obs.armed_contexts () = 0);
+  (try Spans.with_armed r (fun () -> failwith "boom") with Failure _ -> ());
+  check_bool "zero after raise" true (Obs.armed_contexts () = 0);
+  Spans.with_armed r (fun () ->
+      Obs.with_ctx Obs.none (fun () ->
+          check_bool "an unarmed inner context is not counted" true
+            (Obs.armed_contexts () = 1 && Option.is_none (Obs.spans ()))));
+  check_bool "zero after nesting" true (Obs.armed_contexts () = 0)
+
 (* Full GET crossing: open -> delivered -> decided -> resp sent -> resp
    delivered closes link.req, xg.decide and link.resp, then retires. *)
 let test_get_crossing_lifecycle () =
@@ -248,6 +264,7 @@ let tests =
       [
         Alcotest.test_case "unarmed hooks are no-ops" `Quick test_unarmed_noops;
         Alcotest.test_case "arming restores" `Quick test_arming_restores;
+        Alcotest.test_case "armed count restored" `Quick test_armed_count_restored;
         Alcotest.test_case "GET crossing lifecycle" `Quick test_get_crossing_lifecycle;
         Alcotest.test_case "defensive against dups" `Quick test_defensive_against_dups;
         Alcotest.test_case "put parks until settled" `Quick test_put_parks_until_settled;
