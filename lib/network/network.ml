@@ -3,6 +3,7 @@ module Rng = Xguard_sim.Rng
 module Trace = Xguard_trace.Trace
 module Obs = Xguard_obs.Obs
 module Fp = Xguard_proto.Fp
+module Int_table = Xguard_proto.Int_table
 
 type ordering =
   | Ordered of { latency : int }
@@ -116,10 +117,6 @@ struct
   type partition = {
     dom_of : int array;  (** node id -> domain index *)
     engines : Engine.t array;  (** domain index -> its engine *)
-    p_stride : int;  (** max node id + 1, for the flat FIFO map *)
-    p_fifo : int array;
-        (** (src * stride + dst) -> earliest next delivery; written only by
-            the sender's domain, replacing [last_delivery] which would race *)
     p_messages : int array;  (** per-domain offered-message counters *)
     p_bytes : int array;
     p_latency : int;  (** the Ordered latency, cached *)
@@ -130,12 +127,13 @@ struct
     rng : Rng.t;
     name : string;
     ordering : ordering;
-    handlers : (int, handler) Hashtbl.t;
+    (* Handlers indexed by destination node id; grown at [register]. *)
+    mutable handlers : handler option array;
     (* For ordered delivery: earliest time the next message on a (src,dst)
        pair may be delivered, so FIFO order survives same-cycle scheduling.
-       Keyed by the packed int [src_id * fifo_stride + dst_id] so the per-send
-       bookkeeping allocates no tuple (PR 4). *)
-    last_delivery : (int, Engine.time) Hashtbl.t;
+       [fifo.(src_id).(dst_id)], 0 for a pair that never sent; rows and the
+       row array grow on a pair's first send, never at build time. *)
+    mutable fifo : int array array;
     mutable messages : int;
     mutable bytes : int;
     (* Per-source byte counters, indexed by node id; grown on demand.  A flat
@@ -167,7 +165,7 @@ struct
     (* token -> (delivery time, src id, dst id, message).  Messages are
        immutable, so the fingerprint renders their text through [tracer]
        when it is taken instead of on every send. *)
-    mutable inflight : (int, int * int * int * Msg.t) Hashtbl.t option;
+    mutable inflight : (int * int * int * Msg.t) Int_table.t option;
     mutable inflight_next : int;
     mutable delay_chooser : (lo:int -> hi:int -> int) option;
     mutable part : partition option;
@@ -179,8 +177,8 @@ struct
       rng;
       name;
       ordering;
-      handlers = Hashtbl.create 16;
-      last_delivery = Hashtbl.create 16;
+      handlers = [||];
+      fifo = [||];
       messages = 0;
       bytes = 0;
       bytes_by_src = [||];
@@ -203,26 +201,40 @@ struct
 
   let name t = t.name
 
+  (* [a] with room for index [i]: the same contents, padded with [fill]. *)
+  let grown a i fill =
+    let a' = Array.make (max 8 (2 * (i + 1))) fill in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
+
   let register t node handler =
-    if Hashtbl.mem t.handlers (Xguard_proto.Node.id node) then
+    let id = Xguard_proto.Node.id node in
+    if id >= Array.length t.handlers then t.handlers <- grown t.handlers id None;
+    if Option.is_some t.handlers.(id) then
       invalid_arg
         (Printf.sprintf "Network.register(%s): node %s already registered" t.name
            (Xguard_proto.Node.name node));
-    Hashtbl.add t.handlers (Xguard_proto.Node.id node) handler
+    t.handlers.(id) <- Some handler
 
-  (* Node-id packing for the FIFO map; ids are small dense ints. *)
-  let fifo_stride = 1 lsl 16
+  (* The FIFO row of [src_id], with room for column [dst_id]. *)
+  let fifo_row t ~src_id ~dst_id =
+    if src_id >= Array.length t.fifo then t.fifo <- grown t.fifo src_id [||];
+    let row = t.fifo.(src_id) in
+    if dst_id < Array.length row then row
+    else begin
+      let row = grown row dst_id 0 in
+      t.fifo.(src_id) <- row;
+      row
+    end
 
   let delivery_time t ~src ~dst =
     let now = Engine.now t.engine in
     match t.ordering with
     | Ordered { latency } ->
-        let key = (Xguard_proto.Node.id src * fifo_stride) + Xguard_proto.Node.id dst in
-        let earliest =
-          match Hashtbl.find_opt t.last_delivery key with Some e -> e | None -> 0
-        in
-        let at = max (now + latency) earliest in
-        Hashtbl.replace t.last_delivery key at;
+        let dst_id = Xguard_proto.Node.id dst in
+        let row = fifo_row t ~src_id:(Xguard_proto.Node.id src) ~dst_id in
+        let at = max (now + latency) row.(dst_id) in
+        row.(dst_id) <- at;
         at
     | Unordered { min_latency; max_latency } -> (
         match t.delay_chooser with
@@ -418,10 +430,10 @@ struct
     | Some table ->
         let token = t.inflight_next in
         t.inflight_next <- token + 1;
-        Hashtbl.replace table token
+        Int_table.replace table token
           (at, Xguard_proto.Node.id src, Xguard_proto.Node.id dst, msg);
         Engine.schedule_at t.engine at ~tag (fun () ->
-            Hashtbl.remove table token;
+            Int_table.remove table token;
             deliver ())
 
   (* ---- sharded-engine partition ---- *)
@@ -442,20 +454,17 @@ struct
         (Printf.sprintf "Network.set_partition(%s): check mode armed" t.name);
     let stride = Array.length dom_of in
     let latency = match t.ordering with Ordered { latency } -> latency | _ -> 0 in
-    (* Pre-size the per-source byte counters so the partitioned path never
-       grows the array (a growth would race between domains). *)
-    (if stride > Array.length t.bytes_by_src then begin
-       let grown = Array.make stride 0 in
-       Array.blit t.bytes_by_src 0 grown 0 (Array.length t.bytes_by_src);
-       t.bytes_by_src <- grown
-     end);
+    (* Pre-size the per-source byte counters and the FIFO rows so the
+       partitioned path never grows an array (a growth would race between
+       domains); each FIFO row is then written only by its source's domain. *)
+    if stride > Array.length t.bytes_by_src then
+      t.bytes_by_src <- grown t.bytes_by_src (stride - 1) 0;
+    t.fifo <- Array.init stride (fun _ -> Array.make stride 0);
     t.part <-
       Some
         {
           dom_of;
           engines;
-          p_stride = stride;
-          p_fifo = Array.make (stride * stride) 0;
           p_messages = Array.make (Array.length engines) 0;
           p_bytes = Array.make (Array.length engines) 0;
           p_latency = latency;
@@ -481,9 +490,9 @@ struct
     p.p_messages.(sdom) <- p.p_messages.(sdom) + 1;
     p.p_bytes.(sdom) <- p.p_bytes.(sdom) + size;
     t.bytes_by_src.(src_id) <- t.bytes_by_src.(src_id) + size;
-    let key = (src_id * p.p_stride) + dst_id in
-    let at = max (now + p.p_latency) p.p_fifo.(key) in
-    p.p_fifo.(key) <- at;
+    let row = t.fifo.(src_id) in
+    let at = max (now + p.p_latency) row.(dst_id) in
+    row.(dst_id) <- at;
     let dst_engine = p.engines.(ddom) in
     let deliver () =
       (match Obs.trace () with
@@ -502,8 +511,9 @@ struct
           Engine.schedule_at dst_engine at deliver
 
   let send t ~src ~dst ?(size = control_size) msg =
+    let dst_id = Xguard_proto.Node.id dst in
     let handler =
-      match Hashtbl.find_opt t.handlers (Xguard_proto.Node.id dst) with
+      match if dst_id < Array.length t.handlers then t.handlers.(dst_id) else None with
       | Some h -> h
       | None ->
           invalid_arg
@@ -521,11 +531,8 @@ struct
     t.messages <- t.messages + 1;
     t.bytes <- t.bytes + size;
     let src_id = Xguard_proto.Node.id src in
-    (if src_id >= Array.length t.bytes_by_src then begin
-       let grown = Array.make (max 16 (2 * (src_id + 1))) 0 in
-       Array.blit t.bytes_by_src 0 grown 0 (Array.length t.bytes_by_src);
-       t.bytes_by_src <- grown
-     end);
+    if src_id >= Array.length t.bytes_by_src then
+      t.bytes_by_src <- grown t.bytes_by_src src_id 0;
     t.bytes_by_src.(src_id) <- t.bytes_by_src.(src_id) + size;
     if not t.fault_path then
       (* Fast path: no injector, script or wire cut installed — skip the
@@ -565,7 +572,7 @@ struct
   let enable_check_mode t ?ctrl_of ~addr_of () =
     t.check_addr <- Some addr_of;
     (match ctrl_of with Some f -> t.check_ctrl <- f | None -> ());
-    if t.inflight = None then t.inflight <- Some (Hashtbl.create 16)
+    if t.inflight = None then t.inflight <- Some (Int_table.create 16)
 
   let set_delay_chooser t f = t.delay_chooser <- Some f
 
@@ -582,9 +589,9 @@ struct
   let check_fingerprint t buf =
     let now = Engine.now t.engine in
     (match t.inflight with
-    | Some table when Hashtbl.length table > 0 ->
+    | Some table when Int_table.length table > 0 ->
         let text msg = match t.tracer with Some describe -> snd (describe msg) | None -> "" in
-        Hashtbl.fold
+        Int_table.fold
           (fun _ (at, src, dst, msg) acc -> (at - now, src, dst, text msg) :: acc)
           table []
         |> List.sort compare_inflight
@@ -597,12 +604,18 @@ struct
     | _ -> ());
     (* FIFO release times still in the future gate the delivery time of the
        next send on that (src,dst) pair, so they are architecturally visible;
-       past entries are inert and must not distinguish states. *)
-    Fp.sorted_bindings t.last_delivery
-    |> List.iter (fun (key, at) ->
-           if at > now then begin
-             Fp.key buf 'f' key;
-             Fp.field_int buf (at - now);
-             Buffer.add_char buf ';'
-           end)
+       past entries are inert and must not distinguish states.  Each is keyed
+       [src * 65536 + dst]; walking rows then columns in ascending id order
+       writes the keys in ascending order. *)
+    Array.iteri
+      (fun src row ->
+        Array.iteri
+          (fun dst at ->
+            if at > now then begin
+              Fp.key buf 'f' ((src * 65536) + dst);
+              Fp.field_int buf (at - now);
+              Buffer.add_char buf ';'
+            end)
+          row)
+      t.fifo
 end

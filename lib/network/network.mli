@@ -127,8 +127,8 @@ end) : sig
   (** Split this network across domain engines for the parallel simulator:
       [dom_of.(node id)] names the domain a node lives in and [engines.(d)]
       that domain's engine.  Sends then timestamp from the {e sender's}
-      engine, keep FIFO order in a flat per-(src,dst) array (written only by
-      the sender's domain), and count traffic in per-domain arrays; deliveries
+      engine, keep FIFO order in pre-sized per-source rows (each written only
+      by the sender's domain), and count traffic in per-domain arrays; deliveries
       to another domain go through the current {!Xguard_sim.Shard} context's
       post queue and are scheduled on the destination engine at the window
       barrier.  [dom_of] must cover every node id that will ever send or

@@ -1,20 +1,29 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives in 8 bytes rather than in a mutable [int64]
+   field: a field would box a fresh Int64 on every draw, while the bytes are
+   read and written unboxed. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 state;
+  t
 
-(* SplitMix64 output function (Steele, Lea, Flood 2014). *)
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let create ~seed = of_state (Int64.of_int seed)
+
+(* SplitMix64 output function (Steele, Lea, Flood 2014).  Inlined so that
+   each caller keeps the draw unboxed too. *)
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let bits64 = next_int64
+let bits64 t = next_int64 t
 
-let split t = { state = next_int64 t }
+let split t = of_state (next_int64 t)
 
 (* OCaml ints are 63-bit; keep the draw within [0, 2^62). *)
 let nonneg t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
@@ -29,7 +38,7 @@ let int_in t ~lo ~hi =
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
-let float t x =
+let[@inline] float t x =
   let mantissa = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   x *. (mantissa /. 9007199254740992.0 (* 2^53 *))
 

@@ -12,11 +12,43 @@ type error_kind =
 
 type policy = Log_only | Disable_accelerator | Kill_process
 
+let all_error_kinds =
+  [
+    Perm_read_violation;
+    Perm_write_violation;
+    Bad_request_stable;
+    Request_while_pending;
+    Bad_response_type;
+    Unsolicited_response;
+    Response_timeout;
+    Rate_limit_exceeded;
+    Link_fault;
+    Budget_exceeded;
+  ]
+
+(* The kind's position in [all_error_kinds]. *)
+let kind_index = function
+  | Perm_read_violation -> 0
+  | Perm_write_violation -> 1
+  | Bad_request_stable -> 2
+  | Request_while_pending -> 3
+  | Bad_response_type -> 4
+  | Unsolicited_response -> 5
+  | Response_timeout -> 6
+  | Rate_limit_exceeded -> 7
+  | Link_fault -> 8
+  | Budget_exceeded -> 9
+
+let log_bound = 16
+
 type t = {
   policy : policy;
-  mutable log : (error_kind * Addr.t) list;  (* newest first *)
+  (* The first [log_bound] reports, newest first.  A hostile accelerator can
+     cause a report per message, so the log stops growing there; [count] and
+     [counts] keep counting. *)
+  mutable log : (error_kind * Addr.t) list;
   mutable count : int;
-  counts : (error_kind, int) Hashtbl.t;
+  counts : int array;  (* by [kind_index] *)
   mutable disabled : bool;
   mutable killed : bool;
   mutable quarantined : bool;
@@ -40,7 +72,7 @@ let create ?(policy = Log_only) () =
     policy;
     log = [];
     count = 0;
-    counts = Hashtbl.create 8;
+    counts = Array.make (List.length all_error_kinds) 0;
     disabled = false;
     killed = false;
     quarantined = false;
@@ -56,10 +88,10 @@ let create ?(policy = Log_only) () =
 let policy t = t.policy
 
 let report t kind addr =
-  t.log <- (kind, addr) :: t.log;
+  if t.count < log_bound then t.log <- (kind, addr) :: t.log;
   t.count <- t.count + 1;
-  let prev = match Hashtbl.find_opt t.counts kind with Some n -> n | None -> 0 in
-  Hashtbl.replace t.counts kind (prev + 1);
+  let i = kind_index kind in
+  t.counts.(i) <- t.counts.(i) + 1;
   match t.policy with
   | Log_only -> ()
   | Disable_accelerator -> t.disabled <- true
@@ -68,7 +100,7 @@ let report t kind addr =
       t.killed <- true
 
 let error_count t = t.count
-let count_of t kind = match Hashtbl.find_opt t.counts kind with Some n -> n | None -> 0
+let count_of t kind = t.counts.(kind_index kind)
 let log t = List.rev t.log
 let accel_disabled t = t.disabled
 let process_killed t = t.killed
@@ -149,17 +181,3 @@ let error_kind_to_string = function
   | Rate_limit_exceeded -> "rate_limit_exceeded"
   | Link_fault -> "link_fault (lossy link)"
   | Budget_exceeded -> "budget_exceeded (hang budget)"
-
-let all_error_kinds =
-  [
-    Perm_read_violation;
-    Perm_write_violation;
-    Bad_request_stable;
-    Request_while_pending;
-    Bad_response_type;
-    Unsolicited_response;
-    Response_timeout;
-    Rate_limit_exceeded;
-    Link_fault;
-    Budget_exceeded;
-  ]

@@ -3,8 +3,8 @@
     Crossing Guard reports every guarantee violation here.  The OS applies a
     policy: log only, disable the accelerator (Crossing Guard then drops all
     further accelerator requests while continuing to answer the host on its
-    behalf), or additionally mark the offending process killed.  The error
-    log is the observable the safety experiments check. *)
+    behalf), or additionally mark the offending process killed.  The
+    per-kind error counts are the observable the safety experiments check. *)
 
 type error_kind =
   | Perm_read_violation  (** G0a: request to a page with no access *)
@@ -20,6 +20,13 @@ type error_kind =
 
 type policy = Log_only | Disable_accelerator | Kill_process
 
+val kind_index : error_kind -> int
+(** The kind's position in {!all_error_kinds}: a constant-time index for
+    per-kind tables. *)
+
+val log_bound : int
+(** How many reports {!log} keeps. *)
+
 type t
 
 val create : ?policy:policy -> unit -> t
@@ -28,7 +35,8 @@ val report : t -> error_kind -> Addr.t -> unit
 val error_count : t -> int
 val count_of : t -> error_kind -> int
 val log : t -> (error_kind * Addr.t) list
-(** Oldest first. *)
+(** The first {!log_bound} reports, oldest first.  {!error_count} and
+    {!count_of} count every report. *)
 
 val accel_disabled : t -> bool
 val process_killed : t -> bool

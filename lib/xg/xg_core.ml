@@ -47,8 +47,8 @@ type per_addr = {
   stall_stamps : int Queue.t;
 }
 
-(* Interned handles for the per-event stat counters (PR 4): one dense-id
-   lookup per bump instead of a string-Hashtbl probe. *)
+(* Handles for the per-event stat counters: one dense-id lookup per bump
+   instead of a string-keyed probe. *)
 type stat_ids = {
   s_accel_request : Group.id;
   s_accel_response : Group.id;
@@ -66,6 +66,10 @@ type stat_ids = {
   s_invalidate_to_accel : Group.id;
   s_request_blocked : Group.id;
   s_get_stalled_behind_put : Group.id;
+  s_response_corrected : Group.id;
+  s_late_response_absorbed : Group.id;
+  s_response_dropped : Group.id;
+  s_timeout_reply_for_accel : Group.id;
 }
 
 (* Recovery lifecycle policy (PR 8).  [None] keeps the PR 3 behaviour:
@@ -126,11 +130,12 @@ type t = {
   timeout : int;
   rate_limiter : Rate_limiter.t option;
   suppress_put_s : bool;
-  tracks : (Addr.t, track) Hashtbl.t;
-  pending : (Addr.t, per_addr) Hashtbl.t;
+  tracks : track Int_table.t;
+  pending : per_addr Int_table.t;
   stats : Group.t;
   sid : stat_ids;
-  violation_ids : Group.id array;  (** per {!Os_model.all_error_kinds} position *)
+  violation_ids : Group.id array;
+      (** the ids of [stat_vocab]: a violation's at its {!Os_model.kind_index} *)
   coverage : Group.t;
   cov : Coverage.matrix;
   mutable storage : int;  (* current footprint: see [storage_bits] *)
@@ -193,8 +198,8 @@ let slot_bits = function None -> 0 | Some _ -> txn_bits
 let put_bits = function None -> 0 | Some (`E | `M) -> txn_bits + data_bits | Some `S -> txn_bits
 
 let recount_storage_bits t =
-  Hashtbl.fold (fun _ tr acc -> acc + track_bits tr) t.tracks 0
-  + Hashtbl.fold
+  Int_table.fold (fun _ tr acc -> acc + track_bits tr) t.tracks 0
+  + Int_table.fold
       (fun _ p acc -> acc + slot_bits p.p_get + slot_bits p.p_inv + put_bits p.p_put)
       t.pending 0
 
@@ -221,18 +226,18 @@ let set_copy t (tr : track) copy =
   t.storage <- t.storage - copy_bits tr.xg_copy + copy_bits copy;
   tr.xg_copy <- copy
 
-let tracked_blocks t = Hashtbl.length t.tracks
+let tracked_blocks t = Int_table.length t.tracks
 let peak_storage_bits t = max t.peak_bits t.storage
 
 let open_transactions t =
-  Hashtbl.fold
+  Int_table.fold
     (fun _ p acc ->
       let one = function None -> 0 | Some _ -> 1 in
       acc + one p.p_get + one p.p_inv + match p.p_put with None -> 0 | Some _ -> 1)
     t.pending 0
 
 let accel_state t addr =
-  match (t.mode, Hashtbl.find_opt t.tracks addr) with
+  match (t.mode, Int_table.find_opt t.tracks addr) with
   | Full_state, None -> `I
   | Full_state, Some { st = `S; _ } -> `S
   | Full_state, Some { st = `E; _ } -> `E
@@ -240,7 +245,7 @@ let accel_state t addr =
   | Transactional, _ -> `Unknown
 
 let slot t addr =
-  match Hashtbl.find_opt t.pending addr with
+  match Int_table.find_opt t.pending addr with
   | Some p -> p
   | None ->
       let p =
@@ -253,29 +258,29 @@ let slot t addr =
           stall_stamps = Queue.create ();
         }
       in
-      Hashtbl.add t.pending addr p;
+      Int_table.replace t.pending addr p;
       p
 
 let prune t addr (p : per_addr) =
   if
     p.p_get = None && p.p_put = None && p.p_inv = None && p.absorb = 0
     && Queue.is_empty p.stalled_gets
-  then Hashtbl.remove t.pending addr
+  then Int_table.remove t.pending addr
 
 let set_track t addr st =
-  (match Hashtbl.find_opt t.tracks addr with
+  (match Int_table.find_opt t.tracks addr with
   | Some tr -> tr.st <- st
   | None ->
       let tr = { st; xg_copy = None } in
       t.storage <- t.storage + track_bits tr;
-      Hashtbl.add t.tracks addr tr);
+      Int_table.replace t.tracks addr tr);
   note_storage t
 
 let clear_track t addr =
-  match Hashtbl.find_opt t.tracks addr with
+  match Int_table.find_opt t.tracks addr with
   | Some tr ->
       t.storage <- t.storage - track_bits tr;
-      Hashtbl.remove t.tracks addr
+      Int_table.remove t.tracks addr
   | None -> ()
 
 let note t text =
@@ -289,22 +294,8 @@ let decided t addr =
   | Some sr -> Spans.xg_decided sr ~addr:(Addr.to_int addr) ~now:(Engine.now t.engine)
   | None -> ()
 
-(* The ["violation." ^ kind] counters, hashed once per process and adopted by
-   every guard's still-empty stats group, so neither a build nor a report
-   hashes a name; first touch still orders them in the group. *)
-let violation_vocab =
-  Group.vocab
-    (Array.of_list
-       (List.map
-          (fun k -> "violation." ^ Os_model.error_kind_to_string k)
-          Os_model.all_error_kinds))
-
-let kind_position kind =
-  let rec go i = function k :: rest -> if k == kind then i else go (i + 1) rest | [] -> i in
-  go 0 Os_model.all_error_kinds
-
 let report t kind addr =
-  Group.incr_id t.stats t.violation_ids.(kind_position kind);
+  Group.incr_id t.stats t.violation_ids.(Os_model.kind_index kind);
   (match Obs.trace () with
   | Some tr ->
       Trace.note tr ~cycle:(Engine.now t.engine) ~controller:t.name ~addr:(Addr.to_int addr)
@@ -320,7 +311,7 @@ let respond_accel t addr resp = send_accel t (Xg_iface.To_accel_resp { addr; res
 
 let accel_may_be_sharer t addr =
   match t.mode with
-  | Full_state -> Hashtbl.mem t.tracks addr
+  | Full_state -> Int_table.mem t.tracks addr
   | Transactional -> Perm_table.allows_read t.perms addr
 
 (* ---- transition coverage & tracing ----
@@ -342,7 +333,7 @@ let state_names =
 let state_idx t addr =
   if t.quarantined then 11 (* Q *)
   else
-    match Hashtbl.find_opt t.pending addr with
+    match Int_table.find_opt t.pending addr with
     | Some { p_inv = Some _; _ } -> 7 (* B_inv *)
     | Some { p_get = Some _; _ } -> 5 (* B_get *)
     | Some { p_put = Some _; _ } -> 6 (* B_put *)
@@ -354,7 +345,7 @@ let state_idx t addr =
             | Perm.Read_only -> 9 (* T_RO *)
             | Perm.Read_write -> 10 (* T_RW *))
         | Full_state -> (
-            match Hashtbl.find_opt t.tracks addr with
+            match Int_table.find_opt t.tracks addr with
             | None -> 0 (* I *)
             | Some { st = `S; xg_copy = Some _ } -> 2 (* S_RO *)
             | Some { st = `S; xg_copy = None } -> 1 (* S *)
@@ -526,7 +517,7 @@ let rec quarantine t =
         visit t addr ev_quarantine (fun () ->
             (match p.p_inv with
             | Some inv ->
-                (match Hashtbl.find_opt t.tracks addr with
+                (match Int_table.find_opt t.tracks addr with
                 | Some { xg_copy = Some copy; _ } -> reply_once t p inv (Reply_clean copy)
                 | Some { st = `E | `M; _ } ->
                     Group.incr t.stats "quarantine_zeroed_wb";
@@ -538,7 +529,7 @@ let rec quarantine t =
             Queue.clear p.stalled_gets;
             Queue.clear p.stall_stamps;
             prune t addr p))
-      (Fp.sorted_bindings t.pending);
+      (Int_table.sorted_bindings t.pending);
     (* Tracked blocks with no transaction in flight: relinquish them so the
        host directory never records the dead accelerator as a sharer/owner.
        Blocks with an open get settle when [granted] fires; open puts when
@@ -565,7 +556,7 @@ let rec quarantine t =
               clear_track t addr;
               prune t addr p)
         else clear_track t addr)
-      (Fp.sorted_bindings t.tracks);
+      (Int_table.sorted_bindings t.tracks);
     (match t.recovery with
     | Some _ when t.perm_snapshot = None ->
         (* Captured before the revocation so rejoin can re-grant the same
@@ -725,7 +716,7 @@ let start_accel_invalidation t addr (p : per_addr) inv =
               | Some sr -> Spans.inv_timeout sr ~addr:(Addr.to_int addr) ~now:(Engine.now t.engine)
               | None -> ());
               report t Os_model.Response_timeout addr;
-              Group.incr t.stats "timeout_reply_for_accel";
+              Group.incr_id t.stats t.sid.s_timeout_reply_for_accel;
               clear_track t addr;
               reply_once t p i (default_reply t i);
               (* The late response, if any, must be swallowed. *)
@@ -744,7 +735,7 @@ let host_request t addr ~need ~reply =
      correctly. *)
   match t.mode with
   | Full_state -> (
-      match Hashtbl.find_opt t.tracks addr with
+      match Int_table.find_opt t.tracks addr with
       | None ->
           Group.incr_id t.stats t.sid.s_snoop_fast_path;
           reply (Reply_ack { shared = false });
@@ -806,13 +797,13 @@ let host_request t addr ~need ~reply =
 
 let accel_response t addr (resp : Xg_iface.accel_response) =
   visit t addr (event_of_accel_response resp) @@ fun () ->
-  let p = slot t addr in
-  match p.p_inv with
-  | Some inv -> (
+  (* Looked up, not created: a block without a slot can only answer G2b. *)
+  match Int_table.find_opt t.pending addr with
+  | Some ({ p_inv = Some inv; _ } as p) -> (
       let keep_shared = inv.need = Fwd_s in
       (match t.mode with
       | Full_state -> (
-          let tr = Hashtbl.find_opt t.tracks addr in
+          let tr = Int_table.find_opt t.tracks addr in
           let expected_ok =
             match (resp, tr) with
             | Xg_iface.Dirty_wb _, Some { st = `M | `E; xg_copy = None } -> true
@@ -837,7 +828,7 @@ let accel_response t addr (resp : Xg_iface.accel_response) =
           else begin
             (* G2a: correct the response type from trusted state. *)
             report t Os_model.Bad_response_type addr;
-            Group.incr t.stats "response_corrected";
+            Group.incr_id t.stats t.sid.s_response_corrected;
             match tr with
             | Some { xg_copy = Some copy; _ } -> reply_once t p inv (Reply_clean copy)
             | Some { st = `M | `E; _ } -> (
@@ -868,22 +859,26 @@ let accel_response t addr (resp : Xg_iface.accel_response) =
           (* After a read forward the accelerator keeps nothing unless it was
              a plain sharer answered on the fast path (not this code path) —
              an owner was invalidated. *)
-          match Hashtbl.find_opt t.tracks addr with Some _ -> clear_track t addr | None -> ())
+          match Int_table.find_opt t.tracks addr with Some _ -> clear_track t addr | None -> ())
       | Full_state, (Fwd_m | Recall) -> clear_track t addr
       | Transactional, _ -> ());
       finish_inv t addr p)
-  | None ->
-      if p.absorb > 0 then begin
-        p.absorb <- p.absorb - 1;
-        Group.incr t.stats "late_response_absorbed";
-        prune t addr p
-      end
-      else begin
-        (* G2b: response with no outstanding request. *)
-        report t Os_model.Unsolicited_response addr;
-        Group.incr t.stats "response_dropped";
-        prune t addr p
-      end
+  | Some p when p.absorb > 0 ->
+      p.absorb <- p.absorb - 1;
+      Group.incr_id t.stats t.sid.s_late_response_absorbed;
+      prune t addr p
+  | found -> (
+      (* G2b: response with no outstanding request. *)
+      report t Os_model.Unsolicited_response addr;
+      Group.incr_id t.stats t.sid.s_response_dropped;
+      match found with Some p -> prune t addr p | None -> ())
+
+(* A request refused before its block's slot is looked up: an existing slot
+   is pruned as after every refusal, and none is created. *)
+let refuse_request t addr kind =
+  report t kind addr;
+  Group.incr_id t.stats t.sid.s_request_blocked;
+  match Int_table.find_opt t.pending addr with Some p -> prune t addr p | None -> ()
 
 (* ---- accelerator requests ---- *)
 
@@ -918,7 +913,7 @@ and accept_put t addr (p : per_addr) (req : Xg_iface.accel_request) =
   decided t addr;
   respond_accel t addr Xg_iface.Wb_ack;
   let ro_copy =
-    match Hashtbl.find_opt t.tracks addr with
+    match Int_table.find_opt t.tracks addr with
     | Some { xg_copy = Some copy; _ } -> Some copy
     | _ -> None
   in
@@ -991,94 +986,88 @@ and pump_stalled t addr (p : per_addr) =
   else prune t addr p
 
 and accel_request t addr (req : Xg_iface.accel_request) =
-  let p = slot t addr in
   let perm = Perm_table.perm t.perms addr in
   (* Guarantee 0: page permissions. *)
-  if not (Perm.allows_read perm) then begin
-    report t Os_model.Perm_read_violation addr;
-    Group.incr_id t.stats t.sid.s_request_blocked;
-    prune t addr p
-  end
+  if not (Perm.allows_read perm) then refuse_request t addr Os_model.Perm_read_violation
   else if
     (not (Perm.allows_write perm))
     && (match req with
        | Xg_iface.Get_m | Xg_iface.Put_e _ | Xg_iface.Put_m _ -> true
        | Xg_iface.Get_s | Xg_iface.Put_s -> false)
-  then begin
-    report t Os_model.Perm_write_violation addr;
-    Group.incr_id t.stats t.sid.s_request_blocked;
-    prune t addr p
-  end
-  else if p.p_get <> None then begin
-    (* Guarantee 1b: one open request per block. *)
-    report t Os_model.Request_while_pending addr;
-    Group.incr_id t.stats t.sid.s_request_blocked
-  end
-  else if p.p_put <> None || not (Queue.is_empty p.stalled_gets) then begin
-    match req with
-    | Xg_iface.Get_s | Xg_iface.Get_m ->
-        (* The accelerator's Put was already acknowledged; its re-fetch is
-           legitimate and waits for the internal writeback to settle. *)
-        Queue.push req p.stalled_gets;
-        if Option.is_some (Obs.spans ()) then Queue.push (Engine.now t.engine) p.stall_stamps;
-        Group.incr_id t.stats t.sid.s_get_stalled_behind_put
-    | Xg_iface.Put_s | Xg_iface.Put_e _ | Xg_iface.Put_m _ ->
-        report t Os_model.Request_while_pending addr;
-        Group.incr_id t.stats t.sid.s_request_blocked
-  end
-  else if p.p_inv <> None && Xg_iface.is_put req then begin
-    (* The one race the ordered link allows: the accelerator's Put crossed
-       our Invalidate.  Use the writeback as the reply to the host and
-       absorb the InvAck that must follow (Table 1: B + Invalidate). *)
-    match p.p_inv with
-    | Some inv ->
-        Group.incr t.stats "put_invalidate_race";
-        (match Obs.spans () with
-        | Some sr ->
-            let a = Addr.to_int addr and now = Engine.now t.engine in
-            Spans.inv_race sr ~addr:a ~now;
-            Spans.xg_decided sr ~addr:a ~now
-        | None -> ());
-        respond_accel t addr Xg_iface.Wb_ack;
-        clear_track t addr;
-        (match req with
-        | Xg_iface.Put_m data ->
-            if Perm_table.allows_write t.perms addr then reply_once t p inv (Reply_dirty data)
-            else reply_once t p inv (Reply_ack { shared = false })
-        | Xg_iface.Put_e data ->
-            if Perm_table.allows_write t.perms addr then reply_once t p inv (Reply_clean data)
-            else reply_once t p inv (Reply_ack { shared = false })
-        | Xg_iface.Put_s -> reply_once t p inv (Reply_ack { shared = false })
-        | Xg_iface.Get_s | Xg_iface.Get_m -> assert false);
-        p.absorb <- p.absorb + 1;
-        finish_inv t addr p
-    | None -> assert false
-  end
+  then refuse_request t addr Os_model.Perm_write_violation
   else begin
-    (* Guarantee 1a: consistency with the stable state (Full_state only;
-       Transactional relies on the host tolerating the request, §2.3.2). *)
-    let stable_ok =
-      match t.mode with
-      | Transactional -> true
-      | Full_state -> (
-          let st = Hashtbl.find_opt t.tracks addr in
-          match (req, st) with
-          | Xg_iface.Get_s, None -> true
-          | Xg_iface.Get_m, (None | Some { st = `S; xg_copy = None }) -> true
-          | Xg_iface.Put_s, Some { st = `S; _ } -> true
-          | Xg_iface.Put_e _, Some { st = `E; xg_copy = None } -> true
-          | Xg_iface.Put_m _, Some { st = `M | `E; xg_copy = None } -> true
-          | _ -> false)
-    in
-    if not stable_ok then begin
-      report t Os_model.Bad_request_stable addr;
-      Group.incr_id t.stats t.sid.s_request_blocked;
-      prune t addr p
+    let p = slot t addr in
+    if p.p_get <> None then begin
+      (* Guarantee 1b: one open request per block. *)
+      report t Os_model.Request_while_pending addr;
+      Group.incr_id t.stats t.sid.s_request_blocked
     end
-    else
+    else if p.p_put <> None || not (Queue.is_empty p.stalled_gets) then begin
       match req with
-      | Xg_iface.Get_s | Xg_iface.Get_m -> process_get t addr p req
-      | Xg_iface.Put_s | Xg_iface.Put_e _ | Xg_iface.Put_m _ -> accept_put t addr p req
+      | Xg_iface.Get_s | Xg_iface.Get_m ->
+          (* The accelerator's Put was already acknowledged; its re-fetch is
+             legitimate and waits for the internal writeback to settle. *)
+          Queue.push req p.stalled_gets;
+          if Option.is_some (Obs.spans ()) then Queue.push (Engine.now t.engine) p.stall_stamps;
+          Group.incr_id t.stats t.sid.s_get_stalled_behind_put
+      | Xg_iface.Put_s | Xg_iface.Put_e _ | Xg_iface.Put_m _ ->
+          report t Os_model.Request_while_pending addr;
+          Group.incr_id t.stats t.sid.s_request_blocked
+    end
+    else if p.p_inv <> None && Xg_iface.is_put req then begin
+      (* The one race the ordered link allows: the accelerator's Put crossed
+         our Invalidate.  Use the writeback as the reply to the host and
+         absorb the InvAck that must follow (Table 1: B + Invalidate). *)
+      match p.p_inv with
+      | Some inv ->
+          Group.incr t.stats "put_invalidate_race";
+          (match Obs.spans () with
+          | Some sr ->
+              let a = Addr.to_int addr and now = Engine.now t.engine in
+              Spans.inv_race sr ~addr:a ~now;
+              Spans.xg_decided sr ~addr:a ~now
+          | None -> ());
+          respond_accel t addr Xg_iface.Wb_ack;
+          clear_track t addr;
+          (match req with
+          | Xg_iface.Put_m data ->
+              if Perm_table.allows_write t.perms addr then reply_once t p inv (Reply_dirty data)
+              else reply_once t p inv (Reply_ack { shared = false })
+          | Xg_iface.Put_e data ->
+              if Perm_table.allows_write t.perms addr then reply_once t p inv (Reply_clean data)
+              else reply_once t p inv (Reply_ack { shared = false })
+          | Xg_iface.Put_s -> reply_once t p inv (Reply_ack { shared = false })
+          | Xg_iface.Get_s | Xg_iface.Get_m -> assert false);
+          p.absorb <- p.absorb + 1;
+          finish_inv t addr p
+      | None -> assert false
+    end
+    else begin
+      (* Guarantee 1a: consistency with the stable state (Full_state only;
+         Transactional relies on the host tolerating the request, §2.3.2). *)
+      let stable_ok =
+        match t.mode with
+        | Transactional -> true
+        | Full_state -> (
+            let st = Int_table.find_opt t.tracks addr in
+            match (req, st) with
+            | Xg_iface.Get_s, None -> true
+            | Xg_iface.Get_m, (None | Some { st = `S; xg_copy = None }) -> true
+            | Xg_iface.Put_s, Some { st = `S; _ } -> true
+            | Xg_iface.Put_e _, Some { st = `E; xg_copy = None } -> true
+            | Xg_iface.Put_m _, Some { st = `M | `E; xg_copy = None } -> true
+            | _ -> false)
+      in
+      if not stable_ok then begin
+        report t Os_model.Bad_request_stable addr;
+        Group.incr_id t.stats t.sid.s_request_blocked;
+        prune t addr p
+      end
+      else
+        match req with
+        | Xg_iface.Get_s | Xg_iface.Get_m -> process_get t addr p req
+        | Xg_iface.Put_s | Xg_iface.Put_e _ | Xg_iface.Put_m _ -> accept_put t addr p req
+    end
   end
 
 (* ---- host-side completions ---- *)
@@ -1119,7 +1108,7 @@ let granted t addr grant =
                give the accelerator only a shared view (G0b, §2.3.1). *)
             assert (t.mode = Full_state);
             set_track t addr `S;
-            (match Hashtbl.find_opt t.tracks addr with
+            (match Int_table.find_opt t.tracks addr with
             | Some tr -> set_copy t tr (Some data)
             | None -> assert false);
             note_storage t;
@@ -1128,7 +1117,7 @@ let granted t addr grant =
         | `M data, `S, true when not t.host.has_get_s_only ->
             assert (t.mode = Full_state);
             set_track t addr `S;
-            (match Hashtbl.find_opt t.tracks addr with
+            (match Int_table.find_opt t.tracks addr with
             | Some tr -> set_copy t tr (Some data)
             | None -> assert false);
             note_storage t;
@@ -1159,10 +1148,10 @@ let put_complete t addr =
 
 let set_check_ctrl t ctrl = t.check_ctrl <- ctrl
 
-let check_pending_slots t = Hashtbl.length t.pending
+let check_pending_slots t = Int_table.length t.pending
 
 let check_tracked t =
-  Fp.sorted_bindings t.tracks
+  Int_table.sorted_bindings t.tracks
   |> List.map (fun (addr, (tr : track)) -> (addr, tr.st, tr.xg_copy))
 
 let check_violation t =
@@ -1179,7 +1168,7 @@ let check_violation t =
               (Printf.sprintf "%s: G1b violated at block %d (get and put both open)"
                  t.name (Addr.to_int addr))
           else None)
-    None (Fp.sorted_bindings t.pending)
+    None (Int_table.sorted_bindings t.pending)
 
 let check_fingerprint t buf =
   Buffer.add_string buf "xg[";
@@ -1191,7 +1180,7 @@ let check_fingerprint t buf =
       Fp.field buf (match tr.st with `S -> "S" | `E -> "E" | `M -> "M");
       Fp.field_opt buf tr.xg_copy;
       Buffer.add_char buf ';')
-    (Fp.sorted_bindings t.tracks);
+    (Int_table.sorted_bindings t.tracks);
   List.iter
     (fun (addr, (p : per_addr)) ->
       Fp.key buf 'p' (Addr.to_int addr);
@@ -1221,7 +1210,7 @@ let check_fingerprint t buf =
           Buffer.add_char buf ',')
         p.stalled_gets;
       Buffer.add_char buf ';')
-    (Fp.sorted_bindings t.pending);
+    (Int_table.sorted_bindings t.pending);
   if t.quarantined then Buffer.add_char buf 'Q';
   if t.link_faults > 0 then Fp.key buf 'F' t.link_faults;
   (* Recovery state appears only when a recovery policy has driven it, so
@@ -1232,33 +1221,64 @@ let check_fingerprint t buf =
 
 (* ---- wiring ---- *)
 
+(* Every counter a guard bumps by id: the ["violation." ^ kind] counters in
+   {!Os_model.all_error_kinds} order, then [stat_names] in [stat_ids] field
+   order.  The names are hashed once per process and adopted by every guard's
+   still-empty stats group, so neither a build nor a bump hashes a name;
+   first touch still orders the counters in the group. *)
+let stat_names =
+  [|
+    "accel_request"; "accel_response"; "grant_to_accel"; "put_complete"; "snoop_fast_path";
+    "side_channel_filtered"; "get_s_forwarded"; "get_m_forwarded"; "put_s_forwarded";
+    "put_e_forwarded"; "put_m_forwarded"; "put_s_suppressed"; "put_s_unnecessary";
+    "invalidate_to_accel"; "request_blocked"; "get_stalled_behind_put"; "response_corrected";
+    "late_response_absorbed"; "response_dropped"; "timeout_reply_for_accel";
+  |]
+
+let n_violations = List.length Os_model.all_error_kinds
+
+let stat_vocab =
+  Group.vocab
+    (Array.append
+       (Array.of_list
+          (List.map
+             (fun k -> "violation." ^ Os_model.error_kind_to_string k)
+             Os_model.all_error_kinds))
+       stat_names)
+
+let stat_ids ids =
+  let id k = ids.(n_violations + k) in
+  {
+    s_accel_request = id 0;
+    s_accel_response = id 1;
+    s_grant_to_accel = id 2;
+    s_put_complete = id 3;
+    s_snoop_fast_path = id 4;
+    s_side_channel_filtered = id 5;
+    s_get_s_forwarded = id 6;
+    s_get_m_forwarded = id 7;
+    s_put_s_forwarded = id 8;
+    s_put_e_forwarded = id 9;
+    s_put_m_forwarded = id 10;
+    s_put_s_suppressed = id 11;
+    s_put_s_unnecessary = id 12;
+    s_invalidate_to_accel = id 13;
+    s_request_blocked = id 14;
+    s_get_stalled_behind_put = id 15;
+    s_response_corrected = id 16;
+    s_late_response_absorbed = id 17;
+    s_response_dropped = id 18;
+    s_timeout_reply_for_accel = id 19;
+  }
+
 let create ~engine ~name ~mode ~link ~self ~accel ~host ~perms ~os ?(timeout = 2000)
     ?(processing_latency = 4) ?rate_limiter ?(suppress_put_s_register = false)
     ?(quarantine_after = 3) ?recovery ?(budgets = no_budgets) () =
   let stats = Group.create (name ^ ".stats") in
   let coverage = Group.create (name ^ ".coverage") in
   let fault_cov = Group.create (name ^ ".fault_cov") in
-  let violation_ids = Group.adopt stats violation_vocab in
-  let sid =
-    {
-      s_accel_request = Group.intern stats "accel_request";
-      s_accel_response = Group.intern stats "accel_response";
-      s_grant_to_accel = Group.intern stats "grant_to_accel";
-      s_put_complete = Group.intern stats "put_complete";
-      s_snoop_fast_path = Group.intern stats "snoop_fast_path";
-      s_side_channel_filtered = Group.intern stats "side_channel_filtered";
-      s_get_s_forwarded = Group.intern stats "get_s_forwarded";
-      s_get_m_forwarded = Group.intern stats "get_m_forwarded";
-      s_put_s_forwarded = Group.intern stats "put_s_forwarded";
-      s_put_e_forwarded = Group.intern stats "put_e_forwarded";
-      s_put_m_forwarded = Group.intern stats "put_m_forwarded";
-      s_put_s_suppressed = Group.intern stats "put_s_suppressed";
-      s_put_s_unnecessary = Group.intern stats "put_s_unnecessary";
-      s_invalidate_to_accel = Group.intern stats "invalidate_to_accel";
-      s_request_blocked = Group.intern stats "request_blocked";
-      s_get_stalled_behind_put = Group.intern stats "get_stalled_behind_put";
-    }
-  in
+  let violation_ids = Group.adopt stats stat_vocab in
+  let sid = stat_ids violation_ids in
   let t =
     {
       engine;
@@ -1273,8 +1293,8 @@ let create ~engine ~name ~mode ~link ~self ~accel ~host ~perms ~os ?(timeout = 2
       timeout;
       rate_limiter;
       suppress_put_s = suppress_put_s_register;
-      tracks = Hashtbl.create 16;
-      pending = Hashtbl.create 16;
+      tracks = Int_table.create 16;
+      pending = Int_table.create 16;
       stats;
       sid;
       violation_ids;

@@ -191,7 +191,7 @@ module Link = struct
     mutable reliable : bool;
     mutable retry_timeout : int;
     mutable max_retries : int;
-    channels : (int * int, channel) Hashtbl.t;
+    channels : channel Int_table.t;  (** keyed by [channel_key] *)
     mutable killed : bool;
     (* True only for the guard link (accel <-> XG); the span layer attributes
        link transit segments on crossing links alone, so purely accel-internal
@@ -263,7 +263,7 @@ module Link = struct
         reliable = false;
         retry_timeout = 32;
         max_retries = 6;
-        channels = Hashtbl.create 8;
+        channels = Int_table.create 8;
         killed = false;
         crossing = false;
         mlabel = "";
@@ -360,11 +360,14 @@ module Link = struct
         Spans.record sr Spans.Link_retry Spans.Inv ~span:0 ~addr:(Addr.to_int addr) ~ts:now
           ~dur:0
 
+  (* Node ids are small and dense, so one int names a directed pair. *)
+  let channel_key ~src ~dst = (Node.id src lsl 16) lor Node.id dst
+
   let channel t ~src ~dst =
-    let key = (Node.id src, Node.id dst) in
-    match Hashtbl.find_opt t.channels key with
-    | Some ch -> ch
-    | None ->
+    let key = channel_key ~src ~dst in
+    match Int_table.find t.channels key with
+    | ch -> ch
+    | exception Not_found ->
         let ch =
           {
             c_src = src;
@@ -381,7 +384,7 @@ module Link = struct
             rx_next = 0;
           }
         in
-        Hashtbl.add t.channels key ch;
+        Int_table.replace t.channels key ch;
         ch
 
   (* tx-side condition of a directed channel, indexing [coverage_space]'s
@@ -578,7 +581,7 @@ module Link = struct
 
   let rewind_channels t =
     let now = Engine.now t.engine in
-    Hashtbl.iter
+    Int_table.iter
       (fun _ ch ->
         ch.next_seq <- 0;
         Queue.clear ch.outstanding;
@@ -686,7 +689,7 @@ module Link = struct
     if not t.killed then begin
       t.killed <- true;
       Counter.Group.incr t.stats "killed";
-      Hashtbl.iter
+      Int_table.iter
         (fun _ ch ->
           ch.dead <- true;
           Queue.clear ch.outstanding)
@@ -716,7 +719,7 @@ module Link = struct
   let bytes_from t node = Raw.bytes_from t.raw node
 
   let in_flight t =
-    Hashtbl.fold (fun _ ch acc -> acc + Queue.length ch.outstanding) t.channels 0
+    Int_table.fold (fun _ ch acc -> acc + Queue.length ch.outstanding) t.channels 0
   let set_monitor t f = t.monitor <- Some f
 
   let set_tracer t describe =

@@ -116,6 +116,72 @@ let test_monitor_sees_all () =
   ignore (Engine.run e);
   check_int "monitored" 9 !seen
 
+(* Node ids far past the tables' first size: the handler and FIFO tables
+   grow on first use and keep per-pair order. *)
+let far_nodes () =
+  let reg = Node.Registry.create () in
+  (reg, Array.init 301 (fun i -> Node.Registry.fresh reg (Printf.sprintf "n%d" i)))
+
+let test_far_node_ids () =
+  let e = Engine.create () in
+  let rng = Rng.create ~seed:1 in
+  let reg, nodes = far_nodes () in
+  let n0 = nodes.(0) and n300 = nodes.(300) in
+  check_int "id 300" 300 (Node.id n300);
+  let net = Net.create ~engine:e ~rng ~name:"n" ~ordering:(Xguard_network.Network.Ordered { latency = 3 }) () in
+  let at0 = ref [] and at300 = ref [] in
+  Net.register net n300 (fun ~src m -> at300 := (Node.id src, m) :: !at300);
+  Net.register net n0 (fun ~src m -> at0 := (Node.id src, m) :: !at0);
+  for i = 1 to 20 do
+    (* Several sends per cycle on both pairs. *)
+    Engine.schedule e ~delay:(i / 3) (fun () ->
+        Net.send net ~src:n0 ~dst:n300 i;
+        Net.send net ~src:n300 ~dst:n0 (-i))
+  done;
+  ignore (Engine.run e);
+  Alcotest.(check (list (pair int int)))
+    "n0 -> n300 in order" (List.init 20 (fun i -> (0, i + 1))) (List.rev !at300);
+  Alcotest.(check (list (pair int int)))
+    "n300 -> n0 in order" (List.init 20 (fun i -> (300, -(i + 1)))) (List.rev !at0);
+  check_int "bytes from n300" 160 (Net.bytes_from net n300);
+  Alcotest.check_raises "second registration"
+    (Invalid_argument "Network.register(n): node n300 already registered") (fun () ->
+      Net.register net n300 (fun ~src:_ _ -> ()));
+  Alcotest.check_raises "unregistered destination"
+    (Invalid_argument "Network.send(n): no handler registered for n7") (fun () ->
+      Net.send net ~src:n0 ~dst:nodes.(7) 0);
+  Alcotest.check_raises "unregistered destination past the table"
+    (Invalid_argument "Network.send(n): no handler registered for m") (fun () ->
+      let far = ref n0 in
+      for _ = 1 to 400 do
+        far := Node.Registry.fresh reg "m"
+      done;
+      Net.send net ~src:n0 ~dst:!far 0)
+
+(* A check-mode fingerprint writes the FIFO release times still ahead, keyed
+   [src * 65536 + dst], in ascending key order whatever order the pairs first
+   sent in. *)
+let test_fingerprint_fifo_order () =
+  let e = Engine.create () in
+  let rng = Rng.create ~seed:1 in
+  let _, nodes = far_nodes () in
+  let n0 = nodes.(0) and n300 = nodes.(300) in
+  let net = Net.create ~engine:e ~rng ~name:"n" ~ordering:(Xguard_network.Network.Ordered { latency = 3 }) () in
+  Net.enable_check_mode net ~addr_of:(fun _ -> -1) ();
+  Net.register net n0 (fun ~src:_ _ -> ());
+  Net.register net n300 (fun ~src:_ _ -> ());
+  Net.send net ~src:n300 ~dst:n0 1;
+  Net.send net ~src:n0 ~dst:n300 2;
+  let buf = Buffer.create 64 in
+  Net.check_fingerprint net buf;
+  Alcotest.(check string)
+    "in flight, then FIFO entries by key" "m3:0>300:;m3:300>0:;f300:3;f19660800:3;"
+    (Buffer.contents buf);
+  ignore (Engine.run e);
+  Buffer.clear buf;
+  Net.check_fingerprint net buf;
+  Alcotest.(check string) "past entries are inert" "" (Buffer.contents buf)
+
 (* Property: ordered networks never reorder, for random send schedules. *)
 let prop_ordered_never_reorders =
   QCheck2.Test.make ~name:"ordered link is FIFO under random schedules" ~count:50
@@ -162,6 +228,8 @@ let tests =
         Alcotest.test_case "double registration" `Quick test_double_registration_rejected;
         Alcotest.test_case "bandwidth accounting" `Quick test_bandwidth_accounting;
         Alcotest.test_case "monitor" `Quick test_monitor_sees_all;
+        Alcotest.test_case "far node ids" `Quick test_far_node_ids;
+        Alcotest.test_case "fingerprint FIFO order" `Quick test_fingerprint_fifo_order;
         QCheck_alcotest.to_alcotest prop_ordered_never_reorders;
       ] );
   ]

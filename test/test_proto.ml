@@ -199,6 +199,51 @@ let test_sequencer_parallel_distinct_addresses () =
   ignore (Engine.run e);
   check_int "distinct addresses overlap" 4 !max_in_flight
 
+(* Property: an [Int_table] holds what a polymorphic [Hashtbl] holds after
+   any sequence of replace/remove/reset, including strided and negative keys
+   and enough keys to resize, and lists it in ascending key order. *)
+let prop_int_table_matches_hashtbl =
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [
+          ( 6,
+            map2
+              (fun k v -> `Replace (k, v))
+              (oneof [ int_range (-4) 300; map (( * ) 64) (int_range 0 40) ])
+              nat );
+          (3, map (fun k -> `Remove k) (int_range (-4) 300));
+          (1, return `Reset);
+        ])
+  in
+  QCheck2.Test.make ~name:"int table = Hashtbl" ~count:200
+    QCheck2.Gen.(list_size (int_range 0 400) op)
+    (fun ops ->
+      let t = Int_table.create 8 and h = Hashtbl.create 8 in
+      List.iter
+        (function
+          | `Replace (k, v) -> Int_table.replace t k v; Hashtbl.replace h k v
+          | `Remove k -> Int_table.remove t k; Hashtbl.remove h k
+          | `Reset -> Int_table.reset t; Hashtbl.reset h)
+        ops;
+      let expected =
+        List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [])
+      in
+      Int_table.length t = Hashtbl.length h
+      && Int_table.sorted_bindings t = expected
+      && List.for_all
+           (fun k ->
+             Int_table.find_opt t k = Hashtbl.find_opt h k
+             && Int_table.mem t k = Hashtbl.mem h k
+             && (match Int_table.find t k with v -> Some v | exception Not_found -> None)
+                = Hashtbl.find_opt h k)
+           (List.init 310 (fun k -> k - 5) @ List.init 41 (fun i -> i * 64))
+      && List.sort compare (Int_table.fold (fun k v acc -> (k, v) :: acc) t []) = expected
+      &&
+      let seen = ref [] in
+      Int_table.iter (fun k v -> seen := (k, v) :: !seen) t;
+      List.sort compare !seen = expected)
+
 let tests =
   [
     ( "proto.basics",
@@ -217,6 +262,7 @@ let tests =
         Alcotest.test_case "power-of-two sets" `Quick test_cache_non_power_of_two_sets;
       ] );
     ("proto.tbe", [ Alcotest.test_case "lifecycle" `Quick test_tbe_lifecycle ]);
+    ("proto.int_table", [ QCheck_alcotest.to_alcotest prop_int_table_matches_hashtbl ]);
     ( "proto.sequencer",
       [
         Alcotest.test_case "completes + latency" `Quick test_sequencer_completes_and_measures;

@@ -146,6 +146,44 @@ let test_rng_chance_extremes () =
   check_bool "p=0 never" false (Rng.chance r 0.0);
   check_bool "p=1 always" true (Rng.chance r 1.0)
 
+(* The SplitMix64 stream, pinned so that a change to how the state is stored
+   cannot move a single draw (every golden digest depends on it). *)
+let test_rng_stream_pinned () =
+  let check_int64s name expected actual =
+    Alcotest.(check (list int64)) name expected actual
+  in
+  let first16 seed =
+    let r = Rng.create ~seed in
+    List.init 16 (fun _ -> Rng.bits64 r)
+  in
+  check_int64s "seed 0" [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L;
+    -537132696929009172L; 1961750202426094747L; 6038094601263162090L; 3207296026000306913L;
+    -4214222208109204676L; 4532161160992623299L; -884877559730491226L; 7313543279846440201L;
+    -4408136866661146890L; -8781561602181964933L; -8205710985559103185L;
+    -5382347917484077799L; -8882435919750266709L ] (first16 0);
+  check_int64s "seed 1" [ -7995527694508729151L; -4689498862643123097L; -534904783426661026L;
+    8196980753821780235L; 8195237237126968761L; -4373826470845021568L; -2262517385565684571L;
+    -8797857673641491083L; 5266705631892356520L; -3800091893662914666L; 7455107161863376737L;
+    -7278709470210847746L; 8392123148533390784L; -8668512467949215094L; 8042142155559163816L;
+    3081251696030599739L ] (first16 1);
+  check_int64s "seed 42" [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L;
+    6349198060258255764L; 701532786141963250L; -2430762948046562554L; 4028864712777624925L;
+    -3677692746721775708L; 6270620877612482005L; -7037763681458882642L; 3779771651426294207L;
+    9094045341461139646L; -8976257307478440218L; -8854191821003330121L;
+    -6176718654468026660L; 3752715396868486130L ] (first16 42);
+  let r = Rng.create ~seed:42 in
+  check_int "int" 853 (Rng.int r 1000);
+  check_int "int_in" 7 (Rng.int_in r ~lo:5 ~hi:9);
+  check_bool "bool" false (Rng.bool r);
+  Alcotest.(check (float 0.)) "float" 0x1.607387fc392b8p-2 (Rng.float r 1.0);
+  check_bool "chance" true (Rng.chance r 0.5);
+  Alcotest.(check string) "pick" "e" (Rng.pick r [| "a"; "b"; "c"; "d"; "e"; "f"; "g" |]);
+  let child = Rng.split r in
+  check_int64s "split child" [ -4026654402003481814L; 3833205896053839730L;
+    -3386999252957733428L; -9220388381143131280L ] (List.init 4 (fun _ -> Rng.bits64 child));
+  Alcotest.(check int64) "parent after split" (-3677692746721775708L) (Rng.bits64 r);
+  check_int "child int" 685427 (Rng.int child 1_000_000)
+
 let tests =
   [
     ( "sim.engine",
@@ -167,5 +205,6 @@ let tests =
         Alcotest.test_case "split independence" `Quick test_rng_split_independent;
         Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_is_permutation;
         Alcotest.test_case "chance extremes" `Quick test_rng_chance_extremes;
+        Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
       ] );
   ]

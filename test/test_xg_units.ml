@@ -27,6 +27,33 @@ let test_perm_restrictive_default () =
   Xg.Perm_table.set_page t ~page:0 Perm.Read_write;
   check_bool "page opened" true (Xg.Perm_table.allows_write t (Addr.block 0))
 
+(* [perm] caches the last page it looked up; every mutation must be seen by
+   the very next read, whichever accessor makes it. *)
+let test_perm_cache_sees_every_mutation () =
+  let t = Xg.Perm_table.create () in
+  let b = Addr.block 5 in
+  let perm = Alcotest.testable Perm.pp Perm.equal in
+  let seen what expected =
+    Alcotest.check perm (what ^ ": perm") expected (Xg.Perm_table.perm t b);
+    check_bool (what ^ ": read") (Perm.allows_read expected) (Xg.Perm_table.allows_read t b);
+    check_bool (what ^ ": write") (Perm.allows_write expected) (Xg.Perm_table.allows_write t b)
+  in
+  seen "default" Perm.Read_write;
+  Xg.Perm_table.set_page t ~page:(Addr.page_of b) Perm.Read_only;
+  seen "set_page" Perm.Read_only;
+  let snap = Xg.Perm_table.snapshot t in
+  Xg.Perm_table.set_block t (Addr.block 6) Perm.Read_write;
+  seen "set_block (same page)" Perm.Read_write;
+  Xg.Perm_table.revoke_all t;
+  seen "revoke_all" Perm.No_access;
+  Xg.Perm_table.restore t snap;
+  seen "restore" Perm.Read_only;
+  (* A read of another page in between must not leave a stale entry. *)
+  check_bool "other page" true (Xg.Perm_table.allows_write t (Addr.block 100));
+  Xg.Perm_table.set_page t ~page:(Addr.page_of (Addr.block 100)) Perm.No_access;
+  check_bool "other page revoked" false (Xg.Perm_table.allows_read t (Addr.block 100));
+  seen "first page again" Perm.Read_only
+
 (* ---- Os_model ---- *)
 
 let test_os_logging_and_counts () =
@@ -39,6 +66,53 @@ let test_os_logging_and_counts () =
   check_int "log order" 1
     (match Xg.Os_model.log os with (_, a) :: _ -> Addr.to_int a | [] -> -1);
   check_bool "log-only never disables" false (Xg.Os_model.accel_disabled os)
+
+let test_os_kind_index () =
+  List.iteri
+    (fun i k ->
+      check_int (Xg.Os_model.error_kind_to_string k) i (Xg.Os_model.kind_index k))
+    Xg.Os_model.all_error_kinds
+
+let test_os_counts_every_kind () =
+  let os = Xg.Os_model.create () in
+  List.iteri
+    (fun i k ->
+      for _ = 0 to i do
+        Xg.Os_model.report os k (Addr.block i)
+      done)
+    Xg.Os_model.all_error_kinds;
+  List.iteri
+    (fun i k -> check_int (Xg.Os_model.error_kind_to_string k) (i + 1) (Xg.Os_model.count_of os k))
+    Xg.Os_model.all_error_kinds;
+  let n = List.length Xg.Os_model.all_error_kinds in
+  check_int "total" (n * (n + 1) / 2) (Xg.Os_model.error_count os)
+
+(* The log keeps the first [log_bound] reports, oldest first; the counts go
+   on past it. *)
+let test_os_log_bound () =
+  let os = Xg.Os_model.create () in
+  let reports = (3 * Xg.Os_model.log_bound) + 1 in
+  for i = 0 to reports - 1 do
+    let kind =
+      if i mod 2 = 0 then Xg.Os_model.Unsolicited_response else Xg.Os_model.Perm_read_violation
+    in
+    Xg.Os_model.report os kind (Addr.block i)
+  done;
+  check_int "error_count" reports (Xg.Os_model.error_count os);
+  check_int "G2b count" ((reports + 1) / 2)
+    (Xg.Os_model.count_of os Xg.Os_model.Unsolicited_response);
+  check_int "G0a count" (reports / 2) (Xg.Os_model.count_of os Xg.Os_model.Perm_read_violation);
+  Alcotest.(check (list int))
+    "kept log, oldest first"
+    (List.init Xg.Os_model.log_bound Fun.id)
+    (List.map (fun (_, a) -> Addr.to_int a) (Xg.Os_model.log os));
+  check_bool "kinds kept with their addresses" true
+    (List.for_all
+       (fun (k, a) ->
+         k
+         = if Addr.to_int a mod 2 = 0 then Xg.Os_model.Unsolicited_response
+           else Xg.Os_model.Perm_read_violation)
+       (Xg.Os_model.log os))
 
 let test_os_policies () =
   let os = Xg.Os_model.create ~policy:Xg.Os_model.Disable_accelerator () in
@@ -331,11 +405,16 @@ let tests =
       [
         Alcotest.test_case "defaults + pages" `Quick test_perm_defaults_and_pages;
         Alcotest.test_case "restrictive default" `Quick test_perm_restrictive_default;
+        Alcotest.test_case "cache sees every mutation" `Quick
+          test_perm_cache_sees_every_mutation;
       ] );
     ( "xg.os_model",
       [
         Alcotest.test_case "logging + counts" `Quick test_os_logging_and_counts;
         Alcotest.test_case "policies" `Quick test_os_policies;
+        Alcotest.test_case "kind index" `Quick test_os_kind_index;
+        Alcotest.test_case "counts every kind" `Quick test_os_counts_every_kind;
+        Alcotest.test_case "log bound" `Quick test_os_log_bound;
       ] );
     ( "xg.rate_limiter",
       [
