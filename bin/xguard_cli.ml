@@ -1192,7 +1192,7 @@ let check_cmd =
     Arg.(value & flag
          & info [ "coverage" ]
              ~doc:"Accumulate and print every (state x event) coverage pair \
-                   hit anywhere in the explored tree, per space (implies -j 1).")
+                   hit anywhere in the explored tree, per space.")
   in
   let baseline_line name (s : Checker.summary) =
     Printf.sprintf
@@ -1233,8 +1233,8 @@ let check_cmd =
         in
         go 1 [] (String.split_on_char '\n' text)
   in
-  let action configs max_depth max_states no_por jobs budget baseline write_baseline
-      replay coverage =
+  let action configs max_depth max_states no_por budget baseline write_baseline replay
+      coverage =
     let selected = if configs = [] then plans else configs in
     refuse_if
       (if replay <> None && List.length selected <> 1 then
@@ -1294,7 +1294,7 @@ let check_cmd =
                   if coverage then
                     let r, pairs = Checker.covered_pairs plan in
                     (r, Some pairs)
-                  else (Checker.explore ~workers:jobs plan, None)
+                  else (Checker.explore plan, None)
                 in
                 let dt = Unix.gettimeofday () -. t0 in
                 let s = r.Checker.summary and d = r.Checker.diagnostics in
@@ -1381,7 +1381,7 @@ let check_cmd =
     (Cmd.info "check"
        ~doc:"Exhaustively model-check the guard invariants on tiny configurations")
     Term.(ret (const action $ configs_arg $ max_depth_arg $ max_states_arg $ no_por_flag
-               $ jobs_arg $ budget_arg $ baseline_arg $ write_baseline_arg $ replay_arg
+               $ budget_arg $ baseline_arg $ write_baseline_arg $ replay_arg
                $ coverage_pairs_flag))
 
 let () =

@@ -4,7 +4,7 @@
     sharing the minimal timestamp fires next and (b) which latency each
     unordered-network draw picks.  Both are surfaced as explicit choices
     ({!Xguard_sim.Engine.choices} / the delay-chooser hook), so a whole
-    execution is a pure function of its choice string.  The checker runs a
+    execution is a pure function of its choice string.  The checker runs one
     depth-first search over that choice tree by re-execution: each path
     rebuilds the system from {!Xguard_harness.System.build} and replays its
     recorded prefix — no state copying, no forking.  The prefix carries the
@@ -12,10 +12,12 @@
     ancestor already checked (see {!run_path}).
 
     States are canonical fingerprints ({!Xguard_harness.System.t.check_fingerprint}
-    plus the driver sequencers), hashed at every decision point, at the root
-    and at drained terminals; a revisited fingerprint prunes the subtree
-    (the fingerprint covers all live state including the pending-event
-    horizon, so the future from an equal fingerprint is identical).
+    plus each driver sequencer and its count of ops left), hashed at every
+    decision point, at the root and at drained terminals; a revisited
+    fingerprint prunes the subtree.  The fingerprint covers all live state,
+    the pending-event horizon as a multiset included, so the future from an
+    equal fingerprint is identical (DESIGN.md §10, "Canonical
+    fingerprints").
 
     Partial-order reduction: when several events share the timestamp, a
     candidate whose choice tag conflicts with no other candidate commutes
@@ -31,7 +33,6 @@
 module Engine = Xguard_sim.Engine
 module Sys = Xguard_harness.System
 module Config = Xguard_harness.Config
-module Pool = Xguard_parallel.Pool
 module Coverage = Xguard_trace.Coverage
 module Trace = Xguard_trace.Trace
 
@@ -61,6 +62,11 @@ let validate plan =
        inject new work into the current timestamp pool (POR soundness)";
   if plan.max_depth < 1 || plan.max_states < 1 then
     invalid_arg "Checker.validate: budgets must be positive";
+  if Config.reliable_link cfg then
+    invalid_arg
+      "Checker.validate: the link runs its reliability layer, whose sequence, \
+       retry and unacked-window state no fingerprint covers, and whose fault \
+       draws are not choices";
   List.iter
     (fun (agent, accesses) ->
       (match agent with
@@ -78,19 +84,18 @@ let validate plan =
 
 type violation = { trail : int list; message : string }
 
-(* Canonical summary: identical for any worker count (see {!explore}).  The
-   two digests hash the sorted visited-state and edge sets, so two summaries
-   are equal iff the explored graphs are. *)
+(* Canonical summary: the two digests hash the sorted visited-state and edge
+   sets, so two summaries are equal iff the explored graphs are. *)
 type summary = {
   states : int;
   transitions : int;
   states_digest : string;
   edges_digest : string;
-  violations : violation list;  (* sorted; empty on a healthy model *)
+  violations : violation list;  (* the first one found; empty on a healthy model *)
 }
 
-(* Traversal-order-dependent counters; excluded from the canonical summary
-   because sharded exploration legitimately re-executes pruned segments. *)
+(* How the search walked the graph: counts of work, which depend on the
+   traversal order, so they stay out of the canonical summary. *)
 type diagnostics = {
   paths : int;
   decisions : int;
@@ -160,6 +165,10 @@ type path = {
   ending : [ `Terminal | `Violation of string | `Depth | `Pruned | `States ];
 }
 
+(* One agent's op list, replayed through a sequencer; [left] counts the ops
+   not yet completed. *)
+type driver = { seq : Sequencer.t; mutable left : int }
+
 (* Execute one path: replay [prefix] choices, then take branch 0 at every new
    decision, recording arities and scheduler-decision digests for the caller
    to backtrack over.  [sh] is consulted for pruning only beyond the prefix.
@@ -203,33 +212,45 @@ let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix :
   sys.Sys.check_set_delay_chooser (fun ~lo ~hi ->
       if hi <= lo then lo else lo + decide (hi - lo + 1));
   (* Driver: one sequencer per referenced port, each replaying its op list. *)
-  let remaining = ref 0 in
-  List.iter (fun (_, accesses) -> remaining := !remaining + List.length accesses) plan.ops;
-  List.iter
-    (fun (agent, accesses) ->
-      let port, ctrl =
-        match agent with
-        | Cpu i -> (sys.Sys.cpu_ports.(i), sys.Sys.check_cpu_ctrls.(i))
-        | Accel i -> (sys.Sys.accel_ports.(i), sys.Sys.check_accel_ctrls.(i))
-      in
-      let seq =
-        Sequencer.create ~engine:sys.Sys.engine ~name:("chk." ^ agent_label agent) ~port
-          ~max_outstanding:1 ()
-      in
-      if ctrl >= 0 then Sequencer.set_check_ctrl seq ctrl;
-      let rec issue = function
-        | [] -> ()
-        | access :: rest ->
-            Sequencer.request seq access ~on_complete:(fun _value ~latency:_ ->
-                decr remaining;
-                issue rest)
-      in
-      issue accesses)
-    plan.ops;
+  let drivers =
+    Array.of_list
+      (List.map
+         (fun (agent, accesses) ->
+           let port, ctrl =
+             match agent with
+             | Cpu i -> (sys.Sys.cpu_ports.(i), sys.Sys.check_cpu_ctrls.(i))
+             | Accel i -> (sys.Sys.accel_ports.(i), sys.Sys.check_accel_ctrls.(i))
+           in
+           let seq =
+             Sequencer.create ~engine:sys.Sys.engine ~name:("chk." ^ agent_label agent)
+               ~port ~max_outstanding:1 ()
+           in
+           if ctrl >= 0 then Sequencer.set_check_ctrl seq ctrl;
+           let d = { seq; left = List.length accesses } in
+           let rec issue = function
+             | [] -> ()
+             | access :: rest ->
+                 Sequencer.request seq access ~on_complete:(fun _value ~latency:_ ->
+                     d.left <- d.left - 1;
+                     issue rest)
+           in
+           issue accesses;
+           d)
+         plan.ops)
+  in
+  (* The system, then every driver's queue and its count of ops left: the
+     count tells apart two points of a plan that touches one block twice
+     with the same queue. *)
   let digest () =
-    Buffer.clear sh.fp;
-    sys.Sys.check_fingerprint sh.fp;
-    Digest.to_hex (Digest.string (Buffer.contents sh.fp))
+    let fp = sh.fp in
+    Buffer.clear fp;
+    sys.Sys.check_fingerprint fp;
+    for i = 0 to Array.length drivers - 1 do
+      let d = drivers.(i) in
+      Sequencer.check_fingerprint d.seq fp;
+      Fp.field_int fp d.left
+    done;
+    Digest.to_hex (Digest.string (Buffer.contents fp))
   in
   (* The digest of the scheduler decision about to be taken. *)
   let decision_digest () =
@@ -284,17 +305,15 @@ let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix :
            keys stay valid until [fire_choice]. *)
         let n = Engine.choices engine in
         if n = 0 then begin
-          (* Drained terminal: deadlock and quiescent checks run before the
-             visited-set lookup — [remaining] is driver progress the
-             fingerprint does not cover, so these must fire even on a state
-             that would otherwise prune. *)
+          (* Drained terminal. *)
           if replaying () then diverged "drained inside the carried prefix";
-          if !remaining > 0 then
+          let remaining = Array.fold_left (fun n d -> n + d.left) 0 drivers in
+          if remaining > 0 then
             raise
               (Stop_path
                  (`Violation
                    (Printf.sprintf "deadlock: drained with %d accesses incomplete"
-                      !remaining)));
+                      remaining)));
           (match sys.Sys.check_quiescent_invariant () with
           | Some msg -> raise (Stop_path (`Violation msg))
           | None -> ());
@@ -350,54 +369,26 @@ let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix :
   collect sys;
   sh.n_paths <- sh.n_paths + 1;
   if !n_trail > sh.n_deepest then sh.n_deepest <- !n_trail;
+  if ending = `Depth then sh.n_trunc_depth <- sh.n_trunc_depth + 1;
   { trail = Array.of_list (List.rev !trail); ending }
 
 (* ---- DFS driver ---- *)
 
-let compare_violation (a : violation) (b : violation) =
-  match compare (List.length a.trail) (List.length b.trail) with
-  | 0 -> compare (a.trail, a.message) (b.trail, b.message)
-  | c -> c
-
-(* Explore every sibling of every decision below [base], depth-first, until
-   the first violation (its trail is the counterexample) or the state
-   budget.  [on_depth] receives the trail of every path the depth budget
-   cut. *)
-let explore_from ?extra_invariant ?collect plan ~sh ~(base : step array) ~on_depth =
-  let violations = ref [] in
-  let stack = ref [ base ] in
-  while !stack <> [] && !violations = [] && not sh.trunc_states do
-    match !stack with
-    | [] -> ()
-    | prefix :: rest ->
-        stack := rest;
-        let p = run_path ?extra_invariant ?collect plan ~prefix ~sh () in
-        (match p.ending with
-        | `Violation message ->
-            violations :=
-              [ { trail = Array.to_list (Array.map (fun d -> d.step.chosen) p.trail); message } ]
-        | `Depth -> on_depth p.trail
-        | `Terminal | `Pruned | `States -> ());
-        (* Push unexplored siblings of every decision taken beyond the popped
-           prefix (positions inside it were already enumerated when its
-           ancestors ran), deepest first so the traversal stays
-           depth-first.  Each sibling carries the digests its ancestors
-           recorded. *)
-        if !violations = [] then
-          for i = Array.length p.trail - 1 downto Array.length prefix do
-            let d = p.trail.(i) in
-            for c = d.arity - 1 downto d.step.chosen + 1 do
-              let sibling =
-                Array.init (i + 1) (fun j ->
-                    if j = i then { d.step with chosen = c } else p.trail.(j).step)
-              in
-              stack := sibling :: !stack
-            done
-          done
+(* The untaken branches of every decision [p] took at position [from] or
+   beyond, as prefixes in the order the search pops them: shallowest
+   position first, then ascending branch.  Each carries the digests its
+   ancestors recorded. *)
+let siblings (p : path) ~from =
+  let acc = ref [] in
+  for i = Array.length p.trail - 1 downto from do
+    let d = p.trail.(i) in
+    for c = d.arity - 1 downto d.step.chosen + 1 do
+      acc :=
+        Array.init (i + 1) (fun j -> if j = i then { d.step with chosen = c } else p.trail.(j).step)
+        :: !acc
+    done
   done;
-  !violations
-
-let count_truncated sh _ = sh.n_trunc_depth <- sh.n_trunc_depth + 1
+  !acc
 
 let summarize sh violations =
   let sorted tbl render =
@@ -410,7 +401,7 @@ let summarize sh violations =
     states_digest = Digest.to_hex (Digest.string (sorted sh.visited Fun.id));
     edges_digest =
       Digest.to_hex (Digest.string (sorted sh.edges (fun (a, b) -> a ^ ">" ^ b)));
-    violations = List.sort_uniq compare_violation violations;
+    violations;
   }
 
 let diagnostics_of sh =
@@ -423,71 +414,27 @@ let diagnostics_of sh =
     truncated_states = sh.trunc_states;
   }
 
-(* Sequential exploration. *)
-let explore_seq ?extra_invariant ?collect plan =
+(* Explore every branch of every decision, depth-first from the root, until
+   the first violation (its trail is the counterexample) or the state
+   budget. *)
+let explore ?extra_invariant ?collect plan =
   validate plan;
   let sh = fresh_shared () in
-  let violations =
-    explore_from ?extra_invariant ?collect plan ~sh ~base:[||] ~on_depth:(count_truncated sh)
+  let rec dfs = function
+    | [] -> []
+    | prefix :: rest -> (
+        let p = run_path ?extra_invariant ?collect plan ~prefix ~sh () in
+        match p.ending with
+        | `Violation message ->
+            [ { trail = Array.to_list (Array.map (fun d -> d.step.chosen) p.trail); message } ]
+        | `States -> []
+        | `Depth | `Terminal | `Pruned ->
+            (* Positions inside the popped prefix were enumerated when its
+               ancestors ran. *)
+            dfs (siblings p ~from:(Array.length prefix) @ rest))
   in
-  (summarize sh violations, diagnostics_of sh)
-
-(* Frontier sharding: phase 1 explores sequentially but cuts every path at
-   [split] decisions, collecting the cut prefixes; phase 2 fans the prefix
-   cones out over a pool.  Each shard prunes only within its own cone, so it
-   may re-execute states another shard also reaches — the visited/edge SETS
-   it contributes are the same ones the sequential search finds (an equal
-   fingerprint has an identical future), and the merged summary is
-   byte-identical to the sequential one.  A phase-1 cut is a truncation only
-   when the plan's own depth budget is no deeper than [split]; otherwise its
-   prefix, digests included, seeds a phase-2 cone. *)
-let explore ?(workers = 1) ?extra_invariant ?collect plan =
-  validate plan;
-  if workers <= 1 then
-    let summary, diagnostics = explore_seq ?extra_invariant ?collect plan in
-    { summary; diagnostics }
-  else begin
-    let split = 6 in
-    let sh1 = fresh_shared () in
-    let frontier = ref [] in
-    let on_depth =
-      if plan.max_depth <= split then count_truncated sh1
-      else fun trail -> frontier := Array.map (fun d -> d.step) trail :: !frontier
-    in
-    let violations =
-      explore_from ?extra_invariant ?collect
-        { plan with max_depth = min plan.max_depth split }
-        ~sh:sh1 ~base:[||] ~on_depth
-    in
-    let frontier = Array.of_list (List.rev !frontier) in
-    let outcomes =
-      Pool.map ~workers ~jobs:(Array.length frontier) (fun i ->
-          let sh = fresh_shared () in
-          let vio =
-            explore_from ?extra_invariant ?collect plan ~sh ~base:frontier.(i)
-              ~on_depth:(count_truncated sh)
-          in
-          (sh, vio))
-    in
-    (* Merge: set union; phase-1 structures seed the union. *)
-    let merged = sh1 in
-    let all_violations = ref violations in
-    Array.iter
-      (function
-        | Pool.Done (sh, vio) ->
-            Hashtbl.iter (fun k () -> Hashtbl.replace merged.visited k ()) sh.visited;
-            Hashtbl.iter (fun k () -> Hashtbl.replace merged.edges k ()) sh.edges;
-            merged.n_paths <- merged.n_paths + sh.n_paths;
-            merged.n_decisions <- merged.n_decisions + sh.n_decisions;
-            merged.n_por <- merged.n_por + sh.n_por;
-            if sh.n_deepest > merged.n_deepest then merged.n_deepest <- sh.n_deepest;
-            merged.n_trunc_depth <- merged.n_trunc_depth + sh.n_trunc_depth;
-            if sh.trunc_states then merged.trunc_states <- true;
-            all_violations := vio @ !all_violations
-        | Pool.Failed msg -> all_violations := { trail = []; message = "shard crashed: " ^ msg } :: !all_violations)
-      outcomes;
-    { summary = summarize merged !all_violations; diagnostics = diagnostics_of merged }
-  end
+  let violations = dfs [ [||] ] in
+  { summary = summarize sh violations; diagnostics = diagnostics_of sh }
 
 (* ---- counterexample replay ---- *)
 
@@ -583,8 +530,7 @@ let tiny_plans () =
 (* Every ["STATE.Event"] pair hit anywhere in the explored choice tree, per
    coverage space — the checker's reachable-set output, which the coverage
    floors cite when distinguishing "provably unreachable under this config"
-   from "the random suite just never got there".  Sequential only (the
-   accumulator is shared mutable state). *)
+   from "the random suite just never got there". *)
 let covered_pairs ?extra_invariant plan =
   let acc : (string, (string, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
   let collect (sys : Sys.t) =
@@ -606,7 +552,7 @@ let covered_pairs ?extra_invariant plan =
           groups)
       (sys.Sys.coverage_sets ())
   in
-  let summary, diagnostics = explore_seq ?extra_invariant ~collect plan in
+  let r = explore ?extra_invariant ~collect plan in
   let pairs =
     Hashtbl.fold
       (fun name set acc ->
@@ -615,4 +561,4 @@ let covered_pairs ?extra_invariant plan =
       acc []
     |> List.sort compare
   in
-  ({ summary; diagnostics }, pairs)
+  (r, pairs)

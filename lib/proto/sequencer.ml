@@ -243,14 +243,21 @@ let check_fingerprint t buf =
   Buffer.add_string buf t.name;
   Buffer.add_char buf ']';
   for k = 0 to t.queued - 1 do
-    let p = t.pend.((t.head + k) mod Array.length t.pend) in
     Buffer.add_char buf 'q';
-    Buffer.add_string buf (access_text p.access)
+    Access.add_text buf t.pend.((t.head + k) mod Array.length t.pend).access
   done;
-  let live = Array.sub t.flight_addrs 0 t.in_flight in
-  Array.sort Addr.compare live;
-  Array.iter
-    (fun a -> Buffer.add_string buf (Printf.sprintf "f%d" (Addr.to_int a)))
-    live;
+  (* In-flight blocks are distinct (the pump never issues a block already in
+     flight), so each round writes the least one above the last written:
+     ascending order without sorting a copy. *)
+  let last = ref min_int in
+  for _ = 1 to t.in_flight do
+    let next = ref max_int in
+    for i = 0 to t.in_flight - 1 do
+      let a = Addr.to_int t.flight_addrs.(i) in
+      if a > !last && a < !next then next := a
+    done;
+    Fp.key buf 'f' !next;
+    last := !next
+  done;
   if t.pump_scheduled then Buffer.add_char buf 'P';
   Buffer.add_char buf ';'

@@ -242,18 +242,19 @@ let tags_conflict a b =
 
 let scratch t a = if Array.length a < t.size then Array.make (Array.length t.at_h) 0 else a
 
-(* Sort heap indices [a.(0..n-1)] by (time, scheduling order).  Insertion
+(* Sort heap indices [a.(0..n-1)] by time, then by the column [second]
+   ([t.seq_h] for scheduling order, [t.tag_h] for choice tags).  Insertion
    sort: pools and queues in check configurations hold a few dozen events. *)
-let sort_indices t a n =
+let sort_indices t second a n =
   for i = 1 to n - 1 do
     let k = a.(i) in
-    let at = t.at_h.(k) and seq = t.seq_h.(k) in
+    let at = t.at_h.(k) and s = second.(k) in
     let j = ref (i - 1) in
     while
       !j >= 0
       &&
       let p = a.(!j) in
-      t.at_h.(p) > at || (t.at_h.(p) = at && t.seq_h.(p) > seq)
+      t.at_h.(p) > at || (t.at_h.(p) = at && second.(p) > s)
     do
       a.(!j + 1) <- a.(!j);
       decr j
@@ -283,7 +284,7 @@ let choices t =
       end;
       incr i
     done;
-    sort_indices t pool !n;
+    sort_indices t t.seq_h pool !n;
     !n
   end
 
@@ -347,13 +348,16 @@ let fire_choice t ~key =
   t.fired <- t.fired + 1;
   thunk ()
 
+(* By (time, tag), not (time, seq): the horizon is a multiset, so two heaps
+   holding the same same-cycle events in another scheduling order write the
+   same bytes (see engine.mli). *)
 let pending_summary t f =
   t.order <- scratch t t.order;
   let order = t.order in
   for i = 0 to t.size - 1 do
     order.(i) <- i
   done;
-  sort_indices t order t.size;
+  sort_indices t t.tag_h order t.size;
   for i = 0 to t.size - 1 do
     let k = order.(i) in
     f (t.at_h.(k) - t.now) t.tag_h.(k)

@@ -118,5 +118,9 @@ val fire_choice : t -> key:int -> unit
 
 val pending_summary : t -> (int -> int -> unit) -> unit
 (** [pending_summary t f] calls [f (at - now) tag] for every pending event,
-    in (time, scheduling order) — the event queue's contribution to a
-    canonical state fingerprint.  Leaves the {!choices} pool intact. *)
+    in (time, tag) order — the event queue's contribution to a canonical
+    state fingerprint, as a multiset: the scheduling order of same-cycle
+    events is not written.  That order cannot change the reachable future
+    of a checker state, because at every pool the checker either branches
+    over every candidate or fires one that commutes with all of them; it
+    only renumbers the branches.  Leaves the {!choices} pool intact. *)

@@ -2,11 +2,12 @@
    lib/check must terminate on the tiny configurations with exactly the
    state/transition counts pinned in MODEL_BASELINE.json, catch a
    deliberately broken invariant with a replayable counterexample trail,
-   enumerate without fingerprint-digest collisions, and produce a
-   byte-identical summary for any worker count.  A second group unit-tests
-   the snapshot-symmetry fixes the checker flushed out of mutable controller
-   state (empty guard slots leaking from answered fast paths, parked-work
-   tables surviving a drain). *)
+   enumerate without fingerprint-digest collisions, and refuse a plan whose
+   state it cannot fingerprint.  A second group audits the fingerprint
+   itself: an equal fingerprint must mean an equal future.  A third
+   unit-tests the snapshot-symmetry fixes the checker flushed out of mutable
+   controller state (empty guard slots leaking from answered fast paths,
+   parked-work tables surviving a drain). *)
 
 module Config = Xguard_harness.Config
 module System = Xguard_harness.System
@@ -35,13 +36,13 @@ let explore_counts name ~states ~transitions ~traversal =
 (* Counts double-pinned here and in MODEL_BASELINE.json: a drift that slips
    past tools/check_model.sh still fails the unit suite (and vice versa). *)
 let test_hammer_full_counts () =
-  explore_counts "hammer/full" ~states:83 ~transitions:160 ~traversal:[ 125; 1415; 240; 18 ]
+  explore_counts "hammer/full" ~states:62 ~transitions:106 ~traversal:[ 86; 982; 176; 18 ]
 
 let test_mesi_full_counts () =
   explore_counts "mesi/full" ~states:12 ~transitions:14 ~traversal:[ 13; 73; 68; 9 ]
 
 let test_hammer_trans_counts () =
-  explore_counts "hammer/trans" ~states:25 ~transitions:30 ~traversal:[ 27; 235; 149; 14 ]
+  explore_counts "hammer/trans" ~states:24 ~transitions:28 ~traversal:[ 26; 231; 148; 14 ]
 
 let test_mesi_trans_counts () =
   explore_counts "mesi/trans" ~states:12 ~transitions:14 ~traversal:[ 13; 73; 68; 9 ]
@@ -127,31 +128,138 @@ let test_no_digest_collisions () =
     (List.map (fun (v : C.violation) -> v.C.message) r.C.summary.C.violations);
   Alcotest.(check bool) "watch hook ran" true (!states > 0)
 
-(* Frontier sharding must be invisible in the canonical summary: for random
-   tiny workloads and random worker counts, sequential and sharded
-   exploration render byte-identical summaries (counts, sorted digests and
-   violations; traversal-order diagnostics are excluded by design), and a
-   complete sharded exploration is not reported as truncated — the phase-1
-   cuts at the split depth are frontier, not budget. *)
-let gen_plan_and_workers =
+(* A lossy link's reliability layer (sequence numbers, retry state, the
+   unacked window) is not fingerprinted and its fault draws are not
+   choices, so pruning on such a plan could merge states with different
+   futures: the checker refuses it with a reason. *)
+let test_refuses_reliable_link () =
+  let base = C.tiny_plan ~host:Config.Hammer ~variant:Config.Full_state () in
+  let topo =
+    match Xguard_harness.Topology.of_string "hammer;gpu0=full,cores=1,lat=1,drop=0.2" with
+    | Ok t -> t
+    | Error e -> Alcotest.fail e
+  in
+  let plan = { base with C.config = Config.of_topology ~base:base.C.config topo } in
+  match C.explore plan with
+  | _ -> Alcotest.fail "a lossy-link plan was explored"
+  | exception Invalid_argument m ->
+      Alcotest.(check bool) ("refused with a reason: " ^ m) true
+        (String.starts_with ~prefix:"Checker.validate: the link runs its reliability layer" m)
+
+(* ---- fingerprint audit ----
+
+   Pruning a revisited state is sound only if an equal fingerprint means an
+   equal future, and the audit tests exactly that.  It runs the checker's
+   search path by path through [C.run_path], keeping the trail of every path
+   that ended on an already-visited state X.  For each such revisit it then
+   takes every branch of X one decision further, with every latency draw on
+   the way: each edge out of X found there must be one that X's first visit
+   recorded.  These probes share the search's visited set and may add no
+   state to it, so each stops at the first decision point beyond X.  They
+   carry no digests, so every fingerprint on the way is taken afresh. *)
+
+let search plan sh =
+  let revisits = ref [] in
+  let rec dfs = function
+    | [] -> ()
+    | prefix :: rest ->
+        let p = C.run_path plan ~prefix ~sh () in
+        (match p.C.ending with
+        | `Pruned -> revisits := p.C.trail :: !revisits
+        | `Terminal -> ()
+        | `Violation m -> Alcotest.failf "search found a violation: %s" m
+        | `Depth | `States -> Alcotest.fail "search truncated");
+        dfs (C.siblings p ~from:(Array.length prefix) @ rest)
+  in
+  dfs [ [||] ];
+  List.rev !revisits
+
+(* Every edge a probe found that the search did not record, with the trail
+   that reached its source. *)
+let audit plan =
+  let sh = C.fresh_shared () in
+  let revisits = search plan sh in
+  let probe = { (C.fresh_shared ()) with C.visited = sh.C.visited; edges = Hashtbl.create 64 } in
+  let capped = { plan with C.max_states = Hashtbl.length sh.C.visited } in
+  let run prefix =
+    let p = C.run_path capped ~prefix ~sh:probe () in
+    (match p.C.ending with
+    | `Violation m -> Alcotest.failf "probe found a violation: %s" m
+    | `Terminal | `Pruned | `States | `Depth -> ());
+    p
+  in
+  let rec probes = function
+    | [] -> ()
+    | prefix :: rest ->
+        let p = run prefix in
+        probes (C.siblings p ~from:(Array.length prefix) @ rest)
+  in
+  let mismatches = ref [] in
+  List.iter
+    (fun trail ->
+      Hashtbl.clear probe.C.edges;
+      let n = Array.length trail in
+      let to_x = Array.map (fun d -> { d.C.step with C.digest = None }) trail in
+      let first = run (Array.append to_x [| { C.chosen = 0; digest = None } |]) in
+      (* A drained X has no branches. *)
+      if Array.length first.C.trail > n then begin
+        probes (C.siblings first ~from:n);
+        Hashtbl.iter
+          (fun edge () ->
+            if not (Hashtbl.mem sh.C.edges edge) then
+              mismatches := (edge, Array.map (fun d -> d.C.step.C.chosen) trail) :: !mismatches)
+          probe.C.edges
+      end)
+    revisits;
+  List.rev !mismatches
+
+let audit_clean (name, plan) =
+  match audit plan with
+  | [] -> ()
+  | ((x, y), trail) :: _ as holes ->
+      Alcotest.failf "%s: %d fingerprint hole(s); first: %s -> %s after trail %s" name
+        (List.length holes) x y
+        (String.concat ";" (Array.to_list (Array.map string_of_int trail)))
+
+let jittered (name, _) = String.ends_with ~suffix:"+jitter" name
+
+let test_audit_tiny_plans () =
+  List.iter audit_clean (List.filter (fun p -> not (jittered p)) (C.tiny_plans ()))
+
+(* The jittered plans take some 375,000 probes (about 25 s), more than the
+   unit suite affords: tools/check_model.sh runs this case with
+   XGUARD_AUDIT_JITTER=1. *)
+let test_audit_jittered_plans () =
+  if Sys.getenv_opt "XGUARD_AUDIT_JITTER" = None then Alcotest.skip ();
+  List.iter audit_clean (List.filter jittered (C.tiny_plans ()))
+
+(* The audit on random small plans, jitter off and on.  A plan may touch one
+   block twice, so an agent's queue alone does not say how far it got.
+   Jitter multiplies the tree (and the audit's probes), so a jittered plan
+   gives each agent one op. *)
+let gen_plan =
   QCheck2.Gen.(
     let access =
-      oneofl
-        [ `Load 0; `Load 1; `Store (0, 7); `Store (1, 8); `Store (0, 9) ]
+      oneofl [ `Load 0; `Load 1; `Store (0, 7); `Store (1, 8); `Store (0, 9) ]
     in
-    let ops_list = list_size (int_range 1 2) access in
-    quad (oneofl [ Config.Hammer; Config.Mesi ]) ops_list ops_list (int_range 2 4))
+    let* jitter = bool in
+    let ops = list_size (if jitter then return 1 else int_range 1 2) access in
+    let+ host = oneofl [ Config.Hammer; Config.Mesi ]
+    and+ variant = oneofl [ Config.Full_state; Config.Transactional ]
+    and+ cpu_ops = ops
+    and+ accel_ops = ops in
+    (host, variant, jitter, cpu_ops, accel_ops))
 
-let prop_sharded_byte_identical =
-  QCheck2.Test.make ~name:"sharded exploration = sequential (byte-identical summary)"
-    ~count:8 gen_plan_and_workers (fun (host, cpu_ops, accel_ops, workers) ->
+let prop_audit_clean =
+  QCheck2.Test.make ~name:"random plans, jitter off and on" ~count:10 gen_plan
+    (fun (host, variant, jitter, cpu_ops, accel_ops) ->
       let to_access = function
         | `Load i -> Access.load (Addr.block i)
         | `Store (i, tok) -> Access.store (Addr.block i) (Data.token tok)
       in
       let plan =
         {
-          (C.tiny_plan ~host ~variant:Config.Full_state ()) with
+          (C.tiny_plan ~jitter ~host ~variant ()) with
           C.ops =
             [
               (C.Cpu 0, List.map to_access cpu_ops);
@@ -159,11 +267,7 @@ let prop_sharded_byte_identical =
             ];
         }
       in
-      let seq = C.explore plan in
-      let shard = C.explore ~workers plan in
-      let d = shard.C.diagnostics in
-      C.summary_to_string seq.C.summary = C.summary_to_string shard.C.summary
-      && d.C.truncated_depth = 0 && not d.C.truncated_states)
+      audit plan = [])
 
 (* ---- snapshot-symmetry fixes (each with its own unit test) ----
 
@@ -318,7 +422,13 @@ let tests =
           test_replay_divergence_caught;
         Alcotest.test_case "no visited-set digest collisions" `Quick
           test_no_digest_collisions;
-        QCheck_alcotest.to_alcotest prop_sharded_byte_identical;
+        Alcotest.test_case "lossy-link plan refused" `Quick test_refuses_reliable_link;
+      ] );
+    ( "check-audit",
+      [
+        Alcotest.test_case "unjittered tiny plans" `Quick test_audit_tiny_plans;
+        Alcotest.test_case "jittered tiny plans" `Slow test_audit_jittered_plans;
+        QCheck_alcotest.to_alcotest prop_audit_clean;
       ] );
     ( "check-symmetry",
       [

@@ -41,19 +41,19 @@ let fold_fingerprints cfg =
 
 let golden =
   [
-    ("hammer/accel-side", "199bafb0dfc86c5ea36902e53cefd6a7");
-    ("hammer/host-side", "cab0842ea160487250f1656827525d9d");
-    ("hammer/xg-full-1lvl", "73045a1cc554451c23d81eb04adb33df");
-    ("hammer/xg-trans-1lvl", "c5d632631637adb93ec0f603d15c4106");
-    ("hammer/xg-full-2lvl", "0319851777feb8c64cc844fb934787ab");
-    ("hammer/xg-trans-2lvl", "aed6980add6d0fac2af93f3c7377fc49");
-    ("mesi/accel-side", "96d7a5fdcf3f2190b8dd7b13a3433c14");
-    ("mesi/host-side", "66f1874847a0f2d2270141098af044ad");
-    ("mesi/xg-full-1lvl", "2f94d0e6883714b56e06095b0fc87f21");
-    ("mesi/xg-trans-1lvl", "d7714c4db94823e69db92a3d038a0115");
-    ("mesi/xg-full-2lvl", "4fd3b016ad9183fff8bc9ae8ecf33dbd");
-    ("mesi/xg-trans-2lvl", "554c1c0155fefce66d8ae64f1ccb6467");
-    ("hammer topology, lossy + recovery", "d503bd252c798a3641ef98780edaadae");
+    ("hammer/accel-side", "e5a4152efec1d91b328c28ec7e0d4a83");
+    ("hammer/host-side", "82ecae4f18d7a95f248632e0d65ed5bd");
+    ("hammer/xg-full-1lvl", "553007702abe6908c0600f552f722953");
+    ("hammer/xg-trans-1lvl", "dd4d4b2b46de9f9a761fe8ff65f39ef5");
+    ("hammer/xg-full-2lvl", "c8bbce9eed400b6d0d5e47f81db0f2a8");
+    ("hammer/xg-trans-2lvl", "494b937bb8145f458c33660357c71f36");
+    ("mesi/accel-side", "bcb92ba3f6ecc29049f1ca9e35c22b5f");
+    ("mesi/host-side", "a86e7896fb01b7e9faee43700e31c61a");
+    ("mesi/xg-full-1lvl", "1b0bd21bbcd442f7ba7d925fc12f5bcd");
+    ("mesi/xg-trans-1lvl", "06edd0b1d3acef5c1ada5d53647c6ddc");
+    ("mesi/xg-full-2lvl", "7b07a825a8593dc2be42448144c223fa");
+    ("mesi/xg-trans-2lvl", "3ea681c5c2fa5e26baa2b1174e0178f7");
+    ("hammer topology, lossy + recovery", "f07dbd39a997a912751af1a5e5d26141");
   ]
 
 let runs () =
