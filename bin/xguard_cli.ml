@@ -1073,7 +1073,10 @@ let health_report ~objectives ~html files =
     tables;
   Option.iter
     (fun file ->
-      write_html_report file ~healthy ~status tables;
+      (try write_html_report file ~healthy ~status tables
+       with Sys_error e ->
+         Printf.eprintf "report: cannot write the html report: %s\n" e;
+         exit 1);
       Printf.printf "html report written to %s\n" file)
     html
 
@@ -1278,6 +1281,16 @@ let check_cmd =
                   exit 1)
             baseline
         in
+        (* Opened before the sweep, so an unwritable path fails at once. *)
+        let cannot_write e =
+          Printf.eprintf "check: cannot write the baseline: %s\n" e;
+          exit 1
+        in
+        let write_baseline =
+          Option.map
+            (fun file -> (file, try open_out file with Sys_error e -> cannot_write e))
+            write_baseline
+        in
         let t_start = Unix.gettimeofday () in
         let failed = ref false in
         let results = ref [] and skipped = ref [] in
@@ -1329,17 +1342,18 @@ let check_cmd =
           plans;
         let results = List.rev !results in
         Option.iter
-          (fun file ->
-            let oc = open_out file in
-            output_string oc "{ \"configs\": [\n";
-            List.iteri
-              (fun i (name, s) ->
-                output_string oc (baseline_line name s);
-                if i < List.length results - 1 then output_string oc ",";
-                output_string oc "\n")
-              results;
-            output_string oc "] }\n";
-            close_out oc;
+          (fun (file, oc) ->
+            (try
+               output_string oc "{ \"configs\": [\n";
+               List.iteri
+                 (fun i (name, s) ->
+                   output_string oc (baseline_line name s);
+                   if i < List.length results - 1 then output_string oc ",";
+                   output_string oc "\n")
+                 results;
+               output_string oc "] }\n";
+               close_out oc
+             with Sys_error e -> cannot_write e);
             Printf.printf "baseline written to %s\n" file)
           write_baseline;
         Option.iter

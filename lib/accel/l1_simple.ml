@@ -395,18 +395,17 @@ let deliver t = function
 
 let set_check_ctrl t ctrl = t.check_tag <- Engine.pack_tag ~ctrl ~addr:(-1)
 
-let check_lines t =
-  Cache_array.to_list t.array
-  |> List.map (fun (addr, line) ->
-         let cls =
-           match line.st with
-           | Stable St_m -> `M
-           | Stable St_e -> `E
-           | Stable St_s -> `S
-           | Busy _ -> `T
-         in
-         (addr, cls, line.data))
-  |> List.sort (fun (a, _, _) (b, _, _) -> Addr.compare a b)
+let check_each t f =
+  Cache_array.iter
+    (fun addr line ->
+      f addr
+        (match line.st with
+        | Stable St_m -> `M
+        | Stable St_e -> `E
+        | Stable St_s -> `S
+        | Busy _ -> `T)
+        line.data)
+    t.array
 
 let check_fingerprint t buf =
   Buffer.add_string buf "al1[";

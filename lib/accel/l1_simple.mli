@@ -101,9 +101,9 @@ val set_check_ctrl : t -> int -> unit
     link node) so the model checker treats them as conflicting with the
     cache's message deliveries. *)
 
-val check_lines : t -> (Addr.t * [ `S | `E | `M | `T ] * Data.t) list
-(** Every resident line, sorted by block: stability class ([`T] for Busy)
-    and current data. *)
+val check_each : t -> (Addr.t -> [> `S | `E | `M | `T ] -> Data.t -> unit) -> unit
+(** [f addr class data] for every resident line, in no particular order:
+    stability class ([`T] for Busy) and current data. *)
 
 val check_fingerprint : t -> Buffer.t -> unit
 (** Append all lines (including Busy pend details) to a canonical

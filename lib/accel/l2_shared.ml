@@ -45,9 +45,9 @@ type t = {
   lower : Lower_port.t;
   sets : int;
   array : line Cache_array.t;
-  busy_table : (Addr.t, txn) Hashtbl.t;
-  waiting : (Addr.t, queued Queue.t) Hashtbl.t;
-  space_waiters : (int, (Addr.t * queued) Queue.t) Hashtbl.t;
+  busy_table : txn Int_table.t;
+  waiting : queued Queue.t Int_table.t;
+  space_waiters : (Addr.t * queued) Queue.t Int_table.t;
   l2_latency : int;
   mutable flushed : bool;  (* a device reset happened at least once (PR 8) *)
   stats : Group.t;
@@ -56,7 +56,7 @@ type t = {
 
 let stats t = t.stats
 let resident t = Cache_array.count t.array
-let busy t addr = Hashtbl.mem t.busy_table addr
+let busy t addr = Int_table.mem t.busy_table addr
 let set_index t addr = addr land (t.sets - 1)
 
 let probe t addr =
@@ -100,11 +100,11 @@ let eviction_request (line : line) =
 
 let enqueue_addr t addr q =
   let queue =
-    match Hashtbl.find_opt t.waiting addr with
+    match Int_table.find_opt t.waiting addr with
     | Some queue -> queue
     | None ->
         let queue = Queue.create () in
-        Hashtbl.add t.waiting addr queue;
+        Int_table.replace t.waiting addr queue;
         queue
   in
   Group.incr_id t.stats t.sid.(0) (* stalled_busy *);
@@ -113,11 +113,11 @@ let enqueue_addr t addr q =
 let enqueue_space t addr q =
   let idx = set_index t addr in
   let queue =
-    match Hashtbl.find_opt t.space_waiters idx with
+    match Int_table.find_opt t.space_waiters idx with
     | Some queue -> queue
     | None ->
         let queue = Queue.create () in
-        Hashtbl.replace t.space_waiters idx queue;
+        Int_table.replace t.space_waiters idx queue;
         queue
   in
   Group.incr_id t.stats t.sid.(1) (* stalled_for_space *);
@@ -134,15 +134,15 @@ let rec process t addr ({ src; req } : queued) =
       close t addr
 
 and close t addr =
-  Hashtbl.remove t.busy_table addr;
-  (match Hashtbl.find_opt t.waiting addr with
+  Int_table.remove t.busy_table addr;
+  (match Int_table.find_opt t.waiting addr with
   | Some queue when not (Queue.is_empty queue) ->
       let next = Queue.pop queue in
       Engine.schedule t.engine ~delay:t.l2_latency (fun () ->
           if busy t addr then enqueue_addr t addr next else process t addr next)
   | _ -> ());
   let idx = set_index t addr in
-  match Hashtbl.find_opt t.space_waiters idx with
+  match Int_table.find_opt t.space_waiters idx with
   | Some queue when not (Queue.is_empty queue) ->
       let qaddr, q = Queue.pop queue in
       Engine.schedule t.engine ~delay:t.l2_latency (fun () ->
@@ -158,7 +158,7 @@ and gather_up t addr targets ~original ~on_done =
       let g =
         { pending = List.length targets; on_done; below_inv = false; original }
       in
-      Hashtbl.replace t.busy_table addr (Gather g);
+      Int_table.replace t.busy_table addr (Gather g);
       List.iter (fun l1 -> invalidate_up t ~dst:l1 addr) targets
 
 and process_get t addr ~src (req : Xg_iface.accel_request) =
@@ -169,7 +169,7 @@ and process_get t addr ~src (req : Xg_iface.accel_request) =
         Group.incr_id t.stats t.sid.(2) (* miss_below *);
         Cache_array.insert t.array addr
           { below = B_s; up = U_none; data = Data.zero; dirty = false; below_gone = false };
-        Hashtbl.replace t.busy_table addr (Fetch_below { requestor = src; want });
+        Int_table.replace t.busy_table addr (Fetch_below { requestor = src; want });
         t.lower.Lower_port.send_req addr (match want with `M -> Xg_iface.Get_m | `S -> Xg_iface.Get_s)
       end
       else begin
@@ -198,7 +198,7 @@ and process_get t addr ~src (req : Xg_iface.accel_request) =
               Group.incr_id t.stats t.sid.(4) (* share_hit *);
               if not (List.exists (Node.equal src) sh) then line.up <- U_sharers (src :: sh);
               grant_up_resp t ~dst:src addr (Xg_iface.Data_s line.data);
-              Hashtbl.remove t.busy_table addr;
+              Int_table.remove t.busy_table addr;
               close t addr
           | U_none ->
               (* Sole requestor: pass through the full privilege we hold. *)
@@ -241,7 +241,7 @@ and process_get t addr ~src (req : Xg_iface.accel_request) =
               gather_up t addr holders_except_src ~original:(Some (src, req))
                 ~on_done:(fun () ->
                   Group.incr_id t.stats t.sid.(6) (* upgrade_below *);
-                  Hashtbl.replace t.busy_table addr (Fetch_below { requestor = src; want = `M });
+                  Int_table.replace t.busy_table addr (Fetch_below { requestor = src; want = `M });
                   t.lower.Lower_port.send_req addr Xg_iface.Get_m)))
 
 and process_put t addr ~src (req : Xg_iface.accel_request) =
@@ -290,7 +290,7 @@ and start_eviction t victim_addr (line : line) =
         close t victim_addr
       end
       else begin
-        Hashtbl.replace t.busy_table victim_addr Put_below;
+        Int_table.replace t.busy_table victim_addr Put_below;
         t.lower.Lower_port.send_req victim_addr (eviction_request line)
       end)
 
@@ -301,7 +301,7 @@ and start_eviction t victim_addr (line : line) =
    must be absorbed immediately (the InvAck follows on the ordered link) —
    deferring it would let the gather complete with stale data. *)
 let rec dispatch_req t addr ~src (req : Xg_iface.accel_request) ~delayed =
-  match (Hashtbl.find_opt t.busy_table addr, req) with
+  match (Int_table.find_opt t.busy_table addr, req) with
   | Some (Gather _), (Xg_iface.Put_s | Xg_iface.Put_e _ | Xg_iface.Put_m _) ->
       process_put t addr ~src req
   | Some _, _ -> enqueue_addr t addr { src; req }
@@ -315,7 +315,7 @@ let on_internal t ~src (msg : Xg_iface.msg) =
   match msg with
   | Xg_iface.To_xg_req { addr; req } -> dispatch_req t addr ~src req ~delayed:false
   | Xg_iface.To_xg_resp { addr; resp } -> (
-      match Hashtbl.find_opt t.busy_table addr with
+      match Int_table.find_opt t.busy_table addr with
       | Some (Gather g) -> (
           (match (resp, Cache_array.find t.array addr) with
           | (Xg_iface.Dirty_wb data | Xg_iface.Clean_wb data), Some line ->
@@ -348,7 +348,7 @@ let on_internal t ~src (msg : Xg_iface.msg) =
 let deliver_from_below t (msg : Xg_iface.msg) =
   match msg with
   | Xg_iface.To_accel_resp { addr; resp } -> (
-      match (Hashtbl.find_opt t.busy_table addr, resp) with
+      match (Int_table.find_opt t.busy_table addr, resp) with
       | Some (Fetch_below { requestor; want }), (Xg_iface.Data_s _ | Xg_iface.Data_e _ | Xg_iface.Data_m _)
         -> (
           let line =
@@ -405,7 +405,7 @@ let deliver_from_below t (msg : Xg_iface.msg) =
                  Xg_iface.pp_xg_response resp))
   | Xg_iface.To_accel_req { addr; req = Xg_iface.Invalidate } -> (
       Group.incr_id t.stats t.sid.(13) (* invalidate_from_below *);
-      match Hashtbl.find_opt t.busy_table addr with
+      match Int_table.find_opt t.busy_table addr with
       | Some (Gather g) -> (
           match Cache_array.find t.array addr with
           | Some { below = B_e | B_m; _ } ->
@@ -453,9 +453,9 @@ let deliver_from_below t (msg : Xg_iface.msg) =
 let flush t =
   Cache_array.to_list t.array
   |> List.iter (fun (addr, _) -> Cache_array.remove t.array addr);
-  Hashtbl.reset t.busy_table;
-  Hashtbl.reset t.waiting;
-  Hashtbl.reset t.space_waiters;
+  Int_table.reset t.busy_table;
+  Int_table.reset t.waiting;
+  Int_table.reset t.space_waiters;
   t.flushed <- true
 
 let create ~engine ~name ~internal ~node ~lower ~sets ~ways ?(l2_latency = 2) () =
@@ -469,9 +469,9 @@ let create ~engine ~name ~internal ~node ~lower ~sets ~ways ?(l2_latency = 2) ()
       lower;
       sets;
       array = Cache_array.create ~sets ~ways ();
-      busy_table = Hashtbl.create 16;
-      waiting = Hashtbl.create 16;
-      space_waiters = Hashtbl.create 16;
+      busy_table = Int_table.create 16;
+      waiting = Int_table.create 16;
+      space_waiters = Int_table.create 16;
       l2_latency;
       flushed = false;
       stats;

@@ -49,8 +49,8 @@ type plan = {
 }
 
 let agent_label = function
-  | Cpu i -> Printf.sprintf "cpu%d" i
-  | Accel i -> Printf.sprintf "accel%d" i
+  | Cpu i -> "cpu" ^ string_of_int i
+  | Accel i -> "accel" ^ string_of_int i
 
 let pp_agent fmt a = Format.pp_print_string fmt (agent_label a)
 
@@ -122,10 +122,35 @@ let summary_to_string s =
 
 (* ---- one path ---- *)
 
+(* A replayed decision: the branch to take and, when carried from the
+   ancestor path that first took it, the fingerprint digest of the state a
+   scheduler decision was taken in ([None] at a delay decision, and
+   throughout a user trail, which carries no digests).  Digests are raw MD5
+   bytes, as in the visited and edge sets; only summaries and messages
+   render them in hex. *)
+type step = { chosen : int; digest : string option }
+
+(* A decision recorded along one path: the step taken out of [arity]
+   branches.  Scheduler choices and delay choices share one sequence —
+   execution is a pure function of the flattened [chosen] string.  [event]
+   counts the events the path had begun to fire when the decision was taken
+   (a scheduler decision picks event [event]; a delay decision is drawn
+   inside event [event - 1], or before any event when [event = 0]), and
+   [por] the pools it had fired without branching by then. *)
+type decision = { step : step; arity : int; event : int; por : int }
+
+type path = {
+  trail : decision array;  (* in order *)
+  keys : int array;  (* the heap key of every event the path fired, in order *)
+  ending : [ `Terminal | `Violation of string | `Depth | `Pruned | `States ];
+}
+
 type shared = {
   visited : (string, unit) Hashtbl.t;
   edges : (string * string, unit) Hashtbl.t;
   fp : Buffer.t;  (* scratch: every fingerprint of this search is written here *)
+  mutable decisions_buf : decision array;  (* scratch: the trail of the running path *)
+  mutable keys_buf : int array;  (* scratch: the keys of the running path *)
   mutable n_paths : int;
   mutable n_decisions : int;
   mutable n_por : int;
@@ -134,11 +159,15 @@ type shared = {
   mutable trunc_states : bool;
 }
 
+let no_decision = { step = { chosen = 0; digest = None }; arity = 0; event = 0; por = 0 }
+
 let fresh_shared () =
   {
     visited = Hashtbl.create 4096;
     edges = Hashtbl.create 4096;
     fp = Buffer.create 4096;
+    decisions_buf = Array.make 64 no_decision;
+    keys_buf = Array.make 128 0;
     n_paths = 0;
     n_decisions = 0;
     n_por = 0;
@@ -149,29 +178,22 @@ let fresh_shared () =
 
 exception Stop_path of [ `Violation of string | `Depth | `Pruned | `States ]
 
-(* A replayed decision: the branch to take and, when carried from the
-   ancestor path that first took it, the fingerprint digest of the state a
-   scheduler decision was taken in ([None] at a delay decision, and
-   throughout a user trail, which carries no digests). *)
-type step = { chosen : int; digest : string option }
-
-(* A decision recorded along one path: the step taken out of [arity]
-   branches.  Scheduler choices and delay choices share one sequence —
-   execution is a pure function of the flattened [chosen] string. *)
-type decision = { step : step; arity : int }
-
-type path = {
-  trail : decision array;  (* in order *)
-  ending : [ `Terminal | `Violation of string | `Depth | `Pruned | `States ];
-}
-
 (* One agent's op list, replayed through a sequencer; [left] counts the ops
    not yet completed. *)
 type driver = { seq : Sequencer.t; mutable left : int }
 
+let grown a n fill =
+  if n < Array.length a then a
+  else begin
+    let a' = Array.make (max (n + 1) (2 * Array.length a)) fill in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
+  end
+
 (* Execute one path: replay [prefix] choices, then take branch 0 at every new
-   decision, recording arities and scheduler-decision digests for the caller
-   to backtrack over.  [sh] is consulted for pruning only beyond the prefix.
+   decision, recording arities, scheduler-decision digests and the key of
+   every fired event for the caller to backtrack over.  [sh] is consulted
+   for pruning only beyond the prefix.
 
    A prefix carrying digests was cut from an ancestor path, which fired and
    checked the identical events: until its last decision is consumed, the
@@ -179,33 +201,66 @@ type driver = { seq : Sequencer.t; mutable left : int }
    fingerprints.  One fingerprint, at the deepest carried scheduler
    decision, is recomputed as a tripwire against a replay that diverges;
    every replayed decision must also be of the carried kind (scheduler or
-   delay), so a diverging replay cannot slip past that decision. *)
-let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix : step array)
-    ~(sh : shared) () =
+   delay), so a diverging replay cannot slip past that decision.
+
+   [carried], the path [prefix] was cut from by {!siblings}, also lets the
+   replay skip the choice pools: up to the event that consumes the
+   prefix's last decision, each event is fired by the key [carried]
+   recorded for it, with no pool read, no POR scan and no [visit_state]
+   (the search's sets already hold those digests), and [carried]'s trail
+   entries are reused.  Delay decisions drawn inside those events still go
+   through [decide], which checks their kind against the prefix and their
+   event and arity against the record; the tripwire is still recomputed;
+   and {!Engine.fire_choice} still rejects a stale or non-minimal key,
+   which is reported as a divergence.  The decisions and POR collapses the
+   skipped pools stand for are credited, so the traversal counts do not
+   depend on the mode.  Without [carried] (a user trail, a probe) every
+   event goes through its pool. *)
+let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) ?carried plan
+    ~(prefix : step array) ~(sh : shared) () =
   let sys = Sys.build plan.config in
   sys.Sys.check_enable ();
   let n_prefix = Array.length prefix in
+  let carried =
+    match carried with
+    | Some c when n_prefix > 0 ->
+        if n_prefix > Array.length c.trail then
+          invalid_arg "Checker.run_path: prefix longer than the path it was cut from";
+        Some c
+    | _ -> None
+  in
   let tripwire =
     let rec deepest i = if i < 0 || prefix.(i).digest <> None then i else deepest (i - 1) in
     deepest (n_prefix - 1)
   in
-  let trail = ref [] and n_trail = ref 0 in
+  let n_trail = ref 0 and fired = ref 0 and por = ref 0 in
   let replaying () = tripwire >= 0 && !n_trail < n_prefix in
   let diverged what =
     invalid_arg (Printf.sprintf "Checker: replay diverged at decision %d (%s)" !n_trail what)
   in
+  let record d =
+    sh.decisions_buf <- grown sh.decisions_buf !n_trail no_decision;
+    sh.decisions_buf.(!n_trail) <- d;
+    incr n_trail
+  in
   let decide ?digest arity =
     if arity < 1 then invalid_arg "Checker: empty decision";
     if !n_trail >= plan.max_depth then raise (Stop_path `Depth);
-    if replaying () && Option.is_some digest <> Option.is_some prefix.(!n_trail).digest then
+    let i = !n_trail in
+    if replaying () && Option.is_some digest <> Option.is_some prefix.(i).digest then
       diverged "decision kind differs from the carried one";
-    let chosen = if !n_trail < n_prefix then prefix.(!n_trail).chosen else 0 in
+    let chosen = if i < n_prefix then prefix.(i).chosen else 0 in
     if chosen < 0 || chosen >= arity then
       invalid_arg
         (Printf.sprintf "Checker: stale prefix (chose %d of %d at decision %d)" chosen
-           arity !n_trail);
-    trail := { step = { chosen; digest }; arity } :: !trail;
-    incr n_trail;
+           arity i);
+    (match carried with
+    | Some c when i < n_prefix ->
+        let d = c.trail.(i) in
+        if d.event <> !fired || d.arity <> arity then
+          diverged "decision drawn in another event or over another arity than carried";
+        record (if i < n_prefix - 1 then d else { d with step = { chosen; digest } })
+    | _ -> record { step = { chosen; digest }; arity; event = !fired; por = !por });
     sh.n_decisions <- sh.n_decisions + 1;
     chosen
   in
@@ -250,19 +305,25 @@ let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix :
       Sequencer.check_fingerprint d.seq fp;
       Fp.field_int fp d.left
     done;
-    Digest.to_hex (Digest.string (Buffer.contents fp))
+    Digest.string (Buffer.contents fp)
+  in
+  (* The tripwire: recompute the fingerprint of carried decision [i]. *)
+  let verify i =
+    let d = digest () in
+    (match prefix.(i).digest with
+    | Some c when c <> d ->
+        diverged
+          (Printf.sprintf "carried state %s, replayed %s" (Digest.to_hex c) (Digest.to_hex d))
+    | _ -> ());
+    d
   in
   (* The digest of the scheduler decision about to be taken. *)
   let decision_digest () =
     let i = !n_trail in
     match if i < n_prefix then prefix.(i).digest else None with
     | Some carried when i < tripwire -> carried
-    | carried ->
-        let d = digest () in
-        (match carried with
-        | Some c when c <> d -> diverged (Printf.sprintf "carried state %s, replayed %s" c d)
-        | _ -> ());
-        d
+    | _ when i = tripwire -> verify i
+    | _ -> digest ()
   in
   let check_invariants () =
     if not (replaying ()) then begin
@@ -276,6 +337,12 @@ let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix :
     end
   in
   let engine = sys.Sys.engine in
+  let fire key =
+    sh.keys_buf <- grown sh.keys_buf !fired 0;
+    sh.keys_buf.(!fired) <- key;
+    incr fired;
+    Engine.fire_choice engine ~key
+  in
   (* Digest of the previous decision point on this path; [None] before the
      first one (the root is only counted once it is itself a decision point
      or terminal, so an immediate branch does not self-prune). *)
@@ -296,9 +363,36 @@ let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix :
      end);
     cur := Some d
   in
+  (* Fire the events [c] recorded before the prefix's last decision, each
+     by its key, stepping over the scheduler decisions that picked them. *)
+  let replay_keys c =
+    let last = n_prefix - 1 in
+    (* Every pool before the last decision was already read. *)
+    por := c.trail.(last).por;
+    sh.n_por <- sh.n_por + !por;
+    for k = 0 to c.trail.(last).event - 1 do
+      let i = !n_trail in
+      if i < last && c.trail.(i).event = k && c.trail.(i).step.digest <> None then begin
+        if i = tripwire then ignore (verify i);
+        cur := c.trail.(i).step.digest;
+        record c.trail.(i);
+        sh.n_decisions <- sh.n_decisions + 1
+      end;
+      (match fire c.keys.(k) with
+      | () -> ()
+      | exception Invalid_argument m when String.starts_with ~prefix:"Engine.fire_choice" m ->
+          diverged m);
+      check_invariants ()
+    done;
+    (* A last delay decision is drawn inside the last keyed event, which may
+       draw new ones after it; a last scheduler decision is taken below. *)
+    if (if c.trail.(last).step.digest = None then !n_trail < n_prefix else !n_trail <> last)
+    then diverged "a carried decision was not drawn"
+  in
   let ending =
     try
       check_invariants ();
+      Option.iter replay_keys carried;
       let rec loop () =
         (* The pool is read once per fired event: fingerprinting,
            [visit_state] and [decide] below touch no engine state, so its
@@ -346,6 +440,7 @@ let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix :
           let idx =
             if independent >= 0 then begin
               sh.n_por <- sh.n_por + 1;
+              incr por;
               independent
             end
             else if n = 1 then 0
@@ -355,7 +450,7 @@ let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix :
               decide ~digest n
             end
           in
-          Engine.fire_choice engine ~key:(Engine.choice_key engine idx);
+          fire (Engine.choice_key engine idx);
           check_invariants ();
           loop ()
         end
@@ -370,25 +465,34 @@ let run_path ?extra_invariant ?(collect = fun (_ : Sys.t) -> ()) plan ~(prefix :
   sh.n_paths <- sh.n_paths + 1;
   if !n_trail > sh.n_deepest then sh.n_deepest <- !n_trail;
   if ending = `Depth then sh.n_trunc_depth <- sh.n_trunc_depth + 1;
-  { trail = Array.of_list (List.rev !trail); ending }
+  {
+    trail = Array.sub sh.decisions_buf 0 !n_trail;
+    keys = Array.sub sh.keys_buf 0 !fired;
+    ending;
+  }
 
 (* ---- DFS driver ---- *)
 
-(* The untaken branches of every decision [p] took at position [from] or
-   beyond, as prefixes in the order the search pops them: shallowest
-   position first, then ascending branch.  Each carries the digests its
-   ancestors recorded. *)
-let siblings (p : path) ~from =
-  let acc = ref [] in
+(* [f] over the untaken branches of every decision [p] took at position
+   [from] or beyond, as prefixes, last to first in the order the search
+   pops them (shallowest position first, then ascending branch).  Each
+   carries the digests its ancestors recorded. *)
+let fold_siblings (p : path) ~from f acc =
+  let acc = ref acc in
   for i = Array.length p.trail - 1 downto from do
     let d = p.trail.(i) in
     for c = d.arity - 1 downto d.step.chosen + 1 do
       acc :=
-        Array.init (i + 1) (fun j -> if j = i then { d.step with chosen = c } else p.trail.(j).step)
-        :: !acc
+        f
+          (Array.init (i + 1) (fun j ->
+               if j = i then { d.step with chosen = c } else p.trail.(j).step))
+          !acc
     done
   done;
   !acc
+
+(* The same prefixes as a list, in the order the search pops them. *)
+let siblings p ~from = fold_siblings p ~from List.cons []
 
 let summarize sh violations =
   let sorted tbl render =
@@ -398,9 +502,11 @@ let summarize sh violations =
   {
     states = Hashtbl.length sh.visited;
     transitions = Hashtbl.length sh.edges;
-    states_digest = Digest.to_hex (Digest.string (sorted sh.visited Fun.id));
+    states_digest = Digest.to_hex (Digest.string (sorted sh.visited Digest.to_hex));
     edges_digest =
-      Digest.to_hex (Digest.string (sorted sh.edges (fun (a, b) -> a ^ ">" ^ b)));
+      Digest.to_hex
+        (Digest.string
+           (sorted sh.edges (fun (a, b) -> Digest.to_hex a ^ ">" ^ Digest.to_hex b)));
     violations;
   }
 
@@ -422,18 +528,19 @@ let explore ?extra_invariant ?collect plan =
   let sh = fresh_shared () in
   let rec dfs = function
     | [] -> []
-    | prefix :: rest -> (
-        let p = run_path ?extra_invariant ?collect plan ~prefix ~sh () in
+    | (prefix, carried) :: rest -> (
+        let p = run_path ?extra_invariant ?collect ?carried plan ~prefix ~sh () in
         match p.ending with
         | `Violation message ->
             [ { trail = Array.to_list (Array.map (fun d -> d.step.chosen) p.trail); message } ]
         | `States -> []
         | `Depth | `Terminal | `Pruned ->
             (* Positions inside the popped prefix were enumerated when its
-               ancestors ran. *)
-            dfs (siblings p ~from:(Array.length prefix) @ rest))
+               ancestors ran.  Each sibling carries [p]'s record. *)
+            let via = Some p in
+            dfs (fold_siblings p ~from:(Array.length prefix) (fun s acc -> (s, via) :: acc) rest))
   in
-  let violations = dfs [ [||] ] in
+  let violations = dfs [ ([||], None) ] in
   { summary = summarize sh violations; diagnostics = diagnostics_of sh }
 
 (* ---- counterexample replay ---- *)

@@ -57,7 +57,7 @@ let create ?(num_cpus = 2) ?(variant = H.L1l2.Xg_ready) ?(sets = 2) ?(ways = 2)
   let route = router_of directories in
   let cpus =
     Array.init num_cpus (fun i ->
-        let name = Printf.sprintf "cpu%d" i in
+        let name = "cpu" ^ string_of_int i in
         let node = Node.Registry.fresh registry name in
         H.L1l2.create ~engine ~net ~name ~node ~directory:route ~variant ~sets ~ways ())
   in
@@ -136,7 +136,10 @@ let caches t =
   let entry c = (H.L1l2.name c, Node.id (H.L1l2.node c), H.L1l2.check_lines c) in
   Array.fold_right (fun c acc -> entry c :: acc) t.cpus (List.map entry t.plain)
 
-let pseudo_lines _ = []
+let copies t f =
+  let each c = H.L1l2.check_each c (f (H.L1l2.name c)) in
+  Array.iter each t.cpus;
+  List.iter each t.plain
 
 (* Two places a guard cluster hides an architectural owner copy that no
    cache line shows: the guard's trusted copy while the directory still

@@ -11,7 +11,8 @@
    do not. *)
 
 (* Resident copies in the checker's stability lattice (see System). *)
-type lines = (Addr.t * [ `S | `E | `O | `M | `T ] * Data.t) list
+type cls = [ `S | `E | `O | `M | `T ]
+type lines = (Addr.t * cls * Data.t) list
 
 module type S = sig
   type t
@@ -70,8 +71,10 @@ module type S = sig
      [recorded_owner]: node id the host records as the block's owner.
      [dir_name]/[cache_name]: how violation texts name the recording
      structure and a cache.  [caches]: every cache that can own a block
-     (CPUs, then plain caches) with its node id.  [pseudo_lines]: host-level
-     copies outside any cache.  [hidden_owner]: owner copies a guard cluster
+     (CPUs, then plain caches) with its node id.  [copies]: [f who addr
+     class data] for every line of [caches], cache by cache, then for the
+     host-level copies outside any cache, without building lists.
+     [hidden_owner]: owner copies a guard cluster
      holds without a cache line.  [open_work]: why the host is not drained.
      [check_reverse]: every host ownership record names a live holder.
      [fingerprint]: host caches and controllers, canonically. *)
@@ -80,7 +83,7 @@ module type S = sig
   val dir_name : string
   val cache_name : string
   val caches : t -> (string * int * lines) list
-  val pseudo_lines : t -> (string * lines) list
+  val copies : t -> (string -> Addr.t -> cls -> Data.t -> unit) -> unit
   val hidden_owner : t -> Port.t -> Xguard_xg.Xg_core.t -> lines
   val open_work : t -> string option
   val check_reverse : t -> (Port.t * Xguard_xg.Xg_core.t) list -> string option

@@ -43,7 +43,7 @@ let create ?(num_cpus = 2) ?(variant = M.L2.Xg_ready) ?(l1_sets = 2) ?(l1_ways =
   in
   let cpus =
     Array.init num_cpus (fun i ->
-        let name = Printf.sprintf "cpu%d" i in
+        let name = "cpu" ^ string_of_int i in
         let node = Node.Registry.fresh registry name in
         M.L1.create ~engine ~net ~name ~node ~l2:l2_node ~sets:l1_sets ~ways:l1_ways ())
   in
@@ -102,16 +102,11 @@ let caches t =
 (* The inclusive L2's own copy participates in the data-value invariant:
    when no L1 owns the block, the L2 is the sharer (clean) or the owner
    (dirty).  When an L1 owns it the L2 copy may legitimately be stale. *)
-let pseudo_lines t =
-  [
-    ( "host.l2",
-      List.filter_map
-        (fun (a, h, d, dirty) ->
-          match h with
-          | `Owned _ -> None
-          | `No_l1 | `Sharers _ -> Some (a, (if dirty then `O else `S), d))
-        (M.L2.check_lines t.l2) );
-  ]
+let copies t f =
+  let each c = M.L1.check_each c (f (M.L1.name c)) in
+  Array.iter each t.cpus;
+  List.iter each t.plain;
+  M.L2.check_own_copies t.l2 (f "host.l2")
 
 let hidden_owner _ _ _ = []
 

@@ -44,7 +44,7 @@ type t = {
   sequencers : Sequencer.t array;
   roles : role array;
   addresses : Addr.t array;
-  states : (Addr.t, addr_state) Hashtbl.t;
+  states : addr_state Int_table.t;
   store_fraction : float;
   max_gap : int;
   ops_per_core : int;
@@ -56,13 +56,13 @@ type t = {
 }
 
 let state_of t addr =
-  match Hashtbl.find_opt t.states addr with
+  match Int_table.find_opt t.states addr with
   | Some s -> s
   | None ->
       let s =
         { committed = [ Data.initial addr ]; committed_count = 1; pending_store = None }
       in
-      Hashtbl.add t.states addr s;
+      Int_table.replace t.states addr s;
       s
 
 (* Values a load issued when [issue_count] values had been committed may
@@ -157,7 +157,7 @@ let prepare ~engine ~rng ~ports ?roles ~addresses ~ops_per_core
       sequencers;
       roles;
       addresses;
-      states = Hashtbl.create 64;
+      states = Int_table.create 64;
       store_fraction;
       max_gap;
       ops_per_core;

@@ -116,116 +116,170 @@ let any_quarantined ~guards () =
 
 let class_char = function `S -> 'S' | `E -> 'E' | `O -> 'O' | `M -> 'M' | `T -> 'T'
 
-(* SWMR, single-owner and the data-value invariant over every resident copy.
-   [skip] masks addresses with an open host-side transaction (directory / L2
-   busy), whose copies are legitimately mid-transfer. *)
-let swmr_and_value ~mem_read ~skip
-    (lines : (string * (Addr.t * [ `S | `E | `O | `M | `T ] * Data.t) list) list) =
-  let tbl : (Addr.t, (string * [ `S | `E | `O | `M | `T ] * Data.t) list) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  List.iter
-    (fun (who, ls) ->
-      List.iter
-        (fun (a, st, d) ->
-          let prev = match Hashtbl.find_opt tbl a with Some l -> l | None -> [] in
-          Hashtbl.replace tbl a ((who, st, d) :: prev))
-        ls)
-    lines;
-  let describe entries =
+(* The resident copies one invariant check gathers: a scratch each system
+   owns and reuses, so a check allocates no table and no list once the
+   scratch has grown.  [seq] is the gathering order and [src] numbers the
+   source (cache, host pseudo-cache, guard) a copy came from. *)
+type copy = {
+  mutable who : string;
+  mutable src : int;
+  mutable seq : int;
+  mutable addr : Addr.t;
+  mutable cls : Host.cls;
+  mutable data : Data.t;
+}
+
+type copies = { mutable all : copy array; mutable n : int; mutable last_who : string }
+
+let fresh_copies () = { all = [||]; n = 0; last_who = "" }
+
+let clear_copies c =
+  c.n <- 0;
+  c.last_who <- ""
+
+let add_copy c who addr cls data =
+  if c.n = Array.length c.all then
+    c.all <-
+      Array.append c.all
+        (Array.init (max 16 c.n) (fun _ ->
+             { who = ""; src = 0; seq = 0; addr = 0; cls = `S; data = 0 }));
+  let src = if c.n = 0 then 0 else c.all.(c.n - 1).src + if who == c.last_who then 0 else 1 in
+  let k = c.all.(c.n) in
+  k.who <- who;
+  k.src <- src;
+  k.seq <- c.n;
+  k.addr <- addr;
+  k.cls <- cls;
+  k.data <- data;
+  c.last_who <- who;
+  c.n <- c.n + 1
+
+(* Group the copies by block: ascending address, and within a block the
+   latest gathered first.  Insertion sort: check configurations hold a few
+   dozen copies. *)
+let sort_by_block c =
+  let a = c.all in
+  for i = 1 to c.n - 1 do
+    let k = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && (a.(!j).addr > k.addr || (a.(!j).addr = k.addr && a.(!j).seq < k.seq)) do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- k
+  done
+
+(* SWMR, single-owner and the data-value invariant over every resident copy,
+   block by block in ascending address order; the first violating block is
+   reported.  [skip] masks addresses with an open host-side transaction
+   (directory / L2 busy), whose copies are legitimately mid-transfer. *)
+let swmr_and_value ~mem_read ~skip c =
+  sort_by_block c;
+  let a = c.all in
+  let describe lo hi =
     String.concat ", "
-      (List.map
-         (fun (who, st, (d : Data.t)) -> Printf.sprintf "%s=%c/%d" who (class_char st) d)
-         entries)
+      (List.init (hi - lo) (fun i ->
+           let k = a.(lo + i) in
+           Printf.sprintf "%s=%c/%d" k.who (class_char k.cls) k.data))
   in
-  Hashtbl.fold
-    (fun a entries acc ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-          if skip a || List.exists (fun (_, st, _) -> st = `T) entries then None
-          else
-            let exclusive = List.filter (fun (_, st, _) -> st = `E || st = `M) entries in
-            let owners = List.filter (fun (_, st, _) -> st <> `S) entries in
-            if exclusive <> [] && List.length entries > 1 then
-              Some
-                (Printf.sprintf "SWMR violated at block %d: %s" (Addr.to_int a)
-                   (describe entries))
-            else if List.length owners > 1 then
-              Some
-                (Printf.sprintf "multiple owners of block %d: %s" (Addr.to_int a)
-                   (describe entries))
+  let check_block addr lo hi =
+    let transient = ref false and exclusive = ref false and owners = ref 0 and owner = ref lo in
+    for i = lo to hi - 1 do
+      match a.(i).cls with
+      | `T -> transient := true
+      | `S -> ()
+      | `E | `M ->
+          exclusive := true;
+          incr owners;
+          owner := i
+      | `O ->
+          incr owners;
+          owner := i
+    done;
+    if skip addr || !transient then None
+    else if !exclusive && hi - lo > 1 then
+      Some
+        (Printf.sprintf "SWMR violated at block %d: %s" (Addr.to_int addr) (describe lo hi))
+    else if !owners > 1 then
+      Some
+        (Printf.sprintf "multiple owners of block %d: %s" (Addr.to_int addr) (describe lo hi))
+    else
+      let expected =
+        if !owners = 0 then Some (mem_read addr)
+        else match a.(!owner).cls with `E -> None (* sole copy *) | _ -> Some a.(!owner).data
+      in
+      match expected with
+      | None -> None
+      | Some (v : Data.t) ->
+          let rec stale i =
+            if i >= hi then None
             else
-              let expected =
-                match owners with
-                | [ (_, (`O | `M), d) ] -> Some d
-                | [ (_, `E, _) ] -> None (* sole copy; nothing shares it *)
-                | _ -> Some (mem_read a)
-              in
-              (match expected with
-              | None -> None
-              | Some (v : Data.t) ->
-                  List.fold_left
-                    (fun acc (who, st, (d : Data.t)) ->
-                      match acc with
-                      | Some _ -> acc
-                      | None ->
-                          if st = `S && d <> v then
-                            Some
-                              (Printf.sprintf
-                                 "data-value violated at block %d: %s holds %d, coherent value is %d"
-                                 (Addr.to_int a) who d v)
-                          else None)
-                    None entries))
-    tbl None
+              let k = a.(i) in
+              if k.cls = `S && k.data <> v then
+                Some
+                  (Printf.sprintf
+                     "data-value violated at block %d: %s holds %d, coherent value is %d"
+                     (Addr.to_int addr) k.who k.data v)
+              else stale (i + 1)
+          in
+          stale lo
+  in
+  let rec from lo =
+    if lo >= c.n then None
+    else begin
+      let addr = a.(lo).addr in
+      let hi = ref (lo + 1) in
+      while !hi < c.n && a.(!hi).addr = addr do
+        incr hi
+      done;
+      match check_block addr lo !hi with Some _ as v -> v | None -> from !hi
+    end
+  in
+  from 0
 
 (* Guard inclusivity: with a well-behaved accelerator (the checker's), every
    stable line it holds must be in the guard's full-state table, and a line
-   writable at the accelerator must be tracked writable. *)
-let guard_inclusive ~core ~accel_lines =
-  if Xg.Xg_core.mode core = Xg.Xg_core.Full_state then
-    let tracked = Xg.Xg_core.check_tracked core in
-    List.fold_left
-      (fun acc (a, st, _) ->
-        match acc with
-        | Some _ -> acc
-        | None -> (
-            match st with
-            | `T -> None
-            | (`S | `E | `M) as st -> (
-                match List.find_opt (fun (ta, _, _) -> Addr.equal ta a) tracked with
-                | None ->
-                    Some
-                      (Printf.sprintf
-                         "guard inclusivity violated: accel holds block %d untracked"
-                         (Addr.to_int a))
-                | Some (_, `S, _) when st <> `S ->
-                    Some
-                      (Printf.sprintf
-                         "guard tracks block %d as S but accel holds %c" (Addr.to_int a)
-                         (class_char st))
-                | Some _ -> None)))
-      None accel_lines
-  else None
+   writable at the accelerator must be tracked writable.  Cache by cache,
+   the lowest violating block is reported. *)
+let guard_inclusive ~core ~l1s =
+  let violation l1 =
+    let lowest = ref max_int and what = ref "" in
+    A.L1_simple.check_each l1 (fun a st _ ->
+        if Addr.to_int a < !lowest then
+          match (st, Xg.Xg_core.check_tracked_state core a) with
+          | `T, _ | (`S | `E | `M), Some (`E | `M) | `S, Some `S -> ()
+          | _, None ->
+              lowest := Addr.to_int a;
+              what :=
+                Printf.sprintf "guard inclusivity violated: accel holds block %d untracked"
+                  (Addr.to_int a)
+          | ((`E | `M) as st), Some `S ->
+              lowest := Addr.to_int a;
+              what :=
+                Printf.sprintf "guard tracks block %d as S but accel holds %c" (Addr.to_int a)
+                  (class_char st));
+    if !lowest = max_int then None else Some !what
+  in
+  let rec from i =
+    if i = Array.length l1s then None
+    else match violation l1s.(i) with Some _ as v -> v | None -> from (i + 1)
+  in
+  if Xg.Xg_core.mode core = Xg.Xg_core.Full_state then from 0 else None
 
-let no_transient_at_drain lines =
-  List.fold_left
-    (fun acc (who, ls) ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-          List.fold_left
-            (fun acc (a, st, _) ->
-              match acc with
-              | Some _ -> acc
-              | None ->
-                  if st = `T then
-                    Some
-                      (Printf.sprintf
-                         "drained with block %d still transient in %s" (Addr.to_int a) who)
-                  else None)
-            acc ls)
-    None lines
+(* The first source holding a transient copy, at its lowest such block. *)
+let no_transient_at_drain c =
+  let first = ref None in
+  for i = c.n - 1 downto 0 do
+    let k = c.all.(i) in
+    if k.cls = `T then
+      match !first with
+      | Some (f : copy) when f.src < k.src || (f.src = k.src && f.addr < k.addr) -> ()
+      | _ -> first := Some k
+  done;
+  Option.map
+    (fun k ->
+      Printf.sprintf "drained with block %d still transient in %s" (Addr.to_int k.addr) k.who)
+    !first
 
 let first_of checks = List.find_map (fun f -> f ()) checks
 
@@ -381,7 +435,7 @@ let build_guard (cfg : Config.t) ~engine ~accel_engine ~rng ~registry ~perms ~os
           A.L2_shared.deliver_from_below l2 msg);
       let l1s =
         Array.init spec.Topology.cores (fun i ->
-            let name = sfx id (Printf.sprintf "accel.l1_%d" i) in
+            let name = sfx id ("accel.l1_" ^ string_of_int i) in
             let node = Node.Registry.fresh registry name in
             let lower = A.Lower_port.on_link internal ~self:node ~peer:l2_node in
             let l1 =
@@ -479,37 +533,31 @@ module Build (H : HOST) = struct
     let memory = H.memory host in
     let mem_read = Memory_model.read memory in
     let busy = H.busy host in
-    let accel_lines () =
-      Array.fold_right
-        (fun l1 acc -> (A.L1_simple.name l1, (A.L1_simple.check_lines l1 :> Host.lines)) :: acc)
-        accel_l1s []
-    in
-    let hidden_owner_lines () =
-      List.concat_map
+    (* Every resident copy: host caches and pseudo-caches, accelerator
+       L1s, then the owner copies guard clusters hide. *)
+    let copies = fresh_copies () in
+    let add = add_copy copies in
+    let gather () =
+      clear_copies copies;
+      H.copies host add;
+      Array.iter (fun l1 -> A.L1_simple.check_each l1 (add (A.L1_simple.name l1))) accel_l1s;
+      List.iter
         (fun (g, p) ->
           match H.hidden_owner host p g.g_core with
-          | [] -> []
-          | entries -> [ (guard_label g "xg", entries) ])
-        guards
-    in
-    let all_lines () =
-      List.fold_right
-        (fun (who, _, ls) acc -> (who, ls) :: acc)
-        (H.caches host)
-        (H.pseudo_lines host @ accel_lines () @ hidden_owner_lines ())
+          | [] -> ()
+          | entries ->
+              let who = guard_label g "xg" in
+              List.iter (fun (a, st, d) -> add who a st d) entries)
+        guards;
+      copies
     in
     let check_invariant () =
-      first_of
-        [
-          (fun () -> swmr_and_value ~mem_read ~skip:busy (all_lines ()));
-          (fun () -> List.find_map (fun g -> Xg.Xg_core.check_violation g.g_core) gonly);
-          (fun () ->
-            List.find_map
-              (fun g ->
-                guard_inclusive ~core:g.g_core
-                  ~accel_lines:(List.concat_map A.L1_simple.check_lines (Array.to_list g.g_l1s)))
-              gonly);
-        ]
+      match swmr_and_value ~mem_read ~skip:busy (gather ()) with
+      | Some _ as v -> v
+      | None -> (
+          match List.find_map (fun g -> Xg.Xg_core.check_violation g.g_core) gonly with
+          | Some _ as v -> v
+          | None -> List.find_map (fun g -> guard_inclusive ~core:g.g_core ~l1s:g.g_l1s) gonly)
     in
     let check_quiescent_invariant () =
       let tracked g =
@@ -538,7 +586,7 @@ module Build (H : HOST) = struct
                   Some "drained with open guard transactions"
                 else None)
               gonly);
-          (fun () -> no_transient_at_drain (all_lines ()));
+          (fun () -> no_transient_at_drain (gather ()));
           (* forward: every owned cache line is recorded against that cache *)
           (fun () ->
             List.find_map

@@ -18,9 +18,9 @@ type t = {
   occupancy : int;
   mutable server_free_at : Engine.time;
   mutable caches : Node.t list;
-  owner_table : (Addr.t, Node.t) Hashtbl.t;
-  busy_table : (Addr.t, txn) Hashtbl.t;
-  waiting : (Addr.t, queued Queue.t) Hashtbl.t;
+  owner_table : Node.t Int_table.t;
+  busy_table : txn Int_table.t;
+  waiting : queued Queue.t Int_table.t;
   stats : Group.t;
   sid : Group.id array; (* adopted hot stat counters, in [hot_stats] order *)
 }
@@ -37,25 +37,25 @@ let hot_stats =
       "writeback"; "server_busy_cycles";
     |]
 
-let owner t addr = Hashtbl.find_opt t.owner_table addr
-let busy t addr = Hashtbl.mem t.busy_table addr
-let open_transactions t = Hashtbl.length t.busy_table
+let owner t addr = Int_table.find_opt t.owner_table addr
+let busy t addr = Int_table.mem t.busy_table addr
+let open_transactions t = Int_table.length t.busy_table
 
 let send t ~dst body addr =
   let msg = { Msg.addr; body } in
   Net.send t.net ~src:t.node ~dst ~size:(Msg.size msg) msg
 
 let set_owner t addr = function
-  | None -> Hashtbl.remove t.owner_table addr
-  | Some n -> Hashtbl.replace t.owner_table addr n
+  | None -> Int_table.remove t.owner_table addr
+  | Some n -> Int_table.replace t.owner_table addr n
 
 let enqueue t addr q =
   let queue =
-    match Hashtbl.find_opt t.waiting addr with
+    match Int_table.find_opt t.waiting addr with
     | Some queue -> queue
     | None ->
         let queue = Queue.create () in
-        Hashtbl.add t.waiting addr queue;
+        Int_table.replace t.waiting addr queue;
         queue
   in
   Group.incr_id t.stats t.sid.(0) (* stalled_at_directory *);
@@ -66,7 +66,7 @@ let rec start t addr { src; body } =
   | Msg.Get { kind } ->
       Group.incr_id t.stats
         t.sid.(match kind with Msg.Get_s -> 1 | Msg.Get_s_only -> 2 | Msg.Get_m -> 3);
-      Hashtbl.replace t.busy_table addr (Get_txn { requestor = src });
+      Int_table.replace t.busy_table addr (Get_txn { requestor = src });
       List.iter
         (fun cache ->
           if not (Node.equal cache src) then send t ~dst:cache (Msg.Fwd { kind; requestor = src }) addr)
@@ -78,7 +78,7 @@ let rec start t addr { src; body } =
   | Msg.Put ->
       Group.incr_id t.stats t.sid.(4) (* put *);
       if owner t addr = Some src then begin
-        Hashtbl.replace t.busy_table addr (Put_txn { putter = src; awaiting_data = true });
+        Int_table.replace t.busy_table addr (Put_txn { putter = src; awaiting_data = true });
         send t ~dst:src Msg.Wb_ack addr
       end
       else begin
@@ -92,15 +92,15 @@ let rec start t addr { src; body } =
   | _ -> assert false
 
 and finish t addr =
-  Hashtbl.remove t.busy_table addr;
-  match Hashtbl.find_opt t.waiting addr with
+  Int_table.remove t.busy_table addr;
+  match Int_table.find_opt t.waiting addr with
   | Some queue when Queue.is_empty queue ->
       (* Drained queues would otherwise stay registered forever — inert, but
          an asymmetry that leaks into state fingerprints. *)
-      Hashtbl.remove t.waiting addr
+      Int_table.remove t.waiting addr
   | Some queue ->
       let next = Queue.pop queue in
-      if Queue.is_empty queue then Hashtbl.remove t.waiting addr;
+      if Queue.is_empty queue then Int_table.remove t.waiting addr;
       Engine.schedule t.engine ~delay:t.dir_latency
         ~tag:(Engine.pack_tag ~ctrl:(Node.id t.node) ~addr:(Addr.to_int addr))
         (fun () ->
@@ -122,7 +122,7 @@ let deliver t ~src (msg : Msg.t) =
             if busy t addr then enqueue t addr { src; body = msg.Msg.body }
             else start t addr { src; body = msg.Msg.body })
   | Msg.Unblock { exclusive } -> (
-      match Hashtbl.find_opt t.busy_table addr with
+      match Int_table.find_opt t.busy_table addr with
       | Some (Get_txn { requestor }) when Node.equal requestor src ->
           if exclusive then set_owner t addr (Some src);
           Group.incr_id t.stats t.sid.(5) (* unblock *);
@@ -131,7 +131,7 @@ let deliver t ~src (msg : Msg.t) =
           (* Robustness: drop and count.  A correct system never reaches it. *)
           Group.incr t.stats "error.unexpected_unblock")
   | Msg.Wb_data { data; dirty } -> (
-      match Hashtbl.find_opt t.busy_table addr with
+      match Int_table.find_opt t.busy_table addr with
       | Some (Put_txn p) when Node.equal p.putter src && p.awaiting_data ->
           p.awaiting_data <- false;
           if dirty then Memory_model.write t.memory addr data;
@@ -145,9 +145,9 @@ let deliver t ~src (msg : Msg.t) =
 
 (* ---- model-checker support ---- *)
 
-let owner_entries t = Fp.sorted_bindings t.owner_table
+let owner_entries t = Int_table.sorted_bindings t.owner_table
 
-let check_waiting_tables t = Hashtbl.length t.waiting
+let check_waiting_tables t = Int_table.length t.waiting
 
 let check_fingerprint t buf =
   Buffer.add_string buf "dir[";
@@ -159,7 +159,7 @@ let check_fingerprint t buf =
       Fp.field_int buf (Node.id n);
       Buffer.add_char buf ';')
     (owner_entries t);
-  Fp.sorted_bindings t.busy_table
+  Int_table.sorted_bindings t.busy_table
   |> List.iter (fun (addr, txn) ->
          Buffer.add_char buf 'b';
          match txn with
@@ -172,7 +172,7 @@ let check_fingerprint t buf =
              Fp.field_int buf (Node.id putter);
              Fp.field_bool buf awaiting_data;
              Buffer.add_char buf ';');
-  Fp.sorted_bindings t.waiting
+  Int_table.sorted_bindings t.waiting
   |> List.iter (fun (addr, q) ->
          Fp.key buf 'w' (Addr.to_int addr);
          Buffer.add_char buf ':';
@@ -204,9 +204,9 @@ let create ~engine ~net ~name ~node ~memory ?(dir_latency = 6) ?(mem_latency = 6
       occupancy;
       server_free_at = 0;
       caches = [];
-      owner_table = Hashtbl.create 16;
-      busy_table = Hashtbl.create 16;
-      waiting = Hashtbl.create 16;
+      owner_table = Int_table.create 16;
+      busy_table = Int_table.create 16;
+      waiting = Int_table.create 16;
       stats;
       sid = Group.adopt stats hot_stats;
     }

@@ -64,10 +64,14 @@ val outstanding : t -> int
 
 (* ---- model-checker support (lib/check) ---- *)
 
+val check_each : t -> (Addr.t -> [> `S | `E | `O | `M | `T ] -> Data.t -> unit) -> unit
+(** [f addr class data] for every resident line, in no particular order: its
+    stability class ([`T] for any transient, including lines with an open
+    TBE) and current data.  The checker's SWMR and data-value invariants
+    consume this. *)
+
 val check_lines : t -> (Addr.t * [ `S | `E | `O | `M | `T ] * Data.t) list
-(** Every resident line, sorted by block: its stability class ([`T] for any
-    transient, including lines with an open TBE) and current data.  The
-    checker's SWMR and data-value invariants consume this. *)
+(** {!check_each}'s lines as a list sorted by block. *)
 
 val check_fingerprint : t -> Buffer.t -> unit
 (** Append all lines and open-TBE fields to a canonical state fingerprint

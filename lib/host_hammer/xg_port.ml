@@ -40,9 +40,9 @@ type t = {
   mutable core : Xg_core.t option;
   mutable peer_count : int;
   tbes : get_tbe Tbe_table.t;
-  puts : (Addr.t, put_rec) Hashtbl.t;
-  deferred_puts : (Addr.t, put_rec) Hashtbl.t;
-  deferred_gets : (Addr.t, Msg.get_kind) Hashtbl.t;
+  puts : put_rec Int_table.t;
+  deferred_puts : put_rec Int_table.t;
+  deferred_gets : Msg.get_kind Int_table.t;
   stats : Group.t;
   sid : Group.id array; (* adopted hot stat counters, in [hot_stats] order *)
 }
@@ -57,7 +57,7 @@ let node t = t.node
 let stats t = t.stats
 let set_peer_count t n = t.peer_count <- n
 let attach_core t core = t.core <- Some core
-let outstanding t = Tbe_table.count t.tbes + Hashtbl.length t.puts
+let outstanding t = Tbe_table.count t.tbes + Int_table.length t.puts
 
 let core t =
   match t.core with
@@ -90,13 +90,13 @@ let issue_get t addr kind =
   (match Tbe_table.alloc t.tbes addr tbe with
   | `Ok -> ()
   | `Busy | `Full -> failwith (t.name ^ ": get while transaction open"));
-  if Hashtbl.mem t.puts addr then begin
+  if Int_table.mem t.puts addr then begin
     (* A writeback of this block (possibly our own ownership relinquishment,
        which the guard core does not see) is still in flight.  Re-requesting
        now could let the stale Put clear our fresh ownership at the directory
        later; wait for the writeback to settle, like any host cache would. *)
     Group.incr t.stats "get_deferred_behind_put";
-    Hashtbl.replace t.deferred_gets addr msg_kind
+    Int_table.replace t.deferred_gets addr msg_kind
   end
   else send t ~dst:(t.directory addr) (Msg.Get { kind = msg_kind }) addr
 
@@ -104,7 +104,7 @@ let start_put t addr ~data ~dirty ~notify_core ~is_owner =
   let p =
     { data; dirty; lost_ownership = false; notify_core; is_owner; born = Engine.now t.engine }
   in
-  if Hashtbl.mem t.puts addr then begin
+  if Int_table.mem t.puts addr then begin
     (* A Put handshake for this block is already open.  This happens when a
        core-initiated put and an ownership relinquishment (handle_fwd) race
        on one address.  Issuing a second Put would send two handshakes but
@@ -114,10 +114,10 @@ let start_put t addr ~data ~dirty ~notify_core ~is_owner =
        Defer instead, like [issue_get] defers gets behind puts, and promote
        in [finish_put]. *)
     Group.incr t.stats "put_deferred_behind_put";
-    Hashtbl.replace t.deferred_puts addr p
+    Int_table.replace t.deferred_puts addr p
   end
   else begin
-    Hashtbl.replace t.puts addr p;
+    Int_table.replace t.puts addr p;
     send t ~dst:(t.directory addr) Msg.Put addr
   end
 
@@ -198,7 +198,7 @@ let respond_from_put t addr (p : put_rec) (kind : Msg.get_kind) ~requestor =
 let handle_fwd t addr (kind : Msg.get_kind) ~requestor =
   Group.incr_id t.stats
     t.sid.(match kind with Msg.Get_s -> 1 | Msg.Get_s_only -> 2 | Msg.Get_m -> 3);
-  match Hashtbl.find_opt t.puts addr with
+  match Int_table.find_opt t.puts addr with
   | Some p when p.is_owner -> respond_from_put t addr p kind ~requestor
   | Some _ | None -> (
       match kind with
@@ -235,13 +235,13 @@ let span_put_done t addr (p : put_rec) =
   | None -> ()
 
 let finish_put t addr (p : put_rec) =
-  Hashtbl.remove t.puts addr;
+  Int_table.remove t.puts addr;
   span_put_done t addr p;
   (* A deferred put takes the slot first; a deferred get stays parked behind
      it (and is re-checked when that put in turn finishes). *)
-  (match Hashtbl.find_opt t.deferred_puts addr with
+  (match Int_table.find_opt t.deferred_puts addr with
   | Some d ->
-      Hashtbl.remove t.deferred_puts addr;
+      Int_table.remove t.deferred_puts addr;
       (match Obs.spans () with
       | Some sr ->
           Spans.host_segment sr Spans.Host_defer ~put:true ~addr:(Addr.to_int addr) ~born:d.born
@@ -250,9 +250,9 @@ let finish_put t addr (p : put_rec) =
       start_put t addr ~data:d.data ~dirty:d.dirty ~notify_core:d.notify_core
         ~is_owner:d.is_owner
   | None -> (
-      match Hashtbl.find_opt t.deferred_gets addr with
+      match Int_table.find_opt t.deferred_gets addr with
       | Some kind ->
-          Hashtbl.remove t.deferred_gets addr;
+          Int_table.remove t.deferred_gets addr;
           (match Obs.spans () with
           | Some sr -> (
               match Tbe_table.find t.tbes addr with
@@ -270,7 +270,7 @@ let finish_put t addr (p : put_rec) =
   if p.notify_core then Xg_core.put_complete (core t) addr
 
 let handle_wb_ack t addr =
-  match Hashtbl.find_opt t.puts addr with
+  match Int_table.find_opt t.puts addr with
   | Some p ->
       send t ~dst:(t.directory addr) (Msg.Wb_data { data = p.data; dirty = p.dirty }) addr;
       Group.incr_id t.stats t.sid.(4) (* writeback_complete *);
@@ -278,7 +278,7 @@ let handle_wb_ack t addr =
   | None -> Group.incr t.stats "error.wb_ack_without_put"
 
 let handle_wb_nack t addr =
-  match Hashtbl.find_opt t.puts addr with
+  match Int_table.find_opt t.puts addr with
   | Some p ->
       (* Expected when ownership raced away (or for an unnecessary PutS the
          directory rejects); the block is simply gone. *)
@@ -312,7 +312,7 @@ let check_fingerprint t buf =
          Fp.field_bool buf g.shared_seen;
          Buffer.add_char buf ';');
   let dump_puts label table =
-    Fp.sorted_bindings table
+    Int_table.sorted_bindings table
     |> List.iter (fun (addr, (p : put_rec)) ->
            Fp.key buf label (Addr.to_int addr);
            Fp.field_int buf (p.data : Data.t);
@@ -324,7 +324,7 @@ let check_fingerprint t buf =
   in
   dump_puts 'p' t.puts;
   dump_puts 'd' t.deferred_puts;
-  Fp.sorted_bindings t.deferred_gets
+  Int_table.sorted_bindings t.deferred_gets
   |> List.iter (fun (addr, kind) ->
          Fp.key buf 'g' (Addr.to_int addr);
          Fp.field buf (Msg.get_kind_to_string kind);
@@ -332,7 +332,7 @@ let check_fingerprint t buf =
 
 let check_owner_puts t =
   let harvest table acc =
-    Hashtbl.fold
+    Int_table.fold
       (fun addr (p : put_rec) acc ->
         if p.is_owner && not p.lost_ownership then (addr, p.data) :: acc else acc)
       table acc
@@ -353,9 +353,9 @@ let create ~engine ~net ~name ~node ~directory ?(use_get_s_only = true) () =
       core = None;
       peer_count = 0;
       tbes = Tbe_table.create ~capacity:128 ();
-      puts = Hashtbl.create 16;
-      deferred_puts = Hashtbl.create 8;
-      deferred_gets = Hashtbl.create 8;
+      puts = Int_table.create 16;
+      deferred_puts = Int_table.create 8;
+      deferred_gets = Int_table.create 8;
       stats;
       sid = Group.adopt stats hot_stats;
     }

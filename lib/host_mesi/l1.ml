@@ -388,16 +388,21 @@ let probe t addr =
 
 (* ---- model-checker support ---- *)
 
+let check_each t f =
+  Cache_array.iter
+    (fun addr line ->
+      f addr
+        (match line.st with
+        | Stable s when not (Tbe_table.mem t.tbes addr) -> (
+            match s with St_s -> `S | St_e -> `E | St_m -> `M)
+        | _ -> `T)
+        line.data)
+    t.array
+
 let check_lines t =
-  Cache_array.to_list t.array
-  |> List.map (fun (addr, line) ->
-         let cls =
-           match (line.st, Tbe_table.find t.tbes addr) with
-           | Stable s, None -> (match s with St_s -> `S | St_e -> `E | St_m -> `M)
-           | _ -> `T
-         in
-         (addr, cls, line.data))
-  |> List.sort (fun (a, _, _) (b, _, _) -> Addr.compare a b)
+  let acc = ref [] in
+  check_each t (fun addr cls data -> acc := (addr, cls, data) :: !acc);
+  List.sort (fun (a, _, _) (b, _, _) -> Addr.compare a b) !acc
 
 let check_fingerprint t buf =
   Buffer.add_string buf "l1[";

@@ -38,9 +38,13 @@ val outstanding : t -> int
 
 (* ---- model-checker support (lib/check) ---- *)
 
+val check_each : t -> (Addr.t -> [> `S | `E | `M | `T ] -> Data.t -> unit) -> unit
+(** [f addr class data] for every resident line, in no particular order:
+    stability class ([`T] for any transient, including lines with an open
+    TBE) and current data. *)
+
 val check_lines : t -> (Addr.t * [ `S | `E | `M | `T ] * Data.t) list
-(** Every resident line, sorted by block: stability class ([`T] for any
-    transient, including lines with an open TBE) and current data. *)
+(** {!check_each}'s lines as a list sorted by block. *)
 
 val check_fingerprint : t -> Buffer.t -> unit
 (** Append all lines and open-TBE fields to a canonical model-checker state

@@ -36,10 +36,10 @@ type t = {
   l2_latency : int;
   sets : int;
   array : line Cache_array.t;
-  busy_table : (Addr.t, txn) Hashtbl.t;
-  waiting : (Addr.t, queued Queue.t) Hashtbl.t;
-  space_waiters : (int, queued Queue.t) Hashtbl.t;  (* keyed by set index *)
-  space_addr : (int, Addr.t Queue.t) Hashtbl.t;  (* parallel queue of addresses *)
+  busy_table : txn Int_table.t;
+  waiting : queued Queue.t Int_table.t;
+  space_waiters : queued Queue.t Int_table.t;  (* keyed by set index *)
+  space_addr : Addr.t Queue.t Int_table.t;  (* parallel queue of addresses *)
   stats : Group.t;
   sid : Group.id array; (* adopted hot stat counters, in [hot_stats] order *)
   coverage : Group.t;
@@ -49,8 +49,8 @@ type t = {
 let node t = t.node
 let stats t = t.stats
 let coverage t = t.coverage
-let busy t addr = Hashtbl.mem t.busy_table addr
-let open_transactions t = Hashtbl.length t.busy_table
+let busy t addr = Int_table.mem t.busy_table addr
+let open_transactions t = Int_table.length t.busy_table
 let resident t = Cache_array.count t.array
 
 let probe t addr =
@@ -77,7 +77,7 @@ let state_names =
   [| "NP"; "NoL1"; "SS"; "MT"; "Fetching"; "Direct"; "ViaOwner"; "Evicting"; "WbMem" |]
 
 let state_idx t addr =
-  match Hashtbl.find_opt t.busy_table addr with
+  match Int_table.find_opt t.busy_table addr with
   | Some txn -> (
       match txn with
       | Fetching _ -> 4
@@ -143,11 +143,11 @@ let error t what =
 
 let enqueue_addr t addr q =
   let queue =
-    match Hashtbl.find_opt t.waiting addr with
+    match Int_table.find_opt t.waiting addr with
     | Some queue -> queue
     | None ->
         let queue = Queue.create () in
-        Hashtbl.add t.waiting addr queue;
+        Int_table.replace t.waiting addr queue;
         queue
   in
   Group.incr_id t.stats t.sid.(0) (* stalled_busy *);
@@ -156,12 +156,12 @@ let enqueue_addr t addr q =
 let enqueue_space t addr q =
   let idx = set_index t addr in
   let queue, addr_queue =
-    match (Hashtbl.find_opt t.space_waiters idx, Hashtbl.find_opt t.space_addr idx) with
+    match (Int_table.find_opt t.space_waiters idx, Int_table.find_opt t.space_addr idx) with
     | Some queue, Some addr_queue -> (queue, addr_queue)
     | _ ->
         let queue = Queue.create () and addr_queue = Queue.create () in
-        Hashtbl.replace t.space_waiters idx queue;
-        Hashtbl.replace t.space_addr idx addr_queue;
+        Int_table.replace t.space_waiters idx queue;
+        Int_table.replace t.space_addr idx addr_queue;
         (queue, addr_queue)
   in
   Group.incr_id t.stats t.sid.(1) (* stalled_for_space *);
@@ -186,7 +186,7 @@ and grant t addr (line : line) (kind : Msg.get_kind) ~requestor =
       (match kind with
       | Msg.Get_m -> line.holders <- Owned requestor
       | Msg.Get_s | Msg.Get_s_only -> line.holders <- Sharers [ owner; requestor ]);
-      Hashtbl.replace t.busy_table addr
+      Int_table.replace t.busy_table addr
         (Via_owner { requestor; kind; got_unblock = false; need_copyback })
   | Owned _ ->
       (* Requestor believes it misses while we record it owner: only a buggy
@@ -194,7 +194,7 @@ and grant t addr (line : line) (kind : Msg.get_kind) ~requestor =
       error t "get_from_recorded_owner";
       let g = match kind with Msg.Get_m -> Msg.Grant_m | _ -> Msg.Grant_s in
       send t ~dst:requestor (Msg.L2_data { data = line.data; grant = g; acks = 0 }) addr;
-      Hashtbl.replace t.busy_table addr (Direct { requestor })
+      Int_table.replace t.busy_table addr (Direct { requestor })
   | Sharers sh -> (
       match kind with
       | Msg.Get_m ->
@@ -204,14 +204,14 @@ and grant t addr (line : line) (kind : Msg.get_kind) ~requestor =
             (Msg.L2_data { data = line.data; grant = Msg.Grant_m; acks = List.length others })
             addr;
           line.holders <- Owned requestor;
-          Hashtbl.replace t.busy_table addr (Direct { requestor })
+          Int_table.replace t.busy_table addr (Direct { requestor })
       | Msg.Get_s | Msg.Get_s_only ->
           send t ~dst:requestor
             (Msg.L2_data { data = line.data; grant = Msg.Grant_s; acks = 0 })
             addr;
           if not (List.exists (Node.equal requestor) sh) then
             line.holders <- Sharers (requestor :: sh);
-          Hashtbl.replace t.busy_table addr (Direct { requestor }))
+          Int_table.replace t.busy_table addr (Direct { requestor }))
   | No_l1 ->
       let g, holders =
         match kind with
@@ -221,7 +221,7 @@ and grant t addr (line : line) (kind : Msg.get_kind) ~requestor =
       in
       send t ~dst:requestor (Msg.L2_data { data = line.data; grant = g; acks = 0 }) addr;
       line.holders <- holders;
-      Hashtbl.replace t.busy_table addr (Direct { requestor })
+      Int_table.replace t.busy_table addr (Direct { requestor })
 
 and process_get t addr q kind ~requestor =
   match Cache_array.find t.array addr with
@@ -232,7 +232,7 @@ and process_get t addr q kind ~requestor =
       if Cache_array.has_room t.array addr then begin
         Group.incr_id t.stats t.sid.(2) (* l2_miss *);
         Cache_array.insert t.array addr { data = Data.zero; dirty = false; holders = No_l1 };
-        Hashtbl.replace t.busy_table addr (Fetching { kind; requestor });
+        Int_table.replace t.busy_table addr (Fetching { kind; requestor });
         send t ~dst:t.memctrl Msg.Fetch addr
       end
       else begin
@@ -251,17 +251,17 @@ and start_eviction t victim_addr (line : line) =
   match line.holders with
   | Owned owner ->
       send t ~dst:owner Msg.Recall victim_addr;
-      Hashtbl.replace t.busy_table victim_addr (Evicting { acks_left = 1 })
+      Int_table.replace t.busy_table victim_addr (Evicting { acks_left = 1 })
   | Sharers sh ->
       List.iter (fun n -> send t ~dst:n (Msg.Inv { reply_to = t.node }) victim_addr) sh;
       line.holders <- No_l1;
       if sh = [] then finish_eviction t victim_addr line
-      else Hashtbl.replace t.busy_table victim_addr (Evicting { acks_left = List.length sh })
+      else Int_table.replace t.busy_table victim_addr (Evicting { acks_left = List.length sh })
   | No_l1 -> finish_eviction t victim_addr line
 
 and finish_eviction t victim_addr (line : line) =
   if line.dirty then begin
-    Hashtbl.replace t.busy_table victim_addr Wb_mem;
+    Int_table.replace t.busy_table victim_addr Wb_mem;
     send t ~dst:t.memctrl (Msg.Mem_wb { data = line.data }) victim_addr
   end
   else begin
@@ -300,15 +300,15 @@ and process_put_m t addr ~src ~data ~dirty =
   close t addr
 
 and close t addr =
-  Hashtbl.remove t.busy_table addr;
+  Int_table.remove t.busy_table addr;
   (* First serve requests queued on this address...  Drained queues are
      removed from their tables (not merely left empty): inert either way, but
      lingering empties would make fingerprints path-dependent. *)
-  (match Hashtbl.find_opt t.waiting addr with
-  | Some queue when Queue.is_empty queue -> Hashtbl.remove t.waiting addr
+  (match Int_table.find_opt t.waiting addr with
+  | Some queue when Queue.is_empty queue -> Int_table.remove t.waiting addr
   | Some queue ->
       let next = Queue.pop queue in
-      if Queue.is_empty queue then Hashtbl.remove t.waiting addr;
+      if Queue.is_empty queue then Int_table.remove t.waiting addr;
       Engine.schedule t.engine ~delay:t.l2_latency
         ~tag:(Engine.pack_tag ~ctrl:(Node.id t.node) ~addr:(Addr.to_int addr))
         (fun () ->
@@ -316,17 +316,17 @@ and close t addr =
   | None -> ());
   (* ...then retry requests that were stalled for space in this set. *)
   let idx = set_index t addr in
-  match (Hashtbl.find_opt t.space_waiters idx, Hashtbl.find_opt t.space_addr idx) with
+  match (Int_table.find_opt t.space_waiters idx, Int_table.find_opt t.space_addr idx) with
   | Some queue, Some addr_queue when Queue.is_empty queue ->
-      Hashtbl.remove t.space_waiters idx;
+      Int_table.remove t.space_waiters idx;
       ignore addr_queue;
-      Hashtbl.remove t.space_addr idx
+      Int_table.remove t.space_addr idx
   | Some queue, Some addr_queue ->
       let q = Queue.pop queue in
       let qaddr = Queue.pop addr_queue in
       if Queue.is_empty queue then begin
-        Hashtbl.remove t.space_waiters idx;
-        Hashtbl.remove t.space_addr idx
+        Int_table.remove t.space_waiters idx;
+        Int_table.remove t.space_addr idx
       end;
       Engine.schedule t.engine ~delay:t.l2_latency
         ~tag:(Engine.pack_tag ~ctrl:(Node.id t.node) ~addr:(Addr.to_int qaddr))
@@ -337,7 +337,7 @@ and close t addr =
 (* ------- message handling ------- *)
 
 let handle_unblock t addr ~src =
-  match Hashtbl.find_opt t.busy_table addr with
+  match Int_table.find_opt t.busy_table addr with
   | Some (Direct { requestor }) when Node.equal requestor src ->
       visit t addr e_unblock;
       close t addr
@@ -349,7 +349,7 @@ let handle_unblock t addr ~src =
 
 let handle_copyback t addr ~src ~data ~dirty =
   ignore src;
-  match Hashtbl.find_opt t.busy_table addr with
+  match Int_table.find_opt t.busy_table addr with
   | Some (Via_owner v) when v.need_copyback -> (
       visit t addr e_copyback;
       (match Cache_array.find t.array addr with
@@ -368,7 +368,7 @@ let handle_copyback t addr ~src ~data ~dirty =
   | Some _ | None -> error t "unexpected_copyback"
 
 let handle_eviction_response t addr ~(is_data : (Data.t * bool) option) =
-  match Hashtbl.find_opt t.busy_table addr with
+  match Int_table.find_opt t.busy_table addr with
   | Some (Evicting e) -> (
       (match is_data with
       | Some (data, dirty) -> (
@@ -406,18 +406,18 @@ let deliver t ~src (msg : Msg.t) =
       handle_eviction_response t addr ~is_data:None
   | Msg.Inv_ack -> handle_eviction_response t addr ~is_data:None
   | Msg.Mem_data { data } -> (
-      match Hashtbl.find_opt t.busy_table addr with
+      match Int_table.find_opt t.busy_table addr with
       | Some (Fetching { kind; requestor }) -> (
           visit t addr e_mem_data;
           match Cache_array.find t.array addr with
           | Some line ->
               line.data <- data;
-              Hashtbl.remove t.busy_table addr;
+              Int_table.remove t.busy_table addr;
               grant t addr line kind ~requestor
           | None -> error t "mem_data_for_absent_line")
       | Some _ | None -> error t "unexpected_mem_data")
   | Msg.Mem_wb_ack -> (
-      match Hashtbl.find_opt t.busy_table addr with
+      match Int_table.find_opt t.busy_table addr with
       | Some Wb_mem ->
           Cache_array.remove t.array addr;
           close t addr
@@ -440,10 +440,10 @@ let create ~engine ~net ~name ~node ~memctrl ~variant ~sets ~ways ?(l2_latency =
       l2_latency;
       sets;
       array = Cache_array.create ~sets ~ways ();
-      busy_table = Hashtbl.create 16;
-      waiting = Hashtbl.create 16;
-      space_waiters = Hashtbl.create 16;
-      space_addr = Hashtbl.create 16;
+      busy_table = Int_table.create 16;
+      waiting = Int_table.create 16;
+      space_waiters = Int_table.create 16;
+      space_addr = Int_table.create 16;
       stats;
       sid = Group.adopt stats hot_stats;
       coverage;
@@ -454,15 +454,23 @@ let create ~engine ~net ~name ~node ~memctrl ~variant ~sets ~ways ?(l2_latency =
   t
 
 let queued_requests t =
-  Hashtbl.fold (fun _ q acc -> acc + Queue.length q) t.waiting 0
+  Int_table.fold (fun _ q acc -> acc + Queue.length q) t.waiting 0
 
 let space_stalled t =
-  Hashtbl.fold (fun _ q acc -> acc + Queue.length q) t.space_waiters 0
+  Int_table.fold (fun _ q acc -> acc + Queue.length q) t.space_waiters 0
 
 (* ---- model-checker support ---- *)
 
 let check_queue_tables t =
-  Hashtbl.length t.waiting + Hashtbl.length t.space_waiters + Hashtbl.length t.space_addr
+  Int_table.length t.waiting + Int_table.length t.space_waiters + Int_table.length t.space_addr
+
+let check_own_copies t f =
+  Cache_array.iter
+    (fun addr (line : line) ->
+      match line.holders with
+      | Owned _ -> ()
+      | No_l1 | Sharers _ -> f addr (if line.dirty then `O else `S) line.data)
+    t.array
 
 let check_lines t =
   Cache_array.to_list t.array
@@ -495,7 +503,7 @@ let check_fingerprint t buf =
              |> List.iter (fun n -> Fp.key buf ',' n)
          | Owned o -> Fp.key buf 'o' (Node.id o));
          Buffer.add_char buf ';');
-  Fp.sorted_bindings t.busy_table
+  Int_table.sorted_bindings t.busy_table
   |> List.iter (fun (addr, txn) ->
          Fp.key buf 'b' (Addr.to_int addr);
          Buffer.add_char buf ':';
@@ -521,18 +529,18 @@ let check_fingerprint t buf =
     Msg.add_text buf { Msg.addr; body };
     Buffer.add_char buf ','
   in
-  Fp.sorted_bindings t.waiting
+  Int_table.sorted_bindings t.waiting
   |> List.iter (fun (addr, q) ->
          Fp.key buf 'w' (Addr.to_int addr);
          Buffer.add_char buf ':';
          Queue.iter (parked addr) q;
          Buffer.add_char buf ';');
-  Fp.sorted_bindings t.space_waiters
+  Int_table.sorted_bindings t.space_waiters
   |> List.iter (fun (idx, q) ->
          Fp.key buf 'z' idx;
          Buffer.add_char buf ':';
          let addr_q =
-           match Hashtbl.find_opt t.space_addr idx with
+           match Int_table.find_opt t.space_addr idx with
            | Some aq -> Queue.to_seq aq |> List.of_seq
            | None -> []
          in

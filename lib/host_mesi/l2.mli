@@ -62,6 +62,12 @@ val check_queue_tables : t -> int
 val check_lines : t -> (Addr.t * [ `No_l1 | `Sharers of Node.t list | `Owned of Node.t ] * Data.t * bool) list
 (** Every resident line sorted by block: holder record, data, dirty bit. *)
 
+val check_own_copies : t -> (Addr.t -> [> `S | `O ] -> Data.t -> unit) -> unit
+(** [f addr class data] for every resident line no L1 owns, in no
+    particular order: the L2's own copy, [`O] when dirty, [`S] when clean.
+    When an L1 owns the block the L2 copy may legitimately be stale, so it
+    is left out. *)
+
 val check_fingerprint : t -> Buffer.t -> unit
 (** Append lines, open transactions and stall queues to a canonical
     model-checker state fingerprint (stats and coverage excluded). *)

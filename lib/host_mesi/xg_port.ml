@@ -34,7 +34,7 @@ type t = {
   l2 : Node.t;
   mutable core : Xg_core.t option;
   tbes : get_tbe Tbe_table.t;
-  puts : (Addr.t, put_rec) Hashtbl.t;
+  puts : put_rec Int_table.t;
   stats : Group.t;
   sid : Group.id array; (* adopted hot stat counters, in [hot_stats] order *)
 }
@@ -51,7 +51,7 @@ let hot_stats =
 let node t = t.node
 let stats t = t.stats
 let attach_core t core = t.core <- Some core
-let outstanding t = Tbe_table.count t.tbes + Hashtbl.length t.puts
+let outstanding t = Tbe_table.count t.tbes + Int_table.length t.puts
 
 let core t =
   match t.core with
@@ -81,15 +81,15 @@ let issue_put t addr kind =
   let born = Engine.now t.engine in
   (match kind with
   | `S ->
-      Hashtbl.replace t.puts addr
+      Int_table.replace t.puts addr
         { data = Data.zero; dirty = false; notify_core = true; is_owner = false; born };
       send t ~dst:t.l2 Msg.Put_s addr
   | `E data ->
-      Hashtbl.replace t.puts addr
+      Int_table.replace t.puts addr
         { data; dirty = false; notify_core = true; is_owner = true; born };
       send t ~dst:t.l2 (Msg.Put_m { data; dirty = false }) addr
   | `M data ->
-      Hashtbl.replace t.puts addr
+      Int_table.replace t.puts addr
         { data; dirty = true; notify_core = true; is_owner = true; born };
       send t ~dst:t.l2 (Msg.Put_m { data; dirty = true }) addr);
   Group.incr_id t.stats t.sid.(5) (* put_issued *)
@@ -144,7 +144,7 @@ let zero_data_response t addr ~requestor (kind : Msg.get_kind) =
 
 let handle_inv t addr ~reply_to =
   Group.incr_id t.stats t.sid.(6) (* inv *);
-  match Hashtbl.find_opt t.puts addr with
+  match Int_table.find_opt t.puts addr with
   | Some _ ->
       (* Our writeback is in flight; the accelerator already relinquished. *)
       send t ~dst:reply_to Msg.Inv_ack addr
@@ -162,7 +162,7 @@ let handle_inv t addr ~reply_to =
 
 let handle_recall t addr =
   Group.incr_id t.stats t.sid.(7) (* recall *);
-  match Hashtbl.find_opt t.puts addr with
+  match Int_table.find_opt t.puts addr with
   | Some p when p.is_owner ->
       send t ~dst:t.l2 (Msg.Recall_data { data = p.data; dirty = p.dirty }) addr
   | Some _ | None ->
@@ -175,7 +175,7 @@ let handle_recall t addr =
 let handle_fwd t addr (kind : Msg.get_kind) ~requestor =
   Group.incr_id t.stats
     t.sid.(match kind with Msg.Get_s -> 1 | Msg.Get_s_only -> 2 | Msg.Get_m -> 3);
-  match Hashtbl.find_opt t.puts addr with
+  match Int_table.find_opt t.puts addr with
   | Some p when p.is_owner -> (
       match kind with
       | Msg.Get_m ->
@@ -219,9 +219,9 @@ let span_put_done t addr (p : put_rec) =
   | None -> ()
 
 let handle_wb_ack t addr =
-  match Hashtbl.find_opt t.puts addr with
+  match Int_table.find_opt t.puts addr with
   | Some p ->
-      Hashtbl.remove t.puts addr;
+      Int_table.remove t.puts addr;
       Group.incr_id t.stats t.sid.(4) (* writeback_complete *);
       span_put_done t addr p;
       if p.notify_core then Xg_core.put_complete (core t) addr
@@ -275,7 +275,7 @@ let check_fingerprint t buf =
          Fp.field_opt buf g.acks_expected;
          Fp.field_int buf g.acks_got;
          Buffer.add_char buf ';');
-  Fp.sorted_bindings t.puts
+  Int_table.sorted_bindings t.puts
   |> List.iter (fun (addr, (p : put_rec)) ->
          Fp.key buf 'p' (Addr.to_int addr);
          Fp.field_int buf (p.data : Data.t);
@@ -295,7 +295,7 @@ let create ~engine ~net ~name ~node ~l2 () =
       l2;
       core = None;
       tbes = Tbe_table.create ~capacity:128 ();
-      puts = Hashtbl.create 16;
+      puts = Int_table.create 16;
       stats;
       sid = Group.adopt stats hot_stats;
     }

@@ -34,12 +34,6 @@ let field_bool buf b =
   Buffer.add_char buf ':';
   bool buf b
 
-let sorted_bindings tbl =
-  if Hashtbl.length tbl = 0 then []
-  else
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
 let to_string add x =
   let buf = Buffer.create 32 in
   add buf x;

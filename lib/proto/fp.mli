@@ -32,10 +32,6 @@ val field_opt : Buffer.t -> int option -> unit
 val field_bool : Buffer.t -> bool -> unit
 (** [:%b]. *)
 
-val sorted_bindings : (int, 'a) Hashtbl.t -> (int * 'a) list
-(** A table's bindings in ascending key order — the canonical order every
-    fingerprint writes a table in.  An empty table is not walked. *)
-
 val to_string : (Buffer.t -> 'a -> unit) -> 'a -> string
 (** Run one writer into a fresh buffer. *)
 

@@ -12,7 +12,8 @@ type 'a t
 
 val create : int -> 'a t
 (** [create n]: an empty table sized for about [n] keys (at least 16
-    buckets). *)
+    buckets), which it allocates on its first binding: a table that is
+    never written costs one small record. *)
 
 val length : 'a t -> int
 val find : 'a t -> int -> 'a
@@ -25,7 +26,7 @@ val replace : 'a t -> int -> 'a -> unit
 
 val remove : 'a t -> int -> unit
 val reset : 'a t -> unit
-(** Empties the table and shrinks it back to its initial size. *)
+(** Empties the table and releases its buckets, as when created. *)
 
 val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 (** In unspecified order. *)
@@ -34,5 +35,5 @@ val iter : (int -> 'a -> unit) -> 'a t -> unit
 (** In unspecified order. *)
 
 val sorted_bindings : 'a t -> (int * 'a) list
-(** The bindings in ascending key order, as {!Fp.sorted_bindings} lists a
-    polymorphic table's.  An empty table is not walked. *)
+(** The bindings in ascending key order — the canonical order every
+    fingerprint writes a table in.  An empty table is not walked. *)

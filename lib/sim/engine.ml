@@ -30,12 +30,14 @@ type t = {
   mutable order : int array;
 }
 
+(* Sized for the tiny systems the model checker rebuilds once per path;
+   [grow] doubles it for anything bigger. *)
 let create () =
   {
-    at_h = Array.make 64 0;
-    seq_h = Array.make 64 0;
-    tag_h = Array.make 64 0;
-    thunk_h = Array.make 64 ignore;
+    at_h = Array.make 16 0;
+    seq_h = Array.make 16 0;
+    tag_h = Array.make 16 0;
+    thunk_h = Array.make 16 ignore;
     size = 0;
     now = 0;
     next_seq = 0;
@@ -336,13 +338,19 @@ let fire_choice t ~key =
   if t.at_h.(key) <> t.at_h.(0) then
     invalid_arg "Engine.fire_choice: key is not a minimal-time event";
   let at = t.at_h.(key) and thunk = t.thunk_h.(key) in
-  let n = t.size - 1 in
-  if key <> n then heap_swap t key n;
-  t.size <- n;
-  t.thunk_h.(n) <- ignore;
-  if key < n then begin
-    sift_up t key;
-    sift_down t key
+  (* Most fired candidates are the FIFO head, the root: delete it as [run]
+     does.  Keys are heap indices, so the layout left behind only renames
+     later keys; no pool order or summary depends on it. *)
+  if key = 0 then remove_root t
+  else begin
+    let n = t.size - 1 in
+    if key <> n then heap_swap t key n;
+    t.size <- n;
+    t.thunk_h.(n) <- ignore;
+    if key < n then begin
+      sift_up t key;
+      sift_down t key
+    end
   end;
   t.now <- at;
   t.fired <- t.fired + 1;

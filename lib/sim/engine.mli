@@ -84,17 +84,20 @@ val pack_tag : ctrl:int -> addr:int -> int
 (** Pack a (controller id, block address) pair into a choice tag.  Two tagged
     events commute unless they share a controller or an address
     ({!tags_conflict}); the checker's partial-order reduction only branches on
-    conflicting candidate sets.  [addr = -1] means "no specific block" and
-    behaves as a per-controller channel (conflicts with other no-block events
-    of the same controller).  Addresses are truncated to 24 bits — callers
-    must keep block addresses below [2^24 - 1] in check configurations. *)
+    conflicting candidate sets.  [addr = -1] means "no specific block": every
+    such event packs the same address field, so any two no-block events
+    conflict, whichever controllers they belong to (sequencer pumps, local
+    cache events), while a no-block event and another controller's block
+    event commute.  Addresses are truncated to 24 bits — callers must keep
+    block addresses below [2^24 - 1] in check configurations. *)
 
 val tag_ctrl : int -> int
 val tag_addr : int -> int
 
 val tags_conflict : int -> int -> bool
 (** Whether two events may fail to commute: either is {!no_tag}, or same
-    controller, or same address. *)
+    controller, or same packed address (every no-block event has the
+    same one). *)
 
 val choices : t -> int
 (** Gather every event sharing the minimal pending timestamp into the

@@ -41,34 +41,38 @@ module Group = struct
 
   (* Interned counters live in [slots] from [intern] time, adopted ones from
      their first touch (until then their slot holds [unborn]); either joins
-     [table]/[order] only on first touch ([enlisted]), so [to_list] stays
+     [order] only on first touch ([enlisted]), so [to_list] stays
      byte-identical to the string-keyed path: same first-touch order, no
      phantom zero entries for vocabulary that never fired.  Names interned
      one at a time are keyed in [ids]; an adopted vocabulary occupies the
      id block starting at its base and is looked up through its own shared
-     index. *)
+     index.  The two name-keyed tables are made on first need: a group
+     driven only through adopted ids never hashes a name.  [table] indexes
+     [order] by name once made.  [slots] and [enlisted] cover ids
+     [0, n_ids) from the first touch on: a group whose adopted ids never
+     fire allocates neither. *)
   type t = {
     group_name : string;
-    table : (string, counter) Hashtbl.t;
+    mutable table : (string, counter) Hashtbl.t option;
     mutable order : counter array; (* creation order; the first [n_order] are live *)
     mutable n_order : int;
-    ids : (string, id) Hashtbl.t;
+    mutable ids : (string, id) Hashtbl.t option;
     mutable blocks : (vocab * id) list;
     mutable slots : counter array;
-    mutable enlisted : bool array;
+    mutable enlisted : Bytes.t; (* '\001' once the id's counter is in [order] *)
     mutable n_ids : int;
   }
 
   let create group_name =
     {
       group_name;
-      table = Hashtbl.create 16;
+      table = None;
       order = [||];
       n_order = 0;
-      ids = Hashtbl.create 16;
+      ids = None;
       blocks = [];
       slots = [||];
-      enlisted = [||];
+      enlisted = Bytes.empty;
       n_ids = 0;
     }
 
@@ -78,8 +82,21 @@ module Group = struct
      never written: it only ever reads as 0. *)
   let unborn = make_counter ""
 
+  let reserve g n =
+    let cap = Array.length g.slots in
+    if n > cap then begin
+      let cap' = max n (max 16 (2 * cap)) in
+      let slots' = Array.make cap' unborn in
+      let enlisted' = Bytes.make cap' '\000' in
+      Array.blit g.slots 0 slots' 0 cap;
+      Bytes.blit g.enlisted 0 enlisted' 0 cap;
+      g.slots <- slots';
+      g.enlisted <- enlisted'
+    end
+
   (* The counter of id [id], created on its first touch when adopted. *)
   let born g id =
+    if id >= Array.length g.slots then reserve g g.n_ids;
     let c = g.slots.(id) in
     if c != unborn then c
     else begin
@@ -91,8 +108,21 @@ module Group = struct
       c
     end
 
+  let table g =
+    match g.table with
+    | Some tbl -> tbl
+    | None ->
+        let tbl = Hashtbl.create 16 in
+        for i = 0 to g.n_order - 1 do
+          Hashtbl.add tbl g.order.(i).name g.order.(i)
+        done;
+        g.table <- Some tbl;
+        tbl
+
+  let enlisted g id = Bytes.get g.enlisted id <> '\000'
+
   let enlist g c =
-    Hashtbl.add g.table c.name c;
+    Option.iter (fun tbl -> Hashtbl.add tbl c.name c) g.table;
     if g.n_order = Array.length g.order then begin
       let order' = Array.make (max 8 (2 * g.n_order)) c in
       Array.blit g.order 0 order' 0 g.n_order;
@@ -102,7 +132,7 @@ module Group = struct
     g.n_order <- g.n_order + 1
 
   let find_id g counter_name =
-    match Hashtbl.find_opt g.ids counter_name with
+    match Option.bind g.ids (fun ids -> Hashtbl.find_opt ids counter_name) with
     | Some _ as id -> id
     | None ->
         List.find_map
@@ -111,13 +141,13 @@ module Group = struct
           g.blocks
 
   let counter g counter_name =
-    match Hashtbl.find_opt g.table counter_name with
+    match Hashtbl.find_opt (table g) counter_name with
     | Some c -> c
     | None -> (
         match find_id g counter_name with
         | Some id ->
             let c = born g id in
-            g.enlisted.(id) <- true;
+            Bytes.set g.enlisted id '\001';
             enlist g c;
             c
         | None ->
@@ -125,47 +155,42 @@ module Group = struct
             enlist g c;
             c)
 
-  let reserve g n =
-    let cap = Array.length g.slots in
-    if n > cap then begin
-      let cap' = max n (max 16 (2 * cap)) in
-      let slots' = Array.make cap' unborn in
-      let enlisted' = Array.make cap' false in
-      Array.blit g.slots 0 slots' 0 cap;
-      Array.blit g.enlisted 0 enlisted' 0 cap;
-      g.slots <- slots';
-      g.enlisted <- enlisted'
-    end
-
   let intern g counter_name =
     match find_id g counter_name with
     | Some id -> id
     | None ->
         reserve g (g.n_ids + 1);
         let id = g.n_ids in
-        let already = Hashtbl.find_opt g.table counter_name in
+        let already = Hashtbl.find_opt (table g) counter_name in
         let c =
           match already with Some c -> c | None -> make_counter counter_name
         in
         g.slots.(id) <- c;
-        g.enlisted.(id) <- already <> None;
+        Bytes.set g.enlisted id (if already <> None then '\001' else '\000');
         g.n_ids <- id + 1;
-        Hashtbl.add g.ids counter_name id;
+        let ids =
+          match g.ids with
+          | Some ids -> ids
+          | None ->
+              let ids = Hashtbl.create 16 in
+              g.ids <- Some ids;
+              ids
+        in
+        Hashtbl.add ids counter_name id;
         id
 
   let adopt g v =
     (* A group that has never named a counter cannot clash, so only a group
        already in use pays a lookup per name. *)
-    if g.n_ids > 0 || Hashtbl.length g.table > 0 then
+    if g.n_ids > 0 || g.n_order > 0 then
       Array.iter
         (fun n ->
-          if Hashtbl.mem g.table n || find_id g n <> None then
+          if Hashtbl.mem (table g) n || find_id g n <> None then
             invalid_arg
               (Printf.sprintf "Counter.Group.adopt: %S is already a counter of %s" n
                  g.group_name))
         v.names;
     let base = g.n_ids in
-    reserve g (base + Array.length v.names);
     g.n_ids <- base + Array.length v.names;
     g.blocks <- (v, base) :: g.blocks;
     (* A fresh group's block starts at id 0, so its ids are the vocabulary's
@@ -174,8 +199,9 @@ module Group = struct
 
   (* First touch: create an adopted counter and join [to_list]. *)
   let touch g id =
-    if not g.enlisted.(id) then begin
-      g.enlisted.(id) <- true;
+    if id >= Array.length g.slots then reserve g g.n_ids;
+    if not (enlisted g id) then begin
+      Bytes.set g.enlisted id '\001';
       enlist g (born g id)
     end
 
@@ -189,12 +215,12 @@ module Group = struct
     let c = g.slots.(id) in
     c.value <- c.value + n
 
-  let get_id g id = g.slots.(id).value
+  let get_id g id = if id < Array.length g.slots then g.slots.(id).value else 0
   let incr g counter_name = incr_counter (counter g counter_name)
   let add g counter_name n = add_counter (counter g counter_name) n
 
   let get g counter_name =
-    match Hashtbl.find_opt g.table counter_name with
+    match Hashtbl.find_opt (table g) counter_name with
     | Some c -> c.value
     | None -> 0
 
@@ -209,7 +235,7 @@ module Group = struct
     for i = 0 to g.n_order - 1 do
       reset g.order.(i)
     done;
-    for i = 0 to g.n_ids - 1 do
+    for i = 0 to Array.length g.slots - 1 do
       if g.slots.(i) != unborn then reset g.slots.(i)
     done
 

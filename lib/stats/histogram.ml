@@ -2,7 +2,9 @@ let bucket_count = 63
 
 type t = {
   name : string;
-  counts : int array; (* counts.(i) holds samples in [2^(i-1), 2^i), bucket 0 = {0} *)
+  mutable counts : int array;
+      (* counts.(i) holds samples in [2^(i-1), 2^i), bucket 0 = {0}; [||]
+         until the first sample *)
   mutable total : int;
   mutable sum : int;
   mutable min_v : int;
@@ -12,7 +14,7 @@ type t = {
 let create name =
   {
     name;
-    counts = Array.make bucket_count 0;
+    counts = [||];
     total = 0;
     sum = 0;
     min_v = max_int;
@@ -30,11 +32,15 @@ let bucket_of_value v =
 
 let bucket_lo i = if i = 0 then 0 else 1 lsl (i - 1)
 let bucket_hi i = if i = 0 then 0 else (1 lsl i) - 1
+let count_at t i = if Array.length t.counts = 0 then 0 else t.counts.(i)
+
+let add_at t i c =
+  if Array.length t.counts = 0 then t.counts <- Array.make bucket_count 0;
+  t.counts.(i) <- t.counts.(i) + c
 
 let observe t v =
   if v < 0 then invalid_arg "Histogram.observe: negative sample";
-  let b = bucket_of_value v in
-  t.counts.(b) <- t.counts.(b) + 1;
+  add_at t (bucket_of_value v) 1;
   t.total <- t.total + 1;
   t.sum <- t.sum + v;
   if v < t.min_v then t.min_v <- v;
@@ -64,7 +70,7 @@ let percentile t p =
   let rec scan i seen =
     if i >= bucket_count then t.max_v
     else
-      let seen = seen + t.counts.(i) in
+      let seen = seen + count_at t i in
       if seen >= target then min (bucket_hi i) t.max_v else scan (i + 1) seen
   in
   scan 0 0
@@ -81,7 +87,7 @@ let quantile t q =
 let merge a b =
   let t = create a.name in
   for i = 0 to bucket_count - 1 do
-    t.counts.(i) <- a.counts.(i) + b.counts.(i)
+    add_at t i (count_at a i + count_at b i)
   done;
   t.total <- a.total + b.total;
   t.sum <- a.sum + b.sum;
@@ -101,7 +107,7 @@ let of_dump ~name ~sum ~min_v ~max_v dump =
       let i = bucket_of_value lo in
       if bucket_lo i <> lo then
         invalid_arg (Printf.sprintf "Histogram.of_dump: %d is not a bucket boundary" lo);
-      t.counts.(i) <- t.counts.(i) + c;
+      add_at t i c;
       t.total <- t.total + c)
     dump;
   if t.total > 0 then begin
@@ -114,7 +120,7 @@ let of_dump ~name ~sum ~min_v ~max_v dump =
 let buckets t =
   let acc = ref [] in
   for i = bucket_count - 1 downto 0 do
-    if t.counts.(i) > 0 then acc := (bucket_lo i, bucket_hi i, t.counts.(i)) :: !acc
+    if count_at t i > 0 then acc := (bucket_lo i, bucket_hi i, count_at t i) :: !acc
   done;
   !acc
 

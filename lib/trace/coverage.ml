@@ -7,11 +7,21 @@ type space = {
   events : string list;
   possible : string -> string -> bool;
   vocab : Group.vocab;
+  n_states : int;
+  n_events : int;
 }
 
 let space ~name ~states ~events ?(possible = fun _ _ -> true) () =
   let keys = List.concat_map (fun s -> List.map (fun e -> s ^ "." ^ e) events) states in
-  { name; states; events; possible; vocab = Group.vocab (Array.of_list keys) }
+  {
+    name;
+    states;
+    events;
+    possible;
+    vocab = Group.vocab (Array.of_list keys);
+    n_states = List.length states;
+    n_events = List.length events;
+  }
 
 type matrix = {
   group : Group.t;
@@ -24,8 +34,8 @@ let intern_matrix space group =
   {
     group;
     ids = Group.adopt group space.vocab;
-    n_states = List.length space.states;
-    n_events = List.length space.events;
+    n_states = space.n_states;
+    n_events = space.n_events;
   }
 
 let hit m ~state ~event = Group.incr_id m.group m.ids.((state * m.n_events) + event)

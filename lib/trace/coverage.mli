@@ -22,6 +22,8 @@ type space = private {
   vocab : Xguard_stats.Counter.Group.vocab;
       (** the row-major ["STATE.Event"] names, hashed once when the space is
           created; {!intern_matrix} adopts it into each controller's group *)
+  n_states : int;  (** [List.length states], counted once *)
+  n_events : int;  (** [List.length events], counted once *)
 }
 
 val space :

@@ -1154,21 +1154,25 @@ let check_tracked t =
   Int_table.sorted_bindings t.tracks
   |> List.map (fun (addr, (tr : track)) -> (addr, tr.st, tr.xg_copy))
 
+let check_tracked_state t addr =
+  match Int_table.find_opt t.tracks addr with Some tr -> Some tr.st | None -> None
+
 let check_violation t =
   (* Guarantee 1b: at most one open transaction per block.  The guard's
      per-block slot makes this structural — a get and a put open at once is
-     the broken state the invariant engine looks for. *)
-  List.fold_left
-    (fun acc (addr, (p : per_addr)) ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-          if p.p_get <> None && p.p_put <> None then
-            Some
-              (Printf.sprintf "%s: G1b violated at block %d (get and put both open)"
-                 t.name (Addr.to_int addr))
-          else None)
-    None (Int_table.sorted_bindings t.pending)
+     the broken state the invariant engine looks for.  The lowest such
+     block is reported. *)
+  let lowest =
+    Int_table.fold
+      (fun addr (p : per_addr) low ->
+        if addr < low && p.p_get <> None && p.p_put <> None then addr else low)
+      t.pending max_int
+  in
+  if lowest = max_int then None
+  else
+    Some
+      (Printf.sprintf "%s: G1b violated at block %d (get and put both open)" t.name
+         (Addr.to_int lowest))
 
 let check_fingerprint t buf =
   Buffer.add_string buf "xg[";

@@ -275,9 +275,13 @@ val check_tracked : t -> (Addr.t * [ `S | `E | `M ] * Data.t option) list
 (** Full-state tracking table, sorted by block (empty in transactional
     mode): trusted stable state and the guard's trusted copy, if any. *)
 
+val check_tracked_state : t -> Addr.t -> [ `S | `E | `M ] option
+(** The trusted stable state {!check_tracked} lists for one block, without
+    listing the table. *)
+
 val check_violation : t -> string option
 (** G1b structural check: [Some msg] if any block has both a get and a put
-    transaction open at once. *)
+    transaction open at once (the lowest such block). *)
 
 val check_fingerprint : t -> Buffer.t -> unit
 (** Append the tracking table, every pending slot (open get/put, outstanding

@@ -252,9 +252,14 @@ module Link = struct
   let lv_fault = 10
   let lv_recover = 11
 
+  (* The per-frame counters, hashed once per process and adopted by every
+     link's fresh group, in the order of the [s_*] fields. *)
+  let hot_stats = Counter.Group.vocab [| "frames_sent"; "delivered"; "acks_absorbed"; "dups_suppressed" |]
+
   let create ~engine ~rng ~name ~ordering () =
     let stats = Counter.Group.create (name ^ ".link") in
     let cov = Counter.Group.create (name ^ ".link.cov") in
+    let sid = Counter.Group.adopt stats hot_stats in
     let t =
       {
         raw = Raw.create ~engine ~rng ~name ~ordering ();
@@ -279,10 +284,10 @@ module Link = struct
         stats;
         cov;
         covm = Coverage.intern_matrix coverage_space cov;
-        s_frames_sent = Counter.Group.intern stats "frames_sent";
-        s_delivered = Counter.Group.intern stats "delivered";
-        s_acks_absorbed = Counter.Group.intern stats "acks_absorbed";
-        s_dups_suppressed = Counter.Group.intern stats "dups_suppressed";
+        s_frames_sent = sid.(0);
+        s_delivered = sid.(1);
+        s_acks_absorbed = sid.(2);
+        s_dups_suppressed = sid.(3);
       }
     in
     Raw.set_corruptor t.raw (function

@@ -47,6 +47,11 @@ let test_hammer_trans_counts () =
 let test_mesi_trans_counts () =
   explore_counts "mesi/trans" ~states:12 ~transitions:14 ~traversal:[ 13; 73; 68; 9 ]
 
+(* The plan that dominates the benchmark's [check] sweep. *)
+let test_mesi_full_jitter_counts () =
+  explore_counts "mesi/full+jitter" ~states:505 ~transitions:3843
+    ~traversal:[ 18435; 481760; 102458; 32 ]
+
 (* A test-only invariant hook that trips after a fixed number of evaluations:
    the checker must surface it as a violation whose trail, replayed through
    the trace-armed [C.replay], reproduces the same failure. *)
@@ -72,6 +77,13 @@ let test_broken_invariant_replayable () =
       | `Terminal -> Alcotest.fail "replayed trail drained without tripping"
       | `Incomplete -> Alcotest.fail "replayed trail did not reach the violation")
 
+let diverges what run =
+  match run () with
+  | _ -> Alcotest.failf "%s replayed without complaint" what
+  | exception Invalid_argument m ->
+      Alcotest.(check bool) (what ^ " reported: " ^ m) true
+        (String.starts_with ~prefix:"Checker: replay diverged" m)
+
 (* A carried prefix replays without re-verification: its events skip the
    invariant hooks, and its digests stand in for fingerprints except at the
    deepest carried scheduler decision, which is recomputed.  Corrupting that
@@ -96,12 +108,85 @@ let test_replay_divergence_caught () =
   Alcotest.(check bool) "a carried prefix skips the checks a user trail runs" true
     (carried < !evaluations);
   let corrupt = Array.copy prefix in
-  corrupt.(!deepest) <- { (corrupt.(!deepest)) with C.digest = Some (String.make 32 '0') };
-  match C.run_path plan ~prefix:corrupt ~sh:(C.fresh_shared ()) () with
-  | _ -> Alcotest.fail "corrupted carried digest replayed without complaint"
-  | exception Invalid_argument m ->
-      Alcotest.(check bool) ("divergence reported: " ^ m) true
-        (String.starts_with ~prefix:"Checker: replay diverged" m)
+  corrupt.(!deepest) <- { (corrupt.(!deepest)) with C.digest = Some (String.make 16 '\000') };
+  diverges "a corrupted carried digest" (fun () ->
+      C.run_path plan ~prefix:corrupt ~sh:(C.fresh_shared ()) ())
+
+(* Key replay: a sibling prefix run with the path it was cut from fires that
+   path's recorded keys instead of reading the choice pools.  Run the search
+   path by path, and run every carried prefix a second time without its
+   record, against a copy of the sets the keyed run started from: both must
+   return the same trail (steps, digests, arities, event indices, POR
+   counts), keys and ending, and add the same states and edges.  A carried
+   prefix with a corrupted key or tripwire digest must stop as diverged,
+   both where the tripwire is the prefix's last decision and where it falls
+   inside the keyed events (a jittered prefix ending in a delay draw). *)
+let key_replay_matches plan =
+  let sh = C.fresh_shared () in
+  let copy () =
+    { (C.fresh_shared ()) with C.visited = Hashtbl.copy sh.C.visited; edges = Hashtbl.copy sh.C.edges }
+  in
+  let sorted tbl = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl []) in
+  let hex tbl = List.map Digest.to_hex (sorted tbl) in
+  let keyed = ref 0 and corrupted = ref [] in
+  let rec dfs = function
+    | [] -> ()
+    | (prefix, carried) :: rest ->
+        let by_choice = Option.map (fun _ -> copy ()) carried in
+        let p = C.run_path ?carried plan ~prefix ~sh () in
+        (match (carried, by_choice) with
+        | Some c, Some sh' ->
+            incr keyed;
+            let q = C.run_path plan ~prefix ~sh:sh' () in
+            Alcotest.(check bool) "same trail" true (p.C.trail = q.C.trail);
+            Alcotest.(check (array int)) "same keys" q.C.keys p.C.keys;
+            Alcotest.(check bool) "same ending" true (p.C.ending = q.C.ending);
+            Alcotest.(check (list string)) "same states" (hex sh'.C.visited) (hex sh.C.visited);
+            Alcotest.(check bool) "same edges" true (sorted sh'.C.edges = sorted sh.C.edges);
+            let last = Array.length prefix - 1 in
+            let tripwire = ref (-1) in
+            Array.iteri (fun i st -> if st.C.digest <> None then tripwire := i) prefix;
+            let where = if !tripwire = last then `Last else `Inside in
+            if
+              (not (List.mem where !corrupted))
+              && c.C.trail.(last).C.event > 0 && !tripwire >= 0
+            then begin
+              corrupted := where :: !corrupted;
+              let stale = { c with C.keys = Array.map (fun _ -> 1_000_000) c.C.keys } in
+              diverges "a corrupted key" (fun () ->
+                  C.run_path ~carried:stale plan ~prefix ~sh:(copy ()) ());
+              let bad = Array.copy prefix in
+              bad.(!tripwire) <- { (bad.(!tripwire)) with C.digest = Some (String.make 16 '\000') };
+              diverges "a corrupted digest" (fun () ->
+                  C.run_path ~carried:c plan ~prefix:bad ~sh:(copy ()) ())
+            end
+        | _ -> ());
+        dfs (List.map (fun s -> (s, Some p)) (C.siblings p ~from:(Array.length prefix)) @ rest)
+  in
+  dfs [ ([||], None) ];
+  (!keyed, !corrupted)
+
+let test_key_replay_hammer_full () =
+  let keyed, corrupted = key_replay_matches (List.assoc "hammer/full" (C.tiny_plans ())) in
+  Alcotest.(check int) "every sibling prefix replayed by key" 85 keyed;
+  Alcotest.(check bool) "a corrupted key and digest tried" true (List.mem `Last corrupted)
+
+(* Latency draws make prefixes that end inside a keyed event, past their
+   tripwire. *)
+let test_key_replay_jittered () =
+  let plan =
+    {
+      (C.tiny_plan ~jitter:true ~host:Config.Mesi ~variant:Config.Full_state ()) with
+      C.ops =
+        [
+          (C.Cpu 0, [ Access.store (Addr.block 0) (Data.token 1) ]);
+          (C.Accel 0, [ Access.load (Addr.block 0) ]);
+        ];
+    }
+  in
+  let _, corrupted = key_replay_matches plan in
+  Alcotest.(check bool) "a tripwire inside the keyed events corrupted" true
+    (List.mem `Inside corrupted)
 
 (* Digest-collision sanity: at every event boundary of every explored path,
    record digest -> full canonical fingerprint; two different fingerprints
@@ -218,7 +303,7 @@ let audit_clean (name, plan) =
   | [] -> ()
   | ((x, y), trail) :: _ as holes ->
       Alcotest.failf "%s: %d fingerprint hole(s); first: %s -> %s after trail %s" name
-        (List.length holes) x y
+        (List.length holes) (Digest.to_hex x) (Digest.to_hex y)
         (String.concat ";" (Array.to_list (Array.map string_of_int trail)))
 
 let jittered (name, _) = String.ends_with ~suffix:"+jitter" name
@@ -250,24 +335,35 @@ let gen_plan =
     and+ accel_ops = ops in
     (host, variant, jitter, cpu_ops, accel_ops))
 
+let plan_of (host, variant, jitter, cpu_ops, accel_ops) =
+  let to_access = function
+    | `Load i -> Access.load (Addr.block i)
+    | `Store (i, tok) -> Access.store (Addr.block i) (Data.token tok)
+  in
+  {
+    (C.tiny_plan ~jitter ~host ~variant ()) with
+    C.ops = [ (C.Cpu 0, List.map to_access cpu_ops); (C.Accel 0, List.map to_access accel_ops) ];
+  }
+
 let prop_audit_clean =
-  QCheck2.Test.make ~name:"random plans, jitter off and on" ~count:10 gen_plan
-    (fun (host, variant, jitter, cpu_ops, accel_ops) ->
-      let to_access = function
-        | `Load i -> Access.load (Addr.block i)
-        | `Store (i, tok) -> Access.store (Addr.block i) (Data.token tok)
-      in
-      let plan =
-        {
-          (C.tiny_plan ~jitter ~host ~variant ()) with
-          C.ops =
-            [
-              (C.Cpu 0, List.map to_access cpu_ops);
-              (C.Accel 0, List.map to_access accel_ops);
-            ];
-        }
-      in
-      audit plan = [])
+  QCheck2.Test.make ~name:"random plans, jitter off and on" ~count:10 gen_plan (fun g ->
+      audit (plan_of g) = [])
+
+(* Key replay against choice replay on random small plans with jitter on,
+   where carried prefixes end in delay decisions drawn inside keyed
+   events. *)
+let prop_key_replay =
+  QCheck2.Test.make ~name:"key replay = choice replay, random jittered plans" ~count:5
+    QCheck2.Gen.(
+      let access = oneofl [ `Load 0; `Load 1; `Store (0, 7); `Store (1, 8) ] in
+      let+ host = oneofl [ Config.Hammer; Config.Mesi ]
+      and+ variant = oneofl [ Config.Full_state; Config.Transactional ]
+      and+ cpu_op = access
+      and+ accel_op = access in
+      (host, variant, true, [ cpu_op ], [ accel_op ]))
+    (fun g ->
+      ignore (key_replay_matches (plan_of g));
+      true)
 
 (* ---- snapshot-symmetry fixes (each with its own unit test) ----
 
@@ -416,10 +512,17 @@ let tests =
           test_hammer_trans_counts;
         Alcotest.test_case "mesi/trans terminates at the pinned fixed point" `Quick
           test_mesi_trans_counts;
+        Alcotest.test_case "mesi/full+jitter terminates at the pinned fixed point" `Quick
+          test_mesi_full_jitter_counts;
         Alcotest.test_case "broken invariant caught with a replayable trail" `Quick
           test_broken_invariant_replayable;
         Alcotest.test_case "carried-prefix replay checks its tripwire digest" `Quick
           test_replay_divergence_caught;
+        Alcotest.test_case "key replay = choice replay on hammer/full" `Quick
+          test_key_replay_hammer_full;
+        Alcotest.test_case "key replay = choice replay on a jittered plan" `Quick
+          test_key_replay_jittered;
+        QCheck_alcotest.to_alcotest prop_key_replay;
         Alcotest.test_case "no visited-set digest collisions" `Quick
           test_no_digest_collisions;
         Alcotest.test_case "lossy-link plan refused" `Quick test_refuses_reliable_link;

@@ -184,6 +184,26 @@ let test_rng_stream_pinned () =
   Alcotest.(check int64) "parent after split" (-3677692746721775708L) (Rng.bits64 r);
   check_int "child int" 685427 (Rng.int child 1_000_000)
 
+(* The partial-order reduction's conflict rule, as it stands: a no-block
+   event ([addr = -1]) packs the address field every other no-block event
+   packs, so two of them conflict across controllers, while it commutes
+   with another controller's block event.  MODEL_BASELINE.json depends on
+   this rule. *)
+let test_tags_conflict_rule () =
+  let tag ctrl addr = Engine.pack_tag ~ctrl ~addr in
+  let conflict what expected a b =
+    check_bool what expected (Engine.tags_conflict a b);
+    check_bool (what ^ " (symmetric)") expected (Engine.tags_conflict b a)
+  in
+  conflict "no-block events of two controllers" true (tag 0 (-1)) (tag 1 (-1));
+  conflict "no-block and block events of one controller" true (tag 0 (-1)) (tag 0 5);
+  conflict "no-block and another controller's block event" false (tag 0 (-1)) (tag 1 5);
+  conflict "one block on two controllers" true (tag 0 5) (tag 1 5);
+  conflict "two blocks on one controller" true (tag 0 5) (tag 0 6);
+  conflict "two blocks on two controllers" false (tag 0 5) (tag 1 6);
+  conflict "an untagged event" true Engine.no_tag (tag 1 6);
+  check_int "no-block events share address field 0" 0 (Engine.tag_addr (tag 3 (-1)))
+
 let tests =
   [
     ( "sim.engine",
@@ -197,6 +217,7 @@ let tests =
         Alcotest.test_case "stop" `Quick test_stop;
         Alcotest.test_case "past scheduling rejected" `Quick test_past_scheduling_rejected;
         Alcotest.test_case "every" `Quick test_every;
+        Alcotest.test_case "choice-tag conflict rule" `Quick test_tags_conflict_rule;
       ] );
     ( "sim.rng",
       [
