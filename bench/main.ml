@@ -123,52 +123,9 @@ let bench_perf_family =
               (Config.make Config.Hammer Config.Accel_side)
               (Xguard_workload.Workload.blocked ~tiles:4 ()))))
 
-(* ---- PDES topology-scaling micros (ISSUE 9): the sharded simulator on the
-   workload it targets — an N-guard topology stress run, N = 1/2/4.  The
-   simulation is a pure function of (config, seed), so [sim_j] only moves
-   wall time; events per iteration is a constant we count once and fold into
-   the JSON as events_per_s. ---- *)
-
-module Pdes = Xguard_harness.Pdes
-
-let pdes_topology n =
-  let spec =
-    Printf.sprintf "hammer:shards=%d;%s" n
-      (String.concat ";"
-         (List.init n (fun i -> Printf.sprintf "g%d=trans,cached" i)))
-  in
-  match Xguard_harness.Topology.of_string spec with
-  | Ok t -> t
-  | Error e -> failwith ("pdes bench topology: " ^ e)
-
-let pdes_config n = Config.stress_sized (Config.of_topology (pdes_topology n))
-let pdes_stress_shards = [ 1; 2; 4 ]
-let pdes_name n = Printf.sprintf "pdes.stress_shards%d" n
-
-let pdes_run ~sim_j n =
-  Pdes.run_stress ~workers:sim_j ~seed:7 ~ops_per_core:120 (pdes_config n)
-
-let bench_pdes ~sim_j n =
-  Bechamel.Test.make ~name:(pdes_name n)
-    (Bechamel.Staged.stage (fun () -> ignore (pdes_run ~sim_j n)))
-
-(* Events one iteration fires, summed over the domain engines (the
-   coordinator's thread-local counter misses worker-domain events). *)
-let pdes_events_per_run ~sim_j =
-  List.map
-    (fun n ->
-      let sys, _ = pdes_run ~sim_j n in
-      let events =
-        Array.fold_left
-          (fun acc e -> acc + Engine.events_fired e)
-          0 sys.System.shard_engines
-      in
-      (pdes_name n, events))
-    pdes_stress_shards
-
 (* Returns [(name, ns_per_run option)] so the JSON emitter can record the
    micro trajectory alongside the experiment tables. *)
-let run_micro ~sim_j () =
+let run_micro () =
   let open Bechamel in
   let benchmarks =
     [
@@ -179,7 +136,6 @@ let run_micro ~sim_j () =
       bench_stress_iteration;
       bench_perf_family;
     ]
-    @ List.map (bench_pdes ~sim_j) pdes_stress_shards
   in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.8) ~kde:(Some 100) () in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
@@ -256,7 +212,7 @@ let add_json_table buf t =
    times and events/sec throughput (not).  Perf regressions show up as drift
    in [wall_s]/[events_per_s] across the committed BENCH_*.json sequence and
    trip tools/check_bench.sh; result regressions as diffs in [tables]. *)
-let emit_json ~path ~quick ~experiments ~micro ~pdes_events =
+let emit_json ~path ~quick ~experiments ~micro =
   let buf = Buffer.create 65536 in
   Buffer.add_string buf "{\"schema\":\"xguard-bench-v1\"";
   Printf.bprintf buf ",\"quick\":%b" quick;
@@ -291,18 +247,6 @@ let emit_json ~path ~quick ~experiments ~micro ~pdes_events =
               Printf.bprintf buf ",\"ns_per_run\":%.1f" ns;
               if ns > 0. then Printf.bprintf buf ",\"ops_per_s\":%.1f" (1e9 /. ns)
           | None -> ());
-          (* PDES micros additionally report simulated-event throughput: the
-             per-iteration event count is deterministic, so events_per_s is
-             the trajectory number the sharded-engine work is judged on. *)
-          (match List.assoc_opt name pdes_events with
-          | Some ev ->
-              Printf.bprintf buf ",\"events_per_run\":%d" ev;
-              (match est with
-              | Some ns when ns > 0. ->
-                  Printf.bprintf buf ",\"events_per_s\":%.0f"
-                    (float_of_int ev *. 1e9 /. ns)
-              | _ -> ())
-          | None -> ());
           Buffer.add_char buf '}')
         micro);
   Buffer.add_string buf "}\n";
@@ -313,15 +257,12 @@ let emit_json ~path ~quick ~experiments ~micro ~pdes_events =
 
 let usage () =
   Printf.eprintf
-    "usage: bench/main.exe [--quick] [--trace] [--spans] [-j N] [--sim-j N] \
-     [--json OUT] [EXPERIMENT...|micro]\n";
+    "usage: bench/main.exe [--quick] [--trace] [--spans] [-j N] [--json OUT] \
+     [EXPERIMENT...|micro]\n";
   exit 2
 
 let () =
   let jobs = ref 1 in
-  (* Worker count for the pdes.* micros (intra-run sharding; the simulated
-     results are identical for any value, only wall time moves). *)
-  let sim_j = ref (min 4 (Pool.default_workers ())) in
   let json = ref None in
   let quick = ref false in
   let traced = ref false in
@@ -336,12 +277,8 @@ let () =
         match int_of_string_opt n with
         | Some v when v >= 1 -> jobs := v; parse tl
         | _ -> Printf.eprintf "-j expects a positive integer, got %S\n" n; exit 2)
-    | "--sim-j" :: n :: tl -> (
-        match int_of_string_opt n with
-        | Some v when v >= 1 -> sim_j := v; parse tl
-        | _ -> Printf.eprintf "--sim-j expects a positive integer, got %S\n" n; exit 2)
     | "--json" :: path :: tl -> json := Some path; parse tl
-    | [ ("-j" | "--jobs" | "--json" | "--sim-j") ] -> usage ()
+    | [ ("-j" | "--jobs" | "--json") ] -> usage ()
     | a :: _ when String.length a > 0 && a.[0] = '-' ->
         Printf.eprintf "unknown option %S\n" a;
         usage ()
@@ -349,20 +286,16 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let quick = !quick and traced = !traced and jobs = !jobs and spans = !spans in
-  let sim_j = !sim_j in
   (* "micro" may stand alone or ride along with experiment ids (e.g.
      `bench e1 micro --json ...`); a BENCH_*.json baseline generated with
      `bench --quick micro --json OUT` then carries both the experiment wall
-     times and the micro (incl. pdes events_per_s) trajectory. *)
+     times and the micro trajectory. *)
   let want_micro = List.mem "micro" !selected in
   let exp_ids = List.filter (fun id -> id <> "micro") !selected in
   match (want_micro, exp_ids) with
   | true, [] ->
-      let micro = run_micro ~sim_j () in
-      let pdes_events = pdes_events_per_run ~sim_j in
-      Option.iter
-        (fun path -> emit_json ~path ~quick ~experiments:[] ~micro ~pdes_events)
-        !json
+      let micro = run_micro () in
+      Option.iter (fun path -> emit_json ~path ~quick ~experiments:[] ~micro) !json
   | want_micro, ids ->
       let ids = if ids = [] then Experiments.ids else ids in
       let runs =
@@ -421,11 +354,9 @@ let () =
               failed := true;
               Printf.eprintf "experiment %s FAILED: %s\n" (fst runs.(i)) msg)
         results;
-      let micro = if want_micro then run_micro ~sim_j () else [] in
-      let pdes_events = if want_micro then pdes_events_per_run ~sim_j else [] in
+      let micro = if want_micro then run_micro () else [] in
       Option.iter
-        (fun path ->
-          emit_json ~path ~quick ~experiments:(List.rev !ok) ~micro ~pdes_events)
+        (fun path -> emit_json ~path ~quick ~experiments:(List.rev !ok) ~micro)
         !json;
       if ids = Experiments.ids && (not want_micro) && !json = None then
         Printf.printf "\n(micro-benchmarks: run with `micro`)\n";

@@ -40,7 +40,6 @@ module Xg = Xguard_xg
 module Trace = Xguard_trace.Trace
 module Coverage = Xguard_trace.Coverage
 module Campaign = Xguard_harness.Campaign
-module Pdes = Xguard_harness.Pdes
 module Network = Xguard_network.Network
 module Obs = Xguard_obs.Obs
 module Spans = Xguard_obs.Spans
@@ -257,7 +256,7 @@ let observers_term ~timeline =
              ~doc:"Stream periodic telemetry samples (counter deltas, gauges, \
                    span quantiles, per-guard latency histograms, availability) \
                    as xguard-metrics-v1 JSONL to $(docv).  Byte-identical for \
-                   any $(b,-j) / $(b,--sim-j).  Arms the span layer.")
+                   any $(b,-j).  Arms the span layer.")
   in
   let prom =
     Arg.(value & opt (some string) None
@@ -499,26 +498,6 @@ let link_term =
   Term.(const make $ drop $ dup $ corrupt $ delay $ scripts $ reliable $ recover $ lives
         $ breq $ binv $ bfetch)
 
-(* ---- intra-run parallel simulation (run/stress) ---- *)
-
-let sim_j_arg =
-  Arg.(value & opt (some domains) None
-       & info [ "sim-j" ] ~docv:"N"
-           ~doc:"Shard $(i,one) run across $(docv) worker domains: conservative \
-                 parallel discrete-event simulation along the guard links. \
-                 Output is byte-identical for every $(docv) >= 1.  Composes \
-                 with $(b,-j): each of the $(b,-j) seed jobs runs its own \
-                 simulation on $(docv) workers.  Requires a guard topology \
-                 with ordered, fault-free links (no $(b,--drop)/$(b,--recover)/\
-                 jitter).")
-
-(* --sim-j is judged against the final config (fault/recovery flags applied). *)
-let sim_j_refusal sim_j cfg =
-  match sim_j with
-  | None -> None
-  | Some _ -> (
-      match Pdes.check_config cfg with Ok () -> None | Error e -> Some ("--sim-j: " ^ e))
-
 (* ---- run ---- *)
 
 let run_cmd =
@@ -527,8 +506,7 @@ let run_cmd =
     Arg.(value & opt workload (List.find (fun w -> w.W.name = "blocked") (W.all ()))
          & info [ "w"; "workload" ] ~docv:"WORKLOAD" ~doc)
   in
-  let action cfg w sim_j obs =
-    refuse_if (sim_j_refusal sim_j cfg) @@ fun () ->
+  let action cfg w obs =
     let failed e trail =
       Option.iter
         (fun text ->
@@ -542,7 +520,7 @@ let run_cmd =
     in
     match
       Campaign.observe obs.arm ~label:"run" (fun () ->
-          match Perf.run ?sim_j cfg w with
+          match Perf.run cfg w with
           | r -> Ok r
           | exception e -> Error (e, Option.map (Trace.dump ~last:tail_events) (Obs.trace ())))
     with
@@ -567,8 +545,7 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a workload on one configuration")
-    Term.(ret (const action $ one_config $ workload_arg $ sim_j_arg
-               $ observers_term ~timeline:true))
+    Term.(const action $ one_config $ workload_arg $ observers_term ~timeline:true)
 
 (* ---- stress ---- *)
 
@@ -605,12 +582,11 @@ let stress_cmd =
   let seeds_arg =
     Arg.(value & opt positive_int 5 & info [ "seeds" ] ~docv:"N" ~doc:"Number of seeds to sweep.")
   in
-  let action cfg link ops seeds jobs sim_j coverage obs =
+  let action cfg link ops seeds jobs coverage obs =
     let cfg = link.apply cfg in
-    refuse_if (sim_j_refusal sim_j cfg) @@ fun () ->
     let r =
       Campaign.run ~workers:jobs ~collect_coverage:coverage ~stress_ops:ops
-        ~seeding:(Campaign.Consecutive cfg.Config.seed) ~observers:obs.arm ?sim_j
+        ~seeding:(Campaign.Consecutive cfg.Config.seed) ~observers:obs.arm
         Campaign.Stress ~configs:[ cfg ] ~seeds ()
     in
     let trails =
@@ -644,8 +620,8 @@ let stress_cmd =
   in
   Cmd.v
     (Cmd.info "stress" ~doc:"Random coherence stress test (paper section 4.1)")
-    Term.(ret (const action $ one_config $ link_term $ ops_arg $ seeds_arg $ jobs_arg
-               $ sim_j_arg $ coverage_flag $ observers_term ~timeline:true))
+    Term.(const action $ one_config $ link_term $ ops_arg $ seeds_arg $ jobs_arg
+          $ coverage_flag $ observers_term ~timeline:true)
 
 (* ---- fuzz ---- *)
 

@@ -13,12 +13,10 @@ type t = {
   requests_only : bool;
   tarpit : int option;  (* answer Invalidates correctly but this late (PR 8) *)
   mutable sent : int;
-  mutable invs_seen : int;
   mutable invs_ignored : int;
 }
 
 let messages_sent t = t.sent
-let invalidations_seen t = t.invs_seen
 let invalidations_ignored t = t.invs_ignored
 
 let send t msg =
@@ -48,7 +46,6 @@ let fire t =
   else send t (Xg_iface.To_xg_resp { addr; resp = random_response t })
 
 let on_invalidate t addr =
-  t.invs_seen <- t.invs_seen + 1;
   match t.tarpit with
   | Some lag ->
       (* Tarpit mode: always answer, always the right type, always this
@@ -77,7 +74,6 @@ let create ~engine ~rng ~link ~self ~xg ~addresses ?(period = 5)
       requests_only;
       tarpit;
       sent = 0;
-      invs_seen = 0;
       invs_ignored = 0;
     }
   in

@@ -37,5 +37,4 @@ val create :
     and its G2c timeout to show budgets trip strictly first. *)
 
 val messages_sent : t -> int
-val invalidations_seen : t -> int
 val invalidations_ignored : t -> int

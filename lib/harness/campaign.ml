@@ -139,23 +139,15 @@ let note_guard_avail (sys : System.t) ~now =
         sys.System.guards
   | None -> ()
 
-let stress_job ~ops ~collect_coverage ?sim_j cfg seed =
+let stress_job ~ops ~collect_coverage cfg seed =
   let cfg = Config.stress_sized { cfg with Config.seed } in
-  let sys, o =
-    match sim_j with
-    | Some workers ->
-        (* One tester per domain over disjoint address slices — comparable
-           across any [sim_j], not with the shared-address tester below. *)
-        Pdes.run_stress ~workers ~seed ~ops_per_core:ops cfg
-    | None ->
-        let sys = System.build cfg in
-        let ports = Array.append sys.System.cpu_ports sys.System.accel_ports in
-        ( sys,
-          Random_tester.run ~engine:sys.System.engine
-            ~rng:(Rng.create ~seed:((seed * 7) + 1))
-            ~ports
-            ~addresses:(Array.init 6 Addr.block)
-            ~ops_per_core:ops () )
+  let sys = System.build cfg in
+  let o =
+    Random_tester.run ~engine:sys.System.engine
+      ~rng:(Rng.create ~seed:((seed * 7) + 1))
+      ~ports:(Array.append sys.System.cpu_ports sys.System.accel_ports)
+      ~addresses:(Array.init 6 Addr.block)
+      ~ops_per_core:ops ()
   in
   note_guard_avail sys ~now:o.Random_tester.cycles;
   let guards f = Array.fold_left (fun n g -> n + f g.System.g_core) 0 sys.System.guards in
@@ -228,7 +220,7 @@ let link = function
 
 let run ?(workers = 1) ?(collect_coverage = false) ?(stress_ops = 500)
     ?(fuzz_cpu_ops = 300) ?(seeding = Derived 42) ?(observers = no_observers)
-    ?(chaos = default_chaos) ?sim_j kind ~configs ~seeds () =
+    ?(chaos = default_chaos) kind ~configs ~seeds () =
   if seeds < 0 then invalid_arg "Campaign.run: negative seed count";
   let s_configs = Array.of_list (stress_configs kind configs) in
   let f_configs = Array.of_list (fuzz_configs kind configs) in
@@ -264,7 +256,7 @@ let run ?(workers = 1) ?(collect_coverage = false) ?(stress_ops = 500)
     let run, sr, metrics =
       observe observers ~label (fun () ->
           if stress then
-            Stressed (stress_job ~ops:stress_ops ~collect_coverage ?sim_j cfg seed)
+            Stressed (stress_job ~ops:stress_ops ~collect_coverage cfg seed)
           else Fuzzed (fuzz_job ~cpu_ops:fuzz_cpu_ops ~chaos cfg seed))
     in
     let spans = match sr with None -> Spans.Summary.empty | Some r -> Spans.summary r in

@@ -162,7 +162,6 @@ val run :
   ?seeding:seeding ->
   ?observers:observers ->
   ?chaos:chaos ->
-  ?sim_j:int ->
   kind ->
   configs:Config.t list ->
   seeds:int ->
@@ -174,8 +173,7 @@ val run :
     [fuzz_cpu_ops] is checked CPU operations per core per fuzz run (default
     300, {!Fuzz_tester.run}'s); [seeding] defaults to [Derived 42].  A stress
     job sizes its configuration with {!Config.stress_sized} and seeds its
-    tester with [seed * 7 + 1]; with [sim_j] it runs {!Pdes.run_stress} on
-    that many workers instead.  A fuzz job forwards [chaos] to
+    tester with [seed * 7 + 1].  A fuzz job forwards [chaos] to
     {!Fuzz_tester.run}.  [collect_coverage] (default false) merges every
     run's transition-coverage groups into {!t.coverage}.  [observers]
     (default {!no_observers}) arms one set of recorders per job through

@@ -78,7 +78,6 @@ let finalize t =
   Array.iter (fun d -> H.Directory.set_caches d all) t.directories
 
 let cpu_ports t = Array.map H.L1l2.cpu_port t.cpus
-let total_caches t = Array.length t.cpus + List.length t.extras
 
 (* ---- Host.S: the system builder's host hooks ---- *)
 

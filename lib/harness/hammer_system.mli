@@ -66,4 +66,3 @@ val add_cache_node : t -> string -> count_peers:(int -> unit) -> Node.t
     an unsafe accelerator-side cache).  [count_peers] is called by
     {!finalize} with the number of *other* caches. *)
 
-val total_caches : t -> int

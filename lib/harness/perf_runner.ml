@@ -41,22 +41,9 @@ let drive (seq : Sequencer.t) (stream : Workload.stream) ~on_all_done =
     top_up ()
   end
 
-let run ?sim_j (cfg : Config.t) (workload : Workload.t) =
-  let sys = System.build ~pdes:(sim_j <> None) cfg in
-  let coord = Option.map (fun _ -> Pdes.create sys) sim_j in
-  (* Which engine each accelerator port's sequencer pumps on, and which
-     per-domain completion counter its stream decrements.  Sequentially
-     everything is domain 0 on the one engine; sharded, a port lives on its
-     guard's domain and only that domain's window ever touches its counter. *)
-  let accel_doms =
-    match coord with
-    | Some _ -> Pdes.accel_port_domains sys
-    | None -> Array.make (Array.length sys.System.accel_ports) 0
-  in
-  let engine_of_dom d =
-    match coord with Some c -> Pdes.engine_of c ~dom:d | None -> sys.System.engine
-  in
-  let ndoms = match coord with Some c -> Pdes.domains c | None -> 1 in
+let run (cfg : Config.t) (workload : Workload.t) =
+  let sys = System.build cfg in
+  let engine = sys.System.engine in
   let rng = Rng.create ~seed:(cfg.Config.seed * 131 + 17) in
   let accel_streams =
     workload.Workload.make_streams
@@ -67,14 +54,13 @@ let run ?sim_j (cfg : Config.t) (workload : Workload.t) =
     workload.Workload.cpu_streams ~cpus:(Array.length sys.System.cpu_ports) ~rng:(Rng.split rng)
   in
   let accel_latency = Histogram.create "accel.access_latency" in
-  let pending = Array.make ndoms 0 in
-  let finished d () = pending.(d) <- pending.(d) - 1 in
+  let pending = ref 0 in
+  let finished () = decr pending in
   (* Accelerator side. *)
   let accel_seqs =
     Array.mapi
       (fun i port ->
-        Sequencer.create
-          ~engine:(engine_of_dom accel_doms.(i))
+        Sequencer.create ~engine
           ~name:(Printf.sprintf "perf.accel%d" i)
           ~port ~max_outstanding:32 ())
       sys.System.accel_ports
@@ -82,18 +68,15 @@ let run ?sim_j (cfg : Config.t) (workload : Workload.t) =
   Array.iteri
     (fun i stream ->
       if i < Array.length accel_seqs then begin
-        let d = accel_doms.(i) in
-        pending.(d) <- pending.(d) + 1;
-        (* Wrap the sequencer latency histogram into a shared one. *)
-        let seq = accel_seqs.(i) in
-        drive seq stream ~on_all_done:(finished d)
+        incr pending;
+        drive accel_seqs.(i) stream ~on_all_done:finished
       end)
     accel_streams;
   (* CPU side. *)
   let cpu_seqs =
     Array.mapi
       (fun i port ->
-        Sequencer.create ~engine:sys.System.engine
+        Sequencer.create ~engine
           ~name:(Printf.sprintf "perf.cpu%d" i)
           ~port ~max_outstanding:16 ())
       sys.System.cpu_ports
@@ -101,30 +84,17 @@ let run ?sim_j (cfg : Config.t) (workload : Workload.t) =
   Array.iteri
     (fun i stream ->
       if i < Array.length cpu_seqs then begin
-        pending.(0) <- pending.(0) + 1;
-        drive cpu_seqs.(i) stream ~on_all_done:(finished 0)
+        incr pending;
+        drive cpu_seqs.(i) stream ~on_all_done:finished
       end)
     cpu_streams;
-  let max_events = 200_000_000 in
-  let drained =
-    match coord with
-    | None -> (
-        match Engine.run ~max_events sys.System.engine with
-        | Engine.Drained -> true
-        | _ -> false)
-    | Some c -> (
-        let workers = Option.value ~default:1 sim_j in
-        match Pdes.run_windows ~max_events ~workers c with
-        | Pdes.Drained -> true
-        | Pdes.Hit_event_limit -> false)
-  in
-  if not drained then
-    failwith ("perf run hit the event limit: " ^ Config.name cfg);
-  let pending = Array.fold_left ( + ) 0 pending in
-  if pending <> 0 then
+  (match Engine.run ~max_events:200_000_000 engine with
+  | Engine.Drained -> ()
+  | _ -> failwith ("perf run hit the event limit: " ^ Config.name cfg));
+  if !pending <> 0 then
     failwith
       (Printf.sprintf "perf run deadlocked: %s / %s (%d streams unfinished)" (Config.name cfg)
-         workload.Workload.name pending);
+         workload.Workload.name !pending);
   (* Gather accelerator latency out of the sequencers. *)
   let accesses = ref 0 in
   Array.iter
@@ -147,10 +117,7 @@ let run ?sim_j (cfg : Config.t) (workload : Workload.t) =
   {
     config_name = Config.name cfg;
     workload_name = workload.Workload.name;
-    cycles =
-      (match coord with
-      | Some c -> Pdes.cycles c
-      | None -> Engine.now sys.System.engine);
+    cycles = Engine.now engine;
     accel_accesses = !accesses;
     mean_accel_latency = Histogram.mean accel_latency;
     p99_accel_latency =

@@ -24,20 +24,9 @@ type result = {
   violations : int;
 }
 
-val run :
-  ?sim_j:int ->
-  Config.t ->
-  Xguard_workload.Workload.t ->
-  result
+val run : Config.t -> Xguard_workload.Workload.t -> result
 (** Builds the system, drives the accelerator stream(s) and any CPU-side
     streams concurrently, and runs to quiescence, recording into whatever
     observers the calling domain has armed ({!Campaign.observe}); they never
     change [cycles] or any other field.
-
-    [sim_j] runs the simulation on the sharded parallel engine ({!Pdes})
-    with that many workers: the system is built [~pdes:true], accelerator
-    sequencers pump on their guard's domain engine, and [cycles] reads the
-    run clock across domains.  Results are identical for every [sim_j]
-    value >= 1 (and a different event interleaving from the sequential
-    engine).  Callers must check {!Pdes.check_config} first.
     @raise Failure on deadlock (incomplete streams with a drained queue). *)

@@ -47,9 +47,9 @@ val merge : outcome -> outcome -> outcome
 
 type t
 (** An armed tester: sequencers created and injection events scheduled on its
-    engine, checker state live, but the engine not yet run.  The split lets
-    the sharded simulator ({!Pdes}) arm one tester per domain and drive all
-    the engines itself with the window coordinator. *)
+    engine, checker state live, but the engine not yet run.  The split lets a
+    driver arm several testers on one engine (xbench's [topo4] arms one per
+    address slice) and run the engine itself. *)
 
 val prepare :
   engine:Xguard_sim.Engine.t ->

@@ -34,9 +34,7 @@ type t = {
   cpu_ports : Access.port array;
   accel_ports : Access.port array;
   guards : guard array;
-  (* Sharded parallel simulator (lib/harness/pdes.ml): [||] for a sequential
-     build; else [.(0)] is the host engine (= [engine]) and [.(g + 1)] the
-     engine guard [g]'s accelerator stack schedules on. *)
+  (* Always [||]: xbench's topo4 reads it, until xbench v2. *)
   shard_engines : Engine.t array;
   host_net_bytes : unit -> int;
   host_net_messages : unit -> int;
@@ -315,7 +313,7 @@ let spec_ordering (spec : Topology.accel_spec) =
    one; config-level scripts replay on every link, spec scripts only on
    theirs.  The fault seed folds in the guard index so independent links
    draw independent fault streams. *)
-let build_guard (cfg : Config.t) ~engine ~accel_engine ~rng ~registry ~perms ~os ~host_port
+let build_guard (cfg : Config.t) ~engine ~rng ~registry ~perms ~os ~host_port
     ~attach_core ~attach ~index (spec : Topology.accel_spec) =
   let id = spec.Topology.id in
   let faults =
@@ -327,11 +325,6 @@ let build_guard (cfg : Config.t) ~engine ~accel_engine ~rng ~registry ~perms ~os
      a guard revokes every grant in *its* table, and a shared table would
      revoke the neighbors' pages too. *)
   let perms = if index = 0 then perms else Xg.Perm_table.create () in
-  (* The accelerator hierarchy (L1s, L2, internal link) schedules on
-     [accel_engine]; everything host-side (guard core, timers, host port)
-     stays on [engine].  They are the same engine except under the sharded
-     parallel simulator, where each guard's stack is its own domain. *)
-  let accel_engine = match accel_engine with Some e -> e | None -> engine in
   let link =
     Xg.Xg_iface.Link.create ~engine ~rng:(Rng.split rng) ~name:(sfx id "xg.link")
       ~ordering:(spec_ordering spec) ()
@@ -409,7 +402,7 @@ let build_guard (cfg : Config.t) ~engine ~accel_engine ~rng ~registry ~perms ~os
       in
       let lower = A.Lower_port.on_link link ~self:accel_link_node ~peer:xg_link_node in
       let l1 =
-        A.L1_simple.create ~engine:accel_engine ~name:(sfx id "accel.l1")
+        A.L1_simple.create ~engine ~name:(sfx id "accel.l1")
           ~flavor:A.L1_simple.Mesi ~sets ~ways ~lower ()
       in
       Xg.Xg_iface.Link.register link accel_link_node (fun ~src:_ msg ->
@@ -418,7 +411,7 @@ let build_guard (cfg : Config.t) ~engine ~accel_engine ~rng ~registry ~perms ~os
     end
     else begin
       let internal =
-        Xg.Xg_iface.Link.create ~engine:accel_engine ~rng:(Rng.split rng)
+        Xg.Xg_iface.Link.create ~engine ~rng:(Rng.split rng)
           ~name:(sfx id "accel.internal")
           ~ordering:(Xguard_network.Network.Ordered { latency = 2 })
           ()
@@ -427,7 +420,7 @@ let build_guard (cfg : Config.t) ~engine ~accel_engine ~rng ~registry ~perms ~os
       let l2_node = Node.Registry.fresh registry (sfx id "accel.l2") in
       let lower = A.Lower_port.on_link link ~self:accel_link_node ~peer:xg_link_node in
       let l2 =
-        A.L2_shared.create ~engine:accel_engine ~name:(sfx id "accel.l2") ~internal
+        A.L2_shared.create ~engine ~name:(sfx id "accel.l2") ~internal
           ~node:l2_node ~lower ~sets:cfg.Config.accel_l2_sets
           ~ways:cfg.Config.accel_l2_ways ()
       in
@@ -439,7 +432,7 @@ let build_guard (cfg : Config.t) ~engine ~accel_engine ~rng ~registry ~perms ~os
             let node = Node.Registry.fresh registry name in
             let lower = A.Lower_port.on_link internal ~self:node ~peer:l2_node in
             let l1 =
-              A.L1_simple.create ~engine:accel_engine ~name ~flavor:A.L1_simple.Mesi
+              A.L1_simple.create ~engine ~name ~flavor:A.L1_simple.Mesi
                 ~sets:cfg.Config.accel_sets ~ways:cfg.Config.accel_ways ~lower ()
             in
             Xg.Xg_iface.Link.register internal node (fun ~src:_ msg ->
@@ -475,7 +468,7 @@ let build_guard (cfg : Config.t) ~engine ~accel_engine ~rng ~registry ~perms ~os
 module type HOST = Host.S
 
 module Build (H : HOST) = struct
-  let build ~attach_accel ?shard (cfg : Config.t) =
+  let build ~attach_accel (cfg : Config.t) =
     let host = H.of_config cfg in
     let engine = H.engine host in
     let rng = H.rng host in
@@ -491,9 +484,7 @@ module Build (H : HOST) = struct
         (fun i (spec : Topology.accel_spec) ->
           let p = H.add_port host (sfx spec.Topology.id "xg.port") in
           let g =
-            build_guard cfg ~engine
-              ~accel_engine:(Option.map (fun a -> a.(i)) shard)
-              ~rng ~registry ~perms ~os ~host_port:(H.Port.host_port p)
+            build_guard cfg ~engine ~rng ~registry ~perms ~os ~host_port:(H.Port.host_port p)
               ~attach_core:(H.Port.attach_core p) ~attach:(attach_accel || i > 0) ~index:i spec
           in
           (g, p))
@@ -515,16 +506,6 @@ module Build (H : HOST) = struct
       | gs, _ -> Array.concat (List.map (fun g -> g.g_ports) gs)
     in
     H.finalize host;
-    let shard_engines =
-      match shard with
-      | None -> [||]
-      | Some accel_engines ->
-          let engines = Array.append [| engine |] accel_engines in
-          let dom_of = Array.make (Node.Registry.count registry) 0 in
-          List.iteri (fun i g -> dom_of.(Node.id g.g_accel_node) <- i + 1) gonly;
-          List.iter (fun g -> Xg.Xg_iface.Link.set_partition g.g_link ~dom_of ~engines) gonly;
-          engines
-    in
     let accel_l1s = Array.concat (List.map (fun g -> g.g_l1s) gonly) in
     let accel_cov =
       Array.to_list
@@ -682,7 +663,7 @@ module Build (H : HOST) = struct
       cpu_ports = H.cpu_ports host;
       accel_ports;
       guards = Array.of_list gonly;
-      shard_engines;
+      shard_engines = [||];
       host_net_bytes = (fun () -> H.Net.bytes_sent net);
       host_net_messages = (fun () -> H.Net.messages_sent net);
       xg_port_to_host_bytes =
@@ -737,27 +718,15 @@ module Mesi = Build (Mesi_system)
    in profiles, fine enough to show queue ramps. *)
 let sampler_period = 500
 
-(* How many guards a config will instantiate — the sharded builder allocates
-   one accelerator-domain engine per guard up front. *)
-let guard_count (cfg : Config.t) = List.length (Config.guard_specs cfg)
-
-let build ?(attach_accel = true) ?(pdes = false) (cfg : Config.t) =
+(* [pdes] is ignored: xbench's topo4 passes it, until xbench v2. *)
+let build ?(attach_accel = true) ?pdes:_ (cfg : Config.t) =
   let o = Obs.get () in
   Option.iter Spans.reset_gauges o.Obs.spans;
   Option.iter Metrics.reset_sources o.Obs.metrics;
-  let shard =
-    if not pdes then None
-    else begin
-      let n = guard_count cfg in
-      if n = 0 then
-        invalid_arg "System.build: sharded simulation needs at least one guard";
-      Some (Array.init n (fun _ -> Engine.create ()))
-    end
-  in
   let t =
     match cfg.Config.host with
-    | Config.Hammer -> Hammer.build ~attach_accel ?shard cfg
-    | Config.Mesi -> Mesi.build ~attach_accel ?shard cfg
+    | Config.Hammer -> Hammer.build ~attach_accel cfg
+    | Config.Mesi -> Mesi.build ~attach_accel cfg
   in
   let t =
     match o.Obs.metrics with
@@ -793,8 +762,6 @@ let build ?(attach_accel = true) ?(pdes = false) (cfg : Config.t) =
           }
         end
   in
-  (* The sharded coordinator samples at window barriers instead: a sampler
-     could not run inside a domain window. *)
-  if Obs.sampled o && not pdes then
+  if Obs.sampled o then
     Engine.set_sampler t.engine ~period:sampler_period (fun now -> Metrics.tick o ~now);
   t

@@ -54,10 +54,8 @@ type t = {
           anonymous entry for the legacy XG organizations, empty for
           [Accel_side]/[Host_side] *)
   shard_engines : Xguard_sim.Engine.t array;
-      (** the sharded parallel simulator's domain engines ([Pdes]): [.(0)] is
-          the host engine (= [engine]) and [.(g + 1)] the engine guard [g]'s
-          accelerator stack schedules on.  [[||]] for a sequential build —
-          everything then shares [engine] as before. *)
+      (** always [[||]]; exists for xbench's [topo4] and goes with xbench
+          v2 *)
   host_net_bytes : unit -> int;
   host_net_messages : unit -> int;
   xg_port_to_host_bytes : unit -> int;
@@ -124,20 +122,12 @@ val coverage_reports : t -> Xguard_trace.Coverage.report list
 val sampler_period : int
 (** Period (cycles) of the observer sampler {!build} installs on the engine
     when the calling domain has spans or metrics armed
-    ([Xguard_sim.Engine.set_sampler] running [Xguard_obs.Metrics.tick]); the
-    sharded simulator samples at the same multiples from its window
-    barriers. *)
+    ([Xguard_sim.Engine.set_sampler] running [Xguard_obs.Metrics.tick]). *)
 
 val build : ?attach_accel:bool -> ?pdes:bool -> Config.t -> t
 (** [attach_accel:false] (XG organizations only) leaves the accelerator side
     of the XG link unregistered so a fuzzer or fault injector can take its
     place; [accel_ports] is then empty.
 
-    [pdes:true] (default [false]) builds the system sharded for the parallel
-    simulator: each guard's accelerator stack gets its own engine
-    ([shard_engines]), every guard link is partitioned across domains, and
-    the observer sampler is not installed (the window coordinator samples
-    at barriers instead).  Only [Pdes.run_windows] should drive such
-    a system; callers must validate eligibility with {!Pdes.check_config}
-    first.
-    @raise Invalid_argument with [pdes:true] on a guard-less organization. *)
+    [pdes] is accepted and ignored; it exists for xbench's [topo4] and goes
+    with xbench v2. *)

@@ -453,12 +453,6 @@ let create ~engine ~net ~name ~node ~memctrl ~variant ~sets ~ways ?(l2_latency =
   Net.register net node (fun ~src msg -> deliver t ~src msg);
   t
 
-let queued_requests t =
-  Int_table.fold (fun _ q acc -> acc + Queue.length q) t.waiting 0
-
-let space_stalled t =
-  Int_table.fold (fun _ q acc -> acc + Queue.length q) t.space_waiters 0
-
 (* ---- model-checker support ---- *)
 
 let check_queue_tables t =

@@ -45,12 +45,6 @@ val coverage : t -> Xguard_stats.Counter.Group.t
 val coverage_space : Xguard_trace.Coverage.space
 (** The (state × event) vocabulary the {!coverage} counters live in. *)
 
-val queued_requests : t -> int
-(** Entries sitting in per-address stall queues. *)
-
-val space_stalled : t -> int
-(** Entries stalled waiting for set space. *)
-
 (* ---- model-checker support (lib/check) ---- *)
 
 val check_queue_tables : t -> int

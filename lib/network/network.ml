@@ -109,19 +109,6 @@ end) =
 struct
   type handler = src:Xguard_proto.Node.t -> Msg.t -> unit
 
-  (* Sharded-engine partition (see lib/harness/pdes.ml).  Every mutable cell
-     the partitioned send path touches is either indexed by the sender's node
-     or domain (each node lives in exactly one domain, and sends from it only
-     happen on that domain's engine) or deferred through the domain context —
-     no Hashtbl or shared counter is mutated concurrently. *)
-  type partition = {
-    dom_of : int array;  (** node id -> domain index *)
-    engines : Engine.t array;  (** domain index -> its engine *)
-    p_messages : int array;  (** per-domain offered-message counters *)
-    p_bytes : int array;
-    p_latency : int;  (** the Ordered latency, cached *)
-  }
-
   type t = {
     engine : Engine.t;
     rng : Rng.t;
@@ -168,7 +155,6 @@ struct
     mutable inflight : (int * int * int * Msg.t) Int_table.t option;
     mutable inflight_next : int;
     mutable delay_chooser : (lo:int -> hi:int -> int) option;
-    mutable part : partition option;
   }
 
   let create ~engine ~rng ~name ~ordering () =
@@ -196,7 +182,6 @@ struct
       inflight = None;
       inflight_next = 0;
       delay_chooser = None;
-      part = None;
     }
 
   let name t = t.name
@@ -436,80 +421,6 @@ struct
             Int_table.remove table token;
             deliver ())
 
-  (* ---- sharded-engine partition ---- *)
-
-  let set_partition t ~dom_of ~engines =
-    (match t.ordering with
-    | Ordered _ -> ()
-    | Unordered _ ->
-        invalid_arg
-          (Printf.sprintf
-             "Network.set_partition(%s): only Ordered networks may span domains"
-             t.name));
-    if t.fault_path then
-      invalid_arg
-        (Printf.sprintf "Network.set_partition(%s): fault injection installed" t.name);
-    if t.inflight <> None then
-      invalid_arg
-        (Printf.sprintf "Network.set_partition(%s): check mode armed" t.name);
-    let stride = Array.length dom_of in
-    let latency = match t.ordering with Ordered { latency } -> latency | _ -> 0 in
-    (* Pre-size the per-source byte counters and the FIFO rows so the
-       partitioned path never grows an array (a growth would race between
-       domains); each FIFO row is then written only by its source's domain. *)
-    if stride > Array.length t.bytes_by_src then
-      t.bytes_by_src <- grown t.bytes_by_src (stride - 1) 0;
-    t.fifo <- Array.init stride (fun _ -> Array.make stride 0);
-    t.part <-
-      Some
-        {
-          dom_of;
-          engines;
-          p_messages = Array.make (Array.length engines) 0;
-          p_bytes = Array.make (Array.length engines) 0;
-          p_latency = latency;
-        }
-
-  let partitioned t = t.part <> None
-
-  (* The partitioned analogue of the [send] fast path.  Timestamps come from
-     the sender's engine; the delivery closure reads the destination engine's
-     clock (it runs inside that domain's window).  Cross-domain deliveries go
-     through the domain context's post queue and are scheduled on the
-     destination engine at the barrier — the conservative window bound
-     guarantees [at] is still in that engine's future. *)
-  let send_partitioned t p ~src ~dst ~size msg handler =
-    let src_id = Xguard_proto.Node.id src and dst_id = Xguard_proto.Node.id dst in
-    let sdom = p.dom_of.(src_id) and ddom = p.dom_of.(dst_id) in
-    let src_engine = p.engines.(sdom) in
-    let now = Engine.now src_engine in
-    (match t.monitor with Some f -> f ~src ~dst msg | None -> ());
-    (match Obs.trace () with
-    | Some tr -> trace_msg t tr Trace.send ~cycle:now ~src ~dst msg
-    | None -> ());
-    p.p_messages.(sdom) <- p.p_messages.(sdom) + 1;
-    p.p_bytes.(sdom) <- p.p_bytes.(sdom) + size;
-    t.bytes_by_src.(src_id) <- t.bytes_by_src.(src_id) + size;
-    let row = t.fifo.(src_id) in
-    let at = max (now + p.p_latency) row.(dst_id) in
-    row.(dst_id) <- at;
-    let dst_engine = p.engines.(ddom) in
-    let deliver () =
-      (match Obs.trace () with
-      | Some tr -> trace_msg t tr Trace.recv ~cycle:(Engine.now dst_engine) ~src ~dst msg
-      | None -> ());
-      handler ~src msg
-    in
-    if sdom = ddom then Engine.schedule_at src_engine at deliver
-    else
-      match Xguard_sim.Shard.current () with
-      | Some ctx ->
-          Xguard_sim.Shard.post ctx ~at (fun () ->
-              Engine.schedule_at dst_engine at deliver)
-      | None ->
-          (* Coordinator code outside any window (setup at time 0). *)
-          Engine.schedule_at dst_engine at deliver
-
   let send t ~src ~dst ?(size = control_size) msg =
     let dst_id = Xguard_proto.Node.id dst in
     let handler =
@@ -520,9 +431,6 @@ struct
             (Printf.sprintf "Network.send(%s): no handler registered for %s" t.name
                (Xguard_proto.Node.name dst))
     in
-    match t.part with
-    | Some p -> send_partitioned t p ~src ~dst ~size msg handler
-    | None ->
     (match t.monitor with Some f -> f ~src ~dst msg | None -> ());
     (match Obs.trace () with
     | Some tr -> trace_msg t tr Trace.send ~cycle:(Engine.now t.engine) ~src ~dst msg
@@ -550,15 +458,8 @@ struct
             schedule_delivery t ~src ~dst ~at:(at + copy) payload handler
           done
 
-  let messages_sent t =
-    match t.part with
-    | None -> t.messages
-    | Some p -> Array.fold_left ( + ) t.messages p.p_messages
-
-  let bytes_sent t =
-    match t.part with
-    | None -> t.bytes
-    | Some p -> Array.fold_left ( + ) t.bytes p.p_bytes
+  let messages_sent t = t.messages
+  let bytes_sent t = t.bytes
 
   let bytes_from t node =
     let id = Xguard_proto.Node.id node in

@@ -120,25 +120,6 @@ end) : sig
       produce [Msg_send]/[Msg_recv] events.  Also consulted by fault scripts
       to match needles (regardless of trace arming). *)
 
-  (* ---- sharded-engine partition (lib/harness/pdes.ml) ---- *)
-
-  val set_partition :
-    t -> dom_of:int array -> engines:Xguard_sim.Engine.t array -> unit
-  (** Split this network across domain engines for the parallel simulator:
-      [dom_of.(node id)] names the domain a node lives in and [engines.(d)]
-      that domain's engine.  Sends then timestamp from the {e sender's}
-      engine, keep FIFO order in pre-sized per-source rows (each written only
-      by the sender's domain), and count traffic in per-domain arrays; deliveries
-      to another domain go through the current {!Xguard_sim.Shard} context's
-      post queue and are scheduled on the destination engine at the window
-      barrier.  [dom_of] must cover every node id that will ever send or
-      receive here.
-      @raise Invalid_argument on an [Unordered] network, with fault injection
-      installed, or in check mode — the parallel simulator refuses those
-      configurations up front. *)
-
-  val partitioned : t -> bool
-
   (* ---- fault injection ---- *)
 
   val set_faults : t -> rng:Xguard_sim.Rng.t -> Fault.config -> unit

@@ -1,12 +1,10 @@
 module Histogram = Xguard_stats.Histogram
 module Counter = Xguard_stats.Counter
 module Group = Counter.Group
-module Shard = Xguard_sim.Shard
 
 (* Streaming run telemetry, built on the same bones as {!Spans}: a recorder
-   armed in the domain's observer context, deferred-effect replay at PDES
-   barriers, and a pure associative summary merge so campaign shards fold
-   byte-identically in job order.
+   armed in the domain's observer context and a pure associative summary
+   merge, so campaign shards fold byte-identically in job order.
 
    Each sampler tick snapshots three things into one sample: the nonzero
    counter deltas since the previous tick (every registered stats group,
@@ -104,32 +102,19 @@ let close_in (s : Obs.series) (l : Obs.lane) ~addr ~now =
       in
       Histogram.observe h (now - t0)
 
-let e2e_open_r r guard addr now = open_in r (series_for r guard).e2e ~addr ~now
+let e2e_open r ~guard ~addr ~now = open_in r (series_for r guard).e2e ~addr ~now
 
-let e2e_close_r r guard addr now =
+let e2e_close r ~guard ~addr ~now =
   let s = series_for r guard in
   close_in s s.e2e ~addr ~now
 
-let inv_open_r r guard addr now = open_in r (series_for r guard).inv ~addr ~now
+let inv_open r ~guard ~addr ~now = open_in r (series_for r guard).inv ~addr ~now
 
-let inv_close_r r guard addr now =
+let inv_close r ~guard ~addr ~now =
   let s = series_for r guard in
   close_in s s.inv ~addr ~now
 
-(* Like the span hooks: run [f] now or, inside a sharded-engine window,
-   deferred to the barrier; [f] is closed, so outside a window nothing is
-   allocated. *)
-let on_guard f r ~guard ~addr ~now =
-  match Shard.current () with
-  | Some c -> Shard.defer c ~ts:now (fun () -> f r guard addr now)
-  | None -> f r guard addr now
-
-let e2e_open r ~guard ~addr ~now = on_guard e2e_open_r r ~guard ~addr ~now
-let e2e_close r ~guard ~addr ~now = on_guard e2e_close_r r ~guard ~addr ~now
-let inv_open r ~guard ~addr ~now = on_guard inv_open_r r ~guard ~addr ~now
-let inv_close r ~guard ~addr ~now = on_guard inv_close_r r ~guard ~addr ~now
-
-(* -- availability (recorded once post-run, outside any shard window) -------- *)
+(* -- availability (recorded once post-run) ------------------------------------ *)
 
 let note_avail (r : recorder) ~guard ~down ~now = r.avails <- (guard, down, now) :: r.avails
 

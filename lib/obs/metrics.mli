@@ -1,9 +1,8 @@
 (** Streaming run telemetry: periodic counter-delta / gauge / span-quantile
     samples, per-guard latency histograms, availability notes, and the
     {!Watchdog}'s anomaly verdicts — one recorder per job, merged with the
-    same pure, job-ordered discipline as {!Spans} so campaign shards and the
-    sharded (PDES) engine produce byte-identical streams for any [-j] /
-    [--sim-j].
+    same pure, job-ordered discipline as {!Spans} so campaign shards produce
+    byte-identical streams for any [-j].
 
     Invisible unless armed: a recorder lives in the metrics slot of the
     domain's observer context ({!Obs}), and hook sites call the functions
@@ -42,8 +41,7 @@ val add_gauge : recorder -> name:string -> (unit -> int) -> unit
 val watchdog_armed : recorder -> bool
 val set_watchdog_reporter : recorder -> (rule:int -> event:int -> detail:string -> unit) -> unit
 
-(** {2 Per-guard latency hooks} — fired by the guard link, deferred through
-    the shard context inside PDES windows. *)
+(** {2 Per-guard latency hooks} — fired by the guard link. *)
 
 val e2e_open : recorder -> guard:string -> addr:int -> now:int -> unit
 val e2e_close : recorder -> guard:string -> addr:int -> now:int -> unit
@@ -59,8 +57,7 @@ val tick : Obs.t -> now:int -> unit
 (** The one observer sample, timestamped [now]: the context's span gauges
     ({!Spans.sample_gauges}), then its metrics sample and the watchdog's
     verdicts on it.  Driven by the engine's sampler ([Engine.set_sampler],
-    installed by [System.build]) or, under the sharded engine, by the
-    coordinator at window barriers. *)
+    installed by [System.build]). *)
 
 (** {2 Summaries} *)
 
@@ -105,7 +102,7 @@ val write_jsonl :
 (** The canonical [xguard-metrics-v1] JSONL stream: meta line, then per-job
     sample / watchdog / avail lines in job order, then merged per-guard and
     per-(segment, txn) histogram dumps, then SLO verdicts.  Deterministic for
-    any [-j] / [--sim-j]. *)
+    any [-j]. *)
 
 val write_verdict : out_channel -> Slo.verdict -> unit
 

@@ -4,11 +4,9 @@
    ([get], or [trace]/[spans]/[metrics] for one slot) and hand the hook the
    recorder it needs, so an unarmed hook costs the load of [armed_ctxs].
    Arming sets slots and restores the previous context on exit, so it nests
-   and is per-domain.  Worker domains of the sharded engine run their windows
-   under the coordinator's context, read-only: every recorder write inside a
-   window defers through {!Xguard_sim.Shard}.  The recorder records live
-   here, below {!Spans} and {!Metrics} (which own every function over them),
-   so the context can hold them. *)
+   and is per-domain.  The recorder records live here, below {!Spans} and
+   {!Metrics} (which own every function over them), so the context can hold
+   them. *)
 
 module Histogram = Xguard_stats.Histogram
 module Counter = Xguard_stats.Counter

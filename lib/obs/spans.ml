@@ -1,6 +1,5 @@
 module Histogram = Xguard_stats.Histogram
 module Table = Xguard_stats.Table
-module Shard = Xguard_sim.Shard
 
 type txn = Obs.txn = Get_s | Get_m | Put_s | Put_e | Put_m | Inv | Load | Store
 
@@ -73,7 +72,6 @@ let seg_names =
   |]
 
 let seg_count = Array.length seg_names
-let seg_name s = seg_names.(seg_index s)
 let seg_name_of_index i = seg_names.(i)
 
 type recorder = Obs.spans
@@ -108,26 +106,9 @@ let create ?(timeline = false) ?(timeline_cap = 1_000_000) ?(sample_cap = 100_00
 
 let with_armed r f = Obs.with_ctx { (Obs.get ()) with Obs.spans = Some r } f
 
-(* Under the sharded (PDES) engine, span work performed inside a domain
-   window is deferred through the {!Xguard_sim.Shard} context and replayed
-   by the coordinator at the barrier, in canonical (timestamp, domain,
-   sequence) order.  Every mutator below therefore checks for a shard
-   context {e first} — even a coordinator that runs all domains itself (one
-   worker) must defer, or its replay order would differ from the
-   multi-worker one — and builds its replay closure only inside a window, so
-   outside one a hook allocates no closure.  Replay happens with no shard
-   context installed, so the deferred closures write to the recorder. *)
-let deferred ~now f =
-  match Shard.current () with Some c -> Shard.defer c ~ts:now f | None -> f ()
-
-let fresh_id_r (r : recorder) =
+let fresh_id (r : recorder) =
   r.next_id <- r.next_id + 1;
   r.next_id
-
-(* Inside a domain window ids come from the context (salted per domain, so
-   ids never collide across domains and never depend on replay order). *)
-let fresh_id r =
-  match Shard.current () with Some c -> Shard.fresh_span_id c | None -> fresh_id_r r
 
 let grow a len =
   let cap = Array.length a in
@@ -157,23 +138,10 @@ let tl_push (r : recorder) ~seg ~txn ~span ~addr ~ts ~dur =
     r.tl_len <- n + 1
   end
 
-let record_r (r : recorder) seg txn ~span ~addr ~ts ~dur =
+let record (r : recorder) seg txn ~span ~addr ~ts ~dur =
   let s = seg_index seg and x = txn_index txn in
   Histogram.observe r.hists.(s).(x) dur;
   if r.timeline then tl_push r ~seg:s ~txn:x ~span ~addr ~ts ~dur
-
-let record r seg txn ~span ~addr ~ts ~dur =
-  match Shard.current () with
-  | Some c -> Shard.defer c ~ts (fun () -> record_r r seg txn ~span ~addr ~ts ~dur)
-  | None -> record_r r seg txn ~span ~addr ~ts ~dur
-
-(* Run the hook body [f r addr now] now or, inside a sharded-engine window,
-   deferred to the barrier.  Each [f] is a closed top-level function, so
-   outside a window a hook allocates nothing. *)
-let on_addr f r ~addr ~now =
-  match Shard.current () with
-  | Some c -> Shard.defer c ~ts:now (fun () -> f r addr now)
-  | None -> f r addr now
 
 (* -- crossing lifecycle ---------------------------------------------------- *)
 
@@ -189,7 +157,7 @@ let retire_or_park (r : recorder) addr (e : Obs.entry) =
     Hashtbl.replace r.host_puts addr e
   end
 
-let xreq_open_r (r : recorder) txn ~addr ~now =
+let xreq_open (r : recorder) txn ~addr ~now =
   if Hashtbl.mem r.crossings addr then begin
     (* Stale entry: the previous crossing on this block never retired
        (possible under faults / chaos accel).  Replace, and count it. *)
@@ -198,7 +166,7 @@ let xreq_open_r (r : recorder) txn ~addr ~now =
   end;
   Hashtbl.replace r.crossings addr
     {
-      Obs.id = fresh_id_r r;
+      Obs.id = fresh_id r;
       e_txn = txn;
       resp_open = true;
       host_open = false;
@@ -208,63 +176,45 @@ let xreq_open_r (r : recorder) txn ~addr ~now =
       m_resp = -1;
     }
 
-let xreq_open r txn ~addr ~now =
-  match Shard.current () with
-  | Some c -> Shard.defer c ~ts:now (fun () -> xreq_open_r r txn ~addr ~now)
-  | None -> xreq_open_r r txn ~addr ~now
-
-let xreq_delivered_r (r : recorder) addr now =
+let xreq_delivered (r : recorder) ~addr ~now =
   match Hashtbl.find_opt r.crossings addr with
   | Some e when e.m_xg < 0 ->
       e.m_xg <- now;
-      record_r r Link_req e.e_txn ~span:e.id ~addr ~ts:e.m_req ~dur:(now - e.m_req)
+      record r Link_req e.e_txn ~span:e.id ~addr ~ts:e.m_req ~dur:(now - e.m_req)
   | _ -> ()
 
-let xreq_delivered r ~addr ~now = on_addr xreq_delivered_r r ~addr ~now
-
-let xg_decided_r (r : recorder) addr now =
+let xg_decided (r : recorder) ~addr ~now =
   match Hashtbl.find_opt r.crossings addr with
   | Some e when e.m_xg >= 0 && not e.decided ->
       e.decided <- true;
-      record_r r Xg_decide e.e_txn ~span:e.id ~addr ~ts:e.m_xg ~dur:(now - e.m_xg)
+      record r Xg_decide e.e_txn ~span:e.id ~addr ~ts:e.m_xg ~dur:(now - e.m_xg)
   | _ -> ()
 
-let xg_decided r ~addr ~now = on_addr xg_decided_r r ~addr ~now
-
-let resp_sent_r (r : recorder) addr now =
+let resp_sent (r : recorder) ~addr ~now =
   match Hashtbl.find_opt r.crossings addr with
   | Some e when e.m_resp < 0 -> e.m_resp <- now
   | _ -> ()
 
-let resp_sent r ~addr ~now = on_addr resp_sent_r r ~addr ~now
-
-let resp_delivered_r (r : recorder) addr now =
+let resp_delivered (r : recorder) ~addr ~now =
   match Hashtbl.find_opt r.crossings addr with
   | Some e when e.resp_open ->
       if e.m_resp >= 0 then
-        record_r r Link_resp e.e_txn ~span:e.id ~addr ~ts:e.m_resp ~dur:(now - e.m_resp);
+        record r Link_resp e.e_txn ~span:e.id ~addr ~ts:e.m_resp ~dur:(now - e.m_resp);
       e.resp_open <- false;
       retire_or_park r addr e
   | _ -> ()
 
-let resp_delivered r ~addr ~now = on_addr resp_delivered_r r ~addr ~now
-
-let host_put_issued_r (r : recorder) addr _now =
+let host_put_issued (r : recorder) ~addr =
   match Hashtbl.find_opt r.crossings addr with
   | Some e -> e.host_open <- true
   | None -> ()
 
-(* [now] only orders the deferred op among same-window span work. *)
-let host_put_issued r ~addr ~now = on_addr host_put_issued_r r ~addr ~now
-
-let put_settled_r (r : recorder) addr _now =
+let put_settled (r : recorder) ~addr =
   if Hashtbl.mem r.host_puts addr then Hashtbl.remove r.host_puts addr
   else
     match Hashtbl.find_opt r.crossings addr with
     | Some e -> e.host_open <- false (* settle beat the accel ack; retire there *)
     | None -> ()
-
-let put_settled r ~addr ~now = on_addr put_settled_r r ~addr ~now
 
 let lookup (r : recorder) ~addr =
   match Hashtbl.find_opt r.crossings addr with
@@ -284,55 +234,43 @@ let lookup_put (r : recorder) ~addr =
 
 (* One host-port segment, attributed to the crossing open on [addr] — the
    still-settling writeback's when [put] — or to span 0 and [txn] when none
-   is.  The lookup and the record defer as one block under the sharded
-   engine, so the lookup reads barrier-ordered state. *)
+   is. *)
 let host_segment r seg ?(put = false) ~addr ~born ~now ~txn () =
-  deferred ~now (fun () ->
-      let span, txn =
-        match (if put then lookup_put else lookup) r ~addr with
-        | Some found -> found
-        | None -> (0, txn)
-      in
-      record r seg txn ~span ~addr ~ts:born ~dur:(now - born))
+  let span, txn =
+    match (if put then lookup_put else lookup) r ~addr with
+    | Some found -> found
+    | None -> (0, txn)
+  in
+  record r seg txn ~span ~addr ~ts:born ~dur:(now - born)
 
 let host_put_done r ~addr ~born ~now ~notify_core =
-  deferred ~now (fun () ->
-      (match lookup_put r ~addr with
-      | Some (span, txn) -> record r Host_writeback txn ~span ~addr ~ts:born ~dur:(now - born)
-      | None ->
-          (* Port-initiated relinquishment (or a quarantine hand-back): no
-             crossing to attach to, so it gets its own span. *)
-          record r Host_relinquish Inv ~span:(fresh_id r) ~addr ~ts:born ~dur:(now - born));
-      if notify_core then put_settled r ~addr ~now)
+  (match lookup_put r ~addr with
+  | Some (span, txn) -> record r Host_writeback txn ~span ~addr ~ts:born ~dur:(now - born)
+  | None ->
+      (* Port-initiated relinquishment (or a quarantine hand-back): no
+         crossing to attach to, so it gets its own span. *)
+      record r Host_relinquish Inv ~span:(fresh_id r) ~addr ~ts:born ~dur:(now - born));
+  if notify_core then put_settled r ~addr
 
 (* -- invalidate lifecycle -------------------------------------------------- *)
 
-let inv_open_r (r : recorder) addr now =
+let inv_open (r : recorder) ~addr ~now =
   if Hashtbl.mem r.invs addr then begin
     Hashtbl.remove r.invs addr;
     r.replaced <- r.replaced + 1
   end;
-  Hashtbl.replace r.invs addr { Obs.inv_id = fresh_id_r r; inv_sent = now }
+  Hashtbl.replace r.invs addr { Obs.inv_id = fresh_id r; inv_sent = now }
 
-let inv_open r ~addr ~now = on_addr inv_open_r r ~addr ~now
-
-let inv_closed_r (r : recorder) addr now =
+let inv_closed (r : recorder) ~addr ~now =
   match Hashtbl.find_opt r.invs addr with
   | Some e ->
       Hashtbl.remove r.invs addr;
-      record_r r Inv_roundtrip Inv ~span:e.inv_id ~addr ~ts:e.inv_sent ~dur:(now - e.inv_sent)
+      record r Inv_roundtrip Inv ~span:e.inv_id ~addr ~ts:e.inv_sent ~dur:(now - e.inv_sent)
   | None -> ()
 
-let inv_closed r ~addr ~now = on_addr inv_closed_r r ~addr ~now
-
-let inv_instant_r (r : recorder) seg ~addr ~now =
+let inv_instant (r : recorder) seg ~addr ~now =
   let span = match Hashtbl.find_opt r.invs addr with Some e -> e.inv_id | None -> 0 in
-  record_r r seg Inv ~span ~addr ~ts:now ~dur:0
-
-let inv_instant r seg ~addr ~now =
-  match Shard.current () with
-  | Some c -> Shard.defer c ~ts:now (fun () -> inv_instant_r r seg ~addr ~now)
-  | None -> inv_instant_r r seg ~addr ~now
+  record r seg Inv ~span ~addr ~ts:now ~dur:0
 
 let inv_race r ~addr ~now = inv_instant r Inv_race ~addr ~now
 let inv_timeout r ~addr ~now = inv_instant r Inv_timeout ~addr ~now

@@ -54,7 +54,6 @@ type seg =
   | Link_retry  (** one frame retransmission on the guard link *)
 
 val txn_name : txn -> string
-val seg_name : seg -> string
 
 val txn_count : int
 val seg_count : int
@@ -78,25 +77,14 @@ val with_armed : recorder -> (unit -> 'a) -> 'a
     context, restoring the previous context afterwards (exceptions
     included). *)
 
-(** {2 Recording}
-
-    Every mutator below defers itself through the {!Xguard_sim.Shard}
-    context when called inside a sharded-engine window. *)
+(** {2 Recording} *)
 
 val fresh_id : recorder -> int
-(** Next span id (domain-salted inside a sharded-engine window). *)
+(** Next span id. *)
 
 val record : recorder -> seg -> txn -> span:int -> addr:int -> ts:int -> dur:int -> unit
 (** Close one segment: observe [dur] in the (seg, txn) histogram and append a
     timeline event when the recorder buffers timelines. *)
-
-val deferred : now:int -> (unit -> unit) -> unit
-(** Run a read-then-record block (e.g. {!lookup} followed by {!record}) at
-    simulated time [now].  Inside a sharded-engine domain window the whole
-    block is deferred and replayed at the barrier — its recorder reads then
-    see barrier-ordered state; otherwise it runs immediately.  Callers build
-    the block only when a recorder is armed, so spans-off runs allocate
-    nothing. *)
 
 (** {3 Crossing lifecycle (guard link + XG + host ports)} *)
 
@@ -117,12 +105,11 @@ val resp_delivered : recorder -> addr:int -> now:int -> unit
 (** The response arrived at the accelerator: closes [Link_resp] and, for
     GETs, retires the crossing. *)
 
-val host_put_issued : recorder -> addr:int -> now:int -> unit
+val host_put_issued : recorder -> addr:int -> unit
 (** The XG forwarded this writeback to a host port; the crossing then stays
-    open until {!put_settled}, even after the accel ack is delivered.  [now]
-    only orders the op under the sharded engine. *)
+    open until {!put_settled}, even after the accel ack is delivered. *)
 
-val put_settled : recorder -> addr:int -> now:int -> unit
+val put_settled : recorder -> addr:int -> unit
 (** A host-forwarded writeback finished on the host side; retires the
     crossing once the accel response has also been delivered. *)
 
@@ -143,8 +130,7 @@ val host_segment :
   recorder -> seg -> ?put:bool -> addr:int -> born:int -> now:int -> txn:txn -> unit -> unit
 (** A host port closes one of its own segments ([Host_fetch], [Host_defer])
     from [born] to [now], on the crossing open on [addr] ({!lookup}, or
-    {!lookup_put} when [put]) or, when none is, on span 0 with [txn].  The
-    read-then-record block runs through {!deferred}. *)
+    {!lookup_put} when [put]) or, when none is, on span 0 with [txn]. *)
 
 val host_put_done : recorder -> addr:int -> born:int -> now:int -> notify_core:bool -> unit
 (** A host port's writeback settled: [Host_writeback] on the settling

@@ -1,9 +1,8 @@
 (** Pure-observer anomaly watchdog.
 
     Evaluated once per metrics sampler tick against exactly the data the tick
-    snapshots — counter deltas and gauge values — so it is deterministic,
-    replayable at PDES barriers, and invisible to the simulation.  Four
-    rules:
+    snapshots — counter deltas and gauge values — so it is deterministic
+    and invisible to the simulation.  Four rules:
 
     - [retry_storm]: total [*.retransmit_frames] delta in one tick reaches
       [retry_burst].

@@ -29,8 +29,6 @@ let map ~workers ~jobs f =
     results
   end
 
-let default_workers () = Domain.recommended_domain_count ()
-
 module Seed = struct
   module Rng = Xguard_sim.Rng
 

@@ -33,9 +33,6 @@ val map : workers:int -> jobs:int -> (int -> 'a) -> 'a outcome array
     calling domain, bypassing domain spawn entirely).  Raises [Invalid_argument]
     if [jobs < 0]. *)
 
-val default_workers : unit -> int
-(** [Domain.recommended_domain_count ()], the [-j] default. *)
-
 (** Deterministic job → seed derivation.
 
     A campaign must give every job an independent, reproducible seed that

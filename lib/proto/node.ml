@@ -18,6 +18,5 @@ module Registry = struct
     t.nodes <- node :: t.nodes;
     node
 
-  let count t = t.next
   let all t = List.rev t.nodes
 end

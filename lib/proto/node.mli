@@ -20,6 +20,5 @@ module Registry : sig
 
   val create : unit -> t
   val fresh : t -> string -> node
-  val count : t -> int
   val all : t -> node list
 end

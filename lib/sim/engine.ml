@@ -53,7 +53,6 @@ let create () =
 
 let now t = t.now
 let pending t = t.size
-let next_at t = if t.size = 0 then None else Some t.at_h.(0)
 let events_fired t = t.fired
 let stop t = t.stop_requested <- true
 

@@ -26,11 +26,6 @@ val schedule_at : t -> time -> ?tag:int -> (unit -> unit) -> unit
 val pending : t -> int
 (** Number of events not yet fired. *)
 
-val next_at : t -> time option
-(** Timestamp of the earliest pending event, or [None] on an empty queue.
-    The sharded-engine coordinator computes conservative window bounds from
-    the minimum of this across all domain engines. *)
-
 val events_fired : t -> int
 (** Total events executed since [create]. *)
 

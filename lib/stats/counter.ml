@@ -39,42 +39,27 @@ module Group = struct
     in
     { names = Array.of_list (List.rev !distinct); index; at }
 
-  (* Interned counters live in [slots] from [intern] time, adopted ones from
-     their first touch (until then their slot holds [unborn]); either joins
-     [order] only on first touch ([enlisted]), so [to_list] stays
-     byte-identical to the string-keyed path: same first-touch order, no
-     phantom zero entries for vocabulary that never fired.  Names interned
-     one at a time are keyed in [ids]; an adopted vocabulary occupies the
-     id block starting at its base and is looked up through its own shared
-     index.  The two name-keyed tables are made on first need: a group
-     driven only through adopted ids never hashes a name.  [table] indexes
-     [order] by name once made.  [slots] and [enlisted] cover ids
-     [0, n_ids) from the first touch on: a group whose adopted ids never
-     fire allocates neither. *)
+  (* An adopted vocabulary occupies the id block starting at its base and is
+     looked up through its own shared index.  An id's counter is made on its
+     first touch, when it also joins [order]; until then its slot holds
+     [unborn].  So [to_list] stays byte-identical to the string-keyed path:
+     same first-touch order, no phantom zero entries for vocabulary that
+     never fired.  [table] indexes [order] by name and is made on first
+     need: a group driven only through adopted ids never hashes a name.
+     [slots] covers ids [0, n_ids) from the first touch on: a group whose
+     adopted ids never fire allocates none. *)
   type t = {
     group_name : string;
     mutable table : (string, counter) Hashtbl.t option;
     mutable order : counter array; (* creation order; the first [n_order] are live *)
     mutable n_order : int;
-    mutable ids : (string, id) Hashtbl.t option;
     mutable blocks : (vocab * id) list;
     mutable slots : counter array;
-    mutable enlisted : Bytes.t; (* '\001' once the id's counter is in [order] *)
     mutable n_ids : int;
   }
 
   let create group_name =
-    {
-      group_name;
-      table = None;
-      order = [||];
-      n_order = 0;
-      ids = None;
-      blocks = [];
-      slots = [||];
-      enlisted = Bytes.empty;
-      n_ids = 0;
-    }
+    { group_name; table = None; order = [||]; n_order = 0; blocks = []; slots = [||]; n_ids = 0 }
 
   let name g = g.group_name
 
@@ -82,30 +67,12 @@ module Group = struct
      never written: it only ever reads as 0. *)
   let unborn = make_counter ""
 
-  let reserve g n =
+  let reserve g =
     let cap = Array.length g.slots in
-    if n > cap then begin
-      let cap' = max n (max 16 (2 * cap)) in
-      let slots' = Array.make cap' unborn in
-      let enlisted' = Bytes.make cap' '\000' in
+    if g.n_ids > cap then begin
+      let slots' = Array.make (max g.n_ids (max 16 (2 * cap))) unborn in
       Array.blit g.slots 0 slots' 0 cap;
-      Bytes.blit g.enlisted 0 enlisted' 0 cap;
-      g.slots <- slots';
-      g.enlisted <- enlisted'
-    end
-
-  (* The counter of id [id], created on its first touch when adopted. *)
-  let born g id =
-    if id >= Array.length g.slots then reserve g g.n_ids;
-    let c = g.slots.(id) in
-    if c != unborn then c
-    else begin
-      let v, base =
-        List.find (fun (v, base) -> id >= base && id < base + Array.length v.names) g.blocks
-      in
-      let c = make_counter v.names.(id - base) in
-      g.slots.(id) <- c;
-      c
+      g.slots <- slots'
     end
 
   let table g =
@@ -119,8 +86,6 @@ module Group = struct
         g.table <- Some tbl;
         tbl
 
-  let enlisted g id = Bytes.get g.enlisted id <> '\000'
-
   let enlist g c =
     Option.iter (fun tbl -> Hashtbl.add tbl c.name c) g.table;
     if g.n_order = Array.length g.order then begin
@@ -131,53 +96,32 @@ module Group = struct
     g.order.(g.n_order) <- c;
     g.n_order <- g.n_order + 1
 
+  (* First touch of id [id]: make its counter and join [to_list]. *)
+  let born g id =
+    reserve g;
+    let v, base =
+      List.find (fun (v, base) -> id >= base && id < base + Array.length v.names) g.blocks
+    in
+    let c = make_counter v.names.(id - base) in
+    g.slots.(id) <- c;
+    enlist g c;
+    c
+
   let find_id g counter_name =
-    match Option.bind g.ids (fun ids -> Hashtbl.find_opt ids counter_name) with
-    | Some _ as id -> id
-    | None ->
-        List.find_map
-          (fun (v, base) ->
-            Option.map (fun i -> base + i) (Hashtbl.find_opt v.index counter_name))
-          g.blocks
+    List.find_map
+      (fun (v, base) -> Option.map (fun i -> base + i) (Hashtbl.find_opt v.index counter_name))
+      g.blocks
 
   let counter g counter_name =
     match Hashtbl.find_opt (table g) counter_name with
     | Some c -> c
     | None -> (
         match find_id g counter_name with
-        | Some id ->
-            let c = born g id in
-            Bytes.set g.enlisted id '\001';
-            enlist g c;
-            c
+        | Some id -> born g id
         | None ->
             let c = make_counter counter_name in
             enlist g c;
             c)
-
-  let intern g counter_name =
-    match find_id g counter_name with
-    | Some id -> id
-    | None ->
-        reserve g (g.n_ids + 1);
-        let id = g.n_ids in
-        let already = Hashtbl.find_opt (table g) counter_name in
-        let c =
-          match already with Some c -> c | None -> make_counter counter_name
-        in
-        g.slots.(id) <- c;
-        Bytes.set g.enlisted id (if already <> None then '\001' else '\000');
-        g.n_ids <- id + 1;
-        let ids =
-          match g.ids with
-          | Some ids -> ids
-          | None ->
-              let ids = Hashtbl.create 16 in
-              g.ids <- Some ids;
-              ids
-        in
-        Hashtbl.add ids counter_name id;
-        id
 
   let adopt g v =
     (* A group that has never named a counter cannot clash, so only a group
@@ -197,22 +141,15 @@ module Group = struct
        own positions: share them instead of copying. *)
     if base = 0 then v.at else Array.map (fun i -> base + i) v.at
 
-  (* First touch: create an adopted counter and join [to_list]. *)
   let touch g id =
-    if id >= Array.length g.slots then reserve g g.n_ids;
-    if not (enlisted g id) then begin
-      Bytes.set g.enlisted id '\001';
-      enlist g (born g id)
-    end
+    if id < Array.length g.slots && g.slots.(id) != unborn then g.slots.(id) else born g id
 
   let incr_id g id =
-    touch g id;
-    let c = g.slots.(id) in
+    let c = touch g id in
     c.value <- c.value + 1
 
   let add_id g id n =
-    touch g id;
-    let c = g.slots.(id) in
+    let c = touch g id in
     c.value <- c.value + n
 
   let get_id g id = if id < Array.length g.slots then g.slots.(id).value else 0
@@ -234,9 +171,6 @@ module Group = struct
   let reset_all g =
     for i = 0 to g.n_order - 1 do
       reset g.order.(i)
-    done;
-    for i = 0 to Array.length g.slots - 1 do
-      if g.slots.(i) != unborn then reset g.slots.(i)
     done
 
   let pp fmt g =

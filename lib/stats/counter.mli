@@ -24,23 +24,16 @@ module Group : sig
   type t
 
   type id
-  (** A dense handle for a pre-registered counter name.  Hot paths intern
-      their whole vocabulary once at component creation and then record via
-      {!incr_id}/{!add_id} — no string building, no hashing per event. *)
+  (** A dense handle for a counter name of an adopted {!vocab}.  Hot paths
+      adopt their whole vocabulary once at component creation and then
+      record via {!incr_id}/{!add_id} — no string building, no hashing per
+      event. *)
 
   val create : string -> t
   val name : t -> string
 
   val counter : t -> string -> counter
   (** [counter g name] finds or creates the counter [name] in [g]. *)
-
-  val intern : t -> string -> id
-  (** [intern g name] pre-registers [name] and returns its dense id.
-      Interning alone does not make the counter observable: it only appears
-      in {!to_list} once first touched (by any path), in first-touch order —
-      so reports stay byte-identical to the string-keyed path even when a
-      component interns vocabulary that never fires.  Interning the same
-      name twice returns the same id; ids are per-group. *)
 
   type vocab
   (** A shared, read-only vocabulary: an array of names hashed once into a
@@ -54,18 +47,19 @@ module Group : sig
   val adopt : t -> vocab -> id array
   (** [adopt g v] registers every name of [v] in [g] as one block of fresh
       ids, without hashing the names again, and returns the id of each
-      position of the array [v] was built from (equal names get one id).
-      The block behaves exactly like names {!intern}ed one at a time:
-      {!counter}, {!intern} and {!get} by name find its ids, and a counter
-      appears in {!to_list} only once touched, in first-touch order.  [g]
-      must not already know any name of [v] ([Invalid_argument] otherwise);
-      a group that has never named a counter trivially satisfies this.
-      Adopting allocates no counter (each is made on its first touch), and
-      into a fresh group it returns an array shared with [v]: read it, never
-      write it. *)
+      position of the array [v] was built from (equal names get one id);
+      ids are per-group.  Adopting alone makes no counter observable:
+      {!counter} and {!get} by name find the block's ids, and a counter
+      appears in {!to_list} only once first touched (by any path), in
+      first-touch order — so reports stay byte-identical to the string-keyed
+      path even for vocabulary that never fires.  [g] must not already know
+      any name of [v] ([Invalid_argument] otherwise); a group that has never
+      named a counter trivially satisfies this.  Adopting allocates no
+      counter (each is made on its first touch), and into a fresh group it
+      returns an array shared with [v]: read it, never write it. *)
 
   val incr_id : t -> id -> unit
-  (** Allocation-free equivalent of [incr g name] for an interned name. *)
+  (** Allocation-free equivalent of [incr g name] for an adopted name. *)
 
   val add_id : t -> id -> int -> unit
   val get_id : t -> id -> int

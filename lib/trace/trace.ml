@@ -37,21 +37,10 @@ let events_for t ~addr = List.filter (matches ~addr) (to_list t)
 
 (* ---- emission ---- *)
 
-let record t ev =
-  t.buf.(t.total mod Array.length t.buf) <- ev;
-  t.total <- t.total + 1
-
-(* The single funnel every event goes through.  Under the sharded engine a
-   domain context is installed while a window executes; the ring write is
-   then deferred (stamped with the event's own cycle) and replayed by the
-   coordinator in canonical order, so trace artifacts are identical for any
-   worker count.  Without a context this is the historical direct write. *)
+(* The single funnel every event goes through. *)
 let emit t cycle kind controller addr a b c =
-  match Xguard_sim.Shard.current () with
-  | Some ctx ->
-      Xguard_sim.Shard.defer ctx ~ts:cycle (fun () ->
-          record t { cycle; kind; controller; addr; a; b; c })
-  | None -> record t { cycle; kind; controller; addr; a; b; c }
+  t.buf.(t.total mod Array.length t.buf) <- { cycle; kind; controller; addr; a; b; c };
+  t.total <- t.total + 1
 
 let send t ~cycle ~net ~src ~dst ~addr ~text = emit t cycle Msg_send net addr src dst text
 let recv t ~cycle ~net ~src ~dst ~addr ~text = emit t cycle Msg_recv net addr src dst text

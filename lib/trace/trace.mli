@@ -61,8 +61,7 @@ val events_for : t -> addr:int -> event list
 (** Held events touching [addr] (plus address-less [Note] events), oldest
     first. *)
 
-(** {2 Emission} — each records into the given ring (deferred to the
-    window barrier inside a sharded-engine window). *)
+(** {2 Emission} — each records into the given ring. *)
 
 val send :
   t -> cycle:int -> net:string -> src:string -> dst:string -> addr:int -> text:string -> unit

@@ -51,7 +51,3 @@ let put t ~line parts =
       t.host_transactions <- t.host_transactions + 1;
       t.backing.put (component t ~line i) data)
     parts
-
-let invalidate_line t ~line = function
-  | None -> ()
-  | Some parts -> put t ~line parts

@@ -45,10 +45,6 @@ val put : t -> line:int -> Data.t array -> unit
 (** Split a written-back accelerator line into component host writebacks.
     @raise Invalid_argument if the array length is not [ratio]. *)
 
-val invalidate_line : t -> line:int -> Data.t array option -> unit
-(** Host-side recall of a line: component blocks of the returned dirty data
-    (if any) are written back individually. *)
-
 val host_transactions : t -> int
 (** Host-granularity operations issued so far — the amplification metric. *)
 

@@ -56,9 +56,6 @@ type t = {
      with recovery enabled drives the transitions, so legacy runs are
      untouched. *)
   mutable quarantines : int;
-  mutable resets : int;
-  mutable rejoins : int;
-  mutable promotes : int;
   mutable probation : bool;
   mutable permakilled : bool;
   (* Watchdog anomaly notes (PR 10): pure observations from the metrics
@@ -77,9 +74,6 @@ let create ?(policy = Log_only) () =
     killed = false;
     quarantined = false;
     quarantines = 0;
-    resets = 0;
-    rejoins = 0;
-    promotes = 0;
     probation = false;
     permakilled = false;
     anomaly_log = [];
@@ -118,18 +112,13 @@ let quarantined t = t.quarantined
 
 (* ---- recovery lifecycle (PR 8) ---- *)
 
-let link_reset t = t.resets <- t.resets + 1
-
 let rejoin t =
   (* The guard re-admitted the device: the OS sees it back in service, but
      on probation until a clean window elapses. *)
   t.quarantined <- false;
-  t.probation <- true;
-  t.rejoins <- t.rejoins + 1
+  t.probation <- true
 
-let promote t =
-  t.probation <- false;
-  t.promotes <- t.promotes + 1
+let promote t = t.probation <- false
 
 let permakill t =
   (* Terminal: the guard gave up on re-admission.  The device stays
@@ -139,9 +128,6 @@ let permakill t =
   t.permakilled <- true
 
 let quarantine_count t = t.quarantines
-let reset_count t = t.resets
-let rejoin_count t = t.rejoins
-let promote_count t = t.promotes
 let in_probation t = t.probation
 let permakilled t = t.permakilled
 
@@ -155,7 +141,6 @@ let anomaly t rule =
   t.anomaly_log <- bump t.anomaly_log
 
 let anomalies t = t.anomaly_log
-let anomaly_count t = List.fold_left (fun a (_, n) -> a + n) 0 t.anomaly_log
 
 let check_fingerprint t buf =
   (* Only the flags that change guard behaviour; the log and counters are

@@ -52,13 +52,10 @@ val quarantined : t -> bool
 
 (** {2 Recovery lifecycle (PR 8)}
 
-    A recovery-enabled guard walks the OS model through
-    quarantine → {!link_reset} → {!rejoin} (probation) → {!promote}, or gives
-    up with {!permakill}.  All counters stay zero and all flags false unless
-    the guard drives them, so legacy runs are byte-identical. *)
-
-val link_reset : t -> unit
-(** The guard started a link-reset handshake toward the quarantined device. *)
+    A recovery-enabled guard walks the OS model through quarantine →
+    {!rejoin} (probation) → {!promote}, or gives up with {!permakill}.  All
+    counters stay zero and all flags false unless the guard drives them, so
+    legacy runs are byte-identical. *)
 
 val rejoin : t -> unit
 (** The handshake completed: the device is back in service, on probation.
@@ -72,9 +69,6 @@ val permakill : t -> unit
     handshake died).  Terminal: the device stays quarantined. *)
 
 val quarantine_count : t -> int
-val reset_count : t -> int
-val rejoin_count : t -> int
-val promote_count : t -> int
 val in_probation : t -> bool
 val permakilled : t -> bool
 
@@ -85,8 +79,6 @@ val anomaly : t -> string -> unit
 
 val anomalies : t -> (string * int) list
 (** [(rule, count)] in first-noted order. *)
-
-val anomaly_count : t -> int
 
 val error_kind_to_string : error_kind -> string
 val all_error_kinds : error_kind list

@@ -27,9 +27,6 @@ let create ~engine ~tokens_per_cycle ~burst () =
     draining = false;
   }
 
-let unlimited ~engine () =
-  create ~engine ~tokens_per_cycle:1_000_000.0 ~burst:1_000_000 ()
-
 let refill t =
   let now = Engine.now t.engine in
   let elapsed = now - t.last_refill in

@@ -19,8 +19,6 @@ val create :
     zero-capacity bucket could never accumulate a whole token, so every
     request would be requeued forever. *)
 
-val unlimited : engine:Xguard_sim.Engine.t -> unit -> t
-
 val admit : t -> (unit -> unit) -> unit
 (** Run the action when a token is available: immediately if the bucket is
     non-empty, otherwise after the earliest cycle with a token, preserving

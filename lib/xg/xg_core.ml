@@ -309,11 +309,6 @@ let send_accel t msg =
 
 let respond_accel t addr resp = send_accel t (Xg_iface.To_accel_resp { addr; resp })
 
-let accel_may_be_sharer t addr =
-  match t.mode with
-  | Full_state -> Int_table.mem t.tracks addr
-  | Transactional -> Perm_table.allows_read t.perms addr
-
 (* ---- transition coverage & tracing ----
 
    The guard has no spelled-out state machine; its per-block "state" is the
@@ -591,7 +586,6 @@ and start_reset t r =
   if t.quarantined && not t.permakilled then begin
     fvisit t fev_reset;
     Group.incr t.stats "link_resets";
-    Os_model.link_reset t.os;
     note t "link reset: handshake started";
     Xg_iface.Link.reset t.link ~src:t.self ~dst:t.accel ~timeout:r.reset_timeout
       ~attempts:r.reset_attempts
@@ -922,7 +916,7 @@ and accept_put t addr (p : per_addr) (req : Xg_iface.accel_request) =
      side settles, so the port can attribute [host.writeback]. *)
   let host_put v =
     (match Obs.spans () with
-    | Some sr -> Spans.host_put_issued sr ~addr:(Addr.to_int addr) ~now:(Engine.now t.engine)
+    | Some sr -> Spans.host_put_issued sr ~addr:(Addr.to_int addr)
     | None -> ());
     t.host.put addr v
   in
@@ -973,13 +967,10 @@ and pump_stalled t addr (p : per_addr) =
     | Some sr, Some parked ->
         let now = Engine.now t.engine in
         let a = Addr.to_int addr in
-        (* The lookup must read barrier-ordered recorder state under the
-           sharded engine, so the whole read-then-record block defers. *)
-        Spans.deferred ~now (fun () ->
-            let span = match Spans.lookup sr ~addr:a with Some (s, _) -> s | None -> 0 in
-            Spans.record sr Spans.Xg_stall
-              (Xg_iface.span_txn_of_request req)
-              ~span ~addr:a ~ts:parked ~dur:(now - parked))
+        let span = match Spans.lookup sr ~addr:a with Some (s, _) -> s | None -> 0 in
+        Spans.record sr Spans.Xg_stall
+          (Xg_iface.span_txn_of_request req)
+          ~span ~addr:a ~ts:parked ~dur:(now - parked)
     | _ -> ());
     process_get t addr p req
   end

@@ -155,9 +155,6 @@ val host_request : t -> Addr.t -> need:host_need -> reply:(host_reply -> unit) -
     round-trip otherwise, and on behalf of the accelerator after a timeout or
     a corrected bad response. *)
 
-val accel_may_be_sharer : t -> Addr.t -> bool
-(** Conservative sharing test used by ports for protocol-specific fast paths. *)
-
 (* ---- lossy-link degradation ---- *)
 
 val link_fault : t -> unit

@@ -22,10 +22,6 @@ let response_carries_data = function
 
 let is_put = function Put_s | Put_e _ | Put_m _ -> true | Get_s | Get_m -> false
 
-let exclusive_grant = function
-  | Data_e _ | Data_m _ -> true
-  | Data_s _ | Wb_ack -> false
-
 let msg_size = function
   | To_xg_req { req; _ } ->
       if request_carries_data req then Xguard_network.Network.data_size
@@ -215,9 +211,6 @@ module Link = struct
     mutable reset_seen : int;
     mutable pending_reset : (int * (unit -> unit)) option;
     mutable on_reset : unit -> unit;
-    (* Sharded-engine partition: per-node clock for the span hooks, installed
-       by {!set_partition}.  [t.engine] stays the host-side clock. *)
-    mutable part_now : Node.t -> Engine.time;
     stats : Counter.Group.t;
     cov : Counter.Group.t;
     covm : Coverage.matrix;
@@ -280,7 +273,6 @@ module Link = struct
         reset_seen = 0;
         pending_reset = None;
         on_reset = (fun () -> ());
-        part_now = (fun _ -> Engine.now engine);
         stats;
         cov;
         covm = Coverage.intern_matrix coverage_space cov;
@@ -344,7 +336,8 @@ module Link = struct
   (* One payload sent or delivered, seen by each layer this link feeds: a
      crossing link the span layer, a labelled one the metrics layer.  Both
      flags are set at build time only when that layer is armed. *)
-  let observe t ~sent msg ~now =
+  let observe t ~sent msg =
+    let now = Engine.now t.engine in
     let o = Obs.get () in
     (match o.Obs.spans with
     | Some sr when t.crossing -> if sent then span_send sr msg ~now else span_deliver sr msg ~now
@@ -643,7 +636,7 @@ module Link = struct
 
   let register t node handler =
     let handler ~src msg =
-      if t.crossing || t.mlabel <> "" then observe t ~sent:false msg ~now:(t.part_now node);
+      if t.crossing || t.mlabel <> "" then observe t ~sent:false msg;
       handler ~src msg
     in
     Raw.register t.raw node (fun ~src wire ->
@@ -657,7 +650,7 @@ module Link = struct
 
   let send t ~src ~dst ?(size = Network.control_size) msg =
     (match t.monitor with Some f -> f ~src ~dst msg | None -> ());
-    if t.crossing || t.mlabel <> "" then observe t ~sent:true msg ~now:(t.part_now src);
+    if t.crossing || t.mlabel <> "" then observe t ~sent:true msg;
     if not t.reliable then Raw.send t.raw ~src ~dst ~size (Plain msg)
     else begin
       let ch = channel t ~src ~dst in
@@ -705,17 +698,6 @@ module Link = struct
     end
 
   let killed t = t.killed
-
-  (* ---- sharded-engine partition ---- *)
-
-  let set_partition t ~dom_of ~engines =
-    if t.reliable then
-      invalid_arg
-        (Printf.sprintf
-           "Link.set_partition(%s): reliability timers are engine-local" t.lname);
-    Raw.set_partition t.raw ~dom_of ~engines;
-    t.part_now <-
-      (fun node -> Engine.now engines.(dom_of.(Node.id node)))
 
   (* ---- passthrough ---- *)
 

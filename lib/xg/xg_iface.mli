@@ -58,9 +58,6 @@ val is_put : accel_request -> bool
 (** True for every eviction request ([Put_s]/[Put_e]/[Put_m]); these are the
     messages a [puts_needed = false] host lets the guard suppress. *)
 
-val exclusive_grant : xg_response -> bool
-(** True for [Data_e] and [Data_m]. *)
-
 val msg_size : msg -> int
 (** Bytes on the wire: {!Xguard_network.Network.data_size} when data is
     attached, [control_size] otherwise. *)
@@ -148,16 +145,6 @@ module Link : sig
 
   val set_monitor : t -> (src:Node.t -> dst:Node.t -> msg -> unit) -> unit
   (** Observe every payload once at send time (never retransmissions). *)
-
-  val set_partition :
-    t -> dom_of:int array -> engines:Xguard_sim.Engine.t array -> unit
-  (** Split the link across domain engines for the parallel simulator (see
-      {!Xguard_network.Network.Make.set_partition}): the underlying wire is
-      partitioned, and the span hooks switch to per-endpoint clocks — sends
-      stamp with the source node's engine, deliveries with the destination's.
-      @raise Invalid_argument in reliable mode (retransmission timers are
-      engine-local) or when the wire refuses (unordered / faults / check
-      mode). *)
 
   val set_tracer : t -> (msg -> int * string) -> unit
   (** Payload description for the trace buffer; frames render as

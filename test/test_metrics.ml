@@ -679,8 +679,8 @@ let test_sampler_matches_reference () =
               | 0 -> register ()
               | 1 | 2 -> Counter.Group.incr (pick rng groups) (pick rng names)
               | 3 ->
-                  let g = pick rng groups in
-                  Counter.Group.incr_id g (Counter.Group.intern g (pick rng names))
+                  Counter.Group.add (pick rng groups) (pick rng names)
+                    (Random.State.int rng 5)
               | 4 ->
                   Counter.Group.add_id groups.(3) (pick rng adopted)
                     (Random.State.int rng 5)

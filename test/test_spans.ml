@@ -101,7 +101,7 @@ let test_put_parks_until_settled () =
   let r = Spans.create () in
   Spans.xreq_open r Spans.Put_m ~addr:4 ~now:0;
   Spans.xreq_delivered r ~addr:4 ~now:8;
-  Spans.host_put_issued r ~addr:4 ~now:9;
+  Spans.host_put_issued r ~addr:4;
   Spans.xg_decided r ~addr:4 ~now:10;
   Spans.resp_sent r ~addr:4 ~now:10;
   Spans.resp_delivered r ~addr:4 ~now:18;
@@ -115,7 +115,7 @@ let test_put_parks_until_settled () =
   | Some (_, txn) ->
       Alcotest.(check string) "new crossing is the GET" "GetS" (Spans.txn_name txn)
   | None -> Alcotest.fail "follow-up GET evicted");
-  Spans.put_settled r ~addr:4 ~now:40;
+  Spans.put_settled r ~addr:4;
   check_bool "put gone after settle" true (Spans.lookup_put r ~addr:4 = None);
   check_int "no replacement counted" 0 (Spans.Summary.replaced (Spans.summary r))
 

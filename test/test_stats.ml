@@ -246,7 +246,7 @@ let test_cells () =
   Alcotest.(check string) "float" "2.50" (Table.cell_float 2.5);
   Alcotest.(check string) "int" "42" (Table.cell_int 42)
 
-(* The interned hot path (Group.intern/incr_id, Coverage.intern_matrix/hit)
+(* The adopted hot path (Group.adopt/incr_id, Coverage.intern_matrix/hit)
    must be observationally indistinguishable from string-keyed Group.incr:
    same counters, same first-touch order, same analyze/merge output — even
    when the two paths are interleaved on the same group and counts are
